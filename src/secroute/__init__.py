@@ -2,19 +2,15 @@
 networks under Poisson-distributed colluding eavesdroppers."""
 
 from .netmodel import (
-    Link,
     NetModelError,
     Node,
     Path,
     Scenario,
     Topology,
     build_topology,
-    hop_distances,
-    path_sum_sq,
 )
 from .analytics import (
     SecrecyResult,
-    WiretapCode,
     density_bound,
     hop_sop,
     k1,
@@ -32,13 +28,11 @@ from .routing import (
     solve_secure_route,
 )
 from .montecarlo import (
-    EavesdropperField,
     MonteCarloError,
     SopEstimate,
     estimate_hop_sop,
     estimate_path_sop,
     power_invariance_check,
-    sample_ppp,
 )
 
 __version__ = "0.1.0"

@@ -19,34 +19,6 @@ from .netmodel import Path, Scenario
 
 
 @dataclass(frozen=True)
-class WiretapCode:
-    """Realized rate pair of the nested wiretap code for one hop.
-
-    rs is the confidential-information rate; rt the codeword rate chosen
-    adaptively (arbitrarily close to the legitimate channel capacity);
-    re = rt - rs is the secrecy rate loss; beta_t = 2^rs - 1 is the
-    on-off SNR threshold.
-    """
-
-    rs: float
-    rt: float
-
-    def __post_init__(self):
-        if not self.rs > 0.0:
-            raise ValueError(f"confidential rate must be positive, got {self.rs}")
-        if self.rt < self.rs:
-            raise ValueError(f"codeword rate {self.rt} below confidential rate {self.rs}")
-
-    @property
-    def re(self) -> float:
-        return self.rt - self.rs
-
-    @property
-    def beta_t(self) -> float:
-        return 2.0 ** self.rs - 1.0
-
-
-@dataclass(frozen=True)
 class SecrecyResult:
     """Optimal confidential rate for a path and the resulting secrecy rate.
 
@@ -92,14 +64,6 @@ def path_sop(rs: float, path: Path, scenario: Scenario) -> float:
         raise ValueError(f"rs must be positive, got {rs}")
     a = scenario.alpha
     return -math.expm1(-k1(scenario) * 2.0 ** (2.0 * rs / a) * path.sum_sq_dist)
-
-
-def path_sop_product(rs: float, dists, scenario: Scenario) -> float:
-    """Same quantity as path_sop, via the explicit per-hop product form."""
-    surv = 1.0
-    for d in dists:
-        surv *= 1.0 - hop_sop(rs, d, scenario)
-    return 1.0 - surv
 
 
 def density_bound(path: Path, scenario: Scenario) -> float:

@@ -3,7 +3,10 @@
     secroute <subcommand> [--config FILE] [--seed N] [--trials N]
              [--reps N] [--out CSV] ...
 
-Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config, 3 I/O.
+Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config or input
+(including malformed node/edge CSV rows, a non-finite density or power, and
+a Monte Carlo run that cannot produce an estimate because no trial survives
+the on-off threshold), 3 I/O.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import sys
 
 from . import experiments
 from .experiments import ConfigError, ExperimentConfig
+from .montecarlo import MonteCarloError
 from .netmodel import NetModelError
 from .routing import RoutingError
 
@@ -69,7 +73,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(cfg)
-    except (ConfigError, NetModelError, ValueError) as exc:
+    except (ConfigError, NetModelError, MonteCarloError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except RoutingError as exc:
@@ -80,35 +84,45 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+# A runner takes (cfg, out path) and returns (exit code, (header, rows) to
+# write as the CSV or None, lines to print after writing it). The run_*
+# functions are looked up on each call, not bound here.
+def _table(run):
+    def runner(cfg, out):
+        header, rows = run(cfg)
+        return EXIT_OK, (header, rows), [f"wrote {out} ({len(rows)} rows)"]
+    return runner
+
+
+def _route(cfg, out):
+    sol, lines = experiments.run_route(cfg)
+    return (EXIT_OK if sol is not None else EXIT_INFEASIBLE), None, lines
+
+
+def _validate(cfg, out):
+    ok, header, rows = experiments.run_validate(cfg)
+    lines = [f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} "
+             f"[{'pass' if row[-1] else 'FAIL'}]" for row in rows]
+    return (EXIT_OK if ok else EXIT_INFEASIBLE), (header, rows), lines + [f"wrote {out}"]
+
+
+_RUNNERS = {
+    "sop-curve": _table(lambda cfg: experiments.run_sop_curve(cfg)),
+    "rate-vs-lambda": _table(lambda cfg: experiments.run_rate_sweeps(cfg, "lambda_e")),
+    "rate-vs-epsilon": _table(lambda cfg: experiments.run_rate_sweeps(cfg, "epsilon")),
+    "table-one": _table(lambda cfg: experiments.run_table_one(cfg)),
+    "route": _route,
+    "validate": _validate,
+}
+
+
 def _dispatch(cfg: ExperimentConfig) -> int:
     out = cfg.out or cfg.experiment.replace("-", "_") + ".csv"
-
-    if cfg.experiment == "sop-curve":
-        header, rows = experiments.run_sop_curve(cfg)
-    elif cfg.experiment == "rate-vs-lambda":
-        header, rows = experiments.run_rate_sweeps(cfg, "lambda_e")
-    elif cfg.experiment == "rate-vs-epsilon":
-        header, rows = experiments.run_rate_sweeps(cfg, "epsilon")
-    elif cfg.experiment == "table-one":
-        header, rows = experiments.run_table_one(cfg)
-    elif cfg.experiment == "route":
-        sol, lines = experiments.run_route(cfg)
-        print("\n".join(lines))
-        return EXIT_OK if sol is not None else EXIT_INFEASIBLE
-    elif cfg.experiment == "validate":
-        ok, header, rows = experiments.run_validate(cfg)
-        experiments.write_csv(out, cfg, header, rows)
-        for row in rows:
-            status = "pass" if row[-1] else "FAIL"
-            print(f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} [{status}]")
-        print(f"wrote {out}")
-        return EXIT_OK if ok else EXIT_INFEASIBLE
-    else:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-
-    experiments.write_csv(out, cfg, header, rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return EXIT_OK
+    code, table, lines = _RUNNERS[cfg.experiment](cfg, out)
+    if table is not None:
+        experiments.write_csv(out, cfg, *table)
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -91,8 +91,6 @@ def parse_config(fname: str) -> ExperimentConfig:
                 raise ConfigError(f"{fname}:{lineno}: bad value for {key}: {exc}") from exc
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.trials < 1 or cfg.reps < 1:
-        raise ConfigError("trials and reps must be >= 1")
     return cfg
 
 

@@ -30,23 +30,6 @@ class MonteCarloError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EavesdropperField:
-    """One PPP draw: (n, 2) array of planar eavesdropper positions."""
-
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
-class HopRealization:
-    """Single-hop channel draw: legitimate gain, eavesdropper gains, SNRs."""
-
-    h: float
-    s: np.ndarray
-    snr_legit: float
-    snr_eaves_sum: float
-
-
-@dataclass(frozen=True)
 class SopEstimate:
     mean: float
     stderr: float
@@ -63,30 +46,6 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
 def _exponential(rng: np.random.Generator, size) -> np.ndarray:
     # inverse CDF keeps the draw reproducible across numpy versions
     return -np.log1p(-rng.random(size))
-
-
-def sample_ppp(scenario: Scenario, rng: np.random.Generator) -> EavesdropperField:
-    """One homogeneous PPP field over the scenario window."""
-    xmin, xmax, ymin, ymax = scenario.sim_window
-    n = rng.poisson(scenario.lambda_e * scenario.window_area)
-    pts = np.empty((n, 2))
-    pts[:, 0] = rng.uniform(xmin, xmax, n)
-    pts[:, 1] = rng.uniform(ymin, ymax, n)
-    return EavesdropperField(pts)
-
-
-def hop_realization(dist: float, scenario: Scenario,
-                    rng: np.random.Generator) -> HopRealization:
-    """Full channel draw for one hop with the transmitter at the window center."""
-    xmin, xmax, ymin, ymax = scenario.sim_window
-    tx = (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
-    field = sample_ppp(scenario, rng)
-    s = _exponential(rng, len(field.points))
-    h = float(_exponential(rng, 1)[0])
-    p = scenario.power_linear
-    r2 = (field.points[:, 0] - tx[0]) ** 2 + (field.points[:, 1] - tx[1]) ** 2
-    snr_sum = float(np.sum(p * s * r2 ** (-scenario.alpha / 2.0)))
-    return HopRealization(h, s, p * h / dist ** scenario.alpha, snr_sum)
 
 
 def _block_draws(rng, scenario: Scenario, tx, n):
@@ -110,7 +69,7 @@ def _block_draws(rng, scenario: Scenario, tx, n):
     return interference, h
 
 
-def _hop_outage_blocks(rs, dist, scenario, trials, seed, stream, tx):
+def _hop_outage_blocks(scenario, trials, seed, stream, tx):
     """Yield per-block memoryless inputs (interference, h) for a single hop."""
     done = 0
     block = 0
@@ -152,7 +111,7 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
 
     n_outage = 0
     n_effective = 0
-    for interference, h in _hop_outage_blocks(rs, dist, scenario, trials, seed, 0, tx):
+    for interference, h in _hop_outage_blocks(scenario, trials, seed, 0, tx):
         if conditioning == "memoryless":
             n_outage += int(np.count_nonzero(h <= gain * d_alpha * interference))
             n_effective += len(h)
@@ -185,7 +144,14 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         raise ValueError("trials must be >= 1")
     if rs <= 0.0:
         raise ValueError("rs must be positive")
-    hops = list(zip(path.nodes, path.nodes[1:]))
+    # per hop: transmitter position and d^alpha, with the hop length the
+    # root of its squared-distance entry (exact: sqrt inverts a correctly
+    # rounded square); path() rejects a hop that is not an edge
+    hops = []
+    for u, v in zip(path.nodes, path.nodes[1:]):
+        tx = topology.nodes[u]
+        d = math.sqrt(topology.path((u, v)).sum_sq_dist)
+        hops.append(((tx.x, tx.y), d ** scenario.alpha))
     gain = 2.0 ** rs
 
     n_outage = 0
@@ -194,12 +160,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     while done < trials:
         n = min(BLOCK, trials - done)
         out = np.zeros(n, dtype=bool)
-        for stream, (u, v) in enumerate(hops):
-            node = topology.nodes[u]
-            link = topology.link(u, v)
-            d_alpha = link.dist ** scenario.alpha
+        for stream, (tx, d_alpha) in enumerate(hops):
             rng = block_rng(seed, stream, block)
-            interference, h = _block_draws(rng, scenario, (node.x, node.y), n)
+            interference, h = _block_draws(rng, scenario, tx, n)
             out |= h <= gain * d_alpha * interference
         n_outage += int(np.count_nonzero(out))
         done += n

@@ -1,15 +1,18 @@
-"""Geometric network model: scenario parameters, nodes, links, paths.
+"""Geometric network model: scenario parameters, nodes, topologies, paths.
 
 Distances are plain Euclidean lengths in the same unit system as the
-eavesdropper density (nodes per unit area). Link weights are squared
-distances, which is the quantity every downstream formula consumes.
+eavesdropper density (nodes per unit area). A topology keeps its geometry
+as one matrix of squared hop distances, which is the quantity every
+downstream formula consumes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 DEFAULT_WINDOW = (-1000.0, 1000.0, -1000.0, 1000.0)
@@ -39,8 +42,11 @@ class Scenario:
     def __post_init__(self):
         if not self.alpha > 2.0:
             raise NetModelError(f"path-loss exponent must exceed 2, got {self.alpha}")
-        if self.lambda_e < 0.0:
-            raise NetModelError(f"eavesdropper density must be >= 0, got {self.lambda_e}")
+        if not (math.isfinite(self.lambda_e) and self.lambda_e >= 0.0):
+            raise NetModelError(
+                f"eavesdropper density must be finite and >= 0, got {self.lambda_e}")
+        if not math.isfinite(self.power_db):
+            raise NetModelError(f"power_db must be finite, got {self.power_db}")
         if not 0.0 < self.epsilon < 1.0:
             raise NetModelError(f"epsilon must lie strictly in (0,1), got {self.epsilon}")
         xmin, xmax, ymin, ymax = self.sim_window
@@ -65,18 +71,6 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Link:
-    src: int
-    dst: int
-    dist: float
-
-    @property
-    def weight(self) -> float:
-        # squared distance, computed (never stored) so it can't drift
-        return self.dist * self.dist
-
-
-@dataclass(frozen=True)
 class Path:
     """Ordered multihop route, source first."""
 
@@ -88,12 +82,13 @@ class Path:
         return len(self.nodes) - 1
 
 
-def _euclid(a: Node, b: Node) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 class Topology:
-    """Immutable set of legitimate nodes with symmetric weighted links.
+    """Immutable set of legitimate nodes with symmetric squared-distance weights.
+
+    `order` lists the node ids ascending and `index` maps an id to its
+    position in `order`. The weight matrix, indexed by position, holds the
+    squared length of every edge and inf everywhere else (the diagonal
+    included), so it is also the adjacency.
 
     Safe for concurrent read access; all mutation happens in __init__.
     """
@@ -108,79 +103,62 @@ class Topology:
             if not (math.isfinite(n.x) and math.isfinite(n.y)):
                 raise NetModelError(f"non-finite coordinates on node {n.id}")
         self.nodes = {n.id: n for n in nodes}
-        self.order = sorted(self.nodes)  # fixed id order for matrix views
-        self._adj: dict[int, dict[int, float]] = {i: {} for i in self.nodes}
+        self.order = sorted(self.nodes)
+        self.index = {nid: i for i, nid in enumerate(self.order)}
+        x = np.array([self.nodes[i].x for i in self.order], dtype=float)
+        y = np.array([self.nodes[i].y for i in self.order], dtype=float)
+        # hypot(...) ** 2, not dx*dx + dy*dy: the two differ in the last bits
+        # and the CSV outputs are pinned to the former
+        d2 = np.hypot(x[:, None] - x, y[:, None] - y) ** 2
         if edges is None:
-            pairs = [(a.id, b.id) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+            w = d2
+            np.fill_diagonal(w, np.inf)
         else:
-            pairs = list(edges)
-        for u, v in pairs:
-            if u not in self.nodes or v not in self.nodes:
-                raise NetModelError(f"edge ({u},{v}) references unknown node")
-            if u == v:
-                raise NetModelError(f"self-loop on node {u}")
-            d = _euclid(self.nodes[u], self.nodes[v])
-            if d <= 0.0:
-                raise NetModelError(f"nodes {u} and {v} are co-located")
-            self._adj[u][v] = d
-            self._adj[v][u] = d
+            w = np.full_like(d2, np.inf)
+            for u, v in edges:
+                if u not in self.nodes or v not in self.nodes:
+                    raise NetModelError(f"edge ({u},{v}) references unknown node")
+                if u == v:
+                    raise NetModelError(f"self-loop on node {u}")
+                i, j = self.index[u], self.index[v]
+                w[i, j] = w[j, i] = d2[i, j]
+        colocated = np.argwhere(w == 0.0)
+        if len(colocated):
+            i, j = colocated[0]
+            raise NetModelError(f"nodes {self.order[i]} and {self.order[j]} are co-located")
+        w.flags.writeable = False
+        self._w = w
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, {})
-
-    def link(self, u: int, v: int) -> Link:
-        if not self.has_edge(u, v):
-            raise NetModelError(f"no link between {u} and {v}")
-        return Link(u, v, self._adj[u][v])
-
-    def neighbors(self, u: int) -> dict[int, float]:
-        return dict(self._adj[u])
-
-    def links(self) -> list[Link]:
-        out = []
-        for u in self.order:
-            for v, d in self._adj[u].items():
-                if u < v:
-                    out.append(Link(u, v, d))
-        return out
-
-    def weight_matrix(self):
-        """Squared-distance matrix indexed by self.order, inf off-edges."""
-        import numpy as np
-
-        n = len(self.order)
-        idx = {nid: i for i, nid in enumerate(self.order)}
-        w = np.full((n, n), np.inf)
-        for u in self.order:
-            for v, d in self._adj[u].items():
-                w[idx[u], idx[v]] = d * d
-        return w
+    def weight_matrix(self) -> np.ndarray:
+        """Read-only squared-distance matrix indexed by self.order, inf off-edges."""
+        return self._w
 
     def path(self, node_ids) -> Path:
-        """Build a Path from an ordered node-id sequence, validating edges."""
+        """Build a Path from an ordered node-id sequence, validating edges.
+
+        The weight is summed hop by hop from 0.0, the order in which the
+        routing sweep accumulates it, so the two agree exactly.
+        """
         seq = tuple(node_ids)
         if len(seq) < 2:
             raise NetModelError("a path needs at least one hop")
         if len(set(seq)) != len(seq):
             raise NetModelError("path revisits a node")
+        try:
+            idx = [self.index[u] for u in seq]
+        except KeyError as exc:
+            raise NetModelError(f"node {exc.args[0]} not in topology") from None
         total = 0.0
-        for u, v in zip(seq, seq[1:]):
-            total += self.link(u, v).weight
+        for k, w in enumerate(self._w[idx[:-1], idx[1:]].tolist()):
+            if w == math.inf:
+                raise NetModelError(f"no link between {seq[k]} and {seq[k + 1]}")
+            total += w
         return Path(seq, total)
 
 
 def build_topology(nodes: list[Node], edges=None) -> Topology:
     """Full mesh over the given nodes, or restricted to an explicit edge list."""
     return Topology(nodes, edges)
-
-
-def path_sum_sq(path: Path, topology: Topology) -> float:
-    """Sum of squared hop distances, recomputed from the topology."""
-    return topology.path(path.nodes).sum_sq_dist
-
-
-def hop_distances(path: Path, topology: Topology) -> list[float]:
-    return [topology.link(u, v).dist for u, v in zip(path.nodes, path.nodes[1:])]
 
 
 def load_nodes_csv(fname) -> list[Node]:
@@ -212,6 +190,8 @@ def load_edges_csv(fname) -> list[tuple[int, int]]:
             try:
                 u = int(row[0])
             except ValueError:
-                continue
+                continue  # header line
+            if len(row) < 2:
+                raise NetModelError(f"malformed edge row: {row}")
             edges.append((u, int(row[1])))
     return edges

@@ -34,34 +34,31 @@ class HopConstrainedTable:
 
     best[v][i] is the minimum sum of squared distances over paths from the
     source to node order[i] using at most v hops (inf if unreachable);
-    hops and pred record the realizing hop count and predecessor index.
+    hops and pred record the realizing hop count and predecessor position.
+    index maps a node id to its position in order.
     """
 
     order: list[int]
+    index: dict[int, int]
     source: int
     best: np.ndarray   # (n_budgets+1, n_nodes)
     hops: np.ndarray
     pred: np.ndarray
 
     def best_weight(self, node: int, v: int) -> float:
-        return float(self.best[v, self.order.index(node)])
+        return float(self.best[v, self.index[node]])
 
     def path_to(self, node: int, v: int):
         """Reconstruct the stored path as a node-id list, None if unreachable."""
-        i = self.order.index(node)
+        i = self.index[node]
         if not np.isfinite(self.best[v, i]):
             return None
-        seq = []
-        lvl = v
-        while True:
-            seq.append(self.order[i])
-            if self.order[i] == self.source:
-                break
-            h = int(self.hops[lvl, i])
-            p = int(self.pred[lvl, i])
-            i, lvl = p, h - 1
-        seq.reverse()
-        return seq
+        src = self.index[self.source]
+        seq = [i]
+        while i != src:
+            i, v = int(self.pred[v, i]), int(self.hops[v, i]) - 1
+            seq.append(i)
+        return [self.order[i] for i in reversed(seq)]
 
 
 @dataclass
@@ -81,10 +78,9 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
         raise RoutingError("source or destination not in topology")
     if source == dest:
         raise RoutingError("source equals destination")
-    order = topology.order
-    n = len(order)
+    n = len(topology.order)
     w = topology.weight_matrix()
-    src = order.index(source)
+    src = topology.index[source]
 
     n_budgets = n - 1
     best = np.full((n_budgets + 1, n), np.inf)
@@ -101,7 +97,7 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
         hops[v] = np.where(improve, hops[v - 1][cp] + 1, hops[v - 1])
         pred[v] = np.where(improve, cp, pred[v - 1])
 
-    return HopConstrainedTable(order, source, best, hops, pred)
+    return HopConstrainedTable(topology.order, topology.index, source, best, hops, pred)
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
@@ -138,21 +134,25 @@ def enumerate_all_paths_oracle(topology: Topology, source: int, dest: int,
                                max_hops: int, node_limit: int = ORACLE_NODE_LIMIT):
     """All simple paths with at most max_hops hops, by exhaustive DFS.
 
-    Deliberately independent of the Bellman-Ford machinery; capped at
-    node_limit nodes since the count grows factorially.
+    Deliberately independent of the Bellman-Ford machinery: it shares only
+    the weight matrix, whose finite entries give each node's neighbours.
+    Capped at node_limit nodes since the count grows factorially.
     """
     if len(topology.nodes) > node_limit:
         raise RoutingError(
             f"oracle limited to {node_limit} nodes, topology has {len(topology.nodes)}")
     if source not in topology.nodes or dest not in topology.nodes:
         raise RoutingError("source or destination not in topology")
+    order = topology.order
+    neighbors = {order[i]: [order[j] for j in np.flatnonzero(np.isfinite(row))]
+                 for i, row in enumerate(topology.weight_matrix())}
     out = []
     stack = [source]
     seen = {source}
 
     def dfs():
         cur = stack[-1]
-        for nbr in sorted(topology.neighbors(cur)):
+        for nbr in neighbors[cur]:
             if nbr in seen:
                 continue
             if nbr == dest:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from secroute import Node, Scenario, WiretapCode, build_topology
+from secroute import Node, Scenario, build_topology
 from secroute import analytics
 from secroute.netmodel import Path
 from secroute.experiments import six_node_topology
@@ -16,17 +16,12 @@ def straight_path(sum_sq):
     return Path((0, 1), sum_sq)
 
 
-class TestWiretapCode:
-    def test_rate_relations(self):
-        code = WiretapCode(rs=1.0, rt=2.5)
-        assert code.re == 1.5
-        assert code.beta_t == 1.0  # 2^1 - 1
-
-    def test_invalid_rates(self):
-        with pytest.raises(ValueError):
-            WiretapCode(rs=0.0, rt=1.0)
-        with pytest.raises(ValueError):
-            WiretapCode(rs=2.0, rt=1.0)
+def path_sop_product(rs, dists, scenario):
+    """Reference for path_sop: the explicit product of per-hop survivals."""
+    surv = 1.0
+    for d in dists:
+        surv *= 1.0 - analytics.hop_sop(rs, d, scenario)
+    return 1.0 - surv
 
 
 class TestK1:
@@ -96,10 +91,11 @@ class TestPathSop:
         topo = six_node_topology()
         for seq in [(1, 3, 5), (1, 2, 3, 5), (1, 2, 3, 4, 5, 6)]:
             p = topo.path(seq)
-            dists = [topo.link(u, v).dist for u, v in zip(seq, seq[1:])]
+            hops = [(topo.nodes[u], topo.nodes[v]) for u, v in zip(seq, seq[1:])]
+            dists = [math.hypot(a.x - b.x, a.y - b.y) for a, b in hops]
             for rs in (0.25, 1.0, 3.0):
                 exp_form = analytics.path_sop(rs, p, scen())
-                prod_form = analytics.path_sop_product(rs, dists, scen())
+                prod_form = path_sop_product(rs, dists, scen())
                 assert exp_form == pytest.approx(prod_form, rel=1e-12)
 
     def test_reference_six_node(self):

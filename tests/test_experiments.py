@@ -222,3 +222,27 @@ class TestCli:
         rc = main(["validate", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    def test_one_column_edge_row_exit_code(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0,0,0\n1,0,5\n2,0,10\n")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("0,1\n2\n")
+        rc = main(["route", "--topology", str(nodes), "--edges", str(edges),
+                   "--source", "0", "--dest", "2"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("line", ["lambda_e = nan", "power_db = inf"])
+    def test_non_finite_scenario_exit_code(self, tmp_path, capsys, line):
+        f = tmp_path / "exp.cfg"
+        f.write_text(line + "\n")
+        rc = main(["route", "--config", str(f), "--source", "1", "--dest", "5"])
+        assert rc == 2
+        assert "nan" not in capsys.readouterr().out
+
+    def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
+        # at -200 dB no trial passes the on-off threshold of rs = 30
+        f = tmp_path / "v.cfg"
+        f.write_text("power_db = -200\npowers = -200\nrs = 30\ntrials = 2000\n")
+        rc = main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")])
+        assert rc == 2

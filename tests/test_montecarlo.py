@@ -7,12 +7,11 @@ from secroute import Node, Scenario, build_topology
 from secroute import analytics, montecarlo
 from secroute.montecarlo import (
     MonteCarloError,
+    _block_draws,
     block_rng,
     estimate_hop_sop,
     estimate_path_sop,
-    hop_realization,
     power_invariance_check,
-    sample_ppp,
 )
 
 
@@ -22,34 +21,23 @@ def scen(lam=1e-5, eps=0.1, alpha=4.0, power=80.0, window=2000.0):
 
 
 class TestSamplePpp:
+    """The PPP sampler behind every estimate, `_block_draws`."""
+
     def test_zero_density_empty(self):
-        rng = block_rng(0, 0, 0)
-        for _ in range(20):
-            assert len(sample_ppp(scen(lam=0.0), rng).points) == 0
+        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), (0.0, 0.0), 5000)
+        assert len(interference) == len(h) == 5000
+        assert np.all(interference == 0.0)
 
     def test_poisson_count_statistics(self):
-        # lambda * area = 40; check mean and variance over many draws
-        rng = block_rng(1, 0, 0)
-        sc = scen(lam=1e-5)
-        counts = np.array([len(sample_ppp(sc, rng).points) for _ in range(20000)])
-        assert counts.mean() == pytest.approx(40.0, rel=0.02)
-        assert counts.var() == pytest.approx(40.0, rel=0.05)
-
-    def test_positions_inside_window(self):
-        rng = block_rng(2, 0, 0)
-        pts = sample_ppp(scen(lam=1e-4), rng).points
-        assert np.all(np.abs(pts) <= 1000.0)
-
-
-class TestHopRealization:
-    def test_fields_consistent(self):
-        rng = block_rng(3, 0, 0)
-        sc = scen(lam=1e-4)
-        real = hop_realization(10.0, sc, rng)
-        assert real.h > 0
-        assert np.all(real.s > 0)
-        assert real.snr_legit == pytest.approx(sc.power_linear * real.h / 10.0 ** 4)
-        assert real.snr_eaves_sum >= 0
+        # lambda * area = 1: a trial's field is empty with probability e^-1,
+        # and only an empty field gives zero interference
+        sc = scen(lam=2.5e-7)
+        assert sc.lambda_e * sc.window_area == 1.0
+        n = 100000
+        interference, _ = _block_draws(block_rng(1, 0, 0), sc, (0.0, 0.0), n)
+        p = math.exp(-1.0)
+        share = np.count_nonzero(interference == 0.0) / n
+        assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestEstimateHopSop:

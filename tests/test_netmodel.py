@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from secroute import NetModelError, Node, Scenario, build_topology, path_sum_sq
+from secroute import NetModelError, Node, Scenario, build_topology
 from secroute.netmodel import load_edges_csv, load_nodes_csv
 from secroute.experiments import six_node_topology
 
@@ -13,6 +14,12 @@ def test_scenario_validation():
         Scenario(2.0, 1e-5, 0.1)
     with pytest.raises(NetModelError):
         Scenario(4, -1e-5, 0.1)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(NetModelError):
+            Scenario(4, lam, 0.1)
+    for power in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NetModelError):
+            Scenario(4, 1e-5, 0.1, power_db=power)
     with pytest.raises(NetModelError):
         Scenario(4, 1e-5, 0.0)
     with pytest.raises(NetModelError):
@@ -27,15 +34,16 @@ def test_power_conversion():
 
 def test_three_four_five_link():
     topo = build_topology([Node(0, 0, 0), Node(1, 3, 4)])
-    link = topo.link(0, 1)
-    assert link.dist == 5.0
-    assert link.weight == 25.0
+    assert topo.path((0, 1)).sum_sq_dist == 25.0
+    assert topo.weight_matrix()[0, 1] == 25.0
 
 
 def test_six_node_topology_full_mesh():
     topo = six_node_topology()
     assert len(topo.nodes) == 6
-    assert len(topo.links()) == 15
+    w = topo.weight_matrix()
+    assert np.count_nonzero(np.isfinite(w)) == 2 * 15
+    assert np.all(np.isinf(np.diag(w)))
 
 
 def test_single_node_rejected():
@@ -53,6 +61,21 @@ def test_nonfinite_coordinates_rejected():
         build_topology([Node(0, 0, 0), Node(1, math.nan, 1)])
 
 
+def test_edge_validation():
+    nodes = [Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 5)]
+    with pytest.raises(NetModelError):
+        build_topology(nodes[:2], edges=[(0, 7)])  # unknown node
+    with pytest.raises(NetModelError):
+        build_topology(nodes[:2], edges=[(0, 0)])  # self-loop
+    with pytest.raises(NetModelError):
+        build_topology(nodes)  # 1 and 2 co-located in the full mesh
+    with pytest.raises(NetModelError):
+        build_topology(nodes, edges=[(0, 1), (1, 2)])
+    # co-located nodes without an edge between them are allowed
+    topo = build_topology(nodes, edges=[(0, 1), (0, 2)])
+    assert topo.path((1, 0, 2)).sum_sq_dist == 50.0
+
+
 def test_path_sums():
     topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)])
     assert topo.path((0, 2)).sum_sq_dist == 100.0
@@ -64,7 +87,8 @@ def test_path_sum_six_node():
     topo = six_node_topology()
     p = topo.path((1, 2, 3))
     assert p.sum_sq_dist == pytest.approx(79.28932188134525, rel=1e-14)
-    assert path_sum_sq(p, topo) == p.sum_sq_dist
+    w, i = topo.weight_matrix(), topo.index
+    assert w[i[1], i[2]] + w[i[2], i[3]] == p.sum_sq_dist
 
 
 def test_path_additive_over_split():
@@ -84,8 +108,13 @@ def test_colinear_split_strictly_decreases_weight():
 
 def test_weights_symmetric():
     topo = six_node_topology()
-    for link in topo.links():
-        assert topo.link(link.src, link.dst).weight == topo.link(link.dst, link.src).weight
+    w = topo.weight_matrix()
+    assert np.array_equal(w, w.T)
+    assert not w.flags.writeable
+    for u in topo.order:
+        for v in topo.order:
+            if u != v:
+                assert topo.path((u, v)).sum_sq_dist == topo.path((v, u)).sum_sq_dist
 
 
 def test_path_validation():
@@ -102,9 +131,12 @@ def test_path_validation():
 def test_explicit_edge_list():
     topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
                           edges=[(0, 1)])
-    assert topo.has_edge(0, 1)
-    assert topo.has_edge(1, 0)
-    assert not topo.has_edge(1, 2)
+    w = topo.weight_matrix()
+    assert w[0, 1] == w[1, 0] == 25.0
+    assert np.isinf(w[1, 2]) and np.isinf(w[2, 1])
+    assert topo.path((1, 0)).sum_sq_dist == 25.0
+    with pytest.raises(NetModelError):
+        topo.path((1, 2))
 
 
 def test_csv_round_trip(tmp_path):
@@ -116,5 +148,13 @@ def test_csv_round_trip(tmp_path):
     assert [n.id for n in nodes] == [0, 1, 2]
     edges = load_edges_csv(edges_file)
     topo = build_topology(nodes, edges)
-    assert topo.link(0, 1).dist == 5.0
-    assert not topo.has_edge(0, 2)
+    assert topo.path((0, 1)).sum_sq_dist == 25.0
+    with pytest.raises(NetModelError):
+        topo.path((0, 2))
+
+
+def test_one_column_edge_row_rejected(tmp_path):
+    edges_file = tmp_path / "edges.csv"
+    edges_file.write_text("from,to\n0,1\n2\n")
+    with pytest.raises(NetModelError):
+        load_edges_csv(edges_file)

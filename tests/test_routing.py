@@ -21,6 +21,13 @@ def random_mesh(n, rng, box=40.0):
     return build_topology(nodes)
 
 
+def random_graph(n, rng, p_edge=0.5, box=40.0):
+    """Random nodes joined by each possible edge with probability p_edge."""
+    nodes = [Node(i, rng.uniform(0, box), rng.uniform(0, box)) for i in range(n)]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
+    return build_topology(nodes, edges)
+
+
 class TestBellmanFord:
     def test_colinear_budgets(self):
         tab = routing.bellman_ford_hop_constrained(colinear3(), 0, 2)
@@ -164,6 +171,46 @@ class TestSolveSecureRoute:
             assert sol is None
         else:
             assert sol.c_s == best_metric
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_edge_restricted_topologies_match_oracle(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(4, 9))
+        topo = random_graph(n, rng)
+        paths = routing.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)
+        # density strictly below the loosest path bound, as in the
+        # full-mesh acceptance check, whenever a path exists at all
+        bmax = max((analytics.density_bound(p, scen(lam=1e-9)) for p in paths),
+                   default=1e-4)
+        sc = scen(lam=float(rng.uniform(0.05, 0.95)) * bmax)
+        sol = routing.solve_secure_route(topo, 0, n - 1, sc)
+        best, best_metric = routing.best_route_oracle(topo, 0, n - 1, sc)
+        if not paths:
+            assert sol is None and best is None
+        else:
+            assert sol.c_s == best_metric
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_route_invariant_under_rigid_motion(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(5, 40))
+        xy = np.vstack([(0.0, 0.0), rng.uniform(0, 50, (n, 2)), (50.0, 50.0)])
+        theta = rng.uniform(0, 2 * math.pi)
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        moved = xy @ rot.T + rng.uniform(-1000, 1000, 2)
+        sc = scen()
+        sols = []
+        for pts in (xy, moved):
+            topo = build_topology([Node(i, float(x), float(y))
+                                   for i, (x, y) in enumerate(pts)])
+            sols.append(routing.solve_secure_route(topo, 0, n + 1, sc))
+        a, b = sols
+        assert a is not None and b is not None
+        assert a.path.nodes == b.path.nodes
+        assert b.c_s == pytest.approx(a.c_s, rel=1e-12)
+        assert analytics.path_sop(1.0, b.path, sc) == pytest.approx(
+            analytics.path_sop(1.0, a.path, sc), rel=1e-12)
 
     def test_superset_never_hurts(self):
         # adding a legitimate node can only grow the candidate path set
