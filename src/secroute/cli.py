@@ -7,6 +7,11 @@ Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config or input
 (including malformed node/edge CSV rows, a non-finite density or power, and
 a Monte Carlo run that cannot produce an estimate because no trial survives
 the on-off threshold), 3 I/O.
+
+A zero eavesdropper density leaves the secrecy rate unbounded: `route`
+prints `unbounded` for rs_star, c_s and each budget's metric, and
+`rate-vs-lambda`/`rate-vs-epsilon` write `unbounded` in the c_s column;
+both exit 0.
 """
 
 from __future__ import annotations

@@ -118,6 +118,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _fmt_rate(x) -> str:
+    """A secrecy rate for output; no eavesdroppers leave it unbounded."""
+    return "unbounded" if x == math.inf else _fmt(x)
+
+
 def _config_header(cfg: ExperimentConfig) -> list[str]:
     lines = [f"# {k} = {_fmt(v) if not isinstance(v, tuple) else ','.join(_fmt(x) for x in v)}"
              for k, v in sorted(vars(cfg).items())]
@@ -175,7 +180,7 @@ def run_rate_sweeps(cfg: ExperimentConfig, param: str):
             sc = replace(scenario, **{param: val})
             m = analytics.path_metric(path, sc)
             rows.append((pid, path.hop_count, val,
-                         _fmt(m) if m is not None else "infeasible"))
+                         _fmt_rate(m) if m is not None else "infeasible"))
     header = ["path_id", "hops", param, "c_s"]
     return header, rows
 
@@ -186,10 +191,11 @@ def random_placement(n_legit: int, rng) -> Topology:
     (id n_legit + 1)."""
     if n_legit < 1:
         raise ConfigError("n_legit must be >= 1")
+    # one draw of (x, y) rows yields the same doubles, in the same order,
+    # as 2 * n_legit scalar draws alternating x and y
+    xy = rng.uniform(0.0, PLACEMENT_BOX, (n_legit, 2)).tolist()
     nodes = [Node(0, 0.0, 0.0)]
-    for i in range(n_legit):
-        nodes.append(Node(i + 1, rng.uniform(0.0, PLACEMENT_BOX),
-                          rng.uniform(0.0, PLACEMENT_BOX)))
+    nodes += [Node(i + 1, x, y) for i, (x, y) in enumerate(xy)]
     nodes.append(Node(n_legit + 1, PLACEMENT_BOX, PLACEMENT_BOX))
     return build_topology(nodes)
 
@@ -245,13 +251,13 @@ def run_route(cfg: ExperimentConfig):
     else:
         lines.append("path: " + " -> ".join(str(n) for n in sol.path.nodes))
         lines.append(f"hops: {sol.path.hop_count}")
-        lines.append(f"rs_star: {_fmt(sol.rs_star)}")
-        lines.append(f"c_s: {_fmt(sol.c_s)}")
+        lines.append(f"rs_star: {_fmt_rate(sol.rs_star)}")
+        lines.append(f"c_s: {_fmt_rate(sol.c_s)}")
         lines.append(f"density_bound: {_fmt(analytics.density_bound(sol.path, scenario))}")
         lines.append("per-hop-budget candidates:")
         for v, seq, metric in sol.per_v_candidates:
             pid = "-".join(str(n) for n in seq) if seq else "unreachable"
-            m = _fmt(metric) if metric is not None else "infeasible"
+            m = _fmt_rate(metric) if metric is not None else "infeasible"
             lines.append(f"  v={v} path={pid} metric={m}")
     return sol, lines
 

@@ -1,8 +1,10 @@
 """Monte Carlo validation of the secrecy-outage analytics.
 
 Eavesdroppers are drawn as a homogeneous PPP truncated to the scenario
-window (far points contribute negligibly to the colluding SNR sum for
-path-loss exponents above 2). Fading gains are unit-mean exponentials
+window translated to centre on the hop's transmitter (the process is
+stationary, so only the window's shape and size matter; far points
+contribute negligibly to the colluding SNR sum for path-loss exponents
+above 2). Fading gains are unit-mean exponentials
 sampled by inverse CDF so a fixed counter-based RNG stream reproduces
 bit-identical estimates on any platform.
 
@@ -48,42 +50,41 @@ def _exponential(rng: np.random.Generator, size) -> np.ndarray:
     return -np.log1p(-rng.random(size))
 
 
-def _block_draws(rng, scenario: Scenario, tx, n):
+def _block_draws(rng, scenario: Scenario, n):
     """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H.
+
+    Positions X_e are offsets from the transmitter, uniform on the window
+    translated so that its centre sits at the transmitter.
 
     Draw order (counts, positions, gains, H) is part of the reproducibility
     contract; both conditioning modes and all power levels consume the
     identical stream.
     """
     xmin, xmax, ymin, ymax = scenario.sim_window
+    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
     counts = rng.poisson(scenario.lambda_e * scenario.window_area, n)
     total = int(counts.sum())
-    xs = rng.uniform(xmin, xmax, total)
-    ys = rng.uniform(ymin, ymax, total)
+    xs = rng.uniform(xmin - cx, xmax - cx, total)
+    ys = rng.uniform(ymin - cy, ymax - cy, total)
     gains = _exponential(rng, total)
     h = _exponential(rng, n)
-    r2 = (xs - tx[0]) ** 2 + (ys - tx[1]) ** 2
+    r2 = xs ** 2 + ys ** 2
     contrib = gains * r2 ** (-scenario.alpha / 2.0)
     idx = np.repeat(np.arange(n), counts)
     interference = np.bincount(idx, weights=contrib, minlength=n)
     return interference, h
 
 
-def _hop_outage_blocks(scenario, trials, seed, stream, tx):
+def _hop_outage_blocks(scenario, trials, seed, stream):
     """Yield per-block memoryless inputs (interference, h) for a single hop."""
     done = 0
     block = 0
     while done < trials:
         n = min(BLOCK, trials - done)
         rng = block_rng(seed, stream, block)
-        yield _block_draws(rng, scenario, tx, n)
+        yield _block_draws(rng, scenario, n)
         done += n
         block += 1
-
-
-def _window_center(scenario):
-    xmin, xmax, ymin, ymax = scenario.sim_window
-    return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -103,7 +104,6 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
     if conditioning not in ("memoryless", "rejection"):
         raise ValueError(f"unknown conditioning mode {conditioning!r}")
 
-    tx = _window_center(scenario)
     d_alpha = dist ** scenario.alpha
     gain = 2.0 ** rs
     beta_t = gain - 1.0
@@ -111,7 +111,7 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
 
     n_outage = 0
     n_effective = 0
-    for interference, h in _hop_outage_blocks(scenario, trials, seed, 0, tx):
+    for interference, h in _hop_outage_blocks(scenario, trials, seed, 0):
         if conditioning == "memoryless":
             n_outage += int(np.count_nonzero(h <= gain * d_alpha * interference))
             n_effective += len(h)
@@ -144,14 +144,11 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         raise ValueError("trials must be >= 1")
     if rs <= 0.0:
         raise ValueError("rs must be positive")
-    # per hop: transmitter position and d^alpha, with the hop length the
-    # root of its squared-distance entry (exact: sqrt inverts a correctly
-    # rounded square); path() rejects a hop that is not an edge
-    hops = []
-    for u, v in zip(path.nodes, path.nodes[1:]):
-        tx = topology.nodes[u]
-        d = math.sqrt(topology.path((u, v)).sum_sq_dist)
-        hops.append(((tx.x, tx.y), d ** scenario.alpha))
+    # per hop d^alpha, with the hop length the root of its squared-distance
+    # entry (exact: sqrt inverts a correctly rounded square); path() rejects
+    # a hop that is not an edge
+    d_alphas = [math.sqrt(topology.path((u, v)).sum_sq_dist) ** scenario.alpha
+                for u, v in zip(path.nodes, path.nodes[1:])]
     gain = 2.0 ** rs
 
     n_outage = 0
@@ -160,9 +157,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     while done < trials:
         n = min(BLOCK, trials - done)
         out = np.zeros(n, dtype=bool)
-        for stream, (tx, d_alpha) in enumerate(hops):
+        for stream, d_alpha in enumerate(d_alphas):
             rng = block_rng(seed, stream, block)
-            interference, h = _block_draws(rng, scenario, tx, n)
+            interference, h = _block_draws(rng, scenario, n)
             out |= h <= gain * d_alpha * interference
         n_outage += int(np.count_nonzero(out))
         done += n

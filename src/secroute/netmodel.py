@@ -30,7 +30,8 @@ class Scenario:
     lambda_e  : eavesdropper density (points per unit area)
     epsilon   : maximum tolerable end-to-end secrecy outage probability
     power_db  : per-hop transmit power in dB
-    sim_window: (xmin, xmax, ymin, ymax) rectangle for PPP sampling
+    sim_window: (xmin, xmax, ymin, ymax) rectangle for PPP sampling; the
+                simulation translates it to centre on each transmitter
     """
 
     alpha: float

@@ -3,8 +3,12 @@
 The joint rate/route problem decomposes into one minimum-sum-of-squared-
 distance subproblem per hop budget v, solved by a hop-indexed Bellman-Ford
 sweep, followed by an outer maximization of the per-path secrecy rate over
-v. A brute-force simple-path enumerator is kept alongside as the test
-oracle for the decomposition.
+v. The sweep stops at its fixed point, the first budget at which no entry
+improves, since every later budget would repeat the last row; the outer
+maximization scores a budget's path only where the destination's entry
+improves, since elsewhere it is the previous budget's path. A brute-force
+simple-path enumerator is kept alongside as the test oracle for the
+decomposition.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -13,6 +17,7 @@ earlier level), then the smallest predecessor id at each relaxation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +40,27 @@ class HopConstrainedTable:
     best[v][i] is the minimum sum of squared distances over paths from the
     source to node order[i] using at most v hops (inf if unreachable);
     hops and pred record the realizing hop count and predecessor position.
-    index maps a node id to its position in order.
+    index maps a node id to its position in order. Rows are stored up to
+    the sweep's fixed point only; any larger budget reads the last row.
     """
 
     order: list[int]
     index: dict[int, int]
     source: int
-    best: np.ndarray   # (n_budgets+1, n_nodes)
+    best: np.ndarray   # (v_fix+1, n_nodes), v_fix <= n_nodes-1
     hops: np.ndarray
     pred: np.ndarray
 
+    def _row(self, v: int) -> int:
+        return min(v, len(self.best) - 1)
+
     def best_weight(self, node: int, v: int) -> float:
-        return float(self.best[v, self.index[node]])
+        return float(self.best[self._row(v), self.index[node]])
 
     def path_to(self, node: int, v: int):
         """Reconstruct the stored path as a node-id list, None if unreachable."""
         i = self.index[node]
+        v = self._row(v)
         if not np.isfinite(self.best[v, i]):
             return None
         src = self.index[self.source]
@@ -73,7 +83,13 @@ class RoutingSolution:
 
 def bellman_ford_hop_constrained(topology: Topology, source: int,
                                  dest: int) -> HopConstrainedTable:
-    """Fill the hop-budget table for every node in one O(N^3) sweep."""
+    """Fill the hop-budget table for every node, up to its fixed point.
+
+    Budget v relaxes row v-1 over every edge. The sweep stops at the first
+    budget at which no entry strictly improves: that row equals row v-1,
+    so every later row would too. Cost O(v_fix * N^2), with v_fix the
+    number of budgets swept before the fixed point (at most N-1).
+    """
     if source not in topology.nodes or dest not in topology.nodes:
         raise RoutingError("source or destination not in topology")
     if source == dest:
@@ -81,23 +97,26 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
     n = len(topology.order)
     w = topology.weight_matrix()
     src = topology.index[source]
+    cols = np.arange(n)
 
-    n_budgets = n - 1
-    best = np.full((n_budgets + 1, n), np.inf)
-    hops = np.zeros((n_budgets + 1, n), dtype=np.int64)
-    pred = np.full((n_budgets + 1, n), -1, dtype=np.int64)
-    best[0, src] = 0.0
-
-    for v in range(1, n_budgets + 1):
-        cand = best[v - 1][:, None] + w          # cand[u, i]: via predecessor u
-        cw = cand.min(axis=0)
+    b = np.full(n, np.inf)
+    b[src] = 0.0
+    best = [b]
+    hops = [np.zeros(n, dtype=np.int64)]
+    pred = [np.full(n, -1, dtype=np.int64)]
+    for _ in range(n - 1):
+        cand = best[-1][:, None] + w             # cand[u, i]: via predecessor u
         cp = cand.argmin(axis=0)                 # smallest index on ties
-        improve = cw < best[v - 1]               # strict: ties keep fewer hops
-        best[v] = np.where(improve, cw, best[v - 1])
-        hops[v] = np.where(improve, hops[v - 1][cp] + 1, hops[v - 1])
-        pred[v] = np.where(improve, cp, pred[v - 1])
+        cw = cand[cp, cols]
+        improve = cw < best[-1]                  # strict: ties keep fewer hops
+        if not improve.any():
+            break
+        best.append(np.where(improve, cw, best[-1]))
+        hops.append(np.where(improve, hops[-1][cp] + 1, hops[-1]))
+        pred.append(np.where(improve, cp, pred[-1]))
 
-    return HopConstrainedTable(topology.order, topology.index, source, best, hops, pred)
+    return HopConstrainedTable(topology.order, topology.index, source,
+                               np.array(best), np.array(hops), np.array(pred))
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
@@ -112,17 +131,21 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     audit = []
     best_metric = None
     best_entry = None
+    seq = metric = None
+    last_w = math.inf
     for v in range(1, len(topology.order)):
-        seq = table.path_to(dest, v)
-        if seq is None:
-            audit.append((v, None, None))
-            continue
-        p = topology.path(seq)
-        metric = path_metric(p, scenario)  # None when over the weight cutoff
+        # the destination's path changes only at budgets where its weight
+        # improves; elsewhere the previous budget's entry is repeated
+        w = table.best_weight(dest, v)
+        if w < last_w:
+            last_w = w
+            seq = table.path_to(dest, v)
+            p = topology.path(seq)
+            metric = path_metric(p, scenario)  # None when over the weight cutoff
+            if metric is not None and (best_metric is None or metric > best_metric):
+                best_metric = metric
+                best_entry = (p, v)
         audit.append((v, seq, metric))
-        if metric is not None and (best_metric is None or metric > best_metric):
-            best_metric = metric
-            best_entry = (p, v)
     if best_entry is None:
         return None
     p, v = best_entry

@@ -246,3 +246,25 @@ class TestCli:
         f.write_text("power_db = -200\npowers = -200\nrs = 30\ntrials = 2000\n")
         rc = main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")])
         assert rc == 2
+
+    def test_zero_density_route_is_unbounded(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_text("lambda_e = 0\n")
+        rc = main(["route", "--config", str(f), "--source", "1", "--dest", "5"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "rs_star: unbounded" in out
+        assert "c_s: unbounded" in out
+        assert "metric=unbounded" in out
+        assert "inf" not in out.replace("infeasible", "")
+
+    def test_zero_density_rate_sweep_is_unbounded(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_text("lambdas = 0, 1e-5\n")
+        out = tmp_path / "rates.csv"
+        rc = main(["rate-vs-lambda", "--config", str(f), "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [r[3] for r in rows if r[2] == "0"] == ["unbounded"] * len(FIG_PATHS)
+        assert all(r[3] not in ("unbounded", "inf") for r in rows if r[2] != "0")

@@ -13,6 +13,7 @@ from secroute.montecarlo import (
     estimate_path_sop,
     power_invariance_check,
 )
+from secroute.experiments import six_node_topology
 
 
 def scen(lam=1e-5, eps=0.1, alpha=4.0, power=80.0, window=2000.0):
@@ -24,7 +25,7 @@ class TestSamplePpp:
     """The PPP sampler behind every estimate, `_block_draws`."""
 
     def test_zero_density_empty(self):
-        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), (0.0, 0.0), 5000)
+        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 5000)
         assert len(interference) == len(h) == 5000
         assert np.all(interference == 0.0)
 
@@ -34,7 +35,7 @@ class TestSamplePpp:
         sc = scen(lam=2.5e-7)
         assert sc.lambda_e * sc.window_area == 1.0
         n = 100000
-        interference, _ = _block_draws(block_rng(1, 0, 0), sc, (0.0, 0.0), n)
+        interference, _ = _block_draws(block_rng(1, 0, 0), sc, n)
         p = math.exp(-1.0)
         share = np.count_nonzero(interference == 0.0) / n
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
@@ -130,6 +131,19 @@ class TestEstimatePathSop:
         product = 1.0 - (1.0 - per_hop[0].mean) * (1.0 - per_hop[1].mean)
         tol = 3 * math.sqrt(sum(e.stderr ** 2 for e in per_hop) + joint.stderr ** 2)
         assert abs(joint.mean - product) <= tol
+
+    def test_shifted_example_matches_unshifted(self):
+        # each hop's field is centred on its transmitter, so moving the
+        # placement far from the window's centre changes no draw
+        base = six_node_topology()
+        shifted = build_topology([Node(i, base.nodes[i].x + 5000.0, base.nodes[i].y + 5000.0)
+                                  for i in base.order])
+        sc = scen(lam=1e-4)
+        a = estimate_path_sop(1.0, base.path((1, 3, 5)), base, sc, 20000, seed=31)
+        p = shifted.path((1, 3, 5))
+        b = estimate_path_sop(1.0, p, shifted, sc, 20000, seed=31)
+        assert b == a
+        assert abs(b.mean - analytics.path_sop(1.0, p, sc)) <= 3 * b.stderr
 
     def test_seed_determinism(self):
         topo = self.topo()

@@ -28,6 +28,62 @@ def random_graph(n, rng, p_edge=0.5, box=40.0):
     return build_topology(nodes, edges)
 
 
+def full_sweep_reference(topology, source):
+    """Every one of the N-1 hop budgets, with no fixed-point stop."""
+    n = len(topology.order)
+    w = topology.weight_matrix()
+    src = topology.index[source]
+    best = np.full((n, n), np.inf)
+    hops = np.zeros((n, n), dtype=np.int64)
+    pred = np.full((n, n), -1, dtype=np.int64)
+    best[0, src] = 0.0
+    for v in range(1, n):
+        cand = best[v - 1][:, None] + w
+        cw = cand.min(axis=0)
+        cp = cand.argmin(axis=0)
+        improve = cw < best[v - 1]
+        best[v] = np.where(improve, cw, best[v - 1])
+        hops[v] = np.where(improve, hops[v - 1][cp] + 1, hops[v - 1])
+        pred[v] = np.where(improve, cp, pred[v - 1])
+    return best, hops, pred
+
+
+def score_every_budget_reference(topology, source, dest, scenario):
+    """Audit trail that reconstructs and scores a path at every budget."""
+    table = routing.bellman_ford_hop_constrained(topology, source, dest)
+    audit = []
+    for v in range(1, len(topology.order)):
+        seq = table.path_to(dest, v)
+        metric = None if seq is None else analytics.path_metric(topology.path(seq), scenario)
+        audit.append((v, seq, metric))
+    return audit
+
+
+def sweep_case(kind, seed):
+    """(topology, source, dest) for the early-stop reference checks."""
+    rng = np.random.default_rng(400 + seed)
+    if kind == "mesh":
+        n = int(rng.integers(3, 30))
+        return random_mesh(n, rng), 0, n - 1
+    if kind == "graph":
+        n = int(rng.integers(4, 40))
+        return random_graph(n, rng, p_edge=float(rng.uniform(0.05, 0.4))), 0, n - 1
+    if kind == "unreachable":
+        n = int(rng.integers(4, 30))
+        nodes = [Node(i, rng.uniform(0, 40), rng.uniform(0, 40)) for i in range(n)]
+        # the destination, the last node, has no edge at all
+        edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
+                 if rng.random() < 0.3]
+        return build_topology(nodes, edges), 0, n - 1
+    n = 200
+    xy = np.vstack([(0.0, 0.0), rng.uniform(0, 50, (n - 2, 2)), (50.0, 50.0)])
+    return build_topology([Node(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]), 0, n - 1
+
+
+SWEEP_CASES = ([("mesh", s) for s in range(6)] + [("graph", s) for s in range(6)]
+               + [("unreachable", s) for s in range(3)] + [("large", 0)])
+
+
 class TestBellmanFord:
     def test_colinear_budgets(self):
         tab = routing.bellman_ford_hop_constrained(colinear3(), 0, 2)
@@ -85,6 +141,44 @@ class TestBellmanFord:
                 w = topo.path(prefix).sum_sq_dist
                 assert w == pytest.approx(
                     tab.best_weight(prefix[-1], cut), rel=1e-12)
+
+
+class TestFixedPointStop:
+    @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
+    def test_rows_match_full_sweep(self, kind, seed):
+        topo, src, dest = sweep_case(kind, seed)
+        n = len(topo.order)
+        tab = routing.bellman_ford_hop_constrained(topo, src, dest)
+        best, hops, pred = full_sweep_reference(topo, src)
+        k = len(tab.best)
+        assert 1 <= k <= n
+        for got, ref in ((tab.best, best), (tab.hops, hops), (tab.pred, pred)):
+            assert got.shape == (k, n)
+            assert np.array_equal(got, ref[:k])
+            assert (ref[k:] == got[-1]).all()  # later budgets repeat the last row
+        full = routing.HopConstrainedTable(topo.order, topo.index, src, best, hops, pred)
+        for node in topo.order:
+            for v in range(n):
+                assert tab.best_weight(node, v) == full.best_weight(node, v)
+                assert tab.path_to(node, v) == full.path_to(node, v)
+        if kind == "large":
+            assert k < n  # the stop engages well before N-1 budgets
+
+    @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
+    def test_audit_matches_scoring_every_budget(self, kind, seed):
+        topo, src, dest = sweep_case(kind, seed)
+        for lam in (1e-6, 1e-5, 1e-4):
+            sc = scen(lam=lam)
+            sol = routing.solve_secure_route(topo, src, dest, sc)
+            ref = score_every_budget_reference(topo, src, dest, sc)
+            metrics = [m for _, _, m in ref if m is not None]
+            if not metrics:
+                assert sol is None
+                continue
+            assert sol.per_v_candidates == ref
+            # strict > keeps the smallest budget reaching the maximum
+            v_star = next(v for v, _, m in ref if m == max(metrics))
+            assert (sol.hop_budget_used, sol.c_s) == (v_star, max(metrics))
 
 
 class TestOracle:
