@@ -4,14 +4,15 @@
              [--reps N] [--out CSV] ...
 
 Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config or input
-(including malformed node/edge CSV rows, a non-finite density or power, and
-a Monte Carlo run that cannot produce an estimate because no trial survives
-the on-off threshold), 3 I/O.
+(including malformed node/edge CSV rows, a non-finite density or power, a
+`route` source or destination that is not in the topology or that are the
+same node, and a Monte Carlo run that cannot produce an estimate because no
+trial survives the on-off threshold), 3 I/O.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and
-`rate-vs-lambda`/`rate-vs-epsilon` write `unbounded` in the c_s column;
-both exit 0.
+`rate-vs-lambda`/`rate-vs-epsilon` write `unbounded` in the c_s column,
+`table-one` writes `unbounded` in mean_c_s and stderr; all exit 0.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import sys
 from . import experiments
 from .experiments import ConfigError, ExperimentConfig
 from .montecarlo import MonteCarloError
-from .netmodel import NetModelError
-from .routing import RoutingError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -55,10 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> ExperimentConfig:
     cfg = experiments.parse_config(args.config) if args.config else ExperimentConfig()
     cfg.experiment = args.command
-    for key in ("seed", "trials", "reps", "out", "topology", "edges",
-                "source", "dest"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
             setattr(cfg, key, val)
     if cfg.trials < 1 or cfg.reps < 1:
         raise ConfigError("trials and reps must be >= 1")
@@ -67,23 +64,12 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # ConfigError, NetModelError and RoutingError all subclass ValueError
     try:
-        cfg = _load_config(args)
-    except (ConfigError, NetModelError) as exc:
+        return _dispatch(_load_config(args))
+    except (ValueError, MonteCarloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        return _dispatch(cfg)
-    except (ConfigError, NetModelError, MonteCarloError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except RoutingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

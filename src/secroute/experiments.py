@@ -204,7 +204,8 @@ def run_table_one(cfg: ExperimentConfig):
     """Average best secrecy rate over random topologies, per network size.
 
     Draws where no feasible route exists contribute a secrecy rate of 0
-    to the average; the infeasible fraction is reported per row.
+    to the average; the infeasible fraction is reported per row. A zero
+    eavesdropper density makes the mean and its stderr `unbounded`.
     """
     scenario = cfg.scenario()
     rows = []
@@ -224,6 +225,8 @@ def run_table_one(cfg: ExperimentConfig):
         mean = total / cfg.reps
         var = max(total_sq / cfg.reps - mean * mean, 0.0)
         stderr = math.sqrt(var / cfg.reps)
+        if mean == math.inf:  # no eavesdroppers leave the rate unbounded
+            mean = stderr = "unbounded"
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
     header = ["n_legit", "mean_c_s", "stderr", "infeasible_frac", "reps", "seed"]
     return header, rows

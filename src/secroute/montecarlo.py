@@ -8,15 +8,18 @@ above 2). Fading gains are unit-mean exponentials
 sampled by inverse CDF so a fixed counter-based RNG stream reproduces
 bit-identical estimates on any platform.
 
-Trials are processed in fixed-size blocks; each block owns a Philox
-stream keyed by (seed, stream id, block index), so estimates depend only
-on the seed and parameters, never on how blocks are scheduled.
+Trials are processed in fixed-size blocks by one driver, `_blocks`; hop k
+of block b owns a Philox stream keyed by (seed, k, b), so estimates depend
+only on the seed and parameters, never on how blocks are scheduled. The
+driver draws a block's hops lazily, one hop's points at a time. Under
+randomize-and-forward the path estimator ORs the per-hop outage events of
+a trial, and the memoryless hop estimator is its one-hop case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,16 +78,36 @@ def _block_draws(rng, scenario: Scenario, n):
     return interference, h
 
 
-def _hop_outage_blocks(scenario, trials, seed, stream):
-    """Yield per-block memoryless inputs (interference, h) for a single hop."""
-    done = 0
-    block = 0
-    while done < trials:
+def _blocks(scenario: Scenario, trials: int, seed: int, hops: int = 1):
+    """Yield each block's size n and a generator of its hops' (interference, h).
+
+    Hop k of block b draws from block_rng(seed, k, b). The hop draws are
+    made lazily, so only one hop's point arrays are alive at a time; a
+    block's draws must be consumed before the next block is requested.
+    """
+    for block, done in enumerate(range(0, trials, BLOCK)):
         n = min(BLOCK, trials - done)
-        rng = block_rng(seed, stream, block)
-        yield _block_draws(rng, scenario, n)
-        done += n
-        block += 1
+        yield n, (_block_draws(block_rng(seed, k, block), scenario, n)
+                  for k in range(hops))
+
+
+def _outages(rs: float, d_alphas, n: int, draws) -> int:
+    """Count a block's trials in which any hop's memoryless secrecy event
+    h <= 2^rs * d^alpha * I fails."""
+    gain = 2.0 ** rs
+    out = np.zeros(n, dtype=bool)
+    for d_alpha, (interference, h) in zip(d_alphas, draws):
+        out |= h <= gain * d_alpha * interference
+    return int(np.count_nonzero(out))
+
+
+def _estimate(n_outage: int, n_effective: int, seed: int) -> SopEstimate:
+    if n_effective == 0:
+        raise MonteCarloError(
+            "no trials survived the on-off threshold; increase trials or power")
+    mean = n_outage / n_effective
+    stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
+    return SopEstimate(mean, stderr, n_effective, seed)
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -92,7 +115,8 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
     """Estimate the per-hop SOP by simulation.
 
     `memoryless` counts the unconditional event H/d^a <= 2^rs * sum S/X^a,
-    exact by the memoryless property of the exponential legitimate gain.
+    exact by the memoryless property of the exponential legitimate gain;
+    it is estimate_path_sop on a one-hop path of length dist, draw for draw.
     `rejection` simulates the on-off rule literally: it discards trials
     whose legitimate SNR falls below the threshold 2^rs - 1 and counts
     secrecy-capacity shortfalls among the survivors.
@@ -105,30 +129,24 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
         raise ValueError(f"unknown conditioning mode {conditioning!r}")
 
     d_alpha = dist ** scenario.alpha
-    gain = 2.0 ** rs
-    beta_t = gain - 1.0
+    beta_t = 2.0 ** rs - 1.0
     p = scenario.power_linear
 
     n_outage = 0
     n_effective = 0
-    for interference, h in _hop_outage_blocks(scenario, trials, seed, 0):
+    for n, draws in _blocks(scenario, trials, seed):
         if conditioning == "memoryless":
-            n_outage += int(np.count_nonzero(h <= gain * d_alpha * interference))
-            n_effective += len(h)
+            n_outage += _outages(rs, [d_alpha], n, draws)
+            n_effective += n
         else:
+            interference, h = next(draws)
             snr = p * h / d_alpha
             keep = snr > beta_t
             snr_sum = p * interference[keep]
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             n_outage += int(np.count_nonzero(shortfall))
             n_effective += int(np.count_nonzero(keep))
-
-    if n_effective == 0:
-        raise MonteCarloError(
-            "no trials survived the on-off threshold; increase trials or power")
-    mean = n_outage / n_effective
-    stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
-    return SopEstimate(mean, stderr, n_effective, seed)
+    return _estimate(n_outage, n_effective, seed)
 
 
 def estimate_path_sop(rs: float, path: Path, topology: Topology,
@@ -149,25 +167,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     # a hop that is not an edge
     d_alphas = [math.sqrt(topology.path((u, v)).sum_sq_dist) ** scenario.alpha
                 for u, v in zip(path.nodes, path.nodes[1:])]
-    gain = 2.0 ** rs
-
-    n_outage = 0
-    done = 0
-    block = 0
-    while done < trials:
-        n = min(BLOCK, trials - done)
-        out = np.zeros(n, dtype=bool)
-        for stream, d_alpha in enumerate(d_alphas):
-            rng = block_rng(seed, stream, block)
-            interference, h = _block_draws(rng, scenario, n)
-            out |= h <= gain * d_alpha * interference
-        n_outage += int(np.count_nonzero(out))
-        done += n
-        block += 1
-
-    mean = n_outage / trials
-    stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    return SopEstimate(mean, stderr, trials, seed)
+    n_outage = sum(_outages(rs, d_alphas, n, draws)
+                   for n, draws in _blocks(scenario, trials, seed, len(d_alphas)))
+    return _estimate(n_outage, trials, seed)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,
@@ -184,10 +186,8 @@ def power_invariance_check(rs: float, dist: float, scenario: Scenario,
         raise ValueError("need at least one power level")
     estimates = []
     for pdb in powers_db:
-        sc = Scenario(scenario.alpha, scenario.lambda_e, scenario.epsilon,
-                      power_db=pdb, sim_window=scenario.sim_window)
-        estimates.append(estimate_hop_sop(rs, dist, sc, trials, seed,
-                                          conditioning="rejection"))
+        estimates.append(estimate_hop_sop(rs, dist, replace(scenario, power_db=pdb),
+                                          trials, seed, conditioning="rejection"))
     violations = []
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):

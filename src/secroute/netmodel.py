@@ -162,20 +162,30 @@ def build_topology(nodes: list[Node], edges=None) -> Topology:
     return Topology(nodes, edges)
 
 
-def load_nodes_csv(fname) -> list[Node]:
-    """Read `id,x,y` rows; '#' comments and a non-numeric header are skipped."""
-    nodes = []
+def _csv_rows(fname, ncols: int, kind: str):
+    """Yield the data rows of a CSV file.
+
+    Blank lines, '#' comments and rows whose first field is not an integer
+    (a header) are skipped; a data row with fewer than `ncols` fields is a
+    malformed `kind` row.
+    """
     with open(fname, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
-                nid = int(row[0])
+                int(row[0])
             except ValueError:
                 continue  # header line
-            if len(row) < 3:
-                raise NetModelError(f"malformed node row: {row}")
-            nodes.append(Node(nid, float(row[1]), float(row[2])))
+            if len(row) < ncols:
+                raise NetModelError(f"malformed {kind} row: {row}")
+            yield row
+
+
+def load_nodes_csv(fname) -> list[Node]:
+    """Read `id,x,y` rows; '#' comments and a non-numeric header are skipped."""
+    nodes = [Node(int(row[0]), float(row[1]), float(row[2]))
+             for row in _csv_rows(fname, 3, "node")]
     if not nodes:
         raise NetModelError(f"no node rows found in {fname}")
     return nodes
@@ -183,16 +193,4 @@ def load_nodes_csv(fname) -> list[Node]:
 
 def load_edges_csv(fname) -> list[tuple[int, int]]:
     """Read optional `from,to` edge rows, same comment/header rules."""
-    edges = []
-    with open(fname, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                u = int(row[0])
-            except ValueError:
-                continue  # header line
-            if len(row) < 2:
-                raise NetModelError(f"malformed edge row: {row}")
-            edges.append((u, int(row[1])))
-    return edges
+    return [(int(row[0]), int(row[1])) for row in _csv_rows(fname, 2, "edge")]

@@ -197,11 +197,24 @@ class TestCli:
                    "--source", "0", "--dest", "2"])
         assert rc == 1
 
+    @pytest.mark.parametrize("source, dest", [(1, 99), (1, 1)])
+    def test_route_bad_endpoints_exit_code(self, capsys, source, dest):
+        rc = main(["route", "--source", str(source), "--dest", str(dest)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.cfg"
         f.write_text("nonsense = 1\n")
         rc = main(["sop-curve", "--config", str(f)])
         assert rc == 2
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "bin.cfg"
+        f.write_bytes(b"\xff\xfe\x00bad\n")
+        rc = main(["sop-curve", "--config", str(f)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_io_exit_code(self, capsys):
         rc = main(["sop-curve", "--config", "/does/not/exist.cfg"])
@@ -268,3 +281,14 @@ class TestCli:
                 if not line.startswith("#")][1:]
         assert [r[3] for r in rows if r[2] == "0"] == ["unbounded"] * len(FIG_PATHS)
         assert all(r[3] not in ("unbounded", "inf") for r in rows if r[2] != "0")
+
+    def test_zero_density_table_one_is_unbounded(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_text("lambda_e = 0\nn_legit = 10, 20\nreps = 3\n")
+        out = tmp_path / "t.csv"
+        rc = main(["table-one", "--config", str(f), "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [r[:3] for r in rows] == [["10", "unbounded", "unbounded"],
+                                         ["20", "unbounded", "unbounded"]]

@@ -145,6 +145,16 @@ class TestEstimatePathSop:
         assert b == a
         assert abs(b.mean - analytics.path_sop(1.0, p, sc)) <= 3 * b.stderr
 
+    def test_hop_sop_is_one_hop_path_case(self):
+        # the memoryless hop estimator and the path estimator share one
+        # block driver; a partial final block runs too
+        topo = self.topo()
+        sc = scen(lam=5e-5)
+        trials = 2 * montecarlo.BLOCK + 5
+        hop = estimate_hop_sop(1.0, 10.0, sc, trials, seed=41)
+        path = estimate_path_sop(1.0, topo.path((0, 1)), topo, sc, trials, seed=41)
+        assert hop == path
+
     def test_seed_determinism(self):
         topo = self.topo()
         sc = scen()

@@ -143,10 +143,11 @@ def test_csv_round_trip(tmp_path):
     nodes_file = tmp_path / "nodes.csv"
     nodes_file.write_text("# example\nid,x,y\n0,0,0\n1,3,4\n2,0,10\n")
     edges_file = tmp_path / "edges.csv"
-    edges_file.write_text("from,to\n0,1\n1,2\n")
+    edges_file.write_text("# links\nfrom,to\n0,1\n\n1,2\n")
     nodes = load_nodes_csv(nodes_file)
     assert [n.id for n in nodes] == [0, 1, 2]
     edges = load_edges_csv(edges_file)
+    assert edges == [(0, 1), (1, 2)]
     topo = build_topology(nodes, edges)
     assert topo.path((0, 1)).sum_sq_dist == 25.0
     with pytest.raises(NetModelError):
@@ -158,3 +159,14 @@ def test_one_column_edge_row_rejected(tmp_path):
     edges_file.write_text("from,to\n0,1\n2\n")
     with pytest.raises(NetModelError):
         load_edges_csv(edges_file)
+
+
+def test_malformed_node_csv_rejected(tmp_path):
+    two_fields = tmp_path / "two.csv"
+    two_fields.write_text("id,x,y\n0,0,0\n1,3\n")
+    with pytest.raises(NetModelError, match="malformed node row"):
+        load_nodes_csv(two_fields)
+    no_rows = tmp_path / "empty.csv"
+    no_rows.write_text("# nothing here\nid,x,y\n\n")
+    with pytest.raises(NetModelError, match="no node rows"):
+        load_nodes_csv(no_rows)
