@@ -32,7 +32,9 @@ from .montecarlo import (
     SopEstimate,
     estimate_hop_sop,
     estimate_path_sop,
+    hop_sop_estimates,
     power_invariance_check,
+    power_invariance_report,
 )
 
 __version__ = "0.1.0"

@@ -12,9 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gamma as _gamma
-
 from .netmodel import Path, Scenario
 
 
@@ -39,7 +36,7 @@ def k1(scenario: Scenario) -> float:
 def _k1(alpha: float, lambda_e: float) -> float:
     if not alpha > 2.0:
         raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
-    return math.pi * lambda_e * _gamma(1.0 + 2.0 / alpha) * _gamma(1.0 - 2.0 / alpha)
+    return math.pi * lambda_e * math.gamma(1.0 + 2.0 / alpha) * math.gamma(1.0 - 2.0 / alpha)
 
 
 def hop_sop(rs: float, dist: float, scenario: Scenario) -> float:
@@ -69,7 +66,7 @@ def path_sop(rs: float, path: Path, scenario: Scenario) -> float:
 def density_bound(path: Path, scenario: Scenario) -> float:
     """Largest eavesdropper density under which the path supports rs > 0."""
     a = scenario.alpha
-    denom = math.pi * _gamma(1.0 + 2.0 / a) * _gamma(1.0 - 2.0 / a) * path.sum_sq_dist
+    denom = math.pi * math.gamma(1.0 + 2.0 / a) * math.gamma(1.0 - 2.0 / a) * path.sum_sq_dist
     return math.log(1.0 / (1.0 - scenario.epsilon)) / denom
 
 
@@ -104,8 +101,11 @@ def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
     Computes lambda_e * Int_{R^2} a/(a+|x|^alpha) dx with a = 2^rs * dist^alpha,
     by radial reduction (t = r^2) and the compactifying substitution
     u = t/(1+t). Independent cross-check of the gamma-function closed form
-    K1 * 2^(2 rs / alpha) * dist^2.
+    K1 * 2^(2 rs / alpha) * dist^2. The only user of scipy, imported here
+    so that the rest of the package loads without it.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     a = 2.0 ** rs * dist ** scenario.alpha
     c = scenario.alpha / 2.0
 

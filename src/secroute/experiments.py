@@ -269,22 +269,21 @@ def run_validate(cfg: ExperimentConfig):
     """Monte Carlo cross-checks of the closed-form hop SOP.
 
     Compares both conditioning modes against the analytic value and runs
-    the transmit-power invariance check. Returns (ok, rows) suitable for
-    CSV output.
+    the transmit-power invariance check, all from one pass over the draws.
+    Returns (ok, rows) suitable for CSV output.
     """
     scenario = cfg.scenario()
     analytic = analytics.hop_sop(cfg.rs, cfg.dist, scenario)
+    memoryless, rejection = montecarlo.hop_sop_estimates(
+        cfg.rs, cfg.dist, scenario, cfg.trials, cfg.seed, [cfg.power_db, *cfg.powers])
     rows = []
     ok = True
-    for mode in ("memoryless", "rejection"):
-        est = montecarlo.estimate_hop_sop(cfg.rs, cfg.dist, scenario,
-                                          cfg.trials, cfg.seed, conditioning=mode)
+    for mode, est in (("memoryless", memoryless), ("rejection", rejection[0])):
         within = abs(est.mean - analytic) <= 3.0 * est.stderr or est.stderr == 0.0
         ok = ok and within
         rows.append((mode, cfg.rs, cfg.dist, analytic, est.mean, est.stderr,
                      est.trials, int(within)))
-    report = montecarlo.power_invariance_check(cfg.rs, cfg.dist, scenario,
-                                               cfg.powers, cfg.trials, cfg.seed)
+    report = montecarlo.power_invariance_report(cfg.powers, rejection[1:])
     for pdb, est in zip(report["powers_db"], report["estimates"]):
         rows.append((f"rejection@{_fmt(pdb)}dB", cfg.rs, cfg.dist, analytic,
                      est.mean, est.stderr, est.trials, int(report["consistent"])))

@@ -14,6 +14,13 @@ only on the seed and parameters, never on how blocks are scheduled. The
 driver draws a block's hops lazily, one hop's points at a time. Under
 randomize-and-forward the path estimator ORs the per-hop outage events of
 a trial, and the memoryless hop estimator is its one-hop case.
+
+The hop estimators make one pass: each block's (interference, h) pair is
+drawn once, and on it `hop_sop_estimates` counts the memoryless event and
+applies the on-off rejection rule at every requested transmit power.
+Power enters only that filter, so the memoryless estimate, the rejection
+estimate and the power-invariance check all read the same draws, which
+are dropped once their block is counted.
 """
 
 from __future__ import annotations
@@ -48,9 +55,13 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _exponential(rng: np.random.Generator, size) -> np.ndarray:
-    # inverse CDF keeps the draw reproducible across numpy versions
-    return -np.log1p(-rng.random(size))
+def _exponential(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Unit-mean exponential draws written into `out`, by inverse CDF, which
+    keeps the draw reproducible across numpy versions."""
+    u = rng.random(out=out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def _block_draws(rng, scenario: Scenario, n):
@@ -61,7 +72,9 @@ def _block_draws(rng, scenario: Scenario, n):
 
     Draw order (counts, positions, gains, H) is part of the reproducibility
     contract; both conditioning modes and all power levels consume the
-    identical stream.
+    identical stream. The point arrays are reused in place: x holds |X_e|^2
+    and then each point's contribution, and the gains are drawn into the
+    spent y buffer.
     """
     xmin, xmax, ymin, ymax = scenario.sim_window
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
@@ -69,10 +82,12 @@ def _block_draws(rng, scenario: Scenario, n):
     total = int(counts.sum())
     xs = rng.uniform(xmin - cx, xmax - cx, total)
     ys = rng.uniform(ymin - cy, ymax - cy, total)
-    gains = _exponential(rng, total)
-    h = _exponential(rng, n)
-    r2 = xs ** 2 + ys ** 2
-    contrib = gains * r2 ** (-scenario.alpha / 2.0)
+    contrib = np.square(xs, out=xs)
+    contrib += np.square(ys, out=ys)
+    gains = _exponential(rng, ys)
+    h = _exponential(rng, np.empty(n))
+    np.power(contrib, -scenario.alpha / 2.0, out=contrib)
+    contrib *= gains
     idx = np.repeat(np.arange(n), counts)
     interference = np.bincount(idx, weights=contrib, minlength=n)
     return interference, h
@@ -110,43 +125,56 @@ def _estimate(n_outage: int, n_effective: int, seed: int) -> SopEstimate:
     return SopEstimate(mean, stderr, n_effective, seed)
 
 
-def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
-                     seed: int, conditioning: str = "memoryless") -> SopEstimate:
-    """Estimate the per-hop SOP by simulation.
+def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
+                      seed: int, powers_db) -> tuple[SopEstimate, list[SopEstimate]]:
+    """Per-hop SOP estimates in both conditioning modes from one pass over
+    the draws: the memoryless estimate and one rejection estimate per
+    transmit power in `powers_db`.
 
     `memoryless` counts the unconditional event H/d^a <= 2^rs * sum S/X^a,
     exact by the memoryless property of the exponential legitimate gain;
     it is estimate_path_sop on a one-hop path of length dist, draw for draw.
     `rejection` simulates the on-off rule literally: it discards trials
     whose legitimate SNR falls below the threshold 2^rs - 1 and counts
-    secrecy-capacity shortfalls among the survivors.
+    secrecy-capacity shortfalls among the survivors. Power enters only
+    through that filter, so every estimate reads the same block draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if rs <= 0.0 or dist <= 0.0:
         raise ValueError("rs and dist must be positive")
-    if conditioning not in ("memoryless", "rejection"):
-        raise ValueError(f"unknown conditioning mode {conditioning!r}")
+    # replace() validates each power as a Scenario would
+    powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
-    p = scenario.power_linear
-
-    n_outage = 0
-    n_effective = 0
+    n_memoryless = 0
+    n_outage = [0] * len(powers)
+    n_effective = [0] * len(powers)
     for n, draws in _blocks(scenario, trials, seed):
-        if conditioning == "memoryless":
-            n_outage += _outages(rs, [d_alpha], n, draws)
-            n_effective += n
-        else:
-            interference, h = next(draws)
+        interference, h = next(draws)
+        n_memoryless += _outages(rs, [d_alpha], n, [(interference, h)])
+        for i, p in enumerate(powers):
             snr = p * h / d_alpha
             keep = snr > beta_t
             snr_sum = p * interference[keep]
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
-            n_outage += int(np.count_nonzero(shortfall))
-            n_effective += int(np.count_nonzero(keep))
-    return _estimate(n_outage, n_effective, seed)
+            n_outage[i] += int(np.count_nonzero(shortfall))
+            n_effective[i] += int(np.count_nonzero(keep))
+    return (_estimate(n_memoryless, trials, seed),
+            [_estimate(o, e, seed) for o, e in zip(n_outage, n_effective)])
+
+
+def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
+                     seed: int, conditioning: str = "memoryless") -> SopEstimate:
+    """Estimate the per-hop SOP by simulation in one conditioning mode,
+    `memoryless` or `rejection` at the scenario's power (see
+    hop_sop_estimates)."""
+    if conditioning not in ("memoryless", "rejection"):
+        raise ValueError(f"unknown conditioning mode {conditioning!r}")
+    powers = [scenario.power_db] if conditioning == "rejection" else []
+    memoryless, rejection = hop_sop_estimates(rs, dist, scenario, trials, seed, powers)
+    return rejection[0] if rejection else memoryless
 
 
 def estimate_path_sop(rs: float, path: Path, topology: Topology,
@@ -174,20 +202,23 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,
                            powers_db, trials: int, seed: int) -> dict:
-    """Rejection-mode SOP estimates across transmit powers, on shared streams.
+    """Rejection-mode SOP estimates across transmit powers, on shared draws.
 
     The closed form carries no power dependence; this check exercises the
     one code path where power enters (the on-off survival filter) and
     flags any pair of estimates further apart than 3 combined standard
-    errors.
+    errors (see power_invariance_report).
     """
+    powers_db = list(powers_db)
+    _, estimates = hop_sop_estimates(rs, dist, scenario, trials, seed, powers_db)
+    return power_invariance_report(powers_db, estimates)
+
+
+def power_invariance_report(powers_db, estimates) -> dict:
+    """Pairwise consistency of rejection-mode estimates at the given powers."""
     powers_db = list(powers_db)
     if len(powers_db) < 1:
         raise ValueError("need at least one power level")
-    estimates = []
-    for pdb in powers_db:
-        estimates.append(estimate_hop_sop(rs, dist, replace(scenario, power_db=pdb),
-                                          trials, seed, conditioning="rejection"))
     violations = []
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):

@@ -165,18 +165,23 @@ def build_topology(nodes: list[Node], edges=None) -> Topology:
 def _csv_rows(fname, ncols: int, kind: str):
     """Yield the data rows of a CSV file.
 
-    Blank lines, '#' comments and rows whose first field is not an integer
-    (a header) are skipped; a data row with fewer than `ncols` fields is a
-    malformed `kind` row.
+    Blank lines and '#' comments are skipped, and so is the first other row
+    when its first field is not an integer (a header). Any later row whose
+    first field is not an integer, or a data row with fewer than `ncols`
+    fields, is a malformed `kind` row.
     """
     with open(fname, newline="") as fh:
+        first = True
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            header_allowed, first = first, False
             try:
                 int(row[0])
             except ValueError:
-                continue  # header line
+                if header_allowed:
+                    continue
+                raise NetModelError(f"malformed {kind} row: {row}") from None
             if len(row) < ncols:
                 raise NetModelError(f"malformed {kind} row: {row}")
             yield row

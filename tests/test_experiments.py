@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secroute import analytics
+from secroute import analytics, montecarlo
 from secroute.cli import main
 from secroute.experiments import (
     ConfigError,
@@ -15,6 +19,7 @@ from secroute.experiments import (
     run_route,
     run_sop_curve,
     run_table_one,
+    run_validate,
     six_node_topology,
     write_csv,
 )
@@ -292,3 +297,42 @@ class TestCli:
                 if not line.startswith("#")][1:]
         assert [r[:3] for r in rows] == [["10", "unbounded", "unbounded"],
                                          ["20", "unbounded", "unbounded"]]
+
+    def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):
+        # only the first row may be a header; a later `1.0` id is malformed,
+        # not a second header to skip
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,x,y\n0,0,0\n1.0,3,4\n2,0,10\n")
+        rc = main(["route", "--topology", str(nodes), "--source", "0", "--dest", "1"])
+        assert rc == 2
+        assert "malformed node row" in capsys.readouterr().err
+
+    def test_validate_draws_each_block_once(self, monkeypatch):
+        # all five estimates share one pass: 7 blocks of 100000 trials,
+        # one Philox stream each
+        keys = []
+        real = montecarlo.block_rng
+
+        def counting(seed, stream, block):
+            keys.append((seed, stream, block))
+            return real(seed, stream, block)
+
+        monkeypatch.setattr(montecarlo, "block_rng", counting)
+        ok, _, rows = run_validate(ExperimentConfig(experiment="validate", trials=100000))
+        assert len(rows) == 5
+        assert len(keys) == len(set(keys)) == 7
+
+    def test_cli_imports_without_scipy(self):
+        # scipy serves only analytics.pgfl_integral, which imports it itself
+        code = ("import contextlib, io, sys\n"
+                "import secroute.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = secroute.cli.main(['route', '--source', '1', '--dest', '5'])\n"
+                "assert rc == 0, rc\n"
+                "print('scipy' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from secroute.montecarlo import (
     block_rng,
     estimate_hop_sop,
     estimate_path_sop,
+    hop_sop_estimates,
     power_invariance_check,
 )
 from secroute.experiments import six_node_topology
@@ -39,6 +41,45 @@ class TestSamplePpp:
         p = math.exp(-1.0)
         share = np.count_nonzero(interference == 0.0) / n
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def block_draws_reference(rng, scenario, n):
+    """`_block_draws` as one expression per array, without buffer reuse."""
+    xmin, xmax, ymin, ymax = scenario.sim_window
+    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    counts = rng.poisson(scenario.lambda_e * scenario.window_area, n)
+    total = int(counts.sum())
+    xs = rng.uniform(xmin - cx, xmax - cx, total)
+    ys = rng.uniform(ymin - cy, ymax - cy, total)
+    gains = -np.log1p(-rng.random(total))
+    h = -np.log1p(-rng.random(n))
+    r2 = xs ** 2 + ys ** 2
+    contrib = gains * r2 ** (-scenario.alpha / 2.0)
+    idx = np.repeat(np.arange(n), counts)
+    interference = np.bincount(idx, weights=contrib, minlength=n)
+    return interference, h
+
+
+class TestBlockDrawsInPlace:
+    """The in-place `_block_draws` returns exactly the reference's draws."""
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-4])
+    @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
+    def test_matches_reference(self, alpha, lam, n):
+        sc = scen(lam=lam, alpha=alpha)
+        got = _block_draws(block_rng(3, 1, 2), sc, n)
+        want = block_draws_reference(block_rng(3, 1, 2), sc, n)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
+    def test_matches_reference_off_origin_window(self, n):
+        sc = Scenario(3.0, 5e-5, 0.1, 80.0, (4000.0, 5500.0, -700.0, 300.0))
+        got = _block_draws(block_rng(4, 0, 1), sc, n)
+        want = block_draws_reference(block_rng(4, 0, 1), sc, n)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestEstimateHopSop:
@@ -89,6 +130,46 @@ class TestEstimateHopSop:
             estimate_hop_sop(-1.0, 10.0, scen(), 10, 1)
         with pytest.raises(ValueError):
             estimate_hop_sop(1.0, 10.0, scen(), 10, 1, conditioning="nope")
+
+
+class TestHopSopEstimates:
+    """One pass over the draws gives exactly the separate estimates."""
+
+    def rejection_reference(self, rs, dist, scenario, trials, seed):
+        # the literal on-off rule, one block at a time, on its own draws
+        d_alpha = dist ** scenario.alpha
+        p = scenario.power_linear
+        n_outage = n_effective = 0
+        for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
+            n = min(montecarlo.BLOCK, trials - done)
+            interference, h = block_draws_reference(block_rng(seed, 0, block), scenario, n)
+            snr = p * h / d_alpha
+            keep = snr > 2.0 ** rs - 1.0
+            rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep]))
+            n_outage += int(np.count_nonzero(rate < rs))
+            n_effective += int(np.count_nonzero(keep))
+        return n_outage / n_effective, n_effective
+
+    def test_one_pass_equals_separate_estimates(self):
+        sc = scen(lam=5e-5)
+        trials = 2 * montecarlo.BLOCK + 5  # a partial last block
+        powers = (40.0, 60.0, 80.0)
+        memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, trials, 43, powers)
+        assert memoryless == estimate_hop_sop(1.0, 10.0, sc, trials, 43)
+        assert len(rejection) == len(powers)
+        for pdb, est in zip(powers, rejection):
+            sc_p = replace(sc, power_db=pdb)
+            assert est == estimate_hop_sop(1.0, 10.0, sc_p, trials, 43, "rejection")
+            assert (est.mean, est.trials) == self.rejection_reference(1.0, 10.0, sc_p,
+                                                                      trials, 43)
+            assert 0 < est.trials <= trials
+        # the lowest power loses trials to the on-off filter, so the
+        # rejection rule is exercised on a strict subset
+        assert rejection[0].trials < trials
+
+    def test_no_survivors_at_one_power(self):
+        with pytest.raises(MonteCarloError):
+            hop_sop_estimates(40.0, 10.0, scen(), 500, 1, (0.0, 200.0))
 
 
 class TestEstimatePathSop:
