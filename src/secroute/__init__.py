@@ -17,14 +17,12 @@ from .analytics import (
     optimal_rs,
     path_metric,
     path_sop,
-    pgfl_integral,
 )
 from .routing import (
     HopConstrainedTable,
     RoutingError,
     RoutingSolution,
     bellman_ford_hop_constrained,
-    enumerate_all_paths_oracle,
     solve_secure_route,
 )
 from .montecarlo import (

@@ -9,7 +9,6 @@ expressions contain the per-hop power.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .netmodel import Path, Scenario
@@ -41,13 +40,9 @@ def _k1(alpha: float, lambda_e: float) -> float:
 
 def hop_sop(rs: float, dist: float, scenario: Scenario) -> float:
     """Per-hop secrecy outage probability under on-off transmission."""
-    if rs <= 0.0:
-        raise ValueError(f"rs must be positive, got {rs}")
-    if dist <= 0.0:
-        raise ValueError(f"dist must be positive, got {dist}")
-    a = scenario.alpha
-    weight = dist * dist
-    return -math.expm1(-k1(scenario) * 2.0 ** (2.0 * rs / a) * weight)
+    if not 0.0 < dist < math.inf:
+        raise ValueError(f"dist must be positive and finite, got {dist}")
+    return _sop(rs, dist * dist, scenario)
 
 
 def path_sop(rs: float, path: Path, scenario: Scenario) -> float:
@@ -57,16 +52,19 @@ def path_sop(rs: float, path: Path, scenario: Scenario) -> float:
     hop under randomize-and-forward), so the product over hops collapses
     to a single exponential in the summed squared distances.
     """
-    if rs <= 0.0:
-        raise ValueError(f"rs must be positive, got {rs}")
-    a = scenario.alpha
-    return -math.expm1(-k1(scenario) * 2.0 ** (2.0 * rs / a) * path.sum_sq_dist)
+    return _sop(rs, path.sum_sq_dist, scenario)
+
+
+def _sop(rs: float, weight: float, scenario: Scenario) -> float:
+    """1 - exp(-K1 * 2^(2 rs / alpha) * weight), weight a squared distance."""
+    if not 0.0 < rs < math.inf:
+        raise ValueError(f"rs must be positive and finite, got {rs}")
+    return -math.expm1(-k1(scenario) * 2.0 ** (2.0 * rs / scenario.alpha) * weight)
 
 
 def density_bound(path: Path, scenario: Scenario) -> float:
     """Largest eavesdropper density under which the path supports rs > 0."""
-    a = scenario.alpha
-    denom = math.pi * math.gamma(1.0 + 2.0 / a) * math.gamma(1.0 - 2.0 / a) * path.sum_sq_dist
+    denom = _k1(scenario.alpha, 1.0) * path.sum_sq_dist
     return math.log(1.0 / (1.0 - scenario.epsilon)) / denom
 
 
@@ -93,33 +91,3 @@ def path_metric(path: Path, scenario: Scenario):
     """Routing objective: achievable secrecy rate of the path, None if infeasible."""
     res = optimal_rs(path, scenario)
     return res.c_s if res.feasible else None
-
-
-def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
-    """Numerical evaluation of the plane integral behind hop_sop's exponent.
-
-    Computes lambda_e * Int_{R^2} a/(a+|x|^alpha) dx with a = 2^rs * dist^alpha,
-    by radial reduction (t = r^2) and the compactifying substitution
-    u = t/(1+t). Independent cross-check of the gamma-function closed form
-    K1 * 2^(2 rs / alpha) * dist^2. The only user of scipy, imported here
-    so that the rest of the package loads without it.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    a = 2.0 ** rs * dist ** scenario.alpha
-    c = scenario.alpha / 2.0
-
-    def integrand(u):
-        t = u / (1.0 - u)
-        return a / (a + t ** c) / ((1.0 - u) * (1.0 - u))
-
-    knee = a ** (1.0 / c)  # t where the integrand halves
-    u_knee = knee / (1.0 + knee)
-    with warnings.catch_warnings():
-        # the endpoint singularity (exponent c-2 for c < 2) triggers a
-        # roundoff warning in the extrapolation; the result is still far
-        # inside the 1e-6 budget
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, 1.0, points=[u_knee], epsabs=0.0,
-                      epsrel=1e-10, limit=500)
-    return scenario.lambda_e * math.pi * val

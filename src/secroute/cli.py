@@ -6,8 +6,9 @@
 Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config or input
 (including malformed node/edge CSV rows, a non-finite density or power, a
 `route` source or destination that is not in the topology or that are the
-same node, and a Monte Carlo run that cannot produce an estimate because no
-trial survives the on-off threshold), 3 I/O.
+same node, a Monte Carlo run that cannot produce an estimate because no
+trial survives the on-off threshold, and parameters whose arithmetic
+overflows a float, such as a huge power, rate or path-loss exponent), 3 I/O.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
     # ConfigError, NetModelError and RoutingError all subclass ValueError
     try:
         return _dispatch(_load_config(args))
-    except (ValueError, MonteCarloError) as exc:
+    except (ValueError, MonteCarloError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

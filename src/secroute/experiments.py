@@ -8,7 +8,7 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import analytics, montecarlo, routing
 from .netmodel import Node, Scenario, Topology, build_topology, load_edges_csv, load_nodes_csv
@@ -58,10 +58,8 @@ class ExperimentConfig:
                         (-half, half, -half, half))
 
 
-_FLOATS = {"alpha", "lambda_e", "epsilon", "power_db", "window", "rs", "dist"}
-_INTS = {"trials", "reps", "seed", "source", "dest"}
-_LISTS = {"lambdas": float, "epsilons": float, "n_legit": int, "powers": float}
-_STRS = {"experiment", "out", "topology", "edges"}
+# each key's type is its default's; a tuple key's element type, its first item's
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config(fname: str) -> ExperimentConfig:
@@ -75,18 +73,15 @@ def parse_config(fname: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{fname}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ConfigError(f"{fname}:{lineno}: unknown key {key!r}")
+            default = _DEFAULTS[key]
             try:
-                if key in _FLOATS:
-                    setattr(cfg, key, float(val))
-                elif key in _INTS:
-                    setattr(cfg, key, int(val))
-                elif key in _LISTS:
-                    conv = _LISTS[key]
+                if isinstance(default, tuple):
+                    conv = type(default[0])
                     setattr(cfg, key, tuple(conv(v) for v in val.split(",") if v.strip()))
-                elif key in _STRS:
-                    setattr(cfg, key, val)
                 else:
-                    raise ConfigError(f"{fname}:{lineno}: unknown key {key!r}")
+                    setattr(cfg, key, type(default)(val))
             except ValueError as exc:
                 raise ConfigError(f"{fname}:{lineno}: bad value for {key}: {exc}") from exc
     if cfg.experiment not in EXPERIMENTS:

@@ -141,8 +141,8 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rs <= 0.0 or dist <= 0.0:
-        raise ValueError("rs and dist must be positive")
+    if not (0.0 < rs < math.inf and 0.0 < dist < math.inf):
+        raise ValueError("rs and dist must be positive and finite")
     # replace() validates each power as a Scenario would
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
 
@@ -188,8 +188,8 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rs <= 0.0:
-        raise ValueError("rs must be positive")
+    if not 0.0 < rs < math.inf:
+        raise ValueError("rs must be positive and finite")
     # per hop d^alpha, with the hop length the root of its squared-distance
     # entry (exact: sqrt inverts a correctly rounded square); path() rejects
     # a hop that is not an edge

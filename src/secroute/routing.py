@@ -6,9 +6,7 @@ sweep, followed by an outer maximization of the per-path secrecy rate over
 v. The sweep stops at its fixed point, the first budget at which no entry
 improves, since every later budget would repeat the last row; the outer
 maximization scores a budget's path only where the destination's entry
-improves, since elsewhere it is the previous budget's path. A brute-force
-simple-path enumerator is kept alongside as the test oracle for the
-decomposition.
+improves, since elsewhere it is the previous budget's path.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -26,9 +24,6 @@ from .netmodel import Path, Topology
 from .analytics import optimal_rs, path_metric
 
 
-ORACLE_NODE_LIMIT = 9
-
-
 class RoutingError(ValueError):
     pass
 
@@ -38,17 +33,20 @@ class HopConstrainedTable:
     """Per-budget shortest-path table from a fixed source.
 
     best[v][i] is the minimum sum of squared distances over paths from the
-    source to node order[i] using at most v hops (inf if unreachable);
-    hops and pred record the realizing hop count and predecessor position.
-    index maps a node id to its position in order. Rows are stored up to
-    the sweep's fixed point only; any larger budget reads the last row.
+    source to node order[i] using at most v hops (inf if unreachable), and
+    pred[v][i] the realizing predecessor's position. index maps a node id
+    to its position in order. Rows are stored up to the sweep's fixed
+    point only; any larger budget reads the last row.
+
+    An entry changes only when it strictly improves, so its path's hop
+    count is the first row that holds its value: had the predecessor's
+    entry been set before row r-1, the same candidate would have improved
+    the entry before row r.
     """
 
     order: list[int]
     index: dict[int, int]
-    source: int
     best: np.ndarray   # (v_fix+1, n_nodes), v_fix <= n_nodes-1
-    hops: np.ndarray
     pred: np.ndarray
 
     def _row(self, v: int) -> int:
@@ -60,13 +58,13 @@ class HopConstrainedTable:
     def path_to(self, node: int, v: int):
         """Reconstruct the stored path as a node-id list, None if unreachable."""
         i = self.index[node]
-        v = self._row(v)
-        if not np.isfinite(self.best[v, i]):
+        w = self.best[self._row(v), i]
+        if not np.isfinite(w):
             return None
-        src = self.index[self.source]
         seq = [i]
-        while i != src:
-            i, v = int(self.pred[v, i]), int(self.hops[v, i]) - 1
+        # the entry's hop count; row 0 holds only the source
+        for r in range(int(np.argmax(self.best[:, i] == w)), 0, -1):
+            i = int(self.pred[r, i])
             seq.append(i)
         return [self.order[i] for i in reversed(seq)]
 
@@ -102,7 +100,6 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
     b = np.full(n, np.inf)
     b[src] = 0.0
     best = [b]
-    hops = [np.zeros(n, dtype=np.int64)]
     pred = [np.full(n, -1, dtype=np.int64)]
     for _ in range(n - 1):
         cand = best[-1][:, None] + w             # cand[u, i]: via predecessor u
@@ -112,11 +109,10 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
         if not improve.any():
             break
         best.append(np.where(improve, cw, best[-1]))
-        hops.append(np.where(improve, hops[-1][cp] + 1, hops[-1]))
         pred.append(np.where(improve, cp, pred[-1]))
 
-    return HopConstrainedTable(topology.order, topology.index, source,
-                               np.array(best), np.array(hops), np.array(pred))
+    return HopConstrainedTable(topology.order, topology.index,
+                               np.array(best), np.array(pred))
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
@@ -151,60 +147,3 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     p, v = best_entry
     res = optimal_rs(p, scenario)
     return RoutingSolution(p, v, res.rs_star, res.c_s, audit)
-
-
-def enumerate_all_paths_oracle(topology: Topology, source: int, dest: int,
-                               max_hops: int, node_limit: int = ORACLE_NODE_LIMIT):
-    """All simple paths with at most max_hops hops, by exhaustive DFS.
-
-    Deliberately independent of the Bellman-Ford machinery: it shares only
-    the weight matrix, whose finite entries give each node's neighbours.
-    Capped at node_limit nodes since the count grows factorially.
-    """
-    if len(topology.nodes) > node_limit:
-        raise RoutingError(
-            f"oracle limited to {node_limit} nodes, topology has {len(topology.nodes)}")
-    if source not in topology.nodes or dest not in topology.nodes:
-        raise RoutingError("source or destination not in topology")
-    order = topology.order
-    neighbors = {order[i]: [order[j] for j in np.flatnonzero(np.isfinite(row))]
-                 for i, row in enumerate(topology.weight_matrix())}
-    out = []
-    stack = [source]
-    seen = {source}
-
-    def dfs():
-        cur = stack[-1]
-        for nbr in neighbors[cur]:
-            if nbr in seen:
-                continue
-            if nbr == dest:
-                out.append(topology.path(stack + [dest]))
-                continue
-            if len(stack) >= max_hops:  # adding nbr then dest would exceed
-                continue
-            stack.append(nbr)
-            seen.add(nbr)
-            if len(stack) <= max_hops:
-                dfs()
-            stack.pop()
-            seen.remove(nbr)
-
-    if max_hops >= 1:
-        dfs()
-    return [p for p in out if p.hop_count <= max_hops]
-
-
-def best_route_oracle(topology: Topology, source: int, dest: int, scenario):
-    """Brute-force optimum of the secrecy-rate objective over all simple paths."""
-    paths = enumerate_all_paths_oracle(topology, source, dest,
-                                       max_hops=len(topology.nodes) - 1)
-    best = None
-    best_metric = None
-    for p in paths:
-        m = path_metric(p, scenario)
-        if m is not None and (best_metric is None or m > best_metric):
-            best, best_metric = p, m
-    if best is None:
-        return None, None
-    return best, best_metric

