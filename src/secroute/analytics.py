@@ -59,7 +59,11 @@ def _sop(rs: float, weight: float, scenario: Scenario) -> float:
     """1 - exp(-K1 * 2^(2 rs / alpha) * weight), weight a squared distance."""
     if not 0.0 < rs < math.inf:
         raise ValueError(f"rs must be positive and finite, got {rs}")
-    return -math.expm1(-k1(scenario) * 2.0 ** (2.0 * rs / scenario.alpha) * weight)
+    try:
+        gain = 2.0 ** (2.0 * rs / scenario.alpha)
+    except OverflowError:
+        raise OverflowError(f"rs = {rs:g} overflows a float in 2^(2 rs / alpha)") from None
+    return -math.expm1(-k1(scenario) * gain * weight)
 
 
 def density_bound(path: Path, scenario: Scenario) -> float:

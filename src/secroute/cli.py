@@ -3,12 +3,21 @@
     secroute <subcommand> [--config FILE] [--seed N] [--trials N]
              [--reps N] [--out CSV] ...
 
-Exit codes: 0 success, 1 infeasible/unreachable, 2 invalid config or input
-(including malformed node/edge CSV rows, a non-finite density or power, a
-`route` source or destination that is not in the topology or that are the
-same node, a Monte Carlo run that cannot produce an estimate because no
-trial survives the on-off threshold, and parameters whose arithmetic
-overflows a float, such as a huge power, rate or path-loss exponent), 3 I/O.
+Exit codes: 0 success, 1 infeasible/unreachable or a `validate` row that
+is not a plain pass, 2 invalid config or input (including malformed
+node/edge CSV rows, a non-finite density or power, a `route` source or
+destination that is not in the topology or that are the same node, a Monte
+Carlo run that cannot produce an estimate because no trial survives the
+on-off threshold, and parameters whose arithmetic overflows a float, such
+as a huge power, rate or path-loss exponent; the message names the
+parameter), 3 I/O.
+
+`sop-curve` and `validate` write each estimate's `bias_bound`, the most by
+which the truncated eavesdropper field can bias it low. A `validate` mode
+row passes (`1`, printed `[pass]`) when the closed form lies in
+[mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak` (`[weak]`)
+when it lies there but the bound exceeds the stderr, and `0` (`[FAIL]`)
+otherwise. `validate` exits 0 only when every row is `1`.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and
@@ -93,8 +102,9 @@ def _route(cfg, out):
 
 def _validate(cfg, out):
     ok, header, rows = experiments.run_validate(cfg)
-    lines = [f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} "
-             f"[{'pass' if row[-1] else 'FAIL'}]" for row in rows]
+    verdicts = {1: "pass", "weak": "weak", 0: "FAIL"}
+    lines = [f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} [{verdicts[row[-1]]}]"
+             for row in rows]
     return (EXIT_OK if ok else EXIT_INFEASIBLE), (header, rows), lines + [f"wrote {out}"]
 
 

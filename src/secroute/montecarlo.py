@@ -1,17 +1,37 @@
 """Monte Carlo validation of the secrecy-outage analytics.
 
-Eavesdroppers are drawn as a homogeneous PPP truncated to the scenario
-window translated to centre on the hop's transmitter (the process is
-stationary, so only the window's shape and size matter; far points
-contribute negligibly to the colluding SNR sum for path-loss exponents
-above 2). Fading gains are unit-mean exponentials
-sampled by inverse CDF so a fixed counter-based RNG stream reproduces
-bit-identical estimates on any platform.
+Each hop's eavesdroppers are a homogeneous PPP on a disk of radius R
+centred on its transmitter (the process is stationary, so the placement
+does not matter). Only a point's distance enters the colluding SNR sum, so
+a point is drawn as its squared distance r^2, uniform on [0, R^2). Fading
+gains are unit-mean exponentials sampled by inverse CDF so a fixed
+counter-based RNG stream reproduces bit-identical estimates on any
+platform.
+
+Truncating the field can only lower the interference, so an estimate is
+biased low. A hop is in outage when h <= theta * I with theta = 2^rs * d^a
+and h ~ Exp(1), so the outage probability it misses is at most theta times
+the mean interference outside R, which Campbell's theorem gives:
+
+    b(R) = theta * 2 pi lambda R^(2 - a) / (a - 2).
+
+A path estimate misses at most the sum of its hops' b. Hop k of an H-hop
+estimate gets the smallest R with b(R) <= tol / H, where tol is a tenth of
+the binomial stderr sqrt(p (1 - p) / T) at the closed-form probability p
+over T trials. R is capped at the radius of the disk inscribed in the
+scenario's `sim_window`; near a = 2 the cap is reached, and b, reported as
+the estimate's `bias_bound`, can then exceed the stderr. The closed form
+only sizes R: b bounds the bias whatever p is, so the estimate stays an
+independent check. The rejection estimates carry the same bound: given
+survival of the on-off filter, their outage event is the memoryless one
+with a shifted exponential gain.
 
 Trials are processed in fixed-size blocks by one driver, `_blocks`; hop k
-of block b owns a Philox stream keyed by (seed, k, b), so estimates depend
-only on the seed and parameters, never on how blocks are scheduled. The
-driver draws a block's hops lazily, one hop's points at a time. Under
+of block b owns a Philox stream keyed by (seed, k, b), from which it draws,
+in this order, the per-trial point counts ~ Poisson(lambda pi R^2), the
+points' r^2, their gains and the trials' legitimate gains h. Estimates
+depend only on the seed and parameters, never on how blocks are scheduled.
+`_blocks` draws a block's hops lazily, one hop's points at a time. Under
 randomize-and-forward the path estimator ORs the per-hop outage events of
 a trial, and the memoryless hop estimator is its one-hop case.
 
@@ -26,15 +46,19 @@ are dropped once their block is counted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import analytics
 from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 
 _MASK64 = (1 << 64) - 1
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class MonteCarloError(RuntimeError):
@@ -43,10 +67,28 @@ class MonteCarloError(RuntimeError):
 
 @dataclass(frozen=True)
 class SopEstimate:
+    """An outage-probability estimate from `trials` simulated trials.
+
+    The truncated eavesdropper field biases `mean` low by at most
+    `bias_bound`, so a closed form p is consistent with the estimate when
+    it lies in [mean - 3 stderr, mean + 3 stderr + bias_bound].
+    """
+
     mean: float
     stderr: float
     trials: int
     seed: int
+    bias_bound: float
+
+    def covers(self, p: float) -> bool:
+        """Whether p lies in [mean - 3 stderr, mean + 3 stderr + bias_bound]."""
+        spread = 3.0 * self.stderr
+        return self.mean - spread <= p <= self.mean + spread + self.bias_bound
+
+    @property
+    def weak(self) -> bool:
+        """The bias bound exceeds the stderr, so covering p checks it only weakly."""
+        return self.bias_bound > self.stderr
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -64,27 +106,69 @@ def _exponential(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _block_draws(rng, scenario: Scenario, n):
-    """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H.
+def _log_theta(rs: float, dist: float, alpha: float) -> float:
+    """log(2^rs * d^alpha), checked to leave 2^rs and 2^rs * d^alpha finite
+    floats; an overflow names the larger of the two exponents' terms."""
+    log_gain, log_path = rs * _LN2, alpha * math.log(dist)
+    if max(log_gain, log_gain + log_path) >= _LOG_MAX:
+        name, value = ("rs", rs) if log_gain >= log_path else ("alpha", alpha)
+        raise OverflowError(f"{name} = {value:g} overflows a float in 2^rs * d^alpha "
+                            f"(hop length {dist:g})")
+    return log_gain + log_path
 
-    Positions X_e are offsets from the transmitter, uniform on the window
-    translated so that its centre sits at the transmitter.
 
-    Draw order (counts, positions, gains, H) is part of the reproducibility
-    contract; both conditioning modes and all power levels consume the
-    identical stream. The point arrays are reused in place: x holds |X_e|^2
-    and then each point's contribution, and the gains are drawn into the
-    spent y buffer.
+def _disk(log_theta: float, scenario: Scenario, tol: float, cap: float):
+    """Radius R and bias bound b(R) of one hop's field: the smallest R with
+    b(R) <= tol, at most `cap`.
+
+    Both are computed in logs, so that alpha near 2 reaches the cap instead
+    of overflowing. R is sized for log b(R) = log tol - 1e-9, a margin that
+    keeps b(R) <= tol through rounding. b is at most 1, since it bounds a
+    gap between two probabilities.
     """
+    lam, alpha = scenario.lambda_e, scenario.alpha
+    if lam == 0.0:
+        return cap, 0.0
+    # b(R) = exp(log_c + (2 - alpha) log R)
+    log_c = log_theta + math.log(2.0 * math.pi * lam) - math.log(alpha - 2.0)
+    radius = cap
+    if tol > 0.0:
+        log_r = (log_c - math.log(tol) + 1e-9) / (alpha - 2.0)
+        if log_r < math.log(cap):
+            # a radius that underflows keeps the least positive float
+            radius = max(math.exp(log_r), math.ulp(0.0))
+    return radius, math.exp(min(log_c + (2.0 - alpha) * math.log(radius), 0.0))
+
+
+def _hop_fields(rs: float, dists, scenario: Scenario, p: float, trials: int):
+    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, and the
+    summed bias bound; the hops share a tenth of the binomial stderr at the
+    closed-form probability p as their tolerance."""
+    tol = math.sqrt(p * (1.0 - p) / trials) / (10.0 * len(dists))
     xmin, xmax, ymin, ymax = scenario.sim_window
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    counts = rng.poisson(scenario.lambda_e * scenario.window_area, n)
+    cap = 0.5 * min(xmax - xmin, ymax - ymin)
+    thetas, radii, bias_bound = [], [], 0.0
+    for dist in dists:
+        log_theta = _log_theta(rs, dist, scenario.alpha)
+        radius, bias = _disk(log_theta, scenario, tol, cap)
+        thetas.append(math.exp(log_theta))
+        radii.append(radius)
+        bias_bound += bias
+    return thetas, radii, bias_bound
+
+
+def _block_draws(rng, scenario: Scenario, radius: float, n):
+    """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H,
+    for eavesdroppers on the disk of `radius` around the transmitter.
+
+    Draw order (counts, r^2, gains, H) is part of the reproducibility
+    contract; both conditioning modes and all power levels consume the
+    identical stream. The r^2 buffer then holds each point's contribution.
+    """
+    counts = rng.poisson(scenario.lambda_e * math.pi * radius * radius, n)
     total = int(counts.sum())
-    xs = rng.uniform(xmin - cx, xmax - cx, total)
-    ys = rng.uniform(ymin - cy, ymax - cy, total)
-    contrib = np.square(xs, out=xs)
-    contrib += np.square(ys, out=ys)
-    gains = _exponential(rng, ys)
+    contrib = rng.uniform(0.0, radius * radius, total)
+    gains = _exponential(rng, np.empty(total))
     h = _exponential(rng, np.empty(n))
     np.power(contrib, -scenario.alpha / 2.0, out=contrib)
     contrib *= gains
@@ -93,8 +177,9 @@ def _block_draws(rng, scenario: Scenario, n):
     return interference, h
 
 
-def _blocks(scenario: Scenario, trials: int, seed: int, hops: int = 1):
-    """Yield each block's size n and a generator of its hops' (interference, h).
+def _blocks(scenario: Scenario, radii, trials: int, seed: int):
+    """Yield each block's size n and a generator of its hops' (interference, h),
+    hop k drawn on the disk of radius radii[k].
 
     Hop k of block b draws from block_rng(seed, k, b). The hop draws are
     made lazily, so only one hop's point arrays are alive at a time; a
@@ -102,27 +187,26 @@ def _blocks(scenario: Scenario, trials: int, seed: int, hops: int = 1):
     """
     for block, done in enumerate(range(0, trials, BLOCK)):
         n = min(BLOCK, trials - done)
-        yield n, (_block_draws(block_rng(seed, k, block), scenario, n)
-                  for k in range(hops))
+        yield n, (_block_draws(block_rng(seed, k, block), scenario, radius, n)
+                  for k, radius in enumerate(radii))
 
 
-def _outages(rs: float, d_alphas, n: int, draws) -> int:
+def _outages(thetas, n: int, draws) -> int:
     """Count a block's trials in which any hop's memoryless secrecy event
-    h <= 2^rs * d^alpha * I fails."""
-    gain = 2.0 ** rs
+    h <= theta * I, theta = 2^rs * d^alpha, fails."""
     out = np.zeros(n, dtype=bool)
-    for d_alpha, (interference, h) in zip(d_alphas, draws):
-        out |= h <= gain * d_alpha * interference
+    for theta, (interference, h) in zip(thetas, draws):
+        out |= h <= theta * interference
     return int(np.count_nonzero(out))
 
 
-def _estimate(n_outage: int, n_effective: int, seed: int) -> SopEstimate:
+def _estimate(n_outage: int, n_effective: int, seed: int, bias_bound: float) -> SopEstimate:
     if n_effective == 0:
         raise MonteCarloError(
             "no trials survived the on-off threshold; increase trials or power")
     mean = n_outage / n_effective
     stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
-    return SopEstimate(mean, stderr, n_effective, seed)
+    return SopEstimate(mean, stderr, n_effective, seed, bias_bound)
 
 
 def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -145,15 +229,17 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
         raise ValueError("rs and dist must be positive and finite")
     # replace() validates each power as a Scenario would
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
+    (theta,), radii, bias_bound = _hop_fields(
+        rs, [dist], scenario, analytics.hop_sop(rs, dist, scenario), trials)
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
     n_memoryless = 0
     n_outage = [0] * len(powers)
     n_effective = [0] * len(powers)
-    for n, draws in _blocks(scenario, trials, seed):
+    for n, draws in _blocks(scenario, radii, trials, seed):
         interference, h = next(draws)
-        n_memoryless += _outages(rs, [d_alpha], n, [(interference, h)])
+        n_memoryless += _outages([theta], n, [(interference, h)])
         for i, p in enumerate(powers):
             snr = p * h / d_alpha
             keep = snr > beta_t
@@ -161,8 +247,8 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             n_outage[i] += int(np.count_nonzero(shortfall))
             n_effective[i] += int(np.count_nonzero(keep))
-    return (_estimate(n_memoryless, trials, seed),
-            [_estimate(o, e, seed) for o, e in zip(n_outage, n_effective)])
+    return (_estimate(n_memoryless, trials, seed, bias_bound),
+            [_estimate(o, e, seed, bias_bound) for o, e in zip(n_outage, n_effective)])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -190,14 +276,16 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         raise ValueError("trials must be >= 1")
     if not 0.0 < rs < math.inf:
         raise ValueError("rs must be positive and finite")
-    # per hop d^alpha, with the hop length the root of its squared-distance
-    # entry (exact: sqrt inverts a correctly rounded square); path() rejects
-    # a hop that is not an edge
-    d_alphas = [math.sqrt(topology.path((u, v)).sum_sq_dist) ** scenario.alpha
-                for u, v in zip(path.nodes, path.nodes[1:])]
-    n_outage = sum(_outages(rs, d_alphas, n, draws)
-                   for n, draws in _blocks(scenario, trials, seed, len(d_alphas)))
-    return _estimate(n_outage, trials, seed)
+    # each hop length is the root of its squared-distance entry (exact:
+    # sqrt inverts a correctly rounded square); path() rejects a hop that is
+    # not an edge
+    dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
+             for u, v in zip(path.nodes, path.nodes[1:])]
+    thetas, radii, bias_bound = _hop_fields(
+        rs, dists, scenario, analytics.path_sop(rs, path, scenario), trials)
+    n_outage = sum(_outages(thetas, n, draws)
+                   for n, draws in _blocks(scenario, radii, trials, seed))
+    return _estimate(n_outage, trials, seed, bias_bound)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,

@@ -30,8 +30,9 @@ class Scenario:
     lambda_e  : eavesdropper density (points per unit area)
     epsilon   : maximum tolerable end-to-end secrecy outage probability
     power_db  : per-hop transmit power in dB
-    sim_window: (xmin, xmax, ymin, ymax) rectangle for PPP sampling; the
-                simulation translates it to centre on each transmitter
+    sim_window: (xmin, xmax, ymin, ymax) rectangle whose inscribed disk
+                caps the radius of each hop's simulated eavesdropper disk,
+                which is centred on the hop's transmitter
     """
 
     alpha: float
@@ -56,7 +57,11 @@ class Scenario:
 
     @property
     def power_linear(self) -> float:
-        return 10.0 ** (self.power_db / 10.0)
+        try:
+            return 10.0 ** (self.power_db / 10.0)
+        except OverflowError:
+            raise OverflowError(f"power_db = {self.power_db:g} overflows a float "
+                                f"as a linear power") from None
 
     @property
     def window_area(self) -> float:

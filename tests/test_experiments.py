@@ -72,7 +72,7 @@ class TestSopCurve:
         cfg = ExperimentConfig(lambdas=(0.0, 1e-6, 1e-5), trials=20000, seed=3)
         header, rows = run_sop_curve(cfg)
         assert len(rows) == 9
-        for pid, hops, lam, analytic, mc, se, trials, seed in rows:
+        for pid, hops, lam, analytic, mc, se, bias_bound, trials, seed in rows:
             if lam == 0.0:
                 assert analytic == 0.0 and mc == 0.0
             else:
@@ -253,23 +253,27 @@ class TestCli:
                    "--source", "0", "--dest", "2"])
         assert rc == 2
 
-    @pytest.mark.parametrize("command,line", [
+    @pytest.mark.parametrize("command,line,named", [
         # the route cases keep their short ids
-        pytest.param("route", "lambda_e = nan", id="lambda_e = nan"),
-        pytest.param("route", "power_db = inf", id="power_db = inf"),
-        # a non-finite rate or hop length, and float overflow
-        ("sop-curve", "rs = nan"),
-        ("sop-curve", "rs = 2000"),
-        ("sop-curve", "alpha = 400"),
-        ("validate", "rs = nan"),
-        ("validate", "rs = inf"),
-        ("validate", "dist = nan"),
-        ("validate", "power_db = 4000"),
-        ("validate", "powers = 60, 4000"),
-        ("validate", "rs = 2000"),
-        ("validate", "alpha = 400"),
+        pytest.param("route", "lambda_e = nan", "eavesdropper density", id="lambda_e = nan"),
+        pytest.param("route", "power_db = inf", "power_db", id="power_db = inf"),
+        # a non-finite rate or hop length, and float overflow, which names
+        # the parameter; the ids leave out the expected name
+        *(pytest.param(command, line, named, id=f"{command}-{line}")
+          for command, line, named in [
+              ("sop-curve", "rs = nan", "rs"),
+              ("sop-curve", "rs = 2000", "rs = 2000 overflows a float"),
+              ("sop-curve", "alpha = 400", "alpha = 400 overflows a float"),
+              ("validate", "rs = nan", "rs"),
+              ("validate", "rs = inf", "rs"),
+              ("validate", "dist = nan", "dist"),
+              ("validate", "power_db = 4000", "power_db = 4000 overflows a float"),
+              ("validate", "powers = 60, 4000", "power_db = 4000 overflows a float"),
+              ("validate", "rs = 2000", "rs = 2000 overflows a float"),
+              ("validate", "alpha = 400", "alpha = 400 overflows a float"),
+          ]),
     ])
-    def test_non_finite_scenario_exit_code(self, tmp_path, capsys, command, line):
+    def test_non_finite_scenario_exit_code(self, tmp_path, capsys, command, line, named):
         f = tmp_path / "exp.cfg"
         f.write_text(line + "\ntrials = 100\n")
         argv = [command, "--config", str(f), "--out", str(tmp_path / "o.csv")]
@@ -282,6 +286,35 @@ class TestCli:
         assert "nan" not in out and not (tmp_path / "o.csv").exists()
         # a bad rate or distance is named, not blamed on the on-off filter
         assert "no trials survived" not in err
+        assert named in err
+
+    def test_power_overflow_outside_sop_curve(self, tmp_path, capsys):
+        # sop-curve never converts the power to linear scale
+        f = tmp_path / "exp.cfg"
+        f.write_text("power_db = 4000\ntrials = 100\n")
+        rc = main(["sop-curve", "--config", str(f), "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+
+    def test_validate_weak_at_small_alpha(self, tmp_path, capsys):
+        # at alpha = 2.5 the truncated field misses up to 0.025 of outage
+        # probability, far more than the stderr: the closed form lies in the
+        # one-sided interval, and the rows say the check is weak
+        f = tmp_path / "v.cfg"
+        f.write_text("alpha = 2.5\nlambda_e = 1e-4\ntrials = 50000\n")
+        out = tmp_path / "v.csv"
+        rc = main(["validate", "--config", str(f), "--out", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("memoryless:") and lines[0].endswith("[weak]")
+        assert lines[1].startswith("rejection:") and lines[1].endswith("[weak]")
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+        header, rows = rows[0], rows[1:]
+        assert header[5:] == ["mc_stderr", "bias_bound", "trials", "pass"]
+        assert [r[-1] for r in rows] == ["weak", "weak", "1", "1", "1"]
+        for r in rows[:2]:
+            analytic, mc, se, b = (float(x) for x in r[3:7])
+            assert b > se and mc - 3 * se <= analytic <= mc + 3 * se + b
 
     def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
         # at -200 dB no trial passes the on-off threshold of rs = 30

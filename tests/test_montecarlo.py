@@ -15,7 +15,7 @@ from secroute.montecarlo import (
     hop_sop_estimates,
     power_invariance_check,
 )
-from secroute.experiments import six_node_topology
+from secroute.experiments import FIG_PATHS, six_node_topology
 
 
 def scen(lam=1e-5, eps=0.1, alpha=4.0, power=80.0, window=2000.0):
@@ -27,37 +27,54 @@ class TestSamplePpp:
     """The PPP sampler behind every estimate, `_block_draws`."""
 
     def test_zero_density_empty(self):
-        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 5000)
+        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 1000.0, 5000)
         assert len(interference) == len(h) == 5000
         assert np.all(interference == 0.0)
 
     def test_poisson_count_statistics(self):
-        # lambda * area = 1: a trial's field is empty with probability e^-1,
-        # and only an empty field gives zero interference
-        sc = scen(lam=2.5e-7)
-        assert sc.lambda_e * sc.window_area == 1.0
+        # lambda * pi R^2 = 1: a trial's field is empty with probability
+        # e^-1, and only an empty field gives zero interference
+        radius = 1000.0
+        sc = scen(lam=1.0 / (math.pi * radius * radius))
+        assert sc.lambda_e * math.pi * radius * radius == pytest.approx(1.0, rel=1e-15)
         n = 100000
-        interference, _ = _block_draws(block_rng(1, 0, 0), sc, n)
+        interference, _ = _block_draws(block_rng(1, 0, 0), sc, radius, n)
         p = math.exp(-1.0)
         share = np.count_nonzero(interference == 0.0) / n
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def block_draws_reference(rng, scenario, n):
-    """`_block_draws` as one expression per array, without buffer reuse."""
-    xmin, xmax, ymin, ymax = scenario.sim_window
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    counts = rng.poisson(scenario.lambda_e * scenario.window_area, n)
+def block_draws_reference(rng, scenario, radius, n):
+    """`_block_draws` as one expression per array, without buffer reuse:
+    points uniform on the disk of `radius`, drawn as r^2 = R^2 * U."""
+    counts = rng.poisson(scenario.lambda_e * math.pi * radius * radius, n)
     total = int(counts.sum())
-    xs = rng.uniform(xmin - cx, xmax - cx, total)
-    ys = rng.uniform(ymin - cy, ymax - cy, total)
+    r2 = radius * radius * rng.random(total)
     gains = -np.log1p(-rng.random(total))
     h = -np.log1p(-rng.random(n))
-    r2 = xs ** 2 + ys ** 2
     contrib = gains * r2 ** (-scenario.alpha / 2.0)
     idx = np.repeat(np.arange(n), counts)
     interference = np.bincount(idx, weights=contrib, minlength=n)
     return interference, h
+
+
+def window_cap(scenario):
+    """Radius of the disk inscribed in the scenario's window."""
+    xmin, xmax, ymin, ymax = scenario.sim_window
+    return min(xmax - xmin, ymax - ymin) / 2.0
+
+
+def bias_formula(rs, dist, scenario, radius):
+    """theta * 2 pi lambda R^(2 - alpha) / (alpha - 2), theta = 2^rs d^alpha."""
+    a = scenario.alpha
+    theta = 2.0 ** rs * dist ** a
+    return theta * 2.0 * math.pi * scenario.lambda_e * radius ** (2.0 - a) / (a - 2.0)
+
+
+def hop_radius(rs, dist, scenario, trials):
+    """The disk radius of a one-hop estimate."""
+    p = analytics.hop_sop(rs, dist, scenario)
+    return montecarlo._hop_fields(rs, [dist], scenario, p, trials)[1][0]
 
 
 class TestBlockDrawsInPlace:
@@ -68,18 +85,144 @@ class TestBlockDrawsInPlace:
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
     def test_matches_reference(self, alpha, lam, n):
         sc = scen(lam=lam, alpha=alpha)
-        got = _block_draws(block_rng(3, 1, 2), sc, n)
-        want = block_draws_reference(block_rng(3, 1, 2), sc, n)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        for radius in (37.5, 1000.0):
+            got = _block_draws(block_rng(3, 1, 2), sc, radius, n)
+            want = block_draws_reference(block_rng(3, 1, 2), sc, radius, n)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
     def test_matches_reference_off_origin_window(self, n):
+        # a window off the origin caps the disk by its shorter side alone
         sc = Scenario(3.0, 5e-5, 0.1, 80.0, (4000.0, 5500.0, -700.0, 300.0))
-        got = _block_draws(block_rng(4, 0, 1), sc, n)
-        want = block_draws_reference(block_rng(4, 0, 1), sc, n)
+        radius = hop_radius(1.0, 10.0, sc, 100000)
+        assert radius == window_cap(sc) == 500.0
+        got = _block_draws(block_rng(4, 0, 1), sc, radius, n)
+        want = block_draws_reference(block_rng(4, 0, 1), sc, radius, n)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestDiskSizing:
+    """Each hop's disk is the smallest meeting its share of the tolerance."""
+
+    @pytest.mark.parametrize("alpha,lam,trials", [
+        (4.0, 1e-6, 8192), (4.0, 1e-4, 100000), (3.0, 1e-5, 1000),
+        (3.0, 1e-4, 100000), (2.5, 1e-4, 100000), (2.05, 1e-6, 500), (6.0, 5e-5, 20000)])
+    @pytest.mark.parametrize("seq", FIG_PATHS)
+    def test_smallest_radius_within_cap(self, alpha, lam, trials, seq):
+        topo = six_node_topology()
+        sc = scen(lam=lam, alpha=alpha)
+        path = topo.path(seq)
+        p = analytics.path_sop(1.0, path, sc)
+        dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip(seq, seq[1:])]
+        _, radii, bias_bound = montecarlo._hop_fields(1.0, dists, sc, p, trials)
+        share = math.sqrt(p * (1.0 - p) / trials) / 10.0 / len(dists)
+        cap = window_cap(sc)
+        total = 0.0
+        for d, radius in zip(dists, radii):
+            b = bias_formula(1.0, d, sc, radius)
+            assert 0.0 < radius <= cap
+            if radius < cap:
+                assert b <= share
+                assert bias_formula(1.0, d, sc, radius * (1.0 - 1e-6)) > share
+            else:
+                assert bias_formula(1.0, d, sc, cap * (1.0 - 1e-9)) > share
+            total += b
+        assert bias_bound == pytest.approx(total, rel=1e-9)
+
+    def test_path_estimate_carries_bound(self):
+        topo = six_node_topology()
+        sc = scen(lam=1e-4)
+        path = topo.path((1, 2, 3, 5))
+        p = analytics.path_sop(1.0, path, sc)
+        dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip((1, 2, 3), (2, 3, 5))]
+        _, _, bias_bound = montecarlo._hop_fields(1.0, dists, sc, p, 8192)
+        est = estimate_path_sop(1.0, path, topo, sc, 8192, seed=1)
+        assert est.bias_bound == bias_bound <= math.sqrt(p * (1.0 - p) / 8192) / 10.0
+
+    def test_zero_density_has_no_bias(self):
+        topo = six_node_topology()
+        sc = scen(lam=0.0)
+        est = estimate_path_sop(1.0, topo.path((1, 2, 3, 5)), topo, sc, 100, seed=1)
+        assert est.bias_bound == 0.0 and est.mean == 0.0
+        memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 100, 1, [80.0])
+        assert memoryless.bias_bound == rejection[0].bias_bound == 0.0
+        assert hop_radius(1.0, 10.0, sc, 100) == window_cap(sc)
+
+    def test_alpha_near_two_reaches_cap(self):
+        # (theta 2 pi lambda / tol)^(1/(alpha - 2)) overflows a float; the
+        # radius, computed in logs, stops at the cap
+        sc = scen(lam=1e-4, alpha=2.0 + 1e-9)
+        assert hop_radius(1.0, 10.0, sc, 1000) == window_cap(sc)
+        est = estimate_hop_sop(1.0, 10.0, sc, 1000, seed=2)
+        assert est.bias_bound == 1.0 and est.weak
+
+    def test_bias_bound_shared_by_every_mode(self):
+        sc = scen(lam=5e-5, alpha=3.0)
+        memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 3000, 5, (60.0, 80.0))
+        b = bias_formula(1.0, 10.0, sc, hop_radius(1.0, 10.0, sc, 3000))
+        assert memoryless.bias_bound == pytest.approx(b, rel=1e-9)
+        assert all(est.bias_bound == memoryless.bias_bound for est in rejection)
+
+
+class TestTruncationBias:
+    """The bias bound against a coupled run on two radii."""
+
+    @pytest.mark.parametrize("alpha,lam,inner,outer", [
+        (2.5, 1e-4, 30.0, 300.0), (3.0, 2e-4, 20.0, 200.0), (4.0, 1e-3, 8.0, 80.0)])
+    def test_gap_within_bound(self, alpha, lam, inner, outer):
+        # the points of the R' run inside R are a PPP on the disk of R, so
+        # both runs share them and the outer run only adds interference
+        sc = scen(lam=lam, alpha=alpha)
+        rs, d, n = 1.0, 10.0, 50000
+        theta = 2.0 ** rs * d ** alpha
+        rng = np.random.default_rng(2718)
+        counts = rng.poisson(lam * math.pi * outer * outer, n)
+        r2 = outer * outer * rng.random(counts.sum())
+        contrib = -np.log1p(-rng.random(counts.sum())) * r2 ** (-alpha / 2.0)
+        idx = np.repeat(np.arange(n), counts)
+        i_inner = np.bincount(idx, weights=np.where(r2 < inner * inner, contrib, 0.0),
+                              minlength=n)
+        i_outer = np.bincount(idx, weights=contrib, minlength=n)
+        h = -np.log1p(-rng.random(n))
+        flipped = (h <= theta * i_outer) & ~(h <= theta * i_inner)
+        assert not np.any((h <= theta * i_inner) & ~(h <= theta * i_outer))
+        gap = flipped.mean()
+        sigma = math.sqrt(gap * (1.0 - gap) / n)
+        bound = bias_formula(rs, d, sc, inner) - bias_formula(rs, d, sc, outer)
+        assert 0.0 < gap <= bound + 3.0 * sigma
+
+
+class TestSmallAlpha:
+    """Monte Carlo against the closed form away from alpha = 4 and the origin,
+    on the one-sided interval [mc - 3 stderr, mc + 3 stderr + bias_bound]."""
+
+    @staticmethod
+    def check(est, p, weak):
+        assert est.mean - 3.0 * est.stderr <= p <= est.mean + 3.0 * est.stderr + est.bias_bound
+        assert est.covers(p)
+        assert (est.bias_bound > est.stderr) is weak and est.weak is weak
+
+    @pytest.mark.parametrize("alpha,lam,weak", [
+        # the disk reaches the cap, and the bound exceeds the stderr
+        (2.5, 1e-4, True),
+        # the disk reaches the cap, but the bound stays below the stderr
+        (3.0, 1e-4, False), (3.0, 1e-5, False)])
+    def test_hop_estimate(self, alpha, lam, weak):
+        sc = scen(lam=lam, alpha=alpha)
+        memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 50000, 61, [80.0])
+        p = analytics.hop_sop(1.0, 10.0, sc)
+        for est in (memoryless, rejection):
+            self.check(est, p, weak)
+
+    def test_off_origin_path(self):
+        topo = build_topology([Node(0, 3000.0, -4000.0), Node(1, 3006.0, -3992.0),
+                               Node(2, 3012.0, -3984.0)])
+        sc = scen(lam=3e-5, alpha=3.0)
+        path = topo.path((0, 1, 2))
+        est = estimate_path_sop(1.0, path, topo, sc, 50000, seed=62)
+        self.check(est, analytics.path_sop(1.0, path, sc), weak=False)
 
 
 class TestEstimateHopSop:
@@ -139,10 +282,12 @@ class TestHopSopEstimates:
         # the literal on-off rule, one block at a time, on its own draws
         d_alpha = dist ** scenario.alpha
         p = scenario.power_linear
+        radius = hop_radius(rs, dist, scenario, trials)
         n_outage = n_effective = 0
         for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
             n = min(montecarlo.BLOCK, trials - done)
-            interference, h = block_draws_reference(block_rng(seed, 0, block), scenario, n)
+            interference, h = block_draws_reference(block_rng(seed, 0, block), scenario,
+                                                    radius, n)
             snr = p * h / d_alpha
             keep = snr > 2.0 ** rs - 1.0
             rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep]))

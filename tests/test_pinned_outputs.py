@@ -5,6 +5,13 @@ Monte Carlo block drivers were merged into one. A change meant to leave
 every output byte-identical must keep them; a change that alters an output
 on purpose records the new digests here and says why.
 
+Re-recorded: the `sop-curve` CSV and the `validate` CSV and stdout, when
+the Monte Carlo stopped drawing the fixed square window and drew each
+hop's eavesdroppers on a disk sized from the truncation-bias bound. Every
+estimate changed at a fixed seed, and both CSVs gained the `bias_bound`
+column. The `sop-curve` stdout and the other three cases draw no point
+and kept their digests.
+
 Each run works in its own directory with a relative `--out`, so the
 `# out = ...` header line of the CSV does not depend on where tests run.
 """
@@ -18,12 +25,12 @@ from secroute.cli import main
 CASES = {
     "sop-curve": (
         ["sop-curve", "--trials", "3000"], "",
-        "7809252785aa2a21d18e33e3b92b89adb32221f9fce94dc65d921cb46ecc70b6",
+        "5009f2a345268677cd4f551a0a940faa33e15b0db4265c8c993712832c6edde2",
         "7b395cc54f88359cbbcb470036ac15868ce985176bc8569492b1314bff55a860"),
     "validate": (
         ["validate", "--trials", "5000"], "",
-        "c60951171eb1b3d41d1aa3cce97c87e99c0a655193d03697db3bf9ca298e90ed",
-        "06fdc54789ffa3bddf364ff9298f6fba6fcc86724b41a2f287579693c6441eb8"),
+        "80912a1971ae8bca8f19539033bf7909f82b46e60726961fd556ebaae0ef0255",
+        "97ea6f85cde996c95b02634f84e68102699fe2b38c59ad62c8f940741d34d535"),
     "table-one": (
         ["table-one"], "n_legit = 10, 20\nreps = 5\n",
         "3fde641885dac06d34a3dffef16f0d38e96ad6126bef79926859cb21cef04177",
