@@ -27,12 +27,8 @@ class SecrecyResult:
     feasible: bool
 
 
-def k1(scenario: Scenario) -> float:
+def k1(alpha: float, lambda_e: float) -> float:
     """Density/path-loss constant pi * lambda_e * G(1+2/a) * G(1-2/a)."""
-    return _k1(scenario.alpha, scenario.lambda_e)
-
-
-def _k1(alpha: float, lambda_e: float) -> float:
     if not alpha > 2.0:
         raise ValueError(f"path-loss exponent must exceed 2, got {alpha}")
     return math.pi * lambda_e * math.gamma(1.0 + 2.0 / alpha) * math.gamma(1.0 - 2.0 / alpha)
@@ -63,12 +59,12 @@ def _sop(rs: float, weight: float, scenario: Scenario) -> float:
         gain = 2.0 ** (2.0 * rs / scenario.alpha)
     except OverflowError:
         raise OverflowError(f"rs = {rs:g} overflows a float in 2^(2 rs / alpha)") from None
-    return -math.expm1(-k1(scenario) * gain * weight)
+    return -math.expm1(-k1(scenario.alpha, scenario.lambda_e) * gain * weight)
 
 
 def density_bound(path: Path, scenario: Scenario) -> float:
     """Largest eavesdropper density under which the path supports rs > 0."""
-    denom = _k1(scenario.alpha, 1.0) * path.sum_sq_dist
+    denom = k1(scenario.alpha, 1.0) * path.sum_sq_dist
     return math.log(1.0 / (1.0 - scenario.epsilon)) / denom
 
 

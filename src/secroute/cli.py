@@ -5,12 +5,14 @@
 
 Exit codes: 0 success, 1 infeasible/unreachable or a `validate` row that
 is not a plain pass, 2 invalid config or input (including malformed
-node/edge CSV rows, a non-finite density or power, a `route` source or
-destination that is not in the topology or that are the same node, a Monte
-Carlo run that cannot produce an estimate because no trial survives the
-on-off threshold, and parameters whose arithmetic overflows a float, such
-as a huge power, rate or path-loss exponent; the message names the
-parameter), 3 I/O.
+node/edge CSV rows, a non-finite density or power, a `window` whose area
+is not a finite float, a `route` source or destination that is not in the
+topology or that are the same node, a Monte Carlo run that cannot produce
+an estimate because no trial survives the on-off threshold, a `lambda_e`
+that expects more than 2^23 eavesdroppers on one hop's disk in a single
+trial, and parameters whose arithmetic overflows a float, such as a huge
+power, rate or path-loss exponent; the message names the parameter),
+3 I/O.
 
 `sop-curve` and `validate` write each estimate's `bias_bound`, the most by
 which the truncated eavesdropper field can bias it low. A `validate` mode
@@ -32,7 +34,6 @@ import sys
 
 from . import experiments
 from .experiments import ConfigError, ExperimentConfig
-from .montecarlo import MonteCarloError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -74,10 +75,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # ConfigError, NetModelError and RoutingError all subclass ValueError
+    # ConfigError, NetModelError, RoutingError and MonteCarloError subclass ValueError
     try:
         return _dispatch(_load_config(args))
-    except (ValueError, MonteCarloError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

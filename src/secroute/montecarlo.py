@@ -26,14 +26,16 @@ independent check. The rejection estimates carry the same bound: given
 survival of the on-off filter, their outage event is the memoryless one
 with a shifted exponential gain.
 
-Trials are processed in fixed-size blocks by one driver, `_blocks`; hop k
-of block b owns a Philox stream keyed by (seed, k, b), from which it draws,
-in this order, the per-trial point counts ~ Poisson(lambda pi R^2), the
-points' r^2, their gains and the trials' legitimate gains h. Estimates
-depend only on the seed and parameters, never on how blocks are scheduled.
-`_blocks` draws a block's hops lazily, one hop's points at a time. Under
-randomize-and-forward the path estimator ORs the per-hop outage events of
-a trial, and the memoryless hop estimator is its one-hop case.
+Trials are processed in blocks by one loop, `_blocks`; hop k of block b
+owns a Philox stream keyed by (seed, k, b), from which it draws, in this
+order, the per-trial point counts ~ Poisson(lambda pi R^2), the points'
+r^2, their gains and the trials' legitimate gains h. Estimates depend only
+on the seed and parameters, never on how blocks are scheduled. A block
+holds BLOCK trials, fewer where a hop's disk would expect more than
+BLOCK_POINTS points in the block; a disk expecting more in one trial is an
+input error. `_blocks` yields a block's hop draws as a list. Under
+randomize-and-forward the path estimator ORs the per-hop outage events of a
+trial, and the memoryless hop estimator is its one-hop case.
 
 The hop estimators make one pass: each block's (interference, h) pair is
 drawn once, and on it `hop_sop_estimates` counts the memoryless event and
@@ -55,13 +57,14 @@ from . import analytics
 from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
+BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
 
 _MASK64 = (1 << 64) - 1
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-class MonteCarloError(RuntimeError):
+class MonteCarloError(ValueError):
     pass
 
 
@@ -77,7 +80,6 @@ class SopEstimate:
     mean: float
     stderr: float
     trials: int
-    seed: int
     bias_bound: float
 
     def covers(self, p: float) -> bool:
@@ -178,17 +180,23 @@ def _block_draws(rng, scenario: Scenario, radius: float, n):
 
 
 def _blocks(scenario: Scenario, radii, trials: int, seed: int):
-    """Yield each block's size n and a generator of its hops' (interference, h),
+    """Yield each block's size n and the list of its hops' (interference, h),
     hop k drawn on the disk of radius radii[k].
 
-    Hop k of block b draws from block_rng(seed, k, b). The hop draws are
-    made lazily, so only one hop's point arrays are alive at a time; a
-    block's draws must be consumed before the next block is requested.
+    Hop k of block b draws from block_rng(seed, k, b). Every block but the
+    last holds min(BLOCK, BLOCK_POINTS // ceil(max_k lambda pi R_k^2)) trials.
     """
-    for block, done in enumerate(range(0, trials, BLOCK)):
-        n = min(BLOCK, trials - done)
-        yield n, (_block_draws(block_rng(seed, k, block), scenario, radius, n)
-                  for k, radius in enumerate(radii))
+    lam = scenario.lambda_e
+    per_trial = max(lam * math.pi * radius * radius for radius in radii)
+    if per_trial > BLOCK_POINTS:
+        raise ValueError(f"lambda_e = {lam:g} puts {per_trial:.3g} expected eavesdroppers "
+                         f"on one hop's disk of radius {max(radii):g}, more than "
+                         f"{BLOCK_POINTS} per trial; lower lambda_e or window")
+    size = min(BLOCK, BLOCK_POINTS // max(math.ceil(per_trial), 1))
+    for block, done in enumerate(range(0, trials, size)):
+        n = min(size, trials - done)
+        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, n)
+                  for k, radius in enumerate(radii)]
 
 
 def _outages(thetas, n: int, draws) -> int:
@@ -200,13 +208,13 @@ def _outages(thetas, n: int, draws) -> int:
     return int(np.count_nonzero(out))
 
 
-def _estimate(n_outage: int, n_effective: int, seed: int, bias_bound: float) -> SopEstimate:
+def _estimate(n_outage: int, n_effective: int, bias_bound: float) -> SopEstimate:
     if n_effective == 0:
         raise MonteCarloError(
             "no trials survived the on-off threshold; increase trials or power")
     mean = n_outage / n_effective
     stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
-    return SopEstimate(mean, stderr, n_effective, seed, bias_bound)
+    return SopEstimate(mean, stderr, n_effective, bias_bound)
 
 
 def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -238,17 +246,20 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     n_outage = [0] * len(powers)
     n_effective = [0] * len(powers)
     for n, draws in _blocks(scenario, radii, trials, seed):
-        interference, h = next(draws)
-        n_memoryless += _outages([theta], n, [(interference, h)])
+        (interference, h), = draws
+        n_memoryless += _outages([theta], n, draws)
         for i, p in enumerate(powers):
-            snr = p * h / d_alpha
+            # h / 0.0 is the infinite-SNR limit of a vanishing hop: every
+            # trial survives the filter and none falls short
+            with np.errstate(divide="ignore"):
+                snr = p * h / d_alpha
             keep = snr > beta_t
             snr_sum = p * interference[keep]
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             n_outage[i] += int(np.count_nonzero(shortfall))
             n_effective[i] += int(np.count_nonzero(keep))
-    return (_estimate(n_memoryless, trials, seed, bias_bound),
-            [_estimate(o, e, seed, bias_bound) for o, e in zip(n_outage, n_effective)])
+    return (_estimate(n_memoryless, trials, bias_bound),
+            [_estimate(o, e, bias_bound) for o, e in zip(n_outage, n_effective)])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -285,25 +296,25 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         rs, dists, scenario, analytics.path_sop(rs, path, scenario), trials)
     n_outage = sum(_outages(thetas, n, draws)
                    for n, draws in _blocks(scenario, radii, trials, seed))
-    return _estimate(n_outage, trials, seed, bias_bound)
+    return _estimate(n_outage, trials, bias_bound)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,
-                           powers_db, trials: int, seed: int) -> dict:
+                           powers_db, trials: int, seed: int) -> list:
     """Rejection-mode SOP estimates across transmit powers, on shared draws.
 
     The closed form carries no power dependence; this check exercises the
     one code path where power enters (the on-off survival filter) and
-    flags any pair of estimates further apart than 3 combined standard
-    errors (see power_invariance_report).
+    returns the pairs of estimates further apart than 3 combined standard
+    errors (see power_invariance_report); [] means consistent.
     """
     powers_db = list(powers_db)
     _, estimates = hop_sop_estimates(rs, dist, scenario, trials, seed, powers_db)
     return power_invariance_report(powers_db, estimates)
 
 
-def power_invariance_report(powers_db, estimates) -> dict:
-    """Pairwise consistency of rejection-mode estimates at the given powers."""
+def power_invariance_report(powers_db, estimates) -> list:
+    """The pairs power_invariance_check returns, each (p_i, p_j, mean_i, mean_j, tol)."""
     powers_db = list(powers_db)
     if len(powers_db) < 1:
         raise ValueError("need at least one power level")
@@ -315,9 +326,4 @@ def power_invariance_report(powers_db, estimates) -> dict:
             if abs(a.mean - b.mean) > tol:
                 violations.append((powers_db[i], powers_db[j],
                                    a.mean, b.mean, tol))
-    return {
-        "powers_db": powers_db,
-        "estimates": estimates,
-        "violations": violations,
-        "consistent": not violations,
-    }
+    return violations

@@ -54,6 +54,8 @@ class Scenario:
         xmin, xmax, ymin, ymax = self.sim_window
         if not (xmax > xmin and ymax > ymin):
             raise NetModelError(f"sim_window must have positive area, got {self.sim_window}")
+        if not math.isfinite(self.window_area):
+            raise NetModelError(f"sim_window must have finite area, got {self.sim_window}")
 
     @property
     def power_linear(self) -> float:
@@ -162,9 +164,8 @@ class Topology:
         return Path(seq, total)
 
 
-def build_topology(nodes: list[Node], edges=None) -> Topology:
-    """Full mesh over the given nodes, or restricted to an explicit edge list."""
-    return Topology(nodes, edges)
+# full mesh over the given nodes, or restricted to an explicit edge list
+build_topology = Topology
 
 
 def _csv_rows(fname, ncols: int, kind: str):

@@ -15,7 +15,6 @@ earlier level), then the smallest predecessor id at each relaxation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,24 +123,24 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     all-empty audit trail.
     """
     table = bellman_ford_hop_constrained(topology, source, dest)
+    col = table.best[:, table.index[dest]]
     audit = []
     best_metric = None
     best_entry = None
     seq = metric = None
-    last_w = math.inf
-    for v in range(1, len(topology.order)):
-        # the destination's path changes only at budgets where its weight
-        # improves; elsewhere the previous budget's entry is repeated
-        w = table.best_weight(dest, v)
-        if w < last_w:
-            last_w = w
+    for v in range(1, len(col)):
+        # the path changes only where its weight strictly improves; that weight
+        # is summed from 0.0 along path_to's chain, as Topology.path sums it
+        if col[v] < col[v - 1]:
             seq = table.path_to(dest, v)
-            p = topology.path(seq)
+            p = Path(tuple(seq), float(col[v]))
             metric = path_metric(p, scenario)  # None when over the weight cutoff
             if metric is not None and (best_metric is None or metric > best_metric):
                 best_metric = metric
                 best_entry = (p, v)
         audit.append((v, seq, metric))
+    # budgets past the fixed point repeat the last swept entry
+    audit += [(v, seq, metric) for v in range(len(col), len(topology.order))]
     if best_entry is None:
         return None
     p, v = best_entry

@@ -74,7 +74,7 @@ def test_criterion_3_pgfl_quadrature():
     for alpha in (2.5, 3.0, 4.0, 6.0):
         for rs, dist in [(0.5, 3.0), (1.0, 10.0), (2.0, 7.0), (4.0, 1.5), (0.1, 30.0)]:
             sc = Scenario(alpha, 1e-5, 0.1)
-            target = analytics.k1(sc) * 2 ** (2 * rs / alpha) * dist ** 2
+            target = analytics.k1(sc.alpha, sc.lambda_e) * 2 ** (2 * rs / alpha) * dist ** 2
             got = oracles.pgfl_integral(rs, dist, sc)
             rel = abs(got - target) / target
             worst = max(worst, rel)
@@ -84,11 +84,12 @@ def test_criterion_3_pgfl_quadrature():
 
 def test_criterion_4_power_invariance():
     sc = Scenario(4.0, 5e-5, 0.1)
-    rep = montecarlo.power_invariance_check(1.0, 10.0, sc, (60.0, 80.0, 100.0),
-                                            80000, seed=44)
-    report(4, rep["consistent"],
+    powers = (60.0, 80.0, 100.0)
+    violations = montecarlo.power_invariance_check(1.0, 10.0, sc, powers, 80000, seed=44)
+    _, estimates = montecarlo.hop_sop_estimates(1.0, 10.0, sc, 80000, 44, powers)
+    report(4, not violations,
            f"SOP estimates at 60/80/100 dB indistinguishable: "
-           f"{[f'{e.mean:.5f}' for e in rep['estimates']]}")
+           f"{[f'{e.mean:.5f}' for e in estimates]}")
 
 
 def test_criterion_5_routing_matches_oracle():

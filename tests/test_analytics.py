@@ -29,22 +29,22 @@ def path_sop_product(rs, dists, scenario):
 class TestK1:
     def test_alpha4_exact(self):
         # Gamma(3/2) * Gamma(1/2) = pi/2 exactly
-        assert analytics.k1(scen(alpha=4)) == pytest.approx(
+        assert analytics.k1(4.0, 1e-5) == pytest.approx(
             math.pi ** 2 / 2 * 1e-5, rel=1e-14)
 
     def test_linear_in_density(self):
-        assert analytics.k1(scen(lam=0.0)) == 0.0
-        assert analytics.k1(scen(lam=2e-5)) == pytest.approx(
-            2 * analytics.k1(scen(lam=1e-5)), rel=1e-14)
+        assert analytics.k1(4.0, 0.0) == 0.0
+        assert analytics.k1(4.0, 2e-5) == pytest.approx(
+            2 * analytics.k1(4.0, 1e-5), rel=1e-14)
 
     def test_alpha3(self):
         # frozen from a 40-digit mpmath evaluation of pi*1e-5*G(5/3)*G(1/3)
-        assert analytics.k1(scen(alpha=3)) == pytest.approx(
+        assert analytics.k1(3.0, 1e-5) == pytest.approx(
             7.5976250103520752e-5, rel=1e-12)
 
     def test_alpha_at_most_2_rejected(self):
         with pytest.raises(ValueError):
-            analytics._k1(2.0, 1e-5)
+            analytics.k1(2.0, 1e-5)
 
 
 class TestHopSop:
@@ -125,7 +125,7 @@ class TestOptimalRs:
 
     def test_boundary_infeasible(self):
         sc = scen()
-        cutoff = math.log(1 / 0.9) / analytics.k1(sc)
+        cutoff = math.log(1 / 0.9) / analytics.k1(sc.alpha, sc.lambda_e)
         res = analytics.optimal_rs(straight_path(cutoff), sc)
         assert not res.feasible
         assert res.rs_star == 0.0
@@ -188,6 +188,6 @@ class TestPgflIntegral:
     def test_matches_closed_form(self, alpha):
         for rs, dist in [(0.5, 3.0), (1.0, 10.0), (2.0, 7.0), (4.0, 1.5), (0.1, 30.0)]:
             sc = scen(alpha=alpha)
-            target = analytics.k1(sc) * 2 ** (2 * rs / alpha) * dist ** 2
+            target = analytics.k1(sc.alpha, sc.lambda_e) * 2 ** (2 * rs / alpha) * dist ** 2
             got = oracles.pgfl_integral(rs, dist, sc)
             assert got == pytest.approx(target, rel=1e-6)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,11 @@ class TestCli:
               ("validate", "rs = 2000", "rs = 2000 overflows a float"),
               ("validate", "alpha = 400", "alpha = 400 overflows a float"),
           ]),
+        # a window whose area is not a finite float
+        pytest.param("sop-curve", "window = inf\nlambdas = 0, 1e-5", "sim_window",
+                     id="sop-curve-window = inf"),
+        pytest.param("validate", "window = 1e300\nlambda_e = 0", "sim_window",
+                     id="validate-window = 1e300"),
     ])
     def test_non_finite_scenario_exit_code(self, tmp_path, capsys, command, line, named):
         f = tmp_path / "exp.cfg"
@@ -315,6 +321,21 @@ class TestCli:
         for r in rows[:2]:
             analytic, mc, se, b = (float(x) for x in r[3:7])
             assert b > se and mc - 3 * se <= analytic <= mc + 3 * se + b
+
+    def test_validate_vanishing_hop_is_silent(self, tmp_path, capsys):
+        # d^alpha underflows to 0 at dist = 1e-200: the on-off filter sees an
+        # infinite SNR, so every trial survives and none falls short
+        f = tmp_path / "v.cfg"
+        f.write_text("dist = 1e-200\ntrials = 2000\n")
+        out = tmp_path / "v.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["validate", "--config", str(f), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [(r[4], r[7], r[8]) for r in rows] == [("0", "2000", "1")] * 5
 
     def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
         # at -200 dB no trial passes the on-off threshold of rs = 30

@@ -15,6 +15,7 @@ from secroute.montecarlo import (
     hop_sop_estimates,
     power_invariance_check,
 )
+from secroute.cli import main
 from secroute.experiments import FIG_PATHS, six_node_topology
 
 
@@ -101,6 +102,42 @@ class TestBlockDrawsInPlace:
         want = block_draws_reference(block_rng(4, 0, 1), sc, radius, n)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestBlockPoints:
+    """A block holds at most BLOCK_POINTS expected points on each hop. The
+    draws are stubbed, so no case allocates a point."""
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        calls = []
+
+        def draws(rng, scenario, radius, n):
+            calls.append((n, radius))
+            return np.zeros(n), np.zeros(n)
+
+        monkeypatch.setattr(montecarlo, "_block_draws", draws)
+        return calls
+
+    def test_dense_field_splits_blocks(self, monkeypatch):
+        # lambda = 1e-2 puts the disk at the R = 1000 cap: 31 416 expected
+        # points per trial, 5.1e8 in a block of BLOCK trials
+        calls = self.record_draws(monkeypatch)
+        sc = scen(lam=1e-2)
+        hop_sop_estimates(1.0, 10.0, sc, 100000, 1, [])
+        assert sum(n for n, _ in calls) == 100000
+        for n, radius in calls:
+            assert radius == 1000.0
+            assert n * sc.lambda_e * math.pi * radius ** 2 <= montecarlo.BLOCK_POINTS
+
+    def test_one_trial_over_the_cap_exits_2(self, monkeypatch, tmp_path, capsys):
+        # 3.1e7 expected points on one trial's disk: no block size fits
+        calls = self.record_draws(monkeypatch)
+        f = tmp_path / "v.cfg"
+        f.write_text("lambda_e = 10\ntrials = 100\n")
+        assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert not calls and "lambda_e = 10" in err and "window" in err
 
 
 class TestDiskSizing:
@@ -426,15 +463,14 @@ class TestWindowSufficiency:
 
 class TestPowerInvariance:
     def test_three_powers_agree(self):
-        report = power_invariance_check(1.0, 10.0, scen(lam=5e-5),
-                                        (60.0, 80.0, 100.0), 60000, seed=31)
-        assert report["consistent"], report["violations"]
+        violations = power_invariance_check(1.0, 10.0, scen(lam=5e-5),
+                                            (60.0, 80.0, 100.0), 60000, seed=31)
+        assert not violations, violations
 
     def test_single_power_trivially_passes(self):
-        report = power_invariance_check(1.0, 10.0, scen(), (80.0,), 2000, seed=1)
-        assert report["consistent"]
+        violations = power_invariance_check(1.0, 10.0, scen(), (80.0,), 2000, seed=1)
+        assert not violations
 
     def test_zero_density_all_zero(self):
-        report = power_invariance_check(1.0, 10.0, scen(lam=0.0),
-                                        (60.0, 80.0), 2000, seed=1)
-        assert all(e.mean == 0.0 for e in report["estimates"])
+        _, estimates = hop_sop_estimates(1.0, 10.0, scen(lam=0.0), 2000, 1, (60.0, 80.0))
+        assert all(e.mean == 0.0 for e in estimates)

@@ -12,6 +12,11 @@ estimate changed at a fixed seed, and both CSVs gained the `bias_bound`
 column. The `sop-curve` stdout and the other three cases draw no point
 and kept their digests.
 
+Added later, recorded before the router read its candidates from the hop
+table: `route` on a node/edge CSV pair whose sweep stops before its last
+budget, `validate` at alpha = 2.5 where two rows read `weak` (exit 1),
+and `rate-vs-epsilon`.
+
 Each run works in its own directory with a relative `--out`, so the
 `# out = ...` header line of the CSV does not depend on where tests run.
 """
@@ -22,27 +27,83 @@ import pytest
 
 from secroute.cli import main
 
+# a ring of relays 0..11 with chords, and three nodes 12..14 on no edge; from
+# 0 to 7 the hop-budget sweep stops at v = 7 of the 14 budgets printed
+NODES_CSV = """id,x,y
+# relays
+0,0,0
+1,8,3
+2,15,9
+3,21,2
+4,30,5
+5,36,12
+6,44,7
+7,50,0
+8,26,-14
+9,12,-11
+10,40,-9
+11,6,18
+12,60,60
+13,-30,40
+14,70,-20
+"""
+EDGES_CSV = """from,to
+0,7
+0,1
+1,2
+2,3
+3,4
+4,5
+5,6
+6,7
+0,9
+9,8
+8,10
+10,7
+3,8
+1,11
+11,5
+2,4
+"""
+
+# name: (argv, files written into the run directory, exit code,
+#        CSV digest or None when no CSV is written, stdout digest)
 CASES = {
     "sop-curve": (
-        ["sop-curve", "--trials", "3000"], "",
+        ["sop-curve", "--trials", "3000"], {}, 0,
         "5009f2a345268677cd4f551a0a940faa33e15b0db4265c8c993712832c6edde2",
         "7b395cc54f88359cbbcb470036ac15868ce985176bc8569492b1314bff55a860"),
     "validate": (
-        ["validate", "--trials", "5000"], "",
+        ["validate", "--trials", "5000"], {}, 0,
         "80912a1971ae8bca8f19539033bf7909f82b46e60726961fd556ebaae0ef0255",
         "97ea6f85cde996c95b02634f84e68102699fe2b38c59ad62c8f940741d34d535"),
     "table-one": (
-        ["table-one"], "n_legit = 10, 20\nreps = 5\n",
+        ["table-one", "--config", "run.cfg"], {"run.cfg": "n_legit = 10, 20\nreps = 5\n"}, 0,
         "3fde641885dac06d34a3dffef16f0d38e96ad6126bef79926859cb21cef04177",
         "9a1a7511b7f5511a4798f2e43dd42dafa9f31d30410eb86843df8a3d9f3bbdaf"),
     "route": (
-        ["route", "--source", "1", "--dest", "5"], "",
+        ["route", "--source", "1", "--dest", "5"], {}, 0,
         None,  # route prints its report and writes no CSV
         "1bbda6ea931f8e9eee7702b9c50fcb2b10988f75548004942cae21458ab62325"),
     "rate-vs-lambda": (
-        ["rate-vs-lambda"], "",
+        ["rate-vs-lambda"], {}, 0,
         "69227154f6b9e25bafa5810cbd07bd21117eb18b14023c19b9eaa82f3fd0187e",
         "7b395cc54f88359cbbcb470036ac15868ce985176bc8569492b1314bff55a860"),
+    "route-edges": (
+        ["route", "--topology", "nodes.csv", "--edges", "edges.csv",
+         "--source", "0", "--dest", "7"],
+        {"nodes.csv": NODES_CSV, "edges.csv": EDGES_CSV}, 0,
+        None,
+        "73f9a2d0c32b46162f4b8f2f833582294f5dad655d3635ee3a92352e07a61849"),
+    "validate-weak": (
+        ["validate", "--trials", "5000", "--config", "run.cfg"],
+        {"run.cfg": "alpha = 2.5\nlambda_e = 1e-4\n"}, 1,
+        "4bf02c40bb362be6a06091a457c803acc774c21adbb54e965efb9f2fcac52bf3",
+        "e90dd569a04e6854ab56d9050468164a0fdedc24dafbca41d3b247e0dcd106f2"),
+    "rate-vs-epsilon": (
+        ["rate-vs-epsilon"], {}, 0,
+        "5592b053199f796d3cfc87073f84a310ee6bb74cbdf822c1591244df7837ec41",
+        "c0234888ef23369c0dd44648530e8f473dc1e211c187de423632a3d15fd67b99"),
 }
 
 
@@ -52,12 +113,11 @@ def _sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_digests(name, tmp_path, monkeypatch, capsys):
-    argv, config, csv_sha, stdout_sha = CASES[name]
+    argv, files, code, csv_sha, stdout_sha = CASES[name]
     monkeypatch.chdir(tmp_path)
-    if config:
-        (tmp_path / "run.cfg").write_text(config)
-        argv = argv + ["--config", "run.cfg"]
-    assert main(argv + ["--out", "out.csv"]) == 0
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    assert main(argv + ["--out", "out.csv"]) == code
     assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
     out = tmp_path / "out.csv"
     if csv_sha is None:
