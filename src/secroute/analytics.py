@@ -64,19 +64,28 @@ def _sop(rs: float, weight: float, scenario: Scenario) -> float:
 
 def density_bound(path: Path, scenario: Scenario) -> float:
     """Largest eavesdropper density under which the path supports rs > 0."""
-    denom = k1(scenario.alpha, 1.0) * path.sum_sq_dist
-    return math.log(1.0 / (1.0 - scenario.epsilon)) / denom
+    return weight_density_bound(path.sum_sq_dist, scenario)
+
+
+def weight_density_bound(weight: float, scenario: Scenario) -> float:
+    """density_bound of any path whose squared hop lengths sum to `weight`."""
+    return math.log(1.0 / (1.0 - scenario.epsilon)) / (k1(scenario.alpha, 1.0) * weight)
 
 
 def optimal_rs(path: Path, scenario: Scenario) -> SecrecyResult:
-    """Confidential rate saturating the outage constraint, and its secrecy rate.
+    """Confidential rate saturating the outage constraint, and its secrecy rate."""
+    return secrecy_rate(path.sum_sq_dist, path.hop_count, scenario)
+
+
+def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
+    """optimal_rs of any path with `hops` hops whose squared lengths sum to `weight`.
 
     The outage probability is increasing in rs, so the optimum sits exactly
-    at the constraint. Feasibility is decided through density_bound so the
-    two operations can never disagree: the path is feasible iff lambda_e
-    lies strictly below the bound.
+    at the constraint. Feasibility is decided through the density bound so
+    the two operations can never disagree: the path is feasible iff
+    lambda_e lies strictly below the bound.
     """
-    bound = density_bound(path, scenario)
+    bound = weight_density_bound(weight, scenario)
     if scenario.lambda_e == 0.0:
         # no eavesdroppers: rate unbounded
         return SecrecyResult(math.inf, math.inf, True)
@@ -84,7 +93,7 @@ def optimal_rs(path: Path, scenario: Scenario) -> SecrecyResult:
     if ratio <= 1.0:
         return SecrecyResult(0.0, 0.0, False)
     rs_star = (scenario.alpha / 2.0) * math.log2(ratio)
-    return SecrecyResult(rs_star, rs_star / path.hop_count, True)
+    return SecrecyResult(rs_star, rs_star / hops, True)
 
 
 def path_metric(path: Path, scenario: Scenario):

@@ -12,7 +12,10 @@ an estimate because no trial survives the on-off threshold, a `lambda_e`
 that expects more than 2^23 eavesdroppers on one hop's disk in a single
 trial, and parameters whose arithmetic overflows a float, such as a huge
 power, rate or path-loss exponent; the message names the parameter),
-3 I/O.
+3 I/O. When `route` finds no route it exits 1 and says why: `unreachable:
+no path from S to D` when no path joins them, `infeasible: no path
+satisfies the outage constraint at this eavesdropper density` when some
+path does but none meets the outage constraint.
 
 `sop-curve` and `validate` write each estimate's `bias_bound`, the most by
 which the truncated eavesdropper field can bias it low. A `validate` mode

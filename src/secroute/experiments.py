@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import analytics, montecarlo, routing
-from .netmodel import Node, Scenario, Topology, build_topology, load_edges_csv, load_nodes_csv
+from .netmodel import (Node, Scenario, Topology, build_topology, load_edges_csv,
+                       load_nodes_csv, mesh_weights)
 
 
 class ConfigError(ValueError):
@@ -27,6 +30,7 @@ DEFAULT_N_LEGIT = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 DEFAULT_POWERS = (60.0, 80.0, 100.0)
 
 PLACEMENT_BOX = 50.0  # legitimate nodes live on a 50x50 central square
+SWEEP_CELLS = 1 << 18  # weight-matrix cells table-one sweeps as one stack
 
 
 @dataclass
@@ -178,27 +182,39 @@ def run_rate_sweeps(cfg: ExperimentConfig, param: str):
     return header, rows
 
 
-def random_placement(n_legit: int, rng) -> Topology:
-    """n_legit relays i.i.d. uniform on the central square, plus a source at
-    its lower-left corner (id 0) and a destination at its upper-right corner
-    (id n_legit + 1)."""
+def placement(n_legit: int, rng) -> np.ndarray:
+    """(n_legit + 2, 2) node coordinates: a source at the central square's
+    lower-left corner (0, 0), n_legit relays i.i.d. uniform on the square,
+    and a destination at its upper-right corner (50, 50)."""
     if n_legit < 1:
         raise ConfigError("n_legit must be >= 1")
+    xy = np.empty((n_legit + 2, 2))
+    xy[0] = 0.0
     # one draw of (x, y) rows yields the same doubles, in the same order,
     # as 2 * n_legit scalar draws alternating x and y
-    xy = rng.uniform(0.0, PLACEMENT_BOX, (n_legit, 2)).tolist()
-    nodes = [Node(0, 0.0, 0.0)]
-    nodes += [Node(i + 1, x, y) for i, (x, y) in enumerate(xy)]
-    nodes.append(Node(n_legit + 1, PLACEMENT_BOX, PLACEMENT_BOX))
-    return build_topology(nodes)
+    xy[1:-1] = rng.uniform(0.0, PLACEMENT_BOX, (n_legit, 2))
+    xy[-1] = PLACEMENT_BOX
+    return xy
+
+
+def random_placement(n_legit: int, rng) -> Topology:
+    """A full mesh on placement(n_legit, rng), node i at row i: the source
+    is id 0 and the destination id n_legit + 1."""
+    return build_topology([Node(i, x, y)
+                           for i, (x, y) in enumerate(placement(n_legit, rng).tolist())])
 
 
 def run_table_one(cfg: ExperimentConfig):
     """Average best secrecy rate over random topologies, per network size.
 
-    Draws where no feasible route exists contribute a secrecy rate of 0
-    to the average; the infeasible fraction is reported per row. A zero
-    eavesdropper density makes the mean and its stderr `unbounded`.
+    Rep `rep` of size index n_idx is placement(n, block_rng(seed, n_idx,
+    rep)) routed from its source to its destination. A size's reps are
+    swept SWEEP_CELLS weight cells at a time, as one stack, by
+    routing.mesh_secrecy_rates, which gives each rep the c_s that
+    routing.solve_secure_route would. Draws where no feasible route exists
+    contribute a secrecy rate of 0 to the average; the infeasible fraction
+    is reported per row. A zero eavesdropper density makes the mean and its
+    stderr `unbounded`.
     """
     scenario = cfg.scenario()
     rows = []
@@ -206,15 +222,15 @@ def run_table_one(cfg: ExperimentConfig):
         total = 0.0
         total_sq = 0.0
         n_infeasible = 0
-        for rep in range(cfg.reps):
-            rng = montecarlo.block_rng(cfg.seed, n_idx, rep)
-            topo = random_placement(n, rng)
-            sol = routing.solve_secure_route(topo, 0, n + 1, scenario)
-            c = sol.c_s if sol is not None else 0.0
-            if sol is None:
-                n_infeasible += 1
-            total += c
-            total_sq += c * c
+        chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placement rejects n < 1
+        for start in range(0, cfg.reps, chunk):
+            xy = np.stack([placement(n, montecarlo.block_rng(cfg.seed, n_idx, rep))
+                           for rep in range(start, min(start + chunk, cfg.reps))])
+            rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
+            n_infeasible += int((~feasible).sum())
+            for c in rates.tolist():  # in rep order, as the per-rep sums ran
+                total += c
+                total_sq += c * c
         mean = total / cfg.reps
         var = max(total_sq / cfg.reps - mean * mean, 0.0)
         stderr = math.sqrt(var / cfg.reps)
@@ -242,8 +258,13 @@ def run_route(cfg: ExperimentConfig):
              f"alpha={_fmt(cfg.alpha)} lambda_e={_fmt(cfg.lambda_e)} "
              f"epsilon={_fmt(cfg.epsilon)}"]
     if sol is None:
-        lines.append("infeasible: no path satisfies the outage constraint "
-                     "at this eavesdropper density")
+        # a second sweep, only here, tells no path from no feasible one
+        table = routing.bellman_ford_hop_constrained(topo, cfg.source, cfg.dest)
+        if table.path_to(cfg.dest, len(topo.order)) is None:
+            lines.append(f"unreachable: no path from {cfg.source} to {cfg.dest}")
+        else:
+            lines.append("infeasible: no path satisfies the outage constraint "
+                         "at this eavesdropper density")
     else:
         lines.append("path: " + " -> ".join(str(n) for n in sol.path.nodes))
         lines.append(f"hops: {sol.path.hop_count}")

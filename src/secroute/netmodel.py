@@ -113,15 +113,11 @@ class Topology:
         self.nodes = {n.id: n for n in nodes}
         self.order = sorted(self.nodes)
         self.index = {nid: i for i, nid in enumerate(self.order)}
-        x = np.array([self.nodes[i].x for i in self.order], dtype=float)
-        y = np.array([self.nodes[i].y for i in self.order], dtype=float)
-        # hypot(...) ** 2, not dx*dx + dy*dy: the two differ in the last bits
-        # and the CSV outputs are pinned to the former
-        d2 = np.hypot(x[:, None] - x, y[:, None] - y) ** 2
+        xy = np.array([(self.nodes[i].x, self.nodes[i].y) for i in self.order], dtype=float)
         if edges is None:
-            w = d2
-            np.fill_diagonal(w, np.inf)
+            w = mesh_weights(xy, self.order)
         else:
+            d2 = _squared_distances(xy)
             w = np.full_like(d2, np.inf)
             for u, v in edges:
                 if u not in self.nodes or v not in self.nodes:
@@ -130,10 +126,7 @@ class Topology:
                     raise NetModelError(f"self-loop on node {u}")
                 i, j = self.index[u], self.index[v]
                 w[i, j] = w[j, i] = d2[i, j]
-        colocated = np.argwhere(w == 0.0)
-        if len(colocated):
-            i, j = colocated[0]
-            raise NetModelError(f"nodes {self.order[i]} and {self.order[j]} are co-located")
+            _reject_colocated(w, self.order)
         w.flags.writeable = False
         self._w = w
 
@@ -166,6 +159,42 @@ class Topology:
 
 # full mesh over the given nodes, or restricted to an explicit edge list
 build_topology = Topology
+
+
+def _squared_distances(xy: np.ndarray) -> np.ndarray:
+    """(..., N, N) squared distances between the N points of each (N, 2)
+    placement in xy.
+
+    hypot(...) ** 2, not dx*dx + dy*dy: the two differ in the last bits and
+    the CSV outputs are pinned to the former. The result is exactly
+    symmetric: x_j - x_i is -(x_i - x_j) in floating point, and hypot
+    ignores signs.
+    """
+    x, y = xy[..., 0], xy[..., 1]
+    d = x[..., :, None] - x[..., None, :]
+    np.hypot(d, y[..., :, None] - y[..., None, :], out=d)
+    d **= 2
+    return d
+
+
+def mesh_weights(xy: np.ndarray, order=None) -> np.ndarray:
+    """Full-mesh weight matrices of one placement or a stack of them:
+    squared distances with inf on the diagonal.
+
+    Raises NetModelError naming the first co-located pair, by its ids in
+    `order` (by default, their positions).
+    """
+    w = _squared_distances(xy)
+    n = xy.shape[-2]
+    w[..., range(n), range(n)] = np.inf
+    _reject_colocated(w, range(n) if order is None else order)
+    return w
+
+
+def _reject_colocated(w: np.ndarray, order) -> None:
+    if (w == 0.0).any():
+        *_, i, j = np.argwhere(w == 0.0)[0]
+        raise NetModelError(f"nodes {order[i]} and {order[j]} are co-located")
 
 
 def _csv_rows(fname, ncols: int, kind: str):

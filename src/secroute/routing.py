@@ -8,6 +8,12 @@ improves, since every later budget would repeat the last row; the outer
 maximization scores a budget's path only where the destination's entry
 improves, since elsewhere it is the previous budget's path.
 
+Both sweeps here, one topology's (`bellman_ford_hop_constrained`) and a
+stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
+`relax`. It reads row i of the weight matrix to relax node i, where the
+textbook step reads column i; that is valid because every weight matrix
+is exactly symmetric, as `Topology` and `netmodel.mesh_weights` build it.
+
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
 earlier level), then the smallest predecessor id at each relaxation.
@@ -15,12 +21,13 @@ earlier level), then the smallest predecessor id at each relaxation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netmodel import Path, Topology
-from .analytics import optimal_rs, path_metric
+from .analytics import optimal_rs, path_metric, secrecy_rate, weight_density_bound
 
 
 class RoutingError(ValueError):
@@ -78,6 +85,19 @@ class RoutingSolution:
     per_v_candidates: list
 
 
+def relax(w: np.ndarray, best: np.ndarray):
+    """One hop-budget step: each node's best weight over one more hop.
+
+    cand[..., i, u] = w[..., i, u] + best[..., u] is node i's weight via
+    predecessor u, for a symmetric w (or a stack of them) and the previous
+    budget's weights `best`. Returns the minimum over u and the first u
+    reaching it, so ties go to the smallest predecessor position.
+    """
+    cand = w + best[..., None, :]
+    cp = cand.argmin(axis=-1)
+    return np.take_along_axis(cand, cp[..., None], axis=-1)[..., 0], cp
+
+
 def bellman_ford_hop_constrained(topology: Topology, source: int,
                                  dest: int) -> HopConstrainedTable:
     """Fill the hop-budget table for every node, up to its fixed point.
@@ -94,16 +114,13 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
     n = len(topology.order)
     w = topology.weight_matrix()
     src = topology.index[source]
-    cols = np.arange(n)
 
     b = np.full(n, np.inf)
     b[src] = 0.0
     best = [b]
     pred = [np.full(n, -1, dtype=np.int64)]
     for _ in range(n - 1):
-        cand = best[-1][:, None] + w             # cand[u, i]: via predecessor u
-        cp = cand.argmin(axis=0)                 # smallest index on ties
-        cw = cand[cp, cols]
+        cw, cp = relax(w, best[-1])
         improve = cw < best[-1]                  # strict: ties keep fewer hops
         if not improve.any():
             break
@@ -112,6 +129,72 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
 
     return HopConstrainedTable(topology.order, topology.index,
                                np.array(best), np.array(pred))
+
+
+# log2 slack added to the rate bound's argument, far above its rounding error
+_BOUND_MARGIN = 1e-9
+
+
+def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
+    """(R, n) upper bounds on the secrecy rate of paths first found late.
+
+    Entry [r, v] bounds the rate of every path that first appears at a
+    budget v' > v in mesh r of n nodes, whose source and destination lie
+    d2[r] apart squared. Such a path has exactly v' hops, so its weight W
+    is at least d2 / v' (Cauchy-Schwarz, then the triangle inequality), and
+    its rate at most U(v') = (alpha / 2v') log2(B1 v' / (lambda_e d2)), with
+    B1 = ln(1/(1-epsilon)) / K1(alpha, 1). The argument is taken in logs and
+    raised by a relative margin, so rounding cannot put U below a rate
+    computed by secrecy_rate. Column n-1 is -inf: no budget follows it.
+    """
+    v = np.arange(1, n)
+    if scenario.lambda_e == 0.0:
+        u = np.full((len(d2), n - 1), np.inf)
+    else:
+        log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
+        log_arg = log_b + _BOUND_MARGIN - np.log2(d2)[:, None] + np.log2(v)
+        u = (scenario.alpha / 2.0) * log_arg / v
+    later = np.full((len(d2), n), -np.inf)
+    later[:, :-1] = np.maximum.accumulate(u[:, ::-1], axis=1)[:, ::-1]
+    return later
+
+
+def mesh_secrecy_rates(w: np.ndarray, scenario):
+    """Best secrecy rate from the first node to the last of each mesh in a stack.
+
+    w is an (R, N, N) stack of full-mesh weight matrices. Returns rates and
+    feasible, (R,) arrays: where solve_secure_route on mesh r would return
+    None, feasible[r] is False and rates[r] 0; elsewhere rates[r] equals
+    its c_s. Only the destination's column is read: where its weight
+    strictly drops at budget v, its path has exactly v hops (see
+    HopConstrainedTable) and scores secrecy_rate(weight, v); the first
+    maximum wins. A mesh leaves the stack at its fixed point, or once no
+    later budget's bound (later_rate_bounds) exceeds its best rate, 0
+    while it has none: no later path could then win.
+    """
+    r, n, _ = w.shape
+    later = later_rate_bounds(w[:, 0, -1], n, scenario)
+    rates = np.zeros(r)
+    feasible = np.zeros(r, dtype=bool)
+    live = np.arange(r)
+    best = np.full((r, n), np.inf)
+    best[:, 0] = 0.0
+    keep = later[:, 0] > 0.0
+    for v in range(1, n):
+        if not keep.all():
+            live, w, best = live[keep], w[keep], best[keep]
+            if not len(live):
+                break
+        cw, _ = relax(w, best)
+        improve = cw < best
+        for k in np.flatnonzero(improve[:, -1]).tolist():
+            res = secrecy_rate(float(cw[k, -1]), v, scenario)
+            i = live[k]
+            if res.feasible and (not feasible[i] or res.c_s > rates[i]):
+                rates[i], feasible[i] = res.c_s, True
+        best = np.where(improve, cw, best)
+        keep = improve.any(axis=1) & (later[live, v] > rates[live])
+    return rates, feasible
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):

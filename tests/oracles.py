@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 A brute-force simple-path enumerator, the test oracle for the hop-budget
-decomposition in `secroute.routing`, and a scipy quadrature of the plane
-integral behind the closed-form outage exponent in `secroute.analytics`.
+decomposition in `secroute.routing`, a scipy quadrature of the plane
+integral behind the closed-form outage exponent in `secroute.analytics`,
+and the per-topology loop that `secroute.experiments.run_table_one`
+replaced with one stacked sweep.
 scipy is a test-only dependency; the package itself never imports it.
 """
 
@@ -14,9 +16,11 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from secroute import montecarlo
 from secroute.analytics import path_metric
+from secroute.experiments import random_placement
 from secroute.netmodel import Scenario, Topology
-from secroute.routing import RoutingError
+from secroute.routing import RoutingError, solve_secure_route
 
 ORACLE_NODE_LIMIT = 9
 
@@ -103,3 +107,30 @@ def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
         val, _ = quad(integrand, 0.0, 1.0, points=[u_knee], epsabs=0.0,
                       epsrel=1e-10, limit=500)
     return scenario.lambda_e * math.pi * val
+
+
+def table_one_reference(cfg):
+    """run_table_one, one topology at a time: each rep builds its Topology
+    with random_placement and routes it with solve_secure_route."""
+    scenario = cfg.scenario()
+    rows = []
+    for n_idx, n in enumerate(cfg.n_legit):
+        total = 0.0
+        total_sq = 0.0
+        n_infeasible = 0
+        for rep in range(cfg.reps):
+            rng = montecarlo.block_rng(cfg.seed, n_idx, rep)
+            topo = random_placement(n, rng)
+            sol = solve_secure_route(topo, 0, n + 1, scenario)
+            c = sol.c_s if sol is not None else 0.0
+            if sol is None:
+                n_infeasible += 1
+            total += c
+            total_sq += c * c
+        mean = total / cfg.reps
+        var = max(total_sq / cfg.reps - mean * mean, 0.0)
+        stderr = math.sqrt(var / cfg.reps)
+        if mean == math.inf:
+            mean = stderr = "unbounded"
+        rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
+    return rows

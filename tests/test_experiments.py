@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secroute import analytics, montecarlo
+from secroute import analytics, experiments, montecarlo
 from secroute.cli import main
 from secroute.experiments import (
     ConfigError,
@@ -26,6 +26,8 @@ from secroute.experiments import (
     write_csv,
 )
 from secroute.montecarlo import block_rng
+
+import oracles
 
 
 class TestConfig:
@@ -146,6 +148,34 @@ class TestTableOne:
         assert mb > ma - 2 * math.hypot(sa, sb)
 
 
+TABLE_ONE_GRID = [(alpha, lam, eps) for alpha in (2.5, 3.0, 4.0, 6.0)
+                  for lam in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1.0)
+                  for eps in (0.02, 0.1, 0.5)]
+
+
+class TestStackedTableOne:
+    @pytest.mark.parametrize("alpha, lam, eps", TABLE_ONE_GRID)
+    def test_rows_match_per_rep_reference(self, monkeypatch, alpha, lam, eps):
+        # 4000 cells: 444, 250, 49, 3 and 1 reps per chunk at n_legit = 1, 2,
+        # 7, 30 and 60, so 13 reps end in a partial chunk at each of the first four
+        monkeypatch.setattr(experiments, "SWEEP_CELLS", 4000)
+        cfg = ExperimentConfig(n_legit=(1, 2, 7, 30, 60), reps=13, seed=11,
+                               alpha=alpha, lambda_e=lam, epsilon=eps)
+        assert run_table_one(cfg)[1] == oracles.table_one_reference(cfg)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 5e-5])
+    def test_one_rep_per_chunk(self, monkeypatch, lam):
+        cfg = ExperimentConfig(n_legit=(1, 2, 10, 50, 100), reps=25, seed=4, lambda_e=lam)
+        stacked = run_table_one(cfg)
+        monkeypatch.setattr(experiments, "SWEEP_CELLS", 1)
+        assert run_table_one(cfg) == stacked
+
+    def test_bad_n_legit(self):
+        for n in (0, -2, -5):
+            with pytest.raises(ConfigError, match="n_legit"):
+                run_table_one(ExperimentConfig(n_legit=(10, n), reps=3))
+
+
 class TestRandomPlacement:
     def test_corners_and_relays(self):
         rng = block_rng(1, 0, 0)
@@ -196,6 +226,7 @@ class TestCli:
         f.write_text("lambda_e = 1.0\n")
         rc = main(["route", "--config", str(f), "--source", "1", "--dest", "5"])
         assert rc == 1
+        assert "infeasible: no path satisfies" in capsys.readouterr().out
 
     def test_route_unreachable_exit_code(self, tmp_path, capsys):
         nodes = tmp_path / "nodes.csv"
@@ -205,6 +236,16 @@ class TestCli:
         rc = main(["route", "--topology", str(nodes), "--edges", str(edges),
                    "--source", "0", "--dest", "2"])
         assert rc == 1
+        assert "unreachable: no path from 0 to 2" in capsys.readouterr().out
+        # two components: 0-1 and 2-3
+        nodes.write_text("0,0,0\n1,1,0\n2,2,0\n3,3,0\n")
+        edges.write_text("0,1\n2,3\n")
+        rc = main(["route", "--topology", str(nodes), "--edges", str(edges),
+                   "--source", "0", "--dest", "3"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.splitlines()[1] == "unreachable: no path from 0 to 3"
+        assert "infeasible" not in out
 
     @pytest.mark.parametrize("source, dest", [(1, 99), (1, 1)])
     def test_route_bad_endpoints_exit_code(self, capsys, source, dest):

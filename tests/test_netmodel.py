@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secroute import NetModelError, Node, Scenario, build_topology
-from secroute.netmodel import load_edges_csv, load_nodes_csv
+from secroute.netmodel import load_edges_csv, load_nodes_csv, mesh_weights
 from secroute.experiments import six_node_topology
 
 
@@ -115,6 +115,32 @@ def test_weights_symmetric():
         for v in topo.order:
             if u != v:
                 assert topo.path((u, v)).sum_sq_dist == topo.path((v, u)).sum_sq_dist
+
+
+@pytest.mark.parametrize("n, p_edge", [(3, None), (40, None), (602, None), (40, 0.2), (602, 0.05)])
+def test_weight_matrix_exactly_symmetric(n, p_edge):
+    # the routing sweep reads row i of the matrix in place of column i
+    rng = np.random.default_rng(n)
+    xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    nodes = [Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
+    edges = None
+    if p_edge is not None:
+        iu, ju = np.triu_indices(n, 1)
+        pick = rng.random(len(iu)) < p_edge
+        edges = list(zip(iu[pick].tolist(), ju[pick].tolist()))
+    w = build_topology(nodes, edges).weight_matrix()
+    assert np.array_equal(w, w.T)
+    if edges is None:  # table-one's stacked build gives the same matrix
+        assert np.array_equal(mesh_weights(xy[None])[0], w)
+
+
+def test_mesh_weights_reject_colocated():
+    xy = np.arange(16.0).reshape(2, 4, 2)
+    xy[1, 3] = xy[1, 1]
+    with pytest.raises(NetModelError, match="nodes 1 and 3 are co-located"):
+        mesh_weights(xy)
+    with pytest.raises(NetModelError, match="nodes 11 and 13 are co-located"):
+        mesh_weights(xy[1], [10, 11, 12, 13])
 
 
 def test_path_validation():

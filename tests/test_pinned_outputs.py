@@ -17,6 +17,11 @@ table: `route` on a node/edge CSV pair whose sweep stops before its last
 budget, `validate` at alpha = 2.5 where two rows read `weak` (exit 1),
 and `rate-vs-epsilon`.
 
+Added later, recorded before `table-one` swept its topologies as one
+stack: `table-one` at lambda_e = 1e-4, where every rep of every size is
+infeasible, and at lambda_e = 5e-5, where the infeasible fractions are
+1, 1 and 0.4.
+
 Each run works in its own directory with a relative `--out`, so the
 `# out = ...` header line of the CSV does not depend on where tests run.
 """
@@ -103,7 +108,16 @@ CASES = {
     "rate-vs-epsilon": (
         ["rate-vs-epsilon"], {}, 0,
         "5592b053199f796d3cfc87073f84a310ee6bb74cbdf822c1591244df7837ec41",
-        "c0234888ef23369c0dd44648530e8f473dc1e211c187de423632a3d15fd67b99"),
+        "c0234888ef23369c0dd44648530e8f473dc1e211c187de423632a3d15fd67b99"),    "table-one-infeasible": (
+        ["table-one", "--config", "run.cfg"],
+        {"run.cfg": "n_legit = 1, 50, 100\nreps = 40\nlambda_e = 1e-4\n"}, 0,
+        "29ce3d52bd9562d74245bf90b4f9a4a6f7ea6d5cd1615d483f46af33347df8d6",
+        "7e0e6191f30ab9bb1c15f0397479db14dcc50cf266776dd0696eb7287012b307"),
+    "table-one-mixed": (
+        ["table-one", "--config", "run.cfg"],
+        {"run.cfg": "n_legit = 1, 50, 100\nreps = 40\nlambda_e = 5e-5\n"}, 0,
+        "7fb547a3aca8e5ac066de1aef6f51b2548509587fc48cab12da92e7bf42450fa",
+        "7e0e6191f30ab9bb1c15f0397479db14dcc50cf266776dd0696eb7287012b307"),
 }
 
 

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from secroute import Node, Scenario, build_topology
-from secroute import analytics, routing
-from secroute.experiments import six_node_topology
+from secroute import analytics, montecarlo, routing
+from secroute.experiments import placement, six_node_topology
+from secroute.netmodel import mesh_weights
 
 import oracles
 
@@ -324,3 +326,67 @@ class TestSolveSecureRoute:
         c1 = s1.c_s if s1 else 0.0
         c2 = s2.c_s if s2 else 0.0
         assert c2 >= c1
+
+
+def stacked_case(seed):
+    """(xy, scenario): a stack of random full-mesh placements, the last one
+    collinear with equal gaps, where the N-1 hop path weighs D^2/(N-1)."""
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(3, 40))
+    box = float(rng.uniform(1.0, 200.0))
+    xy = rng.uniform(0.0, box, (5, n, 2))
+    xy[-1] = np.linspace(0.0, box, n)[:, None]
+    # a density that leaves the straight path's best rate just above 0
+    d2 = 2.0 * box * box
+    sc0 = Scenario(float(rng.uniform(2.1, 6.0)), 1.0, float(rng.uniform(0.01, 0.9)))
+    lam = analytics.weight_density_bound(d2 / (n - 1), sc0) * float(rng.uniform(0.5, 1.0))
+    return xy, Scenario(sc0.alpha, lam, sc0.epsilon)
+
+
+class TestMeshSecrecyRates:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bound_covers_every_scored_candidate(self, seed):
+        xy, sc = stacked_case(seed)
+        r, n, _ = xy.shape
+        w = mesh_weights(xy)
+        later = routing.later_rate_bounds(w[:, 0, -1], n, sc)
+        scored = 0
+        for k in range(r):
+            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy[k].tolist())])
+            col = routing.bellman_ford_hop_constrained(topo, 0, n - 1).best[:, -1]
+            for v in range(1, len(col)):
+                if col[v] < col[v - 1]:
+                    res = analytics.secrecy_rate(float(col[v]), v, sc)
+                    # later[k, v - 1] bounds every budget from v on
+                    assert not res.feasible or res.c_s <= later[k, v - 1]
+                    scored += res.feasible
+        assert scored
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.0])
+    def test_rates_match_solve_secure_route(self, seed, lam):
+        xy, sc = stacked_case(seed)
+        if lam is not None:
+            sc = Scenario(sc.alpha, lam, sc.epsilon)
+        n = xy.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing warns, at lambda_e = 0 either
+            rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), sc)
+        for k, pts in enumerate(xy.tolist()):
+            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+            sol = routing.solve_secure_route(topo, 0, n - 1, sc)
+            assert feasible[k] == (sol is not None)
+            assert rates[k] == (sol.c_s if sol is not None else 0.0)
+
+    def test_stop_ends_before_fixed_point(self, monkeypatch):
+        xy = placement(100, montecarlo.block_rng(3, 0, 0))
+        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        v_fix = len(routing.bellman_ford_hop_constrained(topo, 0, 101).best) - 1
+        c_s = routing.solve_secure_route(topo, 0, 101, scen()).c_s
+        steps = []
+        relax = routing.relax
+        monkeypatch.setattr(routing, "relax",
+                            lambda w, best: steps.append(len(w)) or relax(w, best))
+        rates, _ = routing.mesh_secrecy_rates(mesh_weights(xy[None]), scen())
+        assert rates[0] == c_s
+        assert len(steps) < v_fix // 2
