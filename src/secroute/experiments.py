@@ -276,6 +276,9 @@ def run_route(cfg: ExperimentConfig):
             pid = "-".join(str(n) for n in seq) if seq else "unreachable"
             m = _fmt_rate(metric) if metric is not None else "infeasible"
             lines.append(f"  v={v} path={pid} metric={m}")
+        k = len(sol.per_v_candidates)
+        if k < len(topo.order) - 1:  # the rate bound ended the sweep at budget k
+            lines.append(f"  v>={k + 1}: pruned, no later budget's rate bound exceeds c_s")
     return sol, lines
 
 

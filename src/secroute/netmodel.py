@@ -161,6 +161,9 @@ class Topology:
 build_topology = Topology
 
 
+_TRI_ROWS = 16  # rows of the upper triangle per hypot call
+
+
 def _squared_distances(xy: np.ndarray) -> np.ndarray:
     """(..., N, N) squared distances between the N points of each (N, 2)
     placement in xy.
@@ -168,12 +171,19 @@ def _squared_distances(xy: np.ndarray) -> np.ndarray:
     hypot(...) ** 2, not dx*dx + dy*dy: the two differ in the last bits and
     the CSV outputs are pinned to the former. The result is exactly
     symmetric: x_j - x_i is -(x_i - x_j) in floating point, and hypot
-    ignores signs.
+    ignores signs. So hypot runs on the upper triangle only, _TRI_ROWS
+    rows at a time, and each block is mirrored into the lower triangle.
     """
     x, y = xy[..., 0], xy[..., 1]
-    d = x[..., :, None] - x[..., None, :]
-    np.hypot(d, y[..., :, None] - y[..., None, :], out=d)
-    d **= 2
+    n = xy.shape[-2]
+    d = np.empty(xy.shape[:-1] + (n,))
+    for i in range(0, n, _TRI_ROWS):
+        j = min(i + _TRI_ROWS, n)
+        blk = d[..., i:j, i:]
+        np.subtract(x[..., i:j, None], x[..., None, i:], out=blk)
+        np.hypot(blk, y[..., i:j, None] - y[..., None, i:], out=blk)
+        blk **= 2
+        d[..., j:, i:j] = np.swapaxes(blk[..., j - i:], -1, -2)
     return d
 
 

@@ -6,7 +6,9 @@ sweep, followed by an outer maximization of the per-path secrecy rate over
 v. The sweep stops at its fixed point, the first budget at which no entry
 improves, since every later budget would repeat the last row; the outer
 maximization scores a budget's path only where the destination's entry
-improves, since elsewhere it is the previous budget's path.
+improves, since elsewhere it is the previous budget's path. A route's
+sweep also stops once no later budget's rate bound (`later_rate_bounds`)
+exceeds the best rate found, since no later path could then win.
 
 Both sweeps here, one topology's (`bellman_ford_hop_constrained`) and a
 stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
@@ -27,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import Path, Topology
-from .analytics import optimal_rs, path_metric, secrecy_rate, weight_density_bound
+from .analytics import optimal_rs, secrecy_rate, weight_density_bound
+# the benchmark's tracer (perfbench/spans.py) times path_metric under this name
+from .analytics import path_metric  # noqa: F401
 
 
 class RoutingError(ValueError):
@@ -42,7 +46,9 @@ class HopConstrainedTable:
     source to node order[i] using at most v hops (inf if unreachable), and
     pred[v][i] the realizing predecessor's position. index maps a node id
     to its position in order. Rows are stored up to the sweep's fixed
-    point only; any larger budget reads the last row.
+    point only; any larger budget reads the last row. A sweep that its
+    `stop` predicate ended holds only the budgets it swept, and a larger
+    budget's read from it is not valid.
 
     An entry changes only when it strictly improves, so its path's hop
     count is the first row that holds its value: had the predecessor's
@@ -98,19 +104,27 @@ def relax(w: np.ndarray, best: np.ndarray):
     return np.take_along_axis(cand, cp[..., None], axis=-1)[..., 0], cp
 
 
-def bellman_ford_hop_constrained(topology: Topology, source: int,
-                                 dest: int) -> HopConstrainedTable:
+def _check_endpoints(topology: Topology, source: int, dest: int) -> None:
+    if source not in topology.nodes or dest not in topology.nodes:
+        raise RoutingError("source or destination not in topology")
+    if source == dest:
+        raise RoutingError("source equals destination")
+
+
+def bellman_ford_hop_constrained(topology: Topology, source: int, dest: int,
+                                 stop=None) -> HopConstrainedTable:
     """Fill the hop-budget table for every node, up to its fixed point.
 
     Budget v relaxes row v-1 over every edge. The sweep stops at the first
     budget at which no entry strictly improves: that row equals row v-1,
     so every later row would too. Cost O(v_fix * N^2), with v_fix the
     number of budgets swept before the fixed point (at most N-1).
+
+    If given, stop(v, row) is called after row v is appended, and the
+    sweep ends there when it returns True; the rows kept are then a prefix
+    of the rows a sweep without `stop` would keep.
     """
-    if source not in topology.nodes or dest not in topology.nodes:
-        raise RoutingError("source or destination not in topology")
-    if source == dest:
-        raise RoutingError("source equals destination")
+    _check_endpoints(topology, source, dest)
     n = len(topology.order)
     w = topology.weight_matrix()
     src = topology.index[source]
@@ -126,6 +140,8 @@ def bellman_ford_hop_constrained(topology: Topology, source: int,
             break
         best.append(np.where(improve, cw, best[-1]))
         pred.append(np.where(improve, cp, pred[-1]))
+        if stop is not None and stop(len(best) - 1, best[-1]):
+            break
 
     return HopConstrainedTable(topology.order, topology.index,
                                np.array(best), np.array(pred))
@@ -145,14 +161,17 @@ def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
     its rate at most U(v') = (alpha / 2v') log2(B1 v' / (lambda_e d2)), with
     B1 = ln(1/(1-epsilon)) / K1(alpha, 1). The argument is taken in logs and
     raised by a relative margin, so rounding cannot put U below a rate
-    computed by secrecy_rate. Column n-1 is -inf: no budget follows it.
+    computed by secrecy_rate. Column n-1 is -inf: no budget follows it. A
+    zero d2 (co-located endpoints of an edge-list graph) bounds nothing.
     """
     v = np.arange(1, n)
     if scenario.lambda_e == 0.0:
         u = np.full((len(d2), n - 1), np.inf)
     else:
         log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
-        log_arg = log_b + _BOUND_MARGIN - np.log2(d2)[:, None] + np.log2(v)
+        with np.errstate(divide="ignore"):
+            log_d2 = np.log2(d2)
+        log_arg = log_b + _BOUND_MARGIN - log_d2[:, None] + np.log2(v)
         u = (scenario.alpha / 2.0) * log_arg / v
     later = np.full((len(d2), n), -np.inf)
     later[:, :-1] = np.maximum.accumulate(u[:, ::-1], axis=1)[:, ::-1]
@@ -202,30 +221,52 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
 
     Returns a RoutingSolution, or None when no budget yields a candidate
     below the outage-feasibility weight cutoff (infeasibility is a result,
-    not an error). Unreachable destinations also yield None with an
-    all-empty audit trail.
+    not an error). Unreachable destinations also yield None.
+
+    Where the destination's weight strictly drops at budget v, its path has
+    exactly v hops (see HopConstrainedTable) and is scored once, as
+    secrecy_rate(weight, v), which is path_metric of that path. The sweep
+    stops once a feasible candidate exists and no later budget's bound
+    (later_rate_bounds, from the straight source-destination distance)
+    exceeds the best rate. The audit trail then holds only the budgets
+    swept, fewer than N-1; after a fixed-point stop the later budgets
+    repeat the last entry. Without a feasible candidate the stop never
+    fires, so such routes sweep to the fixed point.
     """
-    table = bellman_ford_hop_constrained(topology, source, dest)
-    col = table.best[:, table.index[dest]]
-    audit = []
-    best_metric = None
-    best_entry = None
-    seq = metric = None
-    for v in range(1, len(col)):
-        # the path changes only where its weight strictly improves; that weight
-        # is summed from 0.0 along path_to's chain, as Topology.path sums it
-        if col[v] < col[v - 1]:
-            seq = table.path_to(dest, v)
-            p = Path(tuple(seq), float(col[v]))
-            metric = path_metric(p, scenario)  # None when over the weight cutoff
-            if metric is not None and (best_metric is None or metric > best_metric):
-                best_metric = metric
-                best_entry = (p, v)
-        audit.append((v, seq, metric))
-    # budgets past the fixed point repeat the last swept entry
-    audit += [(v, seq, metric) for v in range(len(col), len(topology.order))]
-    if best_entry is None:
+    _check_endpoints(topology, source, dest)
+    n = len(topology.order)
+    dst = topology.index[dest]
+    a, b = topology.nodes[source], topology.nodes[dest]
+    later = later_rate_bounds(np.array([math.hypot(b.x - a.x, b.y - a.y) ** 2]),
+                              n, scenario)[0]
+    metrics = {}  # budget -> metric, at the budgets where the path changes
+    best_metric = best_v = None
+    last_w = math.inf
+
+    def stop(v, row):
+        nonlocal best_metric, best_v, last_w
+        w = float(row[dst])
+        if w < last_w:
+            res = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
+            metrics[v] = res.c_s if res.feasible else None
+            if res.feasible and (best_metric is None or res.c_s > best_metric):
+                best_metric, best_v = res.c_s, v
+        last_w = w
+        return best_metric is not None and later[v] <= best_metric
+
+    table = bellman_ford_hop_constrained(topology, source, dest, stop)
+    if best_metric is None:
         return None
-    p, v = best_entry
+    audit = []
+    seq = metric = None
+    for v in range(1, len(table.best)):
+        if v in metrics:
+            seq, metric = table.path_to(dest, v), metrics[v]
+        audit.append((v, seq, metric))
+    if later[len(table.best) - 1] > best_metric:
+        # the sweep reached its fixed point: later budgets repeat its last entry
+        audit += [(v, seq, metric) for v in range(len(table.best), n)]
+    # the weight is summed from 0.0 along path_to's chain, as Topology.path sums it
+    p = Path(tuple(audit[best_v - 1][1]), float(table.best[best_v, dst]))
     res = optimal_rs(p, scenario)
-    return RoutingSolution(p, v, res.rs_star, res.c_s, audit)
+    return RoutingSolution(p, best_v, res.rs_star, res.c_s, audit)

@@ -8,7 +8,7 @@ tests pin the names it relies on.
 import inspect
 from pathlib import Path
 
-from secroute import experiments, montecarlo, netmodel
+from secroute import experiments, montecarlo, netmodel, routing
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,11 +27,16 @@ def test_traced_signatures():
     assert params(montecarlo.power_invariance_check) == [
         "rs", "dist", "scenario", "powers_db", "trials", "seed"]
     assert params(montecarlo.block_rng) == ["seed", "stream", "block"]
+    assert params(routing.bellman_ford_hop_constrained)[:3] == ["topology", "source", "dest"]
+    assert params(routing.solve_secure_route) == ["topology", "source", "dest", "scenario"]
 
 
 def test_traced_attributes():
     assert isinstance(netmodel.Scenario.window_area, property)
     assert experiments.build_topology is netmodel.build_topology
+    # budgets explored and v* are read off the solution
+    assert {"per_v_candidates", "hop_budget_used"} <= set(
+        routing.RoutingSolution.__dataclass_fields__)
 
 
 def test_tracer_finds_every_hook(monkeypatch):

@@ -22,6 +22,16 @@ stack: `table-one` at lambda_e = 1e-4, where every rep of every size is
 infeasible, and at lambda_e = 5e-5, where the infeasible fractions are
 1, 1 and 0.4.
 
+Added later, recorded before `route` ended its sweep at the rate bound:
+`route` at lambda_e = 1.0, infeasible (exit 1), and `route` between the
+two components of a 4-node edge list, unreachable (exit 1). Neither
+finds a feasible candidate, so neither sweep can stop early.
+
+Re-recorded then: the `route` stdout. Its audit now ends with the one
+line `v>=2: pruned, no later budget's rate bound exceeds c_s` in place of
+the budgets 2 to 5. The `route-edges` sweep reaches its fixed point
+(v = 7) before the bound can end it, so its digest did not move.
+
 Each run works in its own directory with a relative `--out`, so the
 `# out = ...` header line of the CSV does not depend on where tests run.
 """
@@ -89,7 +99,7 @@ CASES = {
     "route": (
         ["route", "--source", "1", "--dest", "5"], {}, 0,
         None,  # route prints its report and writes no CSV
-        "1bbda6ea931f8e9eee7702b9c50fcb2b10988f75548004942cae21458ab62325"),
+        "1de503ed2badd980c6f5223eeda510ac0a138f8fea04cd83fc1577039e70f2f5"),
     "rate-vs-lambda": (
         ["rate-vs-lambda"], {}, 0,
         "69227154f6b9e25bafa5810cbd07bd21117eb18b14023c19b9eaa82f3fd0187e",
@@ -108,7 +118,8 @@ CASES = {
     "rate-vs-epsilon": (
         ["rate-vs-epsilon"], {}, 0,
         "5592b053199f796d3cfc87073f84a310ee6bb74cbdf822c1591244df7837ec41",
-        "c0234888ef23369c0dd44648530e8f473dc1e211c187de423632a3d15fd67b99"),    "table-one-infeasible": (
+        "c0234888ef23369c0dd44648530e8f473dc1e211c187de423632a3d15fd67b99"),
+    "table-one-infeasible": (
         ["table-one", "--config", "run.cfg"],
         {"run.cfg": "n_legit = 1, 50, 100\nreps = 40\nlambda_e = 1e-4\n"}, 0,
         "29ce3d52bd9562d74245bf90b4f9a4a6f7ea6d5cd1615d483f46af33347df8d6",
@@ -118,6 +129,18 @@ CASES = {
         {"run.cfg": "n_legit = 1, 50, 100\nreps = 40\nlambda_e = 5e-5\n"}, 0,
         "7fb547a3aca8e5ac066de1aef6f51b2548509587fc48cab12da92e7bf42450fa",
         "7e0e6191f30ab9bb1c15f0397479db14dcc50cf266776dd0696eb7287012b307"),
+    "route-infeasible": (
+        ["route", "--source", "1", "--dest", "5", "--config", "run.cfg"],
+        {"run.cfg": "lambda_e = 1.0\n"}, 1,
+        None,
+        "c18a436a0098113591f83513d26001947f5b26310e839ac1eed412dd5960a987"),
+    "route-unreachable": (
+        ["route", "--topology", "nodes.csv", "--edges", "edges.csv",
+         "--source", "0", "--dest", "3"],
+        {"nodes.csv": "id,x,y\n0,0,0\n1,10,0\n2,20,0\n3,30,0\n",
+         "edges.csv": "from,to\n0,1\n2,3\n"}, 1,
+        None,
+        "acc04ecb51131fa2385ac2f7e6c0d4b2b364c0debf56baace1fd5c97f3d83656"),
 }
 
 

@@ -175,7 +175,8 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
     def test_audit_matches_scoring_every_budget(self, kind, seed):
         topo, src, dest = sweep_case(kind, seed)
-        for lam in (1e-6, 1e-5, 1e-4):
+        n = len(topo.order)
+        for lam in (0.0, 1e-6, 1e-5, 1e-4):
             sc = scen(lam=lam)
             sol = routing.solve_secure_route(topo, src, dest, sc)
             ref = score_every_budget_reference(topo, src, dest, sc)
@@ -183,10 +184,78 @@ class TestFixedPointStop:
             if not metrics:
                 assert sol is None
                 continue
-            assert sol.per_v_candidates == ref
             # strict > keeps the smallest budget reaching the maximum
             v_star = next(v for v, _, m in ref if m == max(metrics))
             assert (sol.hop_budget_used, sol.c_s) == (v_star, max(metrics))
+            # the rate bound may end the audit after budget k: what it
+            # prunes can only tie c_s at a larger budget, never beat it
+            k = len(sol.per_v_candidates)
+            assert sol.per_v_candidates == ref[:k]
+            for v, _, m in ref[k:]:
+                assert m is None or m <= sol.c_s
+                if m == sol.c_s:
+                    assert v > v_star
+            if kind == "large" and lam == 1e-5:
+                assert k < n - 1
+
+    @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
+    def test_stopped_rows_are_a_prefix(self, kind, seed):
+        topo, src, dest = sweep_case(kind, seed)
+        full = routing.bellman_ford_hop_constrained(topo, src, dest)
+        for last in range(1, len(full.best) + 1):
+            calls = []
+
+            def stop(v, row):
+                calls.append(v)
+                assert np.array_equal(row, full.best[v])
+                return v == last
+
+            tab = routing.bellman_ford_hop_constrained(topo, src, dest, stop)
+            k = len(tab.best)
+            assert calls == list(range(1, k))  # once per appended row, in order
+            assert k == min(last + 1, len(full.best))
+            assert np.array_equal(tab.best, full.best[:k])
+            assert np.array_equal(tab.pred, full.pred[:k])
+
+    @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
+    def test_no_feasible_candidate_sweeps_to_fixed_point(self, kind, seed, monkeypatch):
+        # while no candidate is feasible the stop never fires, even where the
+        # bound already shows that no later budget can be feasible either
+        topo, src, dest = sweep_case(kind, seed)
+        v_fix = len(routing.bellman_ford_hop_constrained(topo, src, dest).best)
+        sweep = routing.bellman_ford_hop_constrained
+        tables = []
+        monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
+                            lambda *args: tables.append(sweep(*args)) or tables[-1])
+        for lam in (1e-4, 1e-2, 1.0):
+            tables.clear()
+            if routing.solve_secure_route(topo, src, dest, scen(lam=lam)) is None:
+                assert [len(t.best) for t in tables] == [v_fix]
+
+    def test_bound_uses_straight_distance_on_edge_lists(self):
+        # 0 -> 5 over a detour node (2 hops, weight 2600) or along the axis
+        # (4 hops, weight 400), with no edge 0-5: the weight matrix holds inf
+        # there, so the bound must read the endpoints' coordinates (D^2 = 1600)
+        nodes = [Node(0, 0, 0), Node(1, 20, 30), Node(2, 10, 0), Node(3, 20, 0),
+                 Node(4, 30, 0), Node(5, 40, 0)]
+        topo = build_topology(nodes, [(0, 1), (1, 5), (0, 2), (2, 3), (3, 4), (4, 5)])
+        assert topo.weight_matrix()[0, 5] == math.inf
+        sc = scen(lam=analytics.weight_density_bound(1.0, scen()) / 6000.0)
+        sol = routing.solve_secure_route(topo, 0, 5, sc)
+        ref = score_every_budget_reference(topo, 0, 5, sc)
+        assert ref[1][2] is not None  # the 2-hop detour is feasible, and loses
+        assert sol.path.nodes == (0, 2, 3, 4, 5)
+        assert sol.per_v_candidates == ref[:4]
+
+    def test_colocated_endpoints_bound_nothing(self):
+        # an edge list may place the source and destination on one point;
+        # d2 = 0 leaves every later budget unbounded, without a warning
+        nodes = [Node(0, 0, 0), Node(1, 3, 4), Node(2, 0, 0)]
+        topo = build_topology(nodes, [(0, 1), (1, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = routing.solve_secure_route(topo, 0, 2, scen())
+        assert sol.per_v_candidates == [(1, None, None), (2, [0, 1, 2], sol.c_s)]
 
 
 class TestOracle:
@@ -255,9 +324,11 @@ class TestSolveSecureRoute:
     def test_audit_trail(self):
         topo = six_node_topology()
         sol = routing.solve_secure_route(topo, 1, 5, scen())
-        assert len(sol.per_v_candidates) == 5
-        metrics = [m for _, _, m in sol.per_v_candidates if m is not None]
-        assert sol.c_s == max(metrics)
+        ref = score_every_budget_reference(topo, 1, 5, scen())
+        # the direct hop's rate exceeds the rate bound of every longer path
+        # over D = 20, so the sweep ends after budget 1
+        assert sol.per_v_candidates == ref[:1]
+        assert sol.c_s == max(m for _, _, m in ref if m is not None)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_topologies_match_oracle(self, seed):
