@@ -93,10 +93,11 @@ class Path:
 class Topology:
     """Immutable set of legitimate nodes with symmetric squared-distance weights.
 
-    `order` lists the node ids ascending and `index` maps an id to its
-    position in `order`. The weight matrix, indexed by position, holds the
-    squared length of every edge and inf everywhere else (the diagonal
-    included), so it is also the adjacency.
+    `order` lists the node ids ascending, `index` maps an id to its
+    position in `order`, and `xy` is the read-only (N, 2) array of their
+    coordinates in that order. The weight matrix, indexed by position,
+    holds the squared length of every edge and inf everywhere else (the
+    diagonal included), so it is also the adjacency.
 
     Safe for concurrent read access; all mutation happens in __init__.
     """
@@ -104,23 +105,23 @@ class Topology:
     def __init__(self, nodes: list[Node], edges=None):
         if len(nodes) < 2:
             raise NetModelError("a topology needs at least 2 nodes")
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            raise NetModelError("duplicate node ids")
-        for n in nodes:
-            if not (math.isfinite(n.x) and math.isfinite(n.y)):
-                raise NetModelError(f"non-finite coordinates on node {n.id}")
-        self.nodes = {n.id: n for n in nodes}
-        self.order = sorted(self.nodes)
+        nodes = sorted(nodes, key=lambda n: n.id)
+        self.order = [n.id for n in nodes]
         self.index = {nid: i for i, nid in enumerate(self.order)}
-        xy = np.array([(self.nodes[i].x, self.nodes[i].y) for i in self.order], dtype=float)
+        if len(self.index) != len(nodes):
+            raise NetModelError("duplicate node ids")
+        self.xy = np.array([(n.x, n.y) for n in nodes], dtype=float)
+        self.xy.flags.writeable = False
+        bad = ~np.isfinite(self.xy).all(axis=1)
+        if bad.any():
+            raise NetModelError(f"non-finite coordinates on node {self.order[bad.argmax()]}")
         if edges is None:
-            w = mesh_weights(xy, self.order)
+            w = mesh_weights(self.xy, self.order)
         else:
-            d2 = _squared_distances(xy)
+            d2 = _squared_distances(self.xy)
             w = np.full_like(d2, np.inf)
             for u, v in edges:
-                if u not in self.nodes or v not in self.nodes:
+                if u not in self.index or v not in self.index:
                     raise NetModelError(f"edge ({u},{v}) references unknown node")
                 if u == v:
                     raise NetModelError(f"self-loop on node {u}")

@@ -19,6 +19,8 @@ is exactly symmetric, as `Topology` and `netmodel.mesh_weights` build it.
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
 earlier level), then the smallest predecessor id at each relaxation.
+The sweeps keep weights only; `HopConstrainedTable.path_to` recomputes a
+path's predecessors from them, with the same sums and the same tie-break.
 """
 
 from __future__ import annotations
@@ -43,42 +45,42 @@ class HopConstrainedTable:
     """Per-budget shortest-path table from a fixed source.
 
     best[v][i] is the minimum sum of squared distances over paths from the
-    source to node order[i] using at most v hops (inf if unreachable), and
-    pred[v][i] the realizing predecessor's position. index maps a node id
-    to its position in order. Rows are stored up to the sweep's fixed
-    point only; any larger budget reads the last row. A sweep that its
-    `stop` predicate ended holds only the budgets it swept, and a larger
-    budget's read from it is not valid.
+    source to node topology.order[i] using at most v hops (inf if
+    unreachable). Rows are stored up to the sweep's fixed point only; any
+    larger budget reads the last row. A sweep that its `stop` predicate
+    ended holds only the budgets it swept, and a larger budget's read from
+    it is not valid.
 
     An entry changes only when it strictly improves, so its path's hop
-    count is the first row that holds its value: had the predecessor's
+    count is the first row r that holds its value: had the predecessor's
     entry been set before row r-1, the same candidate would have improved
-    the entry before row r.
+    the entry before row r. No predecessor is stored: path_to recomputes
+    it as the first argmin of w[i] + best[r-1], the sums and the tie-break
+    that `relax` took when row r set the entry.
     """
 
-    order: list[int]
-    index: dict[int, int]
+    topology: Topology
     best: np.ndarray   # (v_fix+1, n_nodes), v_fix <= n_nodes-1
-    pred: np.ndarray
 
     def _row(self, v: int) -> int:
         return min(v, len(self.best) - 1)
 
     def best_weight(self, node: int, v: int) -> float:
-        return float(self.best[self._row(v), self.index[node]])
+        return float(self.best[self._row(v), self.topology.index[node]])
 
     def path_to(self, node: int, v: int):
-        """Reconstruct the stored path as a node-id list, None if unreachable."""
-        i = self.index[node]
-        w = self.best[self._row(v), i]
-        if not np.isfinite(w):
+        """Reconstruct the path as a node-id list, None if unreachable."""
+        w = self.topology.weight_matrix()
+        i = self.topology.index[node]
+        weight = self.best[self._row(v), i]
+        if not np.isfinite(weight):
             return None
         seq = [i]
         # the entry's hop count; row 0 holds only the source
-        for r in range(int(np.argmax(self.best[:, i] == w)), 0, -1):
-            i = int(self.pred[r, i])
+        for r in range(int(np.argmax(self.best[:, i] == weight)), 0, -1):
+            i = int(np.argmin(w[i] + self.best[r - 1]))
             seq.append(i)
-        return [self.order[i] for i in reversed(seq)]
+        return [self.topology.order[i] for i in reversed(seq)]
 
 
 @dataclass
@@ -94,18 +96,16 @@ class RoutingSolution:
 def relax(w: np.ndarray, best: np.ndarray):
     """One hop-budget step: each node's best weight over one more hop.
 
-    cand[..., i, u] = w[..., i, u] + best[..., u] is node i's weight via
-    predecessor u, for a symmetric w (or a stack of them) and the previous
-    budget's weights `best`. Returns the minimum over u and the first u
-    reaching it, so ties go to the smallest predecessor position.
+    w[..., i, u] + best[..., u] is node i's weight via predecessor u, for a
+    symmetric w (or a stack of them) and the previous budget's weights
+    `best`. Returns the minimum over u; no predecessor is kept, since
+    HopConstrainedTable.path_to recomputes the first u reaching it.
     """
-    cand = w + best[..., None, :]
-    cp = cand.argmin(axis=-1)
-    return np.take_along_axis(cand, cp[..., None], axis=-1)[..., 0], cp
+    return (w + best[..., None, :]).min(axis=-1)
 
 
 def _check_endpoints(topology: Topology, source: int, dest: int) -> None:
-    if source not in topology.nodes or dest not in topology.nodes:
+    if source not in topology.index or dest not in topology.index:
         raise RoutingError("source or destination not in topology")
     if source == dest:
         raise RoutingError("source equals destination")
@@ -132,19 +132,16 @@ def bellman_ford_hop_constrained(topology: Topology, source: int, dest: int,
     b = np.full(n, np.inf)
     b[src] = 0.0
     best = [b]
-    pred = [np.full(n, -1, dtype=np.int64)]
     for _ in range(n - 1):
-        cw, cp = relax(w, best[-1])
+        cw = relax(w, best[-1])
         improve = cw < best[-1]                  # strict: ties keep fewer hops
         if not improve.any():
             break
         best.append(np.where(improve, cw, best[-1]))
-        pred.append(np.where(improve, cp, pred[-1]))
         if stop is not None and stop(len(best) - 1, best[-1]):
             break
 
-    return HopConstrainedTable(topology.order, topology.index,
-                               np.array(best), np.array(pred))
+    return HopConstrainedTable(topology, np.array(best))
 
 
 # log2 slack added to the rate bound's argument, far above its rounding error
@@ -204,7 +201,7 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
             live, w, best = live[keep], w[keep], best[keep]
             if not len(live):
                 break
-        cw, _ = relax(w, best)
+        cw = relax(w, best)
         improve = cw < best
         for k in np.flatnonzero(improve[:, -1]).tolist():
             res = secrecy_rate(float(cw[k, -1]), v, scenario)
@@ -236,9 +233,8 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     _check_endpoints(topology, source, dest)
     n = len(topology.order)
     dst = topology.index[dest]
-    a, b = topology.nodes[source], topology.nodes[dest]
-    later = later_rate_bounds(np.array([math.hypot(b.x - a.x, b.y - a.y) ** 2]),
-                              n, scenario)[0]
+    dx, dy = (topology.xy[dst] - topology.xy[topology.index[source]]).tolist()
+    later = later_rate_bounds(np.array([math.hypot(dx, dy) ** 2]), n, scenario)[0]
     metrics = {}  # budget -> metric, at the budgets where the path changes
     best_metric = best_v = None
     last_w = math.inf

@@ -33,10 +33,10 @@ def enumerate_all_paths_oracle(topology: Topology, source: int, dest: int,
     the weight matrix, whose finite entries give each node's neighbours.
     Capped at node_limit nodes since the count grows factorially.
     """
-    if len(topology.nodes) > node_limit:
+    if len(topology.order) > node_limit:
         raise RoutingError(
-            f"oracle limited to {node_limit} nodes, topology has {len(topology.nodes)}")
-    if source not in topology.nodes or dest not in topology.nodes:
+            f"oracle limited to {node_limit} nodes, topology has {len(topology.order)}")
+    if source not in topology.index or dest not in topology.index:
         raise RoutingError("source or destination not in topology")
     order = topology.order
     neighbors = {order[i]: [order[j] for j in np.flatnonzero(np.isfinite(row))]
@@ -70,7 +70,7 @@ def enumerate_all_paths_oracle(topology: Topology, source: int, dest: int,
 def best_route_oracle(topology: Topology, source: int, dest: int, scenario):
     """Brute-force optimum of the secrecy-rate objective over all simple paths."""
     paths = enumerate_all_paths_oracle(topology, source, dest,
-                                       max_hops=len(topology.nodes) - 1)
+                                       max_hops=len(topology.order) - 1)
     best = None
     best_metric = None
     for p in paths:

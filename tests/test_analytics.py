@@ -93,8 +93,8 @@ class TestPathSop:
         topo = six_node_topology()
         for seq in [(1, 3, 5), (1, 2, 3, 5), (1, 2, 3, 4, 5, 6)]:
             p = topo.path(seq)
-            hops = [(topo.nodes[u], topo.nodes[v]) for u, v in zip(seq, seq[1:])]
-            dists = [math.hypot(a.x - b.x, a.y - b.y) for a, b in hops]
+            xy = [topo.xy[topo.index[u]] for u in seq]
+            dists = [math.hypot(*(b - a)) for a, b in zip(xy, xy[1:])]
             for rs in (0.25, 1.0, 3.0):
                 exp_form = analytics.path_sop(rs, p, scen())
                 prod_form = path_sop_product(rs, dists, scen())

@@ -180,13 +180,10 @@ class TestRandomPlacement:
     def test_corners_and_relays(self):
         rng = block_rng(1, 0, 0)
         topo = random_placement(10, rng)
-        assert len(topo.nodes) == 12
-        src, dst = topo.nodes[0], topo.nodes[11]
-        assert (src.x, src.y) == (0.0, 0.0)
-        assert (dst.x, dst.y) == (50.0, 50.0)
-        for i in range(1, 11):
-            n = topo.nodes[i]
-            assert 0.0 <= n.x <= 50.0 and 0.0 <= n.y <= 50.0
+        assert topo.order == list(range(12))
+        assert topo.xy[0].tolist() == [0.0, 0.0]
+        assert topo.xy[11].tolist() == [50.0, 50.0]
+        assert ((0.0 <= topo.xy[1:11]) & (topo.xy[1:11] <= 50.0)).all()
 
 
 class TestCsvDeterminism:

@@ -399,8 +399,8 @@ class TestEstimatePathSop:
         # each hop's field is centred on its transmitter, so moving the
         # placement far from the window's centre changes no draw
         base = six_node_topology()
-        shifted = build_topology([Node(i, base.nodes[i].x + 5000.0, base.nodes[i].y + 5000.0)
-                                  for i in base.order])
+        shifted = build_topology([Node(i, x + 5000.0, y + 5000.0)
+                                  for i, (x, y) in zip(base.order, base.xy.tolist())])
         sc = scen(lam=1e-4)
         a = estimate_path_sop(1.0, base.path((1, 3, 5)), base, sc, 20000, seed=31)
         p = shifted.path((1, 3, 5))

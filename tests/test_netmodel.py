@@ -40,10 +40,19 @@ def test_three_four_five_link():
 
 def test_six_node_topology_full_mesh():
     topo = six_node_topology()
-    assert len(topo.nodes) == 6
+    assert topo.order == [1, 2, 3, 4, 5, 6]
     w = topo.weight_matrix()
     assert np.count_nonzero(np.isfinite(w)) == 2 * 15
     assert np.all(np.isinf(np.diag(w)))
+
+
+def test_coordinates_held_in_id_order():
+    topo = build_topology([Node(7, 1, 2), Node(3, 5, 6), Node(5, 3, 4)])
+    assert topo.order == [3, 5, 7]
+    assert topo.xy.tolist() == [[5.0, 6.0], [3.0, 4.0], [1.0, 2.0]]
+    assert not hasattr(topo, "nodes")
+    with pytest.raises(ValueError):
+        topo.xy[0, 0] = 0.0
 
 
 def test_single_node_rejected():
