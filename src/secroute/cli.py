@@ -10,9 +10,10 @@ is not a finite float, a `route` source or destination that is not in the
 topology or that are the same node, a Monte Carlo run that cannot produce
 an estimate because no trial survives the on-off threshold, a `lambda_e`
 that expects more than 2^23 eavesdroppers on one hop's disk in a single
-trial, and parameters whose arithmetic overflows a float, such as a huge
-power, rate or path-loss exponent; the message names the parameter),
-3 I/O. When `route` finds no route it exits 1 and says why: `unreachable:
+trial, two nodes whose squared distance overflows a float, named by id,
+and parameters whose arithmetic overflows a float, such as a huge power,
+rate or path-loss exponent, or a `table-one` alpha whose secrecy-rate sums
+overflow; the message names the parameter), 3 I/O. When `route` finds no route it exits 1 and says why: `unreachable:
 no path from S to D` when no path joins them, `infeasible: no path
 satisfies the outage constraint at this eavesdropper density` when some
 path does but none meets the outage constraint. A `route` that finds one
@@ -31,7 +32,10 @@ otherwise. `validate` exits 0 only when every row is `1`.
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and
 `rate-vs-lambda`/`rate-vs-epsilon` write `unbounded` in the c_s column,
-`table-one` writes `unbounded` in mean_c_s and stderr; all exit 0.
+`table-one` writes `unbounded` in mean_c_s and stderr; all exit 0. An
+epsilon so small that 1 - epsilon rounds to 1 admits no path: `route`
+exits 1 with the `infeasible:` line, `table-one` writes mean 0 with
+infeasible_frac 1, and the rate sweeps write `infeasible`.
 """
 
 from __future__ import annotations

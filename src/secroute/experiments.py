@@ -214,7 +214,8 @@ def run_table_one(cfg: ExperimentConfig):
     routing.solve_secure_route would. Draws where no feasible route exists
     contribute a secrecy rate of 0 to the average; the infeasible fraction
     is reported per row. A zero eavesdropper density makes the mean and its
-    stderr `unbounded`.
+    stderr `unbounded`; at a positive density, a rate sum that overflows a
+    float raises OverflowError.
     """
     scenario = cfg.scenario()
     rows = []
@@ -231,11 +232,15 @@ def run_table_one(cfg: ExperimentConfig):
             for c in rates.tolist():  # in rep order, as the per-rep sums ran
                 total += c
                 total_sq += c * c
-        mean = total / cfg.reps
-        var = max(total_sq / cfg.reps - mean * mean, 0.0)
-        stderr = math.sqrt(var / cfg.reps)
-        if mean == math.inf:  # no eavesdroppers leave the rate unbounded
+        if scenario.lambda_e == 0.0:  # no eavesdroppers leave the rate unbounded
             mean = stderr = "unbounded"
+        elif not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise OverflowError(f"alpha = {cfg.alpha:g} overflows a float in "
+                                f"the sum of table-one's secrecy rates")
+        else:
+            mean = total / cfg.reps
+            var = max(total_sq / cfg.reps - mean * mean, 0.0)
+            stderr = math.sqrt(var / cfg.reps)
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
     header = ["n_legit", "mean_c_s", "stderr", "infeasible_frac", "reps", "seed"]
     return header, rows

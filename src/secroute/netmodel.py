@@ -1,9 +1,9 @@
 """Geometric network model: scenario parameters, nodes, topologies, paths.
 
 Distances are plain Euclidean lengths in the same unit system as the
-eavesdropper density (nodes per unit area). A topology keeps its geometry
-as one matrix of squared hop distances, which is the quantity every
-downstream formula consumes.
+eavesdropper density (nodes per unit area). A topology keeps its node
+coordinates as one array, and its geometry as one matrix of squared hop
+distances, which is the quantity every downstream formula consumes.
 """
 
 from __future__ import annotations
@@ -115,10 +115,14 @@ class Topology:
         bad = ~np.isfinite(self.xy).all(axis=1)
         if bad.any():
             raise NetModelError(f"non-finite coordinates on node {self.order[bad.argmax()]}")
-        if edges is None:
-            w = mesh_weights(self.xy, self.order)
-        else:
+        with np.errstate(over="ignore"):
             d2 = _squared_distances(self.xy)
+        _reject_pair(d2 == np.inf, self.order,
+                     "lie so far apart that their squared distance overflows a float")
+        if edges is None:
+            w = d2
+            np.fill_diagonal(w, np.inf)
+        else:
             w = np.full_like(d2, np.inf)
             for u, v in edges:
                 if u not in self.index or v not in self.index:
@@ -127,7 +131,7 @@ class Topology:
                     raise NetModelError(f"self-loop on node {u}")
                 i, j = self.index[u], self.index[v]
                 w[i, j] = w[j, i] = d2[i, j]
-            _reject_colocated(w, self.order)
+        _reject_pair(w == 0.0, self.order, "are co-located")
         w.flags.writeable = False
         self._w = w
 
@@ -188,24 +192,25 @@ def _squared_distances(xy: np.ndarray) -> np.ndarray:
     return d
 
 
-def mesh_weights(xy: np.ndarray, order=None) -> np.ndarray:
+def mesh_weights(xy: np.ndarray) -> np.ndarray:
     """Full-mesh weight matrices of one placement or a stack of them:
     squared distances with inf on the diagonal.
 
-    Raises NetModelError naming the first co-located pair, by its ids in
-    `order` (by default, their positions).
+    Raises NetModelError naming the first co-located pair by positions.
     """
     w = _squared_distances(xy)
     n = xy.shape[-2]
     w[..., range(n), range(n)] = np.inf
-    _reject_colocated(w, range(n) if order is None else order)
+    _reject_pair(w == 0.0, range(n), "are co-located")
     return w
 
 
-def _reject_colocated(w: np.ndarray, order) -> None:
-    if (w == 0.0).any():
-        *_, i, j = np.argwhere(w == 0.0)[0]
-        raise NetModelError(f"nodes {order[i]} and {order[j]} are co-located")
+def _reject_pair(bad: np.ndarray, order, what: str) -> None:
+    """Raise NetModelError naming, by its ids in `order`, the first pair of
+    nodes flagged in `bad`."""
+    if bad.any():
+        *_, i, j = np.argwhere(bad)[0]
+        raise NetModelError(f"nodes {order[i]} and {order[j]} {what}")
 
 
 def _csv_rows(fname, ncols: int, kind: str):

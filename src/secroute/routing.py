@@ -159,17 +159,21 @@ def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
     B1 = ln(1/(1-epsilon)) / K1(alpha, 1). The argument is taken in logs and
     raised by a relative margin, so rounding cannot put U below a rate
     computed by secrecy_rate. Column n-1 is -inf: no budget follows it. A
-    zero d2 (co-located endpoints of an edge-list graph) bounds nothing.
+    zero d2 (co-located endpoints of an edge-list graph) bounds nothing,
+    and neither does a bound that overflows to inf. Where 1 - epsilon
+    rounds to 1, B1 is 0 and no path is feasible: every entry is -inf.
     """
     v = np.arange(1, n)
+    b1 = weight_density_bound(1.0, scenario)
     if scenario.lambda_e == 0.0:
         u = np.full((len(d2), n - 1), np.inf)
+    elif b1 == 0.0:
+        u = np.full((len(d2), n - 1), -np.inf)
     else:
-        log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
-        with np.errstate(divide="ignore"):
-            log_d2 = np.log2(d2)
-        log_arg = log_b + _BOUND_MARGIN - log_d2[:, None] + np.log2(v)
-        u = (scenario.alpha / 2.0) * log_arg / v
+        log_b = math.log2(b1) - math.log2(scenario.lambda_e)
+        with np.errstate(divide="ignore", over="ignore"):
+            log_arg = log_b + _BOUND_MARGIN - np.log2(d2)[:, None] + np.log2(v)
+            u = (scenario.alpha / 2.0) * log_arg / v
     later = np.full((len(d2), n), -np.inf)
     later[:, :-1] = np.maximum.accumulate(u[:, ::-1], axis=1)[:, ::-1]
     return later

@@ -415,6 +415,58 @@ class TestCli:
         assert [r[:3] for r in rows] == [["10", "unbounded", "unbounded"],
                                          ["20", "unbounded", "unbounded"]]
 
+    def test_tiny_epsilon_route_is_infeasible(self, tmp_path, capsys):
+        # 1 - epsilon rounds to 1, so no weight meets the outage constraint
+        f = tmp_path / "exp.cfg"
+        f.write_text("epsilon = 1e-17\n")
+        rc = main(["route", "--config", str(f), "--source", "1", "--dest", "5"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].startswith("infeasible:") and err == ""
+
+    def test_tiny_epsilon_table_one_is_infeasible(self, tmp_path, capsys):
+        f = tmp_path / "exp.cfg"
+        f.write_text("epsilon = 1e-17\nn_legit = 10, 20\nreps = 3\n")
+        out = tmp_path / "t.csv"
+        rc = main(["table-one", "--config", str(f), "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [r[:4] for r in rows] == [["10", "0", "0", "1"], ["20", "0", "0", "1"]]
+
+    @pytest.mark.parametrize("line", [
+        # the squared-rate sum overflows: its variance would read nan
+        pytest.param("alpha = 1e160\nn_legit = 3\nreps = 3", id="alpha = 1e160"),
+        # the rate sum overflows too: its mean would read `unbounded`
+        pytest.param("alpha = 1e308\nreps = 100", id="alpha = 1e308"),
+    ])
+    def test_table_one_rate_overflow_exit_code(self, tmp_path, capsys, line):
+        f = tmp_path / "exp.cfg"
+        f.write_text(line + "\n")
+        out = tmp_path / "t.csv"
+        rc = main(["table-one", "--config", str(f), "--out", str(out)])
+        assert rc == 2
+        assert "overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("xs,edges", [
+        pytest.param((0, 1e200, 2e200), None, id="mesh"),
+        # a path joins 1 and 3, whose first hop's squared length overflows
+        pytest.param((0, 1e200, 1), "1,2\n2,3\n", id="edges"),
+    ])
+    def test_far_apart_nodes_exit_code(self, tmp_path, capsys, xs, edges):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("".join(f"{i},{x!r},0\n" for i, x in enumerate(xs, 1)))
+        argv = ["route", "--topology", str(nodes), "--source", "1", "--dest", "3"]
+        if edges:
+            (tmp_path / "edges.csv").write_text(edges)
+            argv += ["--edges", str(tmp_path / "edges.csv")]
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: nodes 1 and 2 lie so far apart that their "
+                       "squared distance overflows a float\n")
+
     def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):
         # only the first row may be a header; a later `1.0` id is malformed,
         # not a second header to skip

@@ -70,6 +70,16 @@ def test_nonfinite_coordinates_rejected():
         build_topology([Node(0, 0, 0), Node(1, math.nan, 1)])
 
 
+@pytest.mark.parametrize("edges", [None, [], [(0, 2)]])
+def test_overflowing_squared_distance_rejected(edges):
+    # every pair is checked, on an edge or not, so the straight distance
+    # between any two nodes is finite
+    nodes = [Node(0, 0, 0), Node(1, 0, 1e154), Node(2, 0, -1e154)]
+    build_topology(nodes[:2])  # a squared distance of 1e308 fits a float
+    with pytest.raises(NetModelError, match="nodes 1 and 2 lie so far apart"):
+        build_topology(nodes, edges)
+
+
 def test_edge_validation():
     nodes = [Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 5)]
     with pytest.raises(NetModelError):
@@ -148,8 +158,9 @@ def test_mesh_weights_reject_colocated():
     xy[1, 3] = xy[1, 1]
     with pytest.raises(NetModelError, match="nodes 1 and 3 are co-located"):
         mesh_weights(xy)
+    # a topology names the pair by node id
     with pytest.raises(NetModelError, match="nodes 11 and 13 are co-located"):
-        mesh_weights(xy[1], [10, 11, 12, 13])
+        build_topology([Node(10 + i, x, y) for i, (x, y) in enumerate(xy[1].tolist())])
 
 
 def test_path_validation():

@@ -110,6 +110,17 @@ class TestBellmanFord:
         assert tab.best_weight(2, 2) == 50.0
         assert tab.path_to(2, 2) == [0, 1, 2]
 
+    @pytest.mark.parametrize("upper", [1, 2])
+    def test_tie_goes_to_smallest_predecessor_id(self, upper):
+        # two relays mirrored across the source-destination line give two
+        # 2-hop paths of exactly equal weight 34 + 34
+        lower = 3 - upper
+        topo = build_topology([Node(0, 0, 0), Node(upper, 5, 3), Node(lower, 5, -3),
+                               Node(3, 10, 0)])
+        tab = routing.bellman_ford_hop_constrained(topo, 0, 3)
+        assert tab.best_weight(3, 2) == 68.0
+        assert tab.path_to(3, 2) == [0, 1, 3]
+
     def test_table_monotone_and_stabilizes(self):
         rng = np.random.default_rng(5)
         topo = random_mesh(7, rng)
