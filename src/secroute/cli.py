@@ -13,14 +13,15 @@ that expects more than 2^23 eavesdroppers on one hop's disk in a single
 trial, two nodes whose squared distance overflows a float, named by id,
 and parameters whose arithmetic overflows a float, such as a huge power,
 rate or path-loss exponent, or a `table-one` alpha whose secrecy-rate sums
-overflow; the message names the parameter), 3 I/O. When `route` finds no route it exits 1 and says why: `unreachable:
-no path from S to D` when no path joins them, `infeasible: no path
-satisfies the outage constraint at this eavesdropper density` when some
-path does but none meets the outage constraint. A `route` that finds one
-prints its per-hop-budget candidates; once no later budget's rate bound
-(a v-hop path has weight at least D^2/v, D the straight source-destination
-distance) exceeds the best rate, the sweep ends and the table's last line
-reads `v>=k+1: pruned, no later budget's rate bound exceeds c_s`.
+overflow; the message names the parameter), 3 I/O. When `route` finds no
+route it exits 1 and says why: `unreachable: no path from S to D` when no
+path joins them, `infeasible: no path satisfies the outage constraint at
+this eavesdropper density` when some path does but none meets the outage
+constraint. A `route` that finds one prints its per-hop-budget
+candidates; once no later budget's rate bound (a v-hop path has weight at
+least D^2/v, D the straight source-destination distance) exceeds the best
+rate, the sweep ends and the table's last line reads `v>=k+1: pruned, no
+later budget's rate bound exceeds c_s`.
 
 `sop-curve` and `validate` write each estimate's `bias_bound`, the most by
 which the truncated eavesdropper field can bias it low. A `validate` mode

@@ -78,7 +78,7 @@ class HopConstrainedTable:
         seq = [i]
         # the entry's hop count; row 0 holds only the source
         for r in range(int(np.argmax(self.best[:, i] == weight)), 0, -1):
-            i = int(np.argmin(w[i] + self.best[r - 1]))
+            i = int((w[i] + self.best[r - 1]).argmin())
             seq.append(i)
         return [self.topology.order[i] for i in reversed(seq)]
 
