@@ -263,9 +263,7 @@ def run_route(cfg: ExperimentConfig):
              f"alpha={_fmt(cfg.alpha)} lambda_e={_fmt(cfg.lambda_e)} "
              f"epsilon={_fmt(cfg.epsilon)}"]
     if sol is None:
-        # a second sweep, only here, tells no path from no feasible one
-        table = routing.bellman_ford_hop_constrained(topo, cfg.source, cfg.dest)
-        if table.path_to(cfg.dest, len(topo.order)) is None:
+        if not routing.reachable(topo, cfg.source, cfg.dest):
             lines.append(f"unreachable: no path from {cfg.source} to {cfg.dest}")
         else:
             lines.append("infeasible: no path satisfies the outage constraint "

@@ -15,6 +15,9 @@ stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
 `relax`. It reads row i of the weight matrix to relax node i, where the
 textbook step reads column i; that is valid because every weight matrix
 is exactly symmetric, as `Topology` and `netmodel.mesh_weights` build it.
+For the same reason neither sweep relaxes budget 1, whose previous row is
+inf except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
+reads the source's own row.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -93,6 +96,9 @@ class RoutingSolution:
     per_v_candidates: list
 
 
+_RELAX_CELLS = 1 << 16  # candidate cells one block of relax holds
+
+
 def relax(w: np.ndarray, best: np.ndarray):
     """One hop-budget step: each node's best weight over one more hop.
 
@@ -100,8 +106,24 @@ def relax(w: np.ndarray, best: np.ndarray):
     symmetric w (or a stack of them) and the previous budget's weights
     `best`. Returns the minimum over u; no predecessor is kept, since
     HopConstrainedTable.path_to recomputes the first u reaching it.
+
+    An input over _RELAX_CELLS cells is taken in blocks along its leading
+    axis, so the candidates sit in one reused buffer of at most that many
+    cells, which stays in cache: a slab of rows of one matrix, or a run
+    of whole meshes of a stack (one mesh, where a mesh alone is larger).
+    The sums and minima are the ones the single expression takes.
     """
-    return (w + best[..., None, :]).min(axis=-1)
+    if w.size <= _RELAX_CELLS:
+        return (w + best[..., None, :]).min(axis=-1)
+    b = np.broadcast_to(best[..., None, :], w.shape)
+    step = max(1, _RELAX_CELLS // w[0].size)
+    buf = np.empty((step,) + w.shape[1:])
+    out = np.empty(w.shape[:-1])
+    for i in range(0, len(w), step):
+        j = min(i + step, len(w))
+        cand = np.add(w[i:j], b[i:j], out=buf[:j - i])
+        cand.min(axis=-1, out=out[i:j])
+    return out
 
 
 def _check_endpoints(topology: Topology, source: int, dest: int) -> None:
@@ -132,16 +154,35 @@ def bellman_ford_hop_constrained(topology: Topology, source: int, dest: int,
     b = np.full(n, np.inf)
     b[src] = 0.0
     best = [b]
-    for _ in range(n - 1):
-        cw = relax(w, best[-1])
+    for v in range(1, n):
+        cw = relax(w, best[-1]) if v > 1 else w[src]  # see the module docstring
         improve = cw < best[-1]                  # strict: ties keep fewer hops
         if not improve.any():
             break
         best.append(np.where(improve, cw, best[-1]))
-        if stop is not None and stop(len(best) - 1, best[-1]):
+        if stop is not None and stop(v, best[-1]):
             break
 
     return HopConstrainedTable(topology, np.array(best))
+
+
+def reachable(topology: Topology, source: int, dest: int) -> bool:
+    """Whether any path joins source to dest.
+
+    A search over the edges (the finite weights) with no hop budgets: each
+    node's row is read once, so the cost is O(N^2) and the memory O(N).
+    It agrees with the sweep's last row, whose sums `Topology` keeps finite.
+    """
+    w = topology.weight_matrix()
+    dst = topology.index[dest]
+    todo = [topology.index[source]]
+    seen = np.zeros(len(w), dtype=bool)
+    seen[todo] = True
+    while todo and not seen[dst]:
+        new = np.flatnonzero((w[todo.pop()] < np.inf) & ~seen)
+        seen[new] = True
+        todo += new.tolist()
+    return bool(seen[dst])
 
 
 # log2 slack added to the rate bound's argument, far above its rounding error
@@ -205,7 +246,7 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
             live, w, best = live[keep], w[keep], best[keep]
             if not len(live):
                 break
-        cw = relax(w, best)
+        cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
         improve = cw < best
         for k in np.flatnonzero(improve[:, -1]).tolist():
             res = secrecy_rate(float(cw[k, -1]), v, scenario)
@@ -222,7 +263,8 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
 
     Returns a RoutingSolution, or None when no budget yields a candidate
     below the outage-feasibility weight cutoff (infeasibility is a result,
-    not an error). Unreachable destinations also yield None.
+    not an error). Unreachable destinations also yield None; `reachable`
+    tells the two apart.
 
     Where the destination's weight strictly drops at budget v, its path has
     exactly v hops (see HopConstrainedTable) and is scored once, as

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -145,6 +146,13 @@ class TestOptimalRs:
     def test_zero_density_unbounded(self):
         res = analytics.optimal_rs(straight_path(50.0), scen(lam=0.0))
         assert res.feasible and res.rs_star == math.inf
+
+    @pytest.mark.parametrize("alpha,weight", [(1e308, 50.0), (4.0, 1e-320)])
+    def test_overflowing_rate_raises(self, alpha, weight):
+        # inf, printed `unbounded`, is kept for a zero density
+        with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha:g} overflows a float")):
+            analytics.secrecy_rate(weight, 1, scen(alpha=alpha))
+        assert analytics.secrecy_rate(weight, 1, scen(lam=0.0, alpha=alpha)).rs_star == math.inf
 
 
 class TestDensityBound:

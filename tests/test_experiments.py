@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secroute import analytics, experiments, montecarlo
+from secroute import analytics, experiments, montecarlo, routing
 from secroute.cli import main
 from secroute.experiments import (
     ConfigError,
@@ -244,6 +244,27 @@ class TestCli:
         assert out.splitlines()[1] == "unreachable: no path from 0 to 3"
         assert "infeasible" not in out
 
+    @pytest.mark.parametrize("nodes,edges,line", [
+        pytest.param("0,0,0\n1,0,5\n2,0,10\n", "0,1\n",
+                     "unreachable: no path from 0 to 2", id="unreachable"),
+        pytest.param("0,0,0\n1,0,500\n2,0,1000\n", "0,1\n1,2\n",
+                     "infeasible: no path satisfies the outage constraint at this "
+                     "eavesdropper density", id="infeasible"),
+    ])
+    def test_route_without_route_sweeps_once(self, tmp_path, capsys, monkeypatch,
+                                             nodes, edges, line):
+        sweep = routing.bellman_ford_hop_constrained
+        calls = []
+        monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
+                            lambda *args: calls.append(args) or sweep(*args))
+        (tmp_path / "nodes.csv").write_text(nodes)
+        (tmp_path / "edges.csv").write_text(edges)
+        rc = main(["route", "--topology", str(tmp_path / "nodes.csv"), "--edges",
+                   str(tmp_path / "edges.csv"), "--source", "0", "--dest", "2"])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines()[1] == line
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("source, dest", [(1, 99), (1, 1)])
     def test_route_bad_endpoints_exit_code(self, capsys, source, dest):
         rc = main(["route", "--source", str(source), "--dest", str(dest)])
@@ -310,6 +331,9 @@ class TestCli:
               ("validate", "powers = 60, 4000", "power_db = 4000 overflows a float"),
               ("validate", "rs = 2000", "rs = 2000 overflows a float"),
               ("validate", "alpha = 400", "alpha = 400 overflows a float"),
+              # a secrecy rate that overflows at a positive density
+              ("route", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
+              ("rate-vs-lambda", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
           ]),
         # a window whose area is not a finite float
         pytest.param("sop-curve", "window = inf\nlambdas = 0, 1e-5", "sim_window",
@@ -449,12 +473,15 @@ class TestCli:
         assert "overflows a float" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("xs,edges", [
-        pytest.param((0, 1e200, 2e200), None, id="mesh"),
+    @pytest.mark.parametrize("xs,edges,times", [
+        pytest.param((0, 1e200, 2e200), None, "", id="mesh"),
         # a path joins 1 and 3, whose first hop's squared length overflows
-        pytest.param((0, 1e200, 1), "1,2\n2,3\n", id="edges"),
+        pytest.param((0, 1e200, 1), "1,2\n2,3\n", "", id="edges"),
+        # each squared length is finite, but N-1 = 2 of the longest overflow
+        pytest.param((0, 1e154, 1), None, "2 times ", id="mesh-path-weight"),
+        pytest.param((0, 1e154, 1), "1,2\n2,3\n", "2 times ", id="edges-path-weight"),
     ])
-    def test_far_apart_nodes_exit_code(self, tmp_path, capsys, xs, edges):
+    def test_far_apart_nodes_exit_code(self, tmp_path, capsys, xs, edges, times):
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("".join(f"{i},{x!r},0\n" for i, x in enumerate(xs, 1)))
         argv = ["route", "--topology", str(nodes), "--source", "1", "--dest", "3"]
@@ -464,7 +491,7 @@ class TestCli:
         rc = main(argv)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == ("error: nodes 1 and 2 lie so far apart that their "
+        assert err == (f"error: nodes 1 and 2 lie so far apart that {times}their "
                        "squared distance overflows a float\n")
 
     def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -490,3 +491,93 @@ class TestMeshSecrecyRates:
         rates, _ = routing.mesh_secrecy_rates(mesh_weights(xy[None]), scen())
         assert rates[0] == c_s
         assert len(steps) < v_fix // 2
+
+
+def unblocked_relax(w, best):
+    """relax as the single expression, with no blocks."""
+    return (w + best[..., None, :]).min(axis=-1)
+
+
+def relax_case(n, stack, edges, seed):
+    """(w, best): one weight matrix of n nodes, or a stack of them, full
+    meshes or edge-list graphs (inf off the edges), and a previous row
+    per matrix with inf entries."""
+    rng = np.random.default_rng(1300 + seed)
+    if edges:
+        # about two edges a node, so that some candidates are all inf
+        w = np.stack([random_graph(n, rng, p_edge=2.0 / n).weight_matrix()
+                      for _ in range(stack or 1)])
+    else:
+        w = mesh_weights(rng.uniform(0.0, 40.0, (stack or 1, n, 2)))
+    best = rng.uniform(0.0, 1e4, (stack or 1, n))
+    best[rng.random(best.shape) < 0.4] = np.inf
+    best[:, 0] = 0.0
+    return (w, best) if stack else (w[0], best[0])
+
+
+# (n, meshes in a stack or None for one matrix, cap or None for the
+# module's): sizes one below, at and one above a block boundary
+RELAX_SHAPES = [
+    (255, None, None), (256, None, None), (257, None, None),  # 256^2 cells = cap
+    (29, None, 300), (30, None, 300), (31, None, 300),  # 10 rows a block at n = 30
+    (16, 255, None), (16, 256, None), (16, 257, None),  # 256 meshes of 16^2 = cap
+    (10, 8, 300), (10, 9, 300), (10, 10, 300),  # 3 meshes a block
+    (20, 3, 300),  # a mesh alone over the cap is one block
+]
+
+
+class TestRelax:
+    @pytest.mark.parametrize("edges", [False, True], ids=["mesh", "edges"])
+    @pytest.mark.parametrize("n,stack,cap", RELAX_SHAPES)
+    def test_blocks_equal_single_expression(self, monkeypatch, n, stack, cap, edges):
+        if cap is not None:
+            monkeypatch.setattr(routing, "_RELAX_CELLS", cap)
+        w, best = relax_case(n, stack, edges, n + (stack or 0))
+        got = routing.relax(w, best)
+        assert got.shape == best.shape
+        assert np.array_equal(got, unblocked_relax(w, best))
+        assert np.isinf(got).any() or not edges
+
+    def test_memory_bounded_by_block(self):
+        n = 1500
+        w, best = relax_case(n, None, False, 0)
+        tracemalloc.start()
+        try:
+            routing.relax(w, best)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's candidates, the result and numpy's ufunc buffer; the
+        # single expression takes 8 N^2 bytes (18 MB) here
+        assert peak <= 8 * (routing._RELAX_CELLS + 2 * n + np.getbufsize())
+
+    def test_blocks_change_no_route(self, monkeypatch):
+        n = 1500
+        xy = placement(n - 2, montecarlo.block_rng(5, 0, 0))
+        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        sol = routing.solve_secure_route(topo, 0, n - 1, scen())
+        tab = routing.bellman_ford_hop_constrained(topo, 0, n - 1)
+        monkeypatch.setattr(routing, "_RELAX_CELLS", 1 << 62)
+        assert routing.solve_secure_route(topo, 0, n - 1, scen()) == sol
+        assert np.array_equal(routing.bellman_ford_hop_constrained(topo, 0, n - 1).best,
+                              tab.best)
+
+
+class TestReachable:
+    @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
+    def test_matches_full_sweep(self, kind, seed):
+        topo, src, _ = sweep_case(kind, seed)
+        best = full_sweep_reference(topo, src)[0]
+        for i, node in enumerate(topo.order):
+            if node != src:
+                assert routing.reachable(topo, src, node) == np.isfinite(best[-1, i])
+
+    def test_isolated_source(self):
+        # budget 1 starts from the source's own row, which holds no edge
+        topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
+                              edges=[(1, 2)])
+        tab = routing.bellman_ford_hop_constrained(topo, 0, 2)
+        assert tab.best.shape == (1, 3)
+        assert tab.path_to(2, 2) is None
+        assert not routing.reachable(topo, 0, 2)
+        assert routing.reachable(topo, 2, 1)
