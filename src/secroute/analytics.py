@@ -84,7 +84,9 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
     at the constraint. Feasibility is decided through the density bound so
     the two operations can never disagree: the path is feasible iff
     lambda_e lies strictly below the bound. At a positive density, a rate
-    that overflows a float raises OverflowError.
+    that overflows a float raises OverflowError, naming the weight where
+    the bound over lambda_e overflows (a very short path) and alpha where
+    only the rate does.
     """
     bound = weight_density_bound(weight, scenario)
     if scenario.lambda_e == 0.0:
@@ -94,7 +96,10 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
     if ratio <= 1.0:
         return SecrecyResult(0.0, 0.0, False)
     rs_star = (scenario.alpha / 2.0) * math.log2(ratio)
-    if rs_star == math.inf:  # `unbounded` is kept for lambda_e = 0
+    if ratio == math.inf:  # `unbounded` is kept for lambda_e = 0
+        raise OverflowError(f"the density bound of a path of weight {weight:g} over "
+                            f"lambda_e = {scenario.lambda_e:g} overflows a float")
+    if rs_star == math.inf:
         raise OverflowError(f"alpha = {scenario.alpha:g} overflows a float in the "
                             f"secrecy rate of a path of weight {weight:g}")
     return SecrecyResult(rs_star, rs_star / hops, True)

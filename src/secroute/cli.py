@@ -10,12 +10,13 @@ is not a finite float, a `route` source or destination that is not in the
 topology or that are the same node, a Monte Carlo run that cannot produce
 an estimate because no trial survives the on-off threshold, a `lambda_e`
 that expects more than 2^23 eavesdroppers on one hop's disk in a single
-trial, two nodes whose squared distance overflows a float, or a topology
-in which N-1 times its largest edge weight overflows, named by id, and
-parameters whose arithmetic overflows a float, such as a huge power, rate
-or path-loss exponent, a `table-one` alpha whose secrecy-rate sums
+trial, two nodes whose squared distance overflows a float, or an edge
+list in which N-1 times its largest edge weight overflows, named by id,
+and parameters whose arithmetic overflows a float, such as a huge power,
+rate or path-loss exponent, a `table-one` alpha whose secrecy-rate sums
 overflow, or a secrecy rate that overflows at a positive density; the
-message names the parameter), 3 I/O. When `route` finds no
+message names the parameter, or the path's weight where the path is so
+short that its density bound overflows), 3 I/O. When `route` finds no
 route it exits 1 and says why: `unreachable: no path from S to D` when no
 path joins them, `infeasible: no path satisfies the outage constraint at
 this eavesdropper density` when some path does but none meets the outage

@@ -101,9 +101,11 @@ class Topology:
 
     A topology is rejected (NetModelError, naming the pair) when two nodes'
     squared distance overflows a float, when an edge joins co-located
-    nodes, or when N-1 times its largest weight overflows: then every path
-    weight, a sum of at most N-1 weights, is finite, and an inf entry of a
-    routing sweep means unreachable.
+    nodes, or when an edge list's largest weight times N-1 overflows: then
+    every path weight, a sum of at most N-1 weights, is finite, and an inf
+    entry of a routing sweep means unreachable. A full mesh needs no such
+    check: a path whose weight overflows is longer than the direct edge,
+    so it never wins (see routing.relax).
 
     Safe for concurrent read access; all mutation happens in __init__.
     """
@@ -126,7 +128,7 @@ class Topology:
         _reject_pair(d2 == np.inf, self.order,
                      "lie so far apart that their squared distance overflows a float")
         if edges is None:
-            w, top = d2, d2.max()  # the largest weight; the diagonal is 0
+            w = d2
             np.fill_diagonal(w, np.inf)
         else:
             w = np.full_like(d2, np.inf)
@@ -137,12 +139,13 @@ class Topology:
                     raise NetModelError(f"self-loop on node {u}")
                 i, j = self.index[u], self.index[v]
                 w[i, j] = w[j, i] = d2[i, j]
-            top = np.max(w, initial=0.0, where=w < np.inf)
         _reject_pair(w == 0.0, self.order, "are co-located")
-        hops = len(self.order) - 1
-        if float(top) * hops == math.inf:
-            _reject_pair(w == top, self.order, f"lie so far apart that {hops} times "
-                         f"their squared distance overflows a float")
+        if edges is not None:
+            top = np.max(w, initial=0.0, where=w < np.inf)
+            hops = len(self.order) - 1
+            if float(top) * hops == math.inf:
+                _reject_pair(w == top, self.order, f"lie so far apart that {hops} times "
+                             f"their squared distance overflows a float")
         w.flags.writeable = False
         self._w = w
 

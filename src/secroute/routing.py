@@ -80,9 +80,10 @@ class HopConstrainedTable:
             return None
         seq = [i]
         # the entry's hop count; row 0 holds only the source
-        for r in range(int(np.argmax(self.best[:, i] == weight)), 0, -1):
-            i = int((w[i] + self.best[r - 1]).argmin())
-            seq.append(i)
+        with np.errstate(over="ignore"):  # an overflowing sum never wins (see relax)
+            for r in range(int(np.argmax(self.best[:, i] == weight)), 0, -1):
+                i = int((w[i] + self.best[r - 1]).argmin())
+                seq.append(i)
         return [self.topology.order[i] for i in reversed(seq)]
 
 
@@ -107,22 +108,26 @@ def relax(w: np.ndarray, best: np.ndarray):
     `best`. Returns the minimum over u; no predecessor is kept, since
     HopConstrainedTable.path_to recomputes the first u reaching it.
 
-    An input over _RELAX_CELLS cells is taken in blocks along its leading
-    axis, so the candidates sit in one reused buffer of at most that many
-    cells, which stays in cache: a slab of rows of one matrix, or a run
-    of whole meshes of a stack (one mesh, where a mesh alone is larger).
-    The sums and minima are the ones the single expression takes.
+    The input is taken in blocks along its leading axis, so the candidates
+    sit in one reused buffer of at most _RELAX_CELLS cells, which stays in
+    cache: a slab of rows of one matrix, or a run of whole meshes of a
+    stack (one mesh, where a mesh alone is larger). An input under the cap
+    is one block. The sums and minima are the ones the single expression
+    (w + best[..., None, :]).min(axis=-1) takes.
+
+    A sum that overflows reads inf. It never wins on a full mesh, where
+    every node's direct edge is finite and shorter, and `Topology` rejects
+    the edge lists on which one could.
     """
-    if w.size <= _RELAX_CELLS:
-        return (w + best[..., None, :]).min(axis=-1)
     b = np.broadcast_to(best[..., None, :], w.shape)
-    step = max(1, _RELAX_CELLS // w[0].size)
+    step = min(len(w), max(1, _RELAX_CELLS // w[0].size))
     buf = np.empty((step,) + w.shape[1:])
     out = np.empty(w.shape[:-1])
-    for i in range(0, len(w), step):
-        j = min(i + step, len(w))
-        cand = np.add(w[i:j], b[i:j], out=buf[:j - i])
-        cand.min(axis=-1, out=out[i:j])
+    with np.errstate(over="ignore"):
+        for i in range(0, len(w), step):
+            j = min(i + step, len(w))
+            cand = np.add(w[i:j], b[i:j], out=buf[:j - i])
+            cand.min(axis=-1, out=out[i:j])
     return out
 
 
@@ -171,7 +176,7 @@ def reachable(topology: Topology, source: int, dest: int) -> bool:
 
     A search over the edges (the finite weights) with no hop budgets: each
     node's row is read once, so the cost is O(N^2) and the memory O(N).
-    It agrees with the sweep's last row, whose sums `Topology` keeps finite.
+    It agrees with the sweep's last row, where inf means unreachable (see relax).
     """
     w = topology.weight_matrix()
     dst = topology.index[dest]

@@ -147,11 +147,19 @@ class TestOptimalRs:
         res = analytics.optimal_rs(straight_path(50.0), scen(lam=0.0))
         assert res.feasible and res.rs_star == math.inf
 
-    @pytest.mark.parametrize("alpha,weight", [(1e308, 50.0), (4.0, 1e-320)])
-    def test_overflowing_rate_raises(self, alpha, weight):
+    @pytest.mark.parametrize("alpha,weight,lam,message", [
+        (1e308, 50.0, 1e-5, "alpha = 1e+308 overflows a float"),
+        # the rate itself (about 2000) fits a float; the density bound does not
+        (4.0, 1e-320, 1e-5, "the density bound of a path of weight 9.99989e-321 "
+                            "over lambda_e = 1e-05 overflows a float"),
+        # a finite bound whose quotient by lambda_e overflows
+        (4.0, 1e-300, 1e-300, "the density bound of a path of weight 1e-300 "
+                              "over lambda_e = 1e-300 overflows a float"),
+    ], ids=["alpha", "short-path", "small-density"])
+    def test_overflowing_rate_raises(self, alpha, weight, lam, message):
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            analytics.secrecy_rate(weight, 1, scen(lam=lam, alpha=alpha))
         # inf, printed `unbounded`, is kept for a zero density
-        with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha:g} overflows a float")):
-            analytics.secrecy_rate(weight, 1, scen(alpha=alpha))
         assert analytics.secrecy_rate(weight, 1, scen(lam=0.0, alpha=alpha)).rs_star == math.inf
 
 

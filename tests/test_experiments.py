@@ -478,7 +478,6 @@ class TestCli:
         # a path joins 1 and 3, whose first hop's squared length overflows
         pytest.param((0, 1e200, 1), "1,2\n2,3\n", "", id="edges"),
         # each squared length is finite, but N-1 = 2 of the longest overflow
-        pytest.param((0, 1e154, 1), None, "2 times ", id="mesh-path-weight"),
         pytest.param((0, 1e154, 1), "1,2\n2,3\n", "2 times ", id="edges-path-weight"),
     ])
     def test_far_apart_nodes_exit_code(self, tmp_path, capsys, xs, edges, times):
@@ -493,6 +492,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"error: nodes 1 and 2 lie so far apart that {times}their "
                        "squared distance overflows a float\n")
+
+    def test_mesh_path_weight_may_overflow(self, tmp_path, capsys):
+        # the nodes of `edges-path-weight` as a full mesh: a sum that
+        # overflows is longer than the direct edge, so the route stands
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("1,0,0\n2,1e154,0\n3,1,0\n")
+        rc = main(["route", "--topology", str(nodes), "--source", "1", "--dest", "3"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert "path: 1 -> 3\n" in out
+
+    def test_density_bound_overflow_exit_code(self, tmp_path, capsys):
+        # nodes 1e-160 apart: the rate (about 2000) fits a float, but the
+        # density bound of a path of weight 1e-320 does not; alpha is not named
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("1,0,0\n2,1e-160,0\n")
+        rc = main(["route", "--topology", str(nodes), "--source", "1", "--dest", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the density bound of a path of weight 9.99989e-321 "
+            "over lambda_e = 1e-05 overflows a float\n")
 
     def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):
         # only the first row may be a header; a later `1.0` id is malformed,

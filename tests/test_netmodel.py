@@ -80,14 +80,14 @@ def test_overflowing_squared_distance_rejected(edges):
         build_topology(nodes, edges)
 
 
-@pytest.mark.parametrize("edges", [None, [(0, 1), (1, 2)]])
-def test_overflowing_path_weight_rejected(edges):
+def test_overflowing_path_weight_rejected():
     # no squared distance overflows, but a path of N-1 = 2 hops of the
-    # longest one would, so a sweep's sum could read inf on a joined pair
+    # longest edge would, so a sweep's sum could read inf on a joined pair
     nodes = [Node(0, 0, 0), Node(1, 1e154, 0), Node(2, 0, 0.001)]
     with pytest.raises(NetModelError, match="nodes 0 and 1 lie so far apart that 2 times"):
-        build_topology(nodes, edges)
+        build_topology(nodes, [(0, 1), (1, 2)])
     build_topology(nodes, [(0, 2)])  # the far node joins no edge
+    build_topology(nodes)  # on a full mesh a sum that overflows never wins
 
 
 def test_edge_validation():

@@ -122,6 +122,21 @@ class TestBellmanFord:
         assert tab.best_weight(3, 2) == 68.0
         assert tab.path_to(3, 2) == [0, 1, 3]
 
+    def test_overflowing_sums_never_win_on_a_mesh(self):
+        # every squared distance fits a float, but node 3 lies about 1e308
+        # from node 0 and 1.5e308 from node 2, so a sum through it, in relax
+        # and in path_to, overflows: it reads inf, loses, and warns nothing
+        h = 1e154
+        topo = build_topology([Node(0, 0, 0), Node(1, h / 2, 0), Node(2, h, 0),
+                               Node(3, h / 4, 0.95 * h)])
+        w = topo.weight_matrix()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = routing.bellman_ford_hop_constrained(topo, 0, 2)
+            assert tab.path_to(2, 3) == [0, 1, 2]
+            assert tab.path_to(3, 3) == [0, 3]
+        assert tab.best[-1].tolist() == [0.0, w[0, 1], 0.0 + w[0, 1] + w[1, 2], w[0, 3]]
+
     def test_table_monotone_and_stabilizes(self):
         rng = np.random.default_rng(5)
         topo = random_mesh(7, rng)
