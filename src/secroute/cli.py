@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-    secroute <subcommand> [--config FILE] [--seed N] [--trials N]
-             [--reps N] [--out CSV] ...
+    secroute <subcommand> [--config FILE] [--seed N] [--trials N] [--reps N]
+             [--out CSV] [--topology CSV] [--edges CSV] [--source ID] [--dest ID]
+
+Every flag overrides its config key; only `route` reads the last four.
 
 Exit codes: 0 success, 1 infeasible/unreachable or a `validate` row that
 is not a plain pass, 2 invalid config or input (including malformed
@@ -62,19 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="secroute",
         description="Secrecy-outage analytics, Monte Carlo validation and "
                     "secure routing for multihop relaying")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in experiments.EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--out", help="output CSV path")
-        if name == "route":
-            p.add_argument("--topology", help="node CSV (id,x,y)")
-            p.add_argument("--edges", help="optional edge-list CSV (from,to)")
-            p.add_argument("--source", type=int)
-            p.add_argument("--dest", type=int)
+    parser.add_argument("command", choices=experiments.EXPERIMENTS)
+    parser.add_argument("--config", help="key = value config file")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--reps", type=int)
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--topology", help="route: node CSV (id,x,y)")
+    parser.add_argument("--edges", help="route: optional edge-list CSV (from,to)")
+    parser.add_argument("--source", type=int)
+    parser.add_argument("--dest", type=int)
     return parser
 
 

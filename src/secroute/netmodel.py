@@ -125,7 +125,7 @@ class Topology:
             raise NetModelError(f"non-finite coordinates on node {self.order[bad.argmax()]}")
         with np.errstate(over="ignore"):
             d2 = _squared_distances(self.xy)
-        _reject_pair(d2 == np.inf, self.order,
+        _reject_pair(d2, d2.argmax(), np.inf, self.order,
                      "lie so far apart that their squared distance overflows a float")
         if edges is None:
             w = d2
@@ -139,13 +139,13 @@ class Topology:
                     raise NetModelError(f"self-loop on node {u}")
                 i, j = self.index[u], self.index[v]
                 w[i, j] = w[j, i] = d2[i, j]
-        _reject_pair(w == 0.0, self.order, "are co-located")
+        _reject_pair(w, w.argmin(), 0.0, self.order, "are co-located")
         if edges is not None:
             top = np.max(w, initial=0.0, where=w < np.inf)
             hops = len(self.order) - 1
             if float(top) * hops == math.inf:
-                _reject_pair(w == top, self.order, f"lie so far apart that {hops} times "
-                             f"their squared distance overflows a float")
+                _reject_pair(w, (w == top).argmax(), top, self.order, f"lie so far apart "
+                             f"that {hops} times their squared distance overflows a float")
         w.flags.writeable = False
         self._w = w
 
@@ -215,15 +215,16 @@ def mesh_weights(xy: np.ndarray) -> np.ndarray:
     w = _squared_distances(xy)
     n = xy.shape[-2]
     w[..., range(n), range(n)] = np.inf
-    _reject_pair(w == 0.0, range(n), "are co-located")
+    _reject_pair(w, w.argmin(), 0.0, range(n), "are co-located")
     return w
 
 
-def _reject_pair(bad: np.ndarray, order, what: str) -> None:
-    """Raise NetModelError naming, by its ids in `order`, the first pair of
-    nodes flagged in `bad`."""
-    if bad.any():
-        *_, i, j = np.argwhere(bad)[0]
+def _reject_pair(w: np.ndarray, k, value: float, order, what: str) -> None:
+    """Raise NetModelError naming, by its ids in `order`, the pair of nodes at
+    flat index k of the (..., N, N) array w if w holds `value` there; k, an
+    argmax or argmin, is the first such entry in C order, without a mask."""
+    if w.flat[k] == value:
+        *_, i, j = np.unravel_index(k, w.shape)
         raise NetModelError(f"nodes {order[i]} and {order[j]} {what}")
 
 

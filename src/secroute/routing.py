@@ -6,9 +6,10 @@ sweep, followed by an outer maximization of the per-path secrecy rate over
 v. The sweep stops at its fixed point, the first budget at which no entry
 improves, since every later budget would repeat the last row; the outer
 maximization scores a budget's path only where the destination's entry
-improves, since elsewhere it is the previous budget's path. A route's
-sweep also stops once no later budget's rate bound (`later_rate_bounds`)
-exceeds the best rate found, since no later path could then win.
+improves, since elsewhere it is the previous budget's path. Both sweeps
+also stop once no later budget's rate bound (`later_rate_bounds`) exceeds
+the best rate found, 0 while none is feasible, since no later path could
+then win. A feasible rate is positive, so a best rate of 0 means none.
 
 Both sweeps here, one topology's (`bellman_ford_hop_constrained`) and a
 stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
@@ -229,19 +230,17 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     """Best secrecy rate from the first node to the last of each mesh in a stack.
 
     w is an (R, N, N) stack of full-mesh weight matrices. Returns rates and
-    feasible, (R,) arrays: where solve_secure_route on mesh r would return
-    None, feasible[r] is False and rates[r] 0; elsewhere rates[r] equals
-    its c_s. Only the destination's column is read: where its weight
-    strictly drops at budget v, its path has exactly v hops (see
-    HopConstrainedTable) and scores secrecy_rate(weight, v); the first
-    maximum wins. A mesh leaves the stack at its fixed point, or once no
-    later budget's bound (later_rate_bounds) exceeds its best rate, 0
-    while it has none: no later path could then win.
+    feasible, (R,) arrays: rates[r] is the c_s of solve_secure_route on
+    mesh r, or 0 where that returns None, and feasible is rates > 0. Only
+    the destination's column is read: where its weight strictly drops at
+    budget v, its path has exactly v hops (see HopConstrainedTable) and
+    scores secrecy_rate(weight, v); the first maximum wins. A mesh leaves
+    the stack at its fixed point, or once no later budget's bound
+    (later_rate_bounds) exceeds its best rate.
     """
     r, n, _ = w.shape
     later = later_rate_bounds(w[:, 0, -1], n, scenario)
     rates = np.zeros(r)
-    feasible = np.zeros(r, dtype=bool)
     live = np.arange(r)
     best = np.full((r, n), np.inf)
     best[:, 0] = 0.0
@@ -254,13 +253,11 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
         cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
         improve = cw < best
         for k in np.flatnonzero(improve[:, -1]).tolist():
-            res = secrecy_rate(float(cw[k, -1]), v, scenario)
-            i = live[k]
-            if res.feasible and (not feasible[i] or res.c_s > rates[i]):
-                rates[i], feasible[i] = res.c_s, True
+            i = live[k]  # an infeasible c_s is 0
+            rates[i] = max(rates[i], secrecy_rate(float(cw[k, -1]), v, scenario).c_s)
         best = np.where(improve, cw, best)
         keep = improve.any(axis=1) & (later[live, v] > rates[live])
-    return rates, feasible
+    return rates, rates > 0.0
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
@@ -274,12 +271,11 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     Where the destination's weight strictly drops at budget v, its path has
     exactly v hops (see HopConstrainedTable) and is scored once, as
     secrecy_rate(weight, v), which is path_metric of that path. The sweep
-    stops once a feasible candidate exists and no later budget's bound
-    (later_rate_bounds, from the straight source-destination distance)
-    exceeds the best rate. The audit trail then holds only the budgets
+    stops once no later budget's bound (later_rate_bounds, from the
+    straight source-destination distance) exceeds the best rate, 0 while
+    no candidate is feasible. The audit trail then holds only the budgets
     swept, fewer than N-1; after a fixed-point stop the later budgets
-    repeat the last entry. Without a feasible candidate the stop never
-    fires, so such routes sweep to the fixed point.
+    repeat the last entry.
     """
     _check_endpoints(topology, source, dest)
     n = len(topology.order)
@@ -287,7 +283,7 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     dx, dy = (topology.xy[dst] - topology.xy[topology.index[source]]).tolist()
     later = later_rate_bounds(np.array([math.hypot(dx, dy) ** 2]), n, scenario)[0]
     metrics = {}  # budget -> metric, at the budgets where the path changes
-    best_metric = best_v = None
+    best_metric, best_v = 0.0, None
     last_w = math.inf
 
     def stop(v, row):
@@ -296,13 +292,13 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
         if w < last_w:
             res = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
             metrics[v] = res.c_s if res.feasible else None
-            if res.feasible and (best_metric is None or res.c_s > best_metric):
+            if res.c_s > best_metric:  # an infeasible c_s is 0
                 best_metric, best_v = res.c_s, v
         last_w = w
-        return best_metric is not None and later[v] <= best_metric
+        return later[v] <= best_metric
 
     table = bellman_ford_hop_constrained(topology, source, dest, stop)
-    if best_metric is None:
+    if best_v is None:
         return None
     audit = []
     seq = metric = None

@@ -304,6 +304,24 @@ class TestCli:
         assert rc == 0
         assert out.exists()
 
+    def test_flags_override_config_keys(self, tmp_path, capsys):
+        # one parser for every subcommand: each flag names a config key, and
+        # a flag writes the same CSV as the same key in a config file
+        from secroute.cli import _build_parser
+        args = vars(_build_parser().parse_args(["route"]))
+        assert set(args) - {"command", "config"} <= set(vars(ExperimentConfig()))
+        out = tmp_path / "t.csv"
+        base = "n_legit = 5,8\nreps = 3\n"
+        flagged, keyed = tmp_path / "f.cfg", tmp_path / "k.cfg"
+        flagged.write_text(base)
+        keyed.write_text(base + "seed = 7\n")
+        assert main(["table-one", "--config", str(flagged), "--seed", "7",
+                     "--out", str(out)]) == 0
+        by_flag = out.read_bytes()
+        assert main(["table-one", "--config", str(keyed), "--out", str(out)]) == 0
+        assert out.read_bytes() == by_flag
+        assert b"# seed = 7\n" in by_flag
+
     def test_one_column_edge_row_exit_code(self, tmp_path, capsys):
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("0,0,0\n1,0,5\n2,0,10\n")

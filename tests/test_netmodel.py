@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from secroute import NetModelError, Node, Scenario, build_topology
-from secroute.netmodel import load_edges_csv, load_nodes_csv, mesh_weights
+from secroute.netmodel import _TRI_ROWS, load_edges_csv, load_nodes_csv, mesh_weights
 from secroute.experiments import six_node_topology
 
 
@@ -171,6 +172,34 @@ def test_mesh_weights_reject_colocated():
     # a topology names the pair by node id
     with pytest.raises(NetModelError, match="nodes 11 and 13 are co-located"):
         build_topology([Node(10 + i, x, y) for i, (x, y) in enumerate(xy[1].tolist())])
+
+
+def test_rejected_pair_is_first_in_row_major_order():
+    # several bad pairs: the message names the first, as a mask's argwhere would
+    xy = [(0, 0), (5, 0), (0, 0), (5, 0), (9, 9)]
+    with pytest.raises(NetModelError, match="nodes 0 and 2 are co-located"):
+        build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy)])
+    with pytest.raises(NetModelError, match="nodes 0 and 2 are co-located"):
+        mesh_weights(np.array([[(0, 0), (5, 0), (1, 1), (2, 2), (3, 3)], xy], dtype=float))
+    far = [(0, 1e154), (0, 0), (0, -1e154), (1e154, 0)]
+    with pytest.raises(NetModelError, match="nodes 0 and 2 lie so far apart"):
+        build_topology([Node(i, x, y) for i, (x, y) in enumerate(far)])
+
+
+def test_mesh_build_memory_bounded():
+    # the pair checks read the matrix's extremes and make no (N, N) mask:
+    # the build holds the weight matrix plus O(N * _TRI_ROWS) bytes
+    n = 1500
+    xy = np.random.default_rng(0).uniform(0.0, 50.0, (n, 2))
+    nodes = [Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
+    tracemalloc.start()
+    try:
+        build_topology(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (N, N) bool mask alone would add N^2 bytes (2.25 MB) here
+    assert peak <= 8 * n * (n + 5 * _TRI_ROWS)
 
 
 def test_path_validation():

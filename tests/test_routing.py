@@ -264,18 +264,41 @@ class TestFixedPointStop:
 
     @pytest.mark.parametrize("kind,seed", SWEEP_CASES)
     def test_no_feasible_candidate_sweeps_to_fixed_point(self, kind, seed, monkeypatch):
-        # while no candidate is feasible the stop never fires, even where the
-        # bound already shows that no later budget can be feasible either
+        # while no candidate is feasible the best rate is 0, so the sweep ends
+        # at the first budget whose later bound is <= 0, or at the fixed point
+        # if that comes first; an infeasible route takes one sweep, looked up
+        # on the module (the benchmark's tracer wraps it there)
         topo, src, dest = sweep_case(kind, seed)
+        n = len(topo.order)
         v_fix = len(routing.bellman_ford_hop_constrained(topo, src, dest).best)
+        dx, dy = (topo.xy[topo.index[dest]] - topo.xy[topo.index[src]]).tolist()
+        d2 = np.array([math.hypot(dx, dy) ** 2])
         sweep = routing.bellman_ford_hop_constrained
         tables = []
         monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
                             lambda *args: tables.append(sweep(*args)) or tables[-1])
+        infeasible = 0
         for lam in (1e-4, 1e-2, 1.0):
             tables.clear()
-            if routing.solve_secure_route(topo, src, dest, scen(lam=lam)) is None:
-                assert [len(t.best) for t in tables] == [v_fix]
+            sc = scen(lam=lam)
+            if routing.solve_secure_route(topo, src, dest, sc) is None:
+                later = routing.later_rate_bounds(d2, n, sc)[0]
+                v_stop = next(v for v in range(1, n) if later[v] <= 0.0)
+                assert [len(t.best) for t in tables] == [min(v_stop + 1, v_fix)]
+                infeasible += 1
+        assert infeasible
+
+    def test_infeasible_large_mesh_stops_after_budget_one(self, monkeypatch):
+        # 2000 relays on the 50 x 50 square at lambda_e = 1: the bound rules
+        # out every budget after the first, so the sweep keeps rows 0 and 1
+        xy = placement(2000, np.random.default_rng([1, 1]))
+        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        sweep = routing.bellman_ford_hop_constrained
+        tables = []
+        monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
+                            lambda *args: tables.append(sweep(*args)) or tables[-1])
+        assert routing.solve_secure_route(topo, 0, 2001, scen(lam=1.0)) is None
+        assert [len(t.best) for t in tables] == [2]
 
     def test_bound_uses_straight_distance_on_edge_lists(self):
         # 0 -> 5 over a detour node (2 hops, weight 2600) or along the axis
@@ -479,12 +502,20 @@ class TestMeshSecrecyRates:
         assert scored
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("lam", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.0, "edge"])
     def test_rates_match_solve_secure_route(self, seed, lam):
         xy, sc = stacked_case(seed)
+        n = xy.shape[1]
+        edge = lam == "edge"
+        if edge:
+            # just under mesh 0's best-path bound: its c_s is tiny but
+            # positive, and the mesh still counts as feasible
+            pts = xy[0].tolist()
+            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+            w_min = routing.bellman_ford_hop_constrained(topo, 0, n - 1).best[-1, -1]
+            lam = analytics.weight_density_bound(float(w_min), sc) * (1.0 - 1e-12)
         if lam is not None:
             sc = Scenario(sc.alpha, lam, sc.epsilon)
-        n = xy.shape[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing warns, at lambda_e = 0 either
             rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), sc)
@@ -493,6 +524,8 @@ class TestMeshSecrecyRates:
             sol = routing.solve_secure_route(topo, 0, n - 1, sc)
             assert feasible[k] == (sol is not None)
             assert rates[k] == (sol.c_s if sol is not None else 0.0)
+        if edge:
+            assert feasible[0] and 0.0 < rates[0] < 1e-9
 
     def test_stop_ends_before_fixed_point(self, monkeypatch):
         xy = placement(100, montecarlo.block_rng(3, 0, 0))
