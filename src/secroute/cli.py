@@ -6,27 +6,27 @@
 Every flag overrides its config key; only `route` reads the last four.
 
 Exit codes: 0 success, 1 infeasible/unreachable or a `validate` row that
-is not a plain pass, 2 invalid config or input (including malformed
-node/edge CSV rows, a non-finite density or power, a `window` whose area
-is not a finite float, a `route` source or destination that is not in the
-topology or that are the same node, a Monte Carlo run that cannot produce
-an estimate because no trial survives the on-off threshold, a `lambda_e`
-that expects more than 2^23 eavesdroppers on one hop's disk in a single
-trial, two nodes whose squared distance overflows a float, or an edge
-list in which N-1 times its largest edge weight overflows, named by id,
-and parameters whose arithmetic overflows a float, such as a huge power,
-rate or path-loss exponent, a `table-one` alpha whose secrecy-rate sums
-overflow, or a secrecy rate that overflows at a positive density; the
-message names the parameter, or the path's weight where the path is so
-short that its density bound overflows), 3 I/O. When `route` finds no
-route it exits 1 and says why: `unreachable: no path from S to D` when no
-path joins them, `infeasible: no path satisfies the outage constraint at
-this eavesdropper density` when some path does but none meets the outage
-constraint. A `route` that finds one prints its per-hop-budget
-candidates; once no later budget's rate bound (a v-hop path has weight at
-least D^2/v, D the straight source-destination distance) exceeds the best
-rate, the sweep ends and the table's last line reads `v>=k+1: pruned, no
-later budget's rate bound exceeds c_s`.
+is not a plain pass, 2 invalid config or input (including a malformed
+node/edge CSV row, named in the message, a non-finite density or power, a
+`window` whose area is not a finite float, a `route` source or destination
+that is not in the topology or that are the same node, a Monte Carlo run
+that cannot produce an estimate because no trial survives the on-off
+threshold, a `lambda_e` that expects more than 2^23 eavesdroppers on one
+hop's disk in a single trial, two nodes whose squared distance overflows a
+float, or an edge list in which N-1 times its largest edge weight
+overflows, named by id, and parameters whose arithmetic overflows a float,
+such as a huge power, rate or path-loss exponent, a `table-one` alpha
+whose secrecy-rate sums overflow, or a secrecy rate that overflows at a
+positive density; the message names the parameter, or the path's weight
+where the path is so short that its density bound overflows), 3 I/O. When
+`route` finds no route it exits 1 and says why: `unreachable: no path from
+S to D` when no path joins them, `infeasible: no path satisfies the outage
+constraint at this eavesdropper density` when some path does but none
+meets the outage constraint. A `route` that finds one prints its
+per-hop-budget candidates; once no later budget's rate bound (a v-hop path
+has weight at least D^2/v, D the straight source-destination distance)
+exceeds the best rate, the sweep ends and the table's last line reads
+`v>=k+1: pruned, no later budget's rate bound exceeds c_s`.
 
 `sop-curve` and `validate` write each estimate's `bias_bound`, the most by
 which the truncated eavesdropper field can bias it low. A `validate` mode

@@ -118,7 +118,10 @@ def _fmt(x) -> str:
 
 
 def _fmt_rate(x) -> str:
-    """A secrecy rate for output; no eavesdroppers leave it unbounded."""
+    """A secrecy rate for output: `infeasible` for None (no rate meets the
+    outage constraint), `unbounded` for inf (no eavesdroppers)."""
+    if x is None:
+        return "infeasible"
     return "unbounded" if x == math.inf else _fmt(x)
 
 
@@ -141,24 +144,27 @@ def _row_seed(master: int, index: int) -> int:
     return master * 1000003 + index
 
 
-def run_sop_curve(cfg: ExperimentConfig):
-    """Analytic vs Monte Carlo end-to-end SOP across the eavesdropper-density sweep."""
+def _example_sweep(cfg: ExperimentConfig, param: str, values):
+    """Yield (topology, path, row key, scenario) for each of FIG_PATHS on the
+    six-node example, path by path, at each of `values` of the scenario's
+    `param`; the row key is (path id, hops, value)."""
     topo = six_node_topology()
     scenario = cfg.scenario()
-    rows = []
-    idx = 0
     for seq in FIG_PATHS:
         path = topo.path(seq)
         pid = "-".join(str(n) for n in seq)
-        for lam in cfg.lambdas:
-            sc = replace(scenario, lambda_e=lam)
-            analytic = analytics.path_sop(cfg.rs, path, sc)
-            seed = _row_seed(cfg.seed, idx)
-            est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc,
-                                               cfg.trials, seed)
-            rows.append((pid, path.hop_count, lam, analytic,
-                         est.mean, est.stderr, est.bias_bound, est.trials, seed))
-            idx += 1
+        for val in values:
+            yield topo, path, (pid, path.hop_count, val), replace(scenario, **{param: val})
+
+
+def run_sop_curve(cfg: ExperimentConfig):
+    """Analytic vs Monte Carlo end-to-end SOP across the eavesdropper-density sweep."""
+    rows = []
+    for idx, (topo, path, key, sc) in enumerate(_example_sweep(cfg, "lambda_e", cfg.lambdas)):
+        analytic = analytics.path_sop(cfg.rs, path, sc)
+        seed = _row_seed(cfg.seed, idx)
+        est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc, cfg.trials, seed)
+        rows.append((*key, analytic, est.mean, est.stderr, est.bias_bound, est.trials, seed))
     header = ["path_id", "hops", "lambda_e", "analytic_sop",
               "mc_mean", "mc_stderr", "bias_bound", "trials", "seed"]
     return header, rows
@@ -166,20 +172,10 @@ def run_sop_curve(cfg: ExperimentConfig):
 
 def run_rate_sweeps(cfg: ExperimentConfig, param: str):
     """Secrecy rate of the fixed example paths across a lambda_e or epsilon sweep."""
-    topo = six_node_topology()
-    scenario = cfg.scenario()
     values = cfg.lambdas if param == "lambda_e" else cfg.epsilons
-    rows = []
-    for seq in FIG_PATHS:
-        path = topo.path(seq)
-        pid = "-".join(str(n) for n in seq)
-        for val in values:
-            sc = replace(scenario, **{param: val})
-            m = analytics.path_metric(path, sc)
-            rows.append((pid, path.hop_count, val,
-                         _fmt_rate(m) if m is not None else "infeasible"))
-    header = ["path_id", "hops", param, "c_s"]
-    return header, rows
+    rows = [(*key, _fmt_rate(analytics.path_metric(path, sc)))
+            for _, path, key, sc in _example_sweep(cfg, param, values)]
+    return ["path_id", "hops", param, "c_s"], rows
 
 
 def placement(n_legit: int, rng) -> np.ndarray:
@@ -277,8 +273,7 @@ def run_route(cfg: ExperimentConfig):
         lines.append("per-hop-budget candidates:")
         for v, seq, metric in sol.per_v_candidates:
             pid = "-".join(str(n) for n in seq) if seq else "unreachable"
-            m = _fmt_rate(metric) if metric is not None else "infeasible"
-            lines.append(f"  v={v} path={pid} metric={m}")
+            lines.append(f"  v={v} path={pid} metric={_fmt_rate(metric)}")
         k = len(sol.per_v_candidates)
         if k < len(topo.order) - 1:  # the rate bound ended the sweep at budget k
             lines.append(f"  v>={k + 1}: pruned, no later budget's rate bound exceeds c_s")

@@ -228,13 +228,13 @@ def _reject_pair(w: np.ndarray, k, value: float, order, what: str) -> None:
         raise NetModelError(f"nodes {order[i]} and {order[j]} {what}")
 
 
-def _csv_rows(fname, ncols: int, kind: str):
-    """Yield the data rows of a CSV file.
+def _csv_rows(fname, kind: str, convert):
+    """Yield convert(row) for each data row of a CSV file.
 
-    Blank lines and '#' comments are skipped, and so is the first other row
-    when its first field is not an integer (a header). Any later row whose
-    first field is not an integer, or a data row with fewer than `ncols`
-    fields, is a malformed `kind` row.
+    Blank lines and '#' comments are skipped. The first other row is a
+    header, and skipped, when convert fails on it (ValueError or IndexError)
+    and its first field is not a number; any other row that convert fails
+    on is a malformed `kind` row.
     """
     with open(fname, newline="") as fh:
         first = True
@@ -243,20 +243,22 @@ def _csv_rows(fname, ncols: int, kind: str):
                 continue
             header_allowed, first = first, False
             try:
-                int(row[0])
-            except ValueError:
-                if header_allowed:
-                    continue
+                item = convert(row)
+            except (ValueError, IndexError):
+                try:
+                    float(row[0])  # a number is data, never a header
+                except ValueError:
+                    if header_allowed:
+                        continue
                 raise NetModelError(f"malformed {kind} row: {row}") from None
-            if len(row) < ncols:
-                raise NetModelError(f"malformed {kind} row: {row}")
-            yield row
+            yield item
 
 
 def load_nodes_csv(fname) -> list[Node]:
-    """Read `id,x,y` rows; '#' comments and a non-numeric header are skipped."""
-    nodes = [Node(int(row[0]), float(row[1]), float(row[2]))
-             for row in _csv_rows(fname, 3, "node")]
+    """Read `id,x,y` rows; '#' comments and a header (a first row whose id is
+    not a number) are skipped."""
+    nodes = list(_csv_rows(fname, "node",
+                           lambda row: Node(int(row[0]), float(row[1]), float(row[2]))))
     if not nodes:
         raise NetModelError(f"no node rows found in {fname}")
     return nodes
@@ -264,4 +266,4 @@ def load_nodes_csv(fname) -> list[Node]:
 
 def load_edges_csv(fname) -> list[tuple[int, int]]:
     """Read optional `from,to` edge rows, same comment/header rules."""
-    return [(int(row[0]), int(row[1])) for row in _csv_rows(fname, 2, "edge")]
+    return list(_csv_rows(fname, "edge", lambda row: (int(row[0]), int(row[1]))))

@@ -326,10 +326,14 @@ class TestCli:
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("0,0,0\n1,0,5\n2,0,10\n")
         edges = tmp_path / "edges.csv"
-        edges.write_text("0,1\n2\n")
-        rc = main(["route", "--topology", str(nodes), "--edges", str(edges),
-                   "--source", "0", "--dest", "2"])
-        assert rc == 2
+        # a first row `0.0,1` is a malformed edge, not a header to skip
+        # (skipping it would leave 0 -> 2 unreachable on a connected graph)
+        for text, row in [("0,1\n2\n", "['2']"), ("0.0,1\n1,2\n", "['0.0', '1']")]:
+            edges.write_text(text)
+            rc = main(["route", "--topology", str(nodes), "--edges", str(edges),
+                       "--source", "0", "--dest", "2"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: malformed edge row: {row}\n"
 
     @pytest.mark.parametrize("command,line,named", [
         # the route cases keep their short ids
@@ -534,12 +538,17 @@ class TestCli:
 
     def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):
         # only the first row may be a header; a later `1.0` id is malformed,
-        # not a second header to skip
+        # not a second header to skip. A first row is a header only when its
+        # id is not a number, and a field that does not parse names its row.
         nodes = tmp_path / "nodes.csv"
-        nodes.write_text("id,x,y\n0,0,0\n1.0,3,4\n2,0,10\n")
-        rc = main(["route", "--topology", str(nodes), "--source", "0", "--dest", "1"])
-        assert rc == 2
-        assert "malformed node row" in capsys.readouterr().err
+        for text, row in [("id,x,y\n0,0,0\n1.0,3,4\n2,0,10\n", "['1.0', '3', '4']"),
+                          ("1.0,0,0\n0,0,0\n2,0,10\n", "['1.0', '0', '0']"),
+                          ("nan,0,0\n0,0,0\n1,3,4\n", "['nan', '0', '0']"),
+                          ("0,0,0\n1,1e,0\n", "['1', '1e', '0']")]:
+            nodes.write_text(text)
+            rc = main(["route", "--topology", str(nodes), "--source", "0", "--dest", "1"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: malformed node row: {row}\n"
 
     def test_validate_draws_each_block_once(self, monkeypatch):
         # all five estimates share one pass: 7 blocks of 100000 trials,

@@ -225,10 +225,11 @@ def test_explicit_edge_list():
 
 
 def test_csv_round_trip(tmp_path):
+    # a comment, a header and an extra trailing column all load
     nodes_file = tmp_path / "nodes.csv"
-    nodes_file.write_text("# example\nid,x,y\n0,0,0\n1,3,4\n2,0,10\n")
+    nodes_file.write_text("# example\nid,x,y\n0,0,0\n1,3,4,relay\n2,0,10\n")
     edges_file = tmp_path / "edges.csv"
-    edges_file.write_text("# links\nfrom,to\n0,1\n\n1,2\n")
+    edges_file.write_text("# links\nfrom,to\n0,1\n\n1,2,x\n")
     nodes = load_nodes_csv(nodes_file)
     assert [n.id for n in nodes] == [0, 1, 2]
     edges = load_edges_csv(edges_file)
@@ -241,16 +242,27 @@ def test_csv_round_trip(tmp_path):
 
 def test_one_column_edge_row_rejected(tmp_path):
     edges_file = tmp_path / "edges.csv"
-    edges_file.write_text("from,to\n0,1\n2\n")
-    with pytest.raises(NetModelError):
-        load_edges_csv(edges_file)
+    # a first row whose id is a number is data, not a header to skip; a
+    # field that does not parse names its row
+    for text, row in [("from,to\n0,1\n2\n", "['2']"),
+                      ("0.0,1\n1,2\n", "['0.0', '1']"),
+                      ("from,to\n0,x\n", "['0', 'x']")]:
+        edges_file.write_text(text)
+        with pytest.raises(NetModelError) as exc:
+            load_edges_csv(edges_file)
+        assert str(exc.value) == f"malformed edge row: {row}"
 
 
 def test_malformed_node_csv_rejected(tmp_path):
-    two_fields = tmp_path / "two.csv"
-    two_fields.write_text("id,x,y\n0,0,0\n1,3\n")
-    with pytest.raises(NetModelError, match="malformed node row"):
-        load_nodes_csv(two_fields)
+    nodes_file = tmp_path / "two.csv"
+    for text, row in [("id,x,y\n0,0,0\n1,3\n", "['1', '3']"),
+                      ("1.0,0,0\n2,0,5\n", "['1.0', '0', '0']"),
+                      ("nan,0,0\n2,0,5\n", "['nan', '0', '0']"),
+                      ("id,x,y\n1,1e,0\n", "['1', '1e', '0']")]:
+        nodes_file.write_text(text)
+        with pytest.raises(NetModelError) as exc:
+            load_nodes_csv(nodes_file)
+        assert str(exc.value) == f"malformed node row: {row}"
     no_rows = tmp_path / "empty.csv"
     no_rows.write_text("# nothing here\nid,x,y\n\n")
     with pytest.raises(NetModelError, match="no node rows"):
