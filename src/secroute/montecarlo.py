@@ -39,7 +39,7 @@ trial, and the memoryless hop estimator is its one-hop case.
 
 The hop estimators make one pass: each block's (interference, h) pair is
 drawn once, and on it `hop_sop_estimates` counts the memoryless event and
-applies the on-off rejection rule at every requested transmit power.
+applies the on-off rejection rule once at each distinct transmit power.
 Power enters only that filter, so the memoryless estimate, the rejection
 estimate and the power-invariance check all read the same draws, which
 are dropped once their block is counted.
@@ -52,6 +52,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import analytics
 from .netmodel import Path, Scenario, Topology
@@ -60,6 +61,7 @@ BLOCK = 1 << 14
 BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
 
 _MASK64 = (1 << 64) - 1
+_MASK48 = (1 << 48) - 1
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -93,10 +95,33 @@ class SopEstimate:
         return self.bias_bound > self.stderr
 
 
+class _ZeroSeed(ISeedSequence):
+    """A seed sequence of zeros, for a Philox whose state is then set whole."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Counter-based generator for one (stream, block) cell of a seed."""
-    key = ((seed & _MASK64) << 64) | ((stream & 0xFFFF) << 48) | (block & ((1 << 48) - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for one (stream, block) cell of a seed.
+
+    Its stream is np.random.Philox(key=k)'s, a zero counter under the
+    128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
+    and block masked to 64, 16 and 48 bits. It is built through Philox's
+    documented `state` instead: given a key, that constructor still draws
+    OS entropy for a seed that it then discards, about half its time.
+    """
+    bits = np.random.Philox(_ZERO_SEED)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([((stream & 0xFFFF) << 48) | (block & _MASK48),
+                                   seed & _MASK64], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 def _exponential(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -229,26 +254,29 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     `rejection` simulates the on-off rule literally: it discards trials
     whose legitimate SNR falls below the threshold 2^rs - 1 and counts
     secrecy-capacity shortfalls among the survivors. Power enters only
-    through that filter, so every estimate reads the same block draws.
+    through that filter, so every estimate reads the same block draws, and
+    equal powers share one estimate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0.0 < rs < math.inf and 0.0 < dist < math.inf):
         raise ValueError("rs and dist must be positive and finite")
-    # replace() validates each power as a Scenario would
+    # replace() validates each power as a Scenario would; the filter reads
+    # only the linear power, so each distinct one is applied once
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
+    distinct = list(dict.fromkeys(powers))
     (theta,), radii, bias_bound = _hop_fields(
         rs, [dist], scenario, analytics.hop_sop(rs, dist, scenario), trials)
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
     n_memoryless = 0
-    n_outage = [0] * len(powers)
-    n_effective = [0] * len(powers)
+    n_outage = [0] * len(distinct)
+    n_effective = [0] * len(distinct)
     for n, draws in _blocks(scenario, radii, trials, seed):
         (interference, h), = draws
         n_memoryless += _outages([theta], n, draws)
-        for i, p in enumerate(powers):
+        for i, p in enumerate(distinct):
             # h / 0.0 is the infinite-SNR limit of a vanishing hop: every
             # trial survives the filter and none falls short
             with np.errstate(divide="ignore"):
@@ -258,8 +286,9 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             n_outage[i] += int(np.count_nonzero(shortfall))
             n_effective[i] += int(np.count_nonzero(keep))
+    rejection = [_estimate(o, e, bias_bound) for o, e in zip(n_outage, n_effective)]
     return (_estimate(n_memoryless, trials, bias_bound),
-            [_estimate(o, e, bias_bound) for o, e in zip(n_outage, n_effective)])
+            [rejection[distinct.index(p)] for p in powers])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,

@@ -13,12 +13,17 @@ then win. A feasible rate is positive, so a best rate of 0 means none.
 
 Both sweeps here, one topology's (`bellman_ford_hop_constrained`) and a
 stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
-`relax`. It reads row i of the weight matrix to relax node i, where the
-textbook step reads column i; that is valid because every weight matrix
-is exactly symmetric, as `Topology` and `netmodel.mesh_weights` build it.
-For the same reason neither sweep relaxes budget 1, whose previous row is
-inf except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
+`relax`. On one matrix it reads row i of the weight matrix to relax node
+i, where the textbook step reads column i; on a stack it reads the
+columns. Either is valid because every weight matrix is exactly
+symmetric, as `Topology` and `netmodel.mesh_weights` build it. For the
+same reason neither sweep relaxes budget 1, whose previous row is inf
+except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
 reads the source's own row.
+
+The stacked sweep scores its candidates in numpy and rescores with the
+scalar `secrecy_rate` only those that can decide a mesh's rate or raise,
+so its rates and errors are the single-topology solver's.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -30,6 +35,7 @@ path's predecessors from them, with the same sums and the same tie-break.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +115,12 @@ def relax(w: np.ndarray, best: np.ndarray):
     `best`. Returns the minimum over u; no predecessor is kept, since
     HopConstrainedTable.path_to recomputes the first u reaching it.
 
+    One matrix reduces along its rows, as written above. A stack reduces
+    over its predecessor axis instead, w[..., u, i] + best[..., u]: the
+    same sums, since w is symmetric. On stacks of 20 meshes of 12 to 102
+    nodes that was the faster reduction, and on one 602-node matrix the
+    slower.
+
     The input is taken in blocks along its leading axis, so the candidates
     sit in one reused buffer of at most _RELAX_CELLS cells, which stays in
     cache: a slab of rows of one matrix, or a run of whole meshes of a
@@ -120,7 +132,9 @@ def relax(w: np.ndarray, best: np.ndarray):
     every node's direct edge is finite and shorter, and `Topology` rejects
     the edge lists on which one could.
     """
-    b = np.broadcast_to(best[..., None, :], w.shape)
+    stack = w.ndim == 3  # reduced over the predecessor axis
+    b = np.broadcast_to(best[..., :, None] if stack else best[..., None, :], w.shape)
+    axis = -2 if stack else -1
     step = min(len(w), max(1, _RELAX_CELLS // w[0].size))
     buf = np.empty((step,) + w.shape[1:])
     out = np.empty(w.shape[:-1])
@@ -128,7 +142,7 @@ def relax(w: np.ndarray, best: np.ndarray):
         for i in range(0, len(w), step):
             j = min(i + step, len(w))
             cand = np.add(w[i:j], b[i:j], out=buf[:j - i])
-            cand.min(axis=-1, out=out[i:j])
+            np.minimum.reduce(cand, axis=axis, out=out[i:j])
     return out
 
 
@@ -226,6 +240,25 @@ def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
     return later
 
 
+# relative slack between a rate scored with np.log2 and with math.log2, far
+# above their difference (at most about an ulp of the rate)
+_SCORE_MARGIN = 1e-9
+_RS_NEAR_MAX = (1.0 - _SCORE_MARGIN) * sys.float_info.max
+
+
+def _approx_rates(weight: np.ndarray, v: int, scenario) -> np.ndarray:
+    """secrecy_rate(weight, v, scenario).c_s of each of the weights, by the
+    same operations but with np.log2 in place of math.log2, so within a
+    relative _SCORE_MARGIN of it. It reads inf or nan at lambda_e = 0, where
+    secrecy_rate returns inf, and where the ratio or rs_star overflows or
+    the density bound divides by zero, where secrecy_rate raises."""
+    with np.errstate(all="ignore"):
+        ratio = weight_density_bound(weight, scenario) / scenario.lambda_e
+        c = (scenario.alpha / 2.0) * np.log2(ratio) / v
+    c[ratio <= 1.0] = 0.0
+    return c
+
+
 def mesh_secrecy_rates(w: np.ndarray, scenario):
     """Best secrecy rate from the first node to the last of each mesh in a stack.
 
@@ -234,29 +267,47 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     mesh r, or 0 where that returns None, and feasible is rates > 0. Only
     the destination's column is read: where its weight strictly drops at
     budget v, its path has exactly v hops (see HopConstrainedTable) and
-    scores secrecy_rate(weight, v); the first maximum wins. A mesh leaves
-    the stack at its fixed point, or once no later budget's bound
-    (later_rate_bounds) exceeds its best rate.
+    scores secrecy_rate(weight, v); the first maximum wins.
+
+    The sweep scores these candidates with np.log2 (_approx_rates). A mesh
+    leaves the stack at its fixed point, or once no later budget's bound
+    (later_rate_bounds) exceeds its approximate best rate less the margin:
+    never before solve_secure_route's sweep would stop, and no budget swept
+    after that point beats the rate it found. Then secrecy_rate rescores,
+    in the sweep's (budget, mesh) order, only the candidates within the
+    margin of their mesh's approximate best, which hold its exact best,
+    and those whose rs_star is at or near overflow or not a number, so
+    that a raise is the one solve_secure_route's scoring would meet first.
     """
     r, n, _ = w.shape
     later = later_rate_bounds(w[:, 0, -1], n, scenario)
-    rates = np.zeros(r)
+    approx = np.zeros(r)
+    found = []  # (meshes, budgets, weights, approximate rates) of each budget
     live = np.arange(r)
     best = np.full((r, n), np.inf)
     best[:, 0] = 0.0
     keep = later[:, 0] > 0.0
     for v in range(1, n):
         if not keep.all():
-            live, w, best = live[keep], w[keep], best[keep]
+            live, w, best, later = live[keep], w[keep], best[keep], later[keep]
             if not len(live):
                 break
         cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
         improve = cw < best
-        for k in np.flatnonzero(improve[:, -1]).tolist():
-            i = live[k]  # an infeasible c_s is 0
-            rates[i] = max(rates[i], secrecy_rate(float(cw[k, -1]), v, scenario).c_s)
-        best = np.where(improve, cw, best)
-        keep = improve.any(axis=1) & (later[live, v] > rates[live])
+        k = np.flatnonzero(improve[:, -1])
+        if len(k):
+            meshes, c = live[k], _approx_rates(cw[k, -1], v, scenario)
+            approx[meshes] = np.maximum(approx[meshes], c)  # an infeasible c_s is 0
+            found.append((meshes, np.full(len(k), v), cw[k, -1], c))
+        np.minimum(cw, best, out=best)
+        keep = improve.any(axis=1) & (later[:, v] > approx[live] * (1.0 - _SCORE_MARGIN))
+    rates = np.zeros(r)
+    if found:
+        meshes, budgets, weights, c = map(np.concatenate, zip(*found))
+        rescore = (((c > 0.0) & (c >= approx[meshes] * (1.0 - _SCORE_MARGIN)))
+                   | ~(c * budgets < _RS_NEAR_MAX))
+        for i, v, weight in zip(*(x[rescore].tolist() for x in (meshes, budgets, weights))):
+            rates[i] = max(rates[i], secrecy_rate(weight, v, scenario).c_s)
     return rates, rates > 0.0
 
 

@@ -480,19 +480,28 @@ class TestCli:
                 if not line.startswith("#")][1:]
         assert [r[:4] for r in rows] == [["10", "0", "0", "1"], ["20", "0", "0", "1"]]
 
-    @pytest.mark.parametrize("line", [
+    @pytest.mark.parametrize("line,err", [
         # the squared-rate sum overflows: its variance would read nan
-        pytest.param("alpha = 1e160\nn_legit = 3\nreps = 3", id="alpha = 1e160"),
+        pytest.param("alpha = 1e160\nn_legit = 3\nreps = 3",
+                     "alpha = 1e+160 overflows a float in the sum of table-one's secrecy rates",
+                     id="alpha = 1e160"),
         # the rate sum overflows too: its mean would read `unbounded`
-        pytest.param("alpha = 1e308\nreps = 100", id="alpha = 1e308"),
+        pytest.param("alpha = 1e308\nreps = 100",
+                     "alpha = 1e+308 overflows a float in the sum of table-one's secrecy rates",
+                     id="alpha = 1e308"),
+        # one rate overflows: the first in (budget, rep) order is named, a
+        # two-hop path of rep 2, where rep 0's first is a three-hop path
+        pytest.param("alpha = 1e308\nlambda_e = 1.09e-6\nreps = 100",
+                     "alpha = 1e+308 overflows a float in the secrecy rate of a path "
+                     "of weight 2501.31", id="alpha = 1e308, lambda_e = 1.09e-6"),
     ])
-    def test_table_one_rate_overflow_exit_code(self, tmp_path, capsys, line):
+    def test_table_one_rate_overflow_exit_code(self, tmp_path, capsys, line, err):
         f = tmp_path / "exp.cfg"
         f.write_text(line + "\n")
         out = tmp_path / "t.csv"
         rc = main(["table-one", "--config", str(f), "--out", str(out)])
         assert rc == 2
-        assert "overflows a float" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("xs,edges,times", [

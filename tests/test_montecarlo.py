@@ -291,6 +291,17 @@ class TestEstimateHopSop:
         assert not np.array_equal(block_rng(7, 0, 0).random(4),
                                   block_rng(7, 1, 0).random(4))
 
+    @pytest.mark.parametrize("seed,stream,block", [
+        (7, 0, 0), (2**64 + 5, 3, 9), (-3, 1, 2), (4, 0x1FFFF, 9), (5, 2, 3 * 2**47 + 11)])
+    def test_block_rng_is_keyed_philox(self, seed, stream, block):
+        # seed, stream and block are masked to 64, 16 and 48 bits of the key
+        key = ((seed % 2**64) << 64) | ((stream % 2**16) << 48) | (block % 2**48)
+        got = block_rng(seed, stream, block)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert got.random() == want.random()
+        assert got.uniform(0.0, 3.0) == want.uniform(0.0, 3.0)
+        assert got.poisson(2.5) == want.poisson(2.5)
+
     def test_stderr_scaling(self):
         sc = scen(lam=5e-5)
         small = estimate_hop_sop(1.0, 10.0, sc, 40000, seed=9)
@@ -335,10 +346,11 @@ class TestHopSopEstimates:
     def test_one_pass_equals_separate_estimates(self):
         sc = scen(lam=5e-5)
         trials = 2 * montecarlo.BLOCK + 5  # a partial last block
-        powers = (40.0, 60.0, 80.0)
+        powers = (40.0, 60.0, 80.0, 60.0, 40.0)  # each distinct power filters once
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, trials, 43, powers)
         assert memoryless == estimate_hop_sop(1.0, 10.0, sc, trials, 43)
         assert len(rejection) == len(powers)
+        assert rejection[3] == rejection[1] and rejection[4] == rejection[0]
         for pdb, est in zip(powers, rejection):
             sc_p = replace(sc, power_db=pdb)
             assert est == estimate_hop_sop(1.0, 10.0, sc_p, trials, 43, "rejection")

@@ -482,6 +482,35 @@ def stacked_case(seed):
     return xy, Scenario(sc0.alpha, lam, sc0.epsilon)
 
 
+# Mesh 0 of the "tie" case below: a source at (0, 0), a destination at
+# (10, 0) and one relay between them at height TIE_H; the other relays sit
+# far off and join no better path. At TIE_SCENARIO the one- and two-hop
+# paths' rates differ by two ulps, and numpy 2.4's np.log2 (x86-64) scores
+# the larger one an ulp low.
+TIE_H = 3.0478467492858172
+TIE_SCENARIO = Scenario(4.0, 0.00014641906757934835, 0.1)
+
+
+def tie_layout(n):
+    xy = np.empty((n, 2))
+    xy[0], xy[1], xy[-1] = (0.0, 0.0), (5.0, TIE_H), (10.0, 0.0)
+    xy[2:-1, 0], xy[2:-1, 1] = 1e4, np.arange(n - 3)
+    return xy
+
+
+def log2_disagreeing_scenario(weight, hops, sc):
+    """A copy of sc at a slightly lower density at which secrecy_rate(weight,
+    hops), scored with np.log2 in place of math.log2, differs; sc itself
+    if none of the densities searched has one."""
+    lams = sc.lambda_e * (1.0 - np.arange(1, 1 << 15) * 2.0**-40)
+    ratios = analytics.weight_density_bound(weight, sc) / lams  # as secrecy_rate divides
+    for lam, approx in zip(lams.tolist(), ((sc.alpha / 2.0) * np.log2(ratios) / hops).tolist()):
+        s = Scenario(sc.alpha, lam, sc.epsilon)
+        if approx != analytics.secrecy_rate(weight, hops, s).c_s:
+            return s
+    return sc
+
+
 class TestMeshSecrecyRates:
     @pytest.mark.parametrize("seed", range(8))
     def test_bound_covers_every_scored_candidate(self, seed):
@@ -502,25 +531,37 @@ class TestMeshSecrecyRates:
         assert scored
 
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("lam", [None, 0.0, 1.0, "edge"])
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.0, "edge", "tie", "log2"])
     def test_rates_match_solve_secure_route(self, seed, lam):
         xy, sc = stacked_case(seed)
         n = xy.shape[1]
+        if lam == "tie":
+            # mesh 0's best two budgets' rates differ by a few ulps
+            xy[0], sc, lam = tie_layout(n), TIE_SCENARIO, None
+            w = mesh_weights(xy[0])
+            one, two = (analytics.secrecy_rate(float(wt), v, sc).c_s
+                        for wt, v in ((w[0, -1], 1), (w[1, -1] + w[0, 1], 2)))
+            assert 0.0 < one - two <= 4 * math.ulp(one)
+        topos = [build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+                 for pts in xy.tolist()]
         edge = lam == "edge"
         if edge:
             # just under mesh 0's best-path bound: its c_s is tiny but
             # positive, and the mesh still counts as feasible
-            pts = xy[0].tolist()
-            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
-            w_min = routing.bellman_ford_hop_constrained(topo, 0, n - 1).best[-1, -1]
+            w_min = routing.bellman_ford_hop_constrained(topos[0], 0, n - 1).best[-1, -1]
             lam = analytics.weight_density_bound(float(w_min), sc) * (1.0 - 1e-12)
+        elif lam == "log2":
+            # the best path of the last mesh, which is feasible, scores
+            # differently with np.log2 and with math.log2
+            sol = routing.solve_secure_route(topos[-1], 0, n - 1, sc)
+            sc = log2_disagreeing_scenario(sol.path.sum_sq_dist, sol.path.hop_count, sc)
+            lam = None
         if lam is not None:
             sc = Scenario(sc.alpha, lam, sc.epsilon)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing warns, at lambda_e = 0 either
             rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), sc)
-        for k, pts in enumerate(xy.tolist()):
-            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+        for k, topo in enumerate(topos):
             sol = routing.solve_secure_route(topo, 0, n - 1, sc)
             assert feasible[k] == (sol is not None)
             assert rates[k] == (sol.c_s if sol is not None else 0.0)
@@ -587,17 +628,19 @@ class TestRelax:
         assert np.isinf(got).any() or not edges
 
     def test_memory_bounded_by_block(self):
-        n = 1500
-        w, best = relax_case(n, None, False, 0)
-        tracemalloc.start()
-        try:
-            routing.relax(w, best)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one block's candidates, the result and numpy's ufunc buffer; the
-        # single expression takes 8 N^2 bytes (18 MB) here
-        assert peak <= 8 * (routing._RELAX_CELLS + 2 * n + np.getbufsize())
+        # one matrix of 1500 nodes, reduced along its rows, and a stack of
+        # 400 meshes of 30, reduced over their predecessor axis
+        for n, stack in ((1500, None), (30, 400)):
+            w, best = relax_case(n, stack, False, 0)
+            tracemalloc.start()
+            try:
+                routing.relax(w, best)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one block's candidates, the result and numpy's ufunc buffer;
+            # the single expression takes w.nbytes (18 MB and 2.9 MB)
+            assert peak <= 8 * (routing._RELAX_CELLS + 2 * best.size + np.getbufsize())
 
     def test_blocks_change_no_route(self, monkeypatch):
         n = 1500
