@@ -18,7 +18,8 @@ overflows, named by id, and parameters whose arithmetic overflows a float,
 such as a huge power, rate or path-loss exponent, a `table-one` alpha
 whose secrecy-rate sums overflow, or a secrecy rate that overflows at a
 positive density; the message names the parameter, or the path's weight
-where the path is so short that its density bound overflows), 3 I/O. When
+where the path is so short that its density bound overflows; and an input
+whose arrays cannot be allocated, with numpy's message), 3 I/O. When
 `route` finds no route it exits 1 and says why: `unreachable: no path from
 S to D` when no path joins them, `infeasible: no path satisfies the outage
 constraint at this eavesdropper density` when some path does but none
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     # ConfigError, NetModelError, RoutingError and MonteCarloError subclass ValueError
     try:
         return _dispatch(_load_config(args))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

@@ -4,6 +4,10 @@ Distances are plain Euclidean lengths in the same unit system as the
 eavesdropper density (nodes per unit area). A topology keeps its node
 coordinates as one array, and its geometry as one matrix of squared hop
 distances, which is the quantity every downstream formula consumes.
+
+One rule, `_squared_distances`, gives every squared distance as
+dx*dx + dy*dy, exactly symmetric since x_i - x_j is -(x_j - x_i) in
+floating point and squaring drops the sign.
 """
 
 from __future__ import annotations
@@ -180,29 +184,23 @@ class Topology:
 build_topology = Topology
 
 
-_TRI_ROWS = 16  # rows of the upper triangle per hypot call
+_ROWS = 16  # rows per block, so each temporary holds O(N * _ROWS) cells
 
 
 def _squared_distances(xy: np.ndarray) -> np.ndarray:
-    """(..., N, N) squared distances between the N points of each (N, 2)
-    placement in xy.
-
-    hypot(...) ** 2, not dx*dx + dy*dy: the two differ in the last bits and
-    the CSV outputs are pinned to the former. The result is exactly
-    symmetric: x_j - x_i is -(x_i - x_j) in floating point, and hypot
-    ignores signs. So hypot runs on the upper triangle only, _TRI_ROWS
-    rows at a time, and each block is mirrored into the lower triangle.
-    """
+    """(..., N, N) squared distances dx*dx + dy*dy between the N points of
+    each (N, 2) placement in xy, _ROWS rows at a time. Exactly symmetric:
+    x_j - x_i is -(x_i - x_j) in floating point, and squaring drops the
+    sign. The routing sweeps rely on that (see routing.relax)."""
     x, y = xy[..., 0], xy[..., 1]
     n = xy.shape[-2]
     d = np.empty(xy.shape[:-1] + (n,))
-    for i in range(0, n, _TRI_ROWS):
-        j = min(i + _TRI_ROWS, n)
-        blk = d[..., i:j, i:]
-        np.subtract(x[..., i:j, None], x[..., None, i:], out=blk)
-        np.hypot(blk, y[..., i:j, None] - y[..., None, i:], out=blk)
-        blk **= 2
-        d[..., j:, i:j] = np.swapaxes(blk[..., j - i:], -1, -2)
+    for i in range(0, n, _ROWS):
+        dx = x[..., i:i + _ROWS, None] - x[..., None, :]
+        dy = y[..., i:i + _ROWS, None] - y[..., None, :]
+        dx *= dx
+        dy *= dy
+        np.add(dx, dy, out=d[..., i:i + _ROWS, :])
     return d
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import Path, Topology
+from .netmodel import Path, Topology, _squared_distances
 from .analytics import optimal_rs, secrecy_rate, weight_density_bound
 # the benchmark's tracer (perfbench/spans.py) times path_metric under this name
 from .analytics import path_metric  # noqa: F401
@@ -330,9 +330,9 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     """
     _check_endpoints(topology, source, dest)
     n = len(topology.order)
-    dst = topology.index[dest]
-    dx, dy = (topology.xy[dst] - topology.xy[topology.index[source]]).tolist()
-    later = later_rate_bounds(np.array([math.hypot(dx, dy) ** 2]), n, scenario)[0]
+    src, dst = topology.index[source], topology.index[dest]
+    d2 = _squared_distances(topology.xy[[src, dst]])[0, 1]
+    later = later_rate_bounds(np.array([d2]), n, scenario)[0]
     metrics = {}  # budget -> metric, at the budgets where the path changes
     best_metric, best_v = 0.0, None
     last_w = math.inf

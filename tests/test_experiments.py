@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secroute import analytics, experiments, montecarlo, routing
+from secroute import analytics, experiments, montecarlo, netmodel, routing
 from secroute.cli import main
 from secroute.experiments import (
     ConfigError,
@@ -544,6 +544,25 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: the density bound of a path of weight 9.99989e-321 "
             "over lambda_e = 1e-05 overflows a float\n")
+
+    def test_unallocatable_input_exit_code(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError when an array cannot be allocated, e.g.
+        # table-one's weight matrix at n_legit = 1000000; whether the host
+        # refuses a huge allocation depends on its overcommit policy, so
+        # the refusal is simulated
+        msg = ("Unable to allocate 7.28 TiB for an array with shape "
+               "(1, 1000002, 1000002) and data type float64")
+
+        def refuse(xy):
+            raise MemoryError(msg)
+
+        monkeypatch.setattr(netmodel, "_squared_distances", refuse)
+        out = tmp_path / "t.csv"
+        for argv in (["table-one", "--reps", "1", "--out", str(out)],
+                     ["route", "--source", "1", "--dest", "5"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {msg}\n")
+        assert not out.exists()
 
     def test_non_integer_node_row_after_header_exit_code(self, tmp_path, capsys):
         # only the first row may be a header; a later `1.0` id is malformed,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from secroute import NetModelError, Node, Scenario, build_topology
-from secroute.netmodel import _TRI_ROWS, load_edges_csv, load_nodes_csv, mesh_weights
+from secroute.netmodel import _ROWS, load_edges_csv, load_nodes_csv, mesh_weights
 from secroute.experiments import six_node_topology
 
 
@@ -147,9 +147,18 @@ def test_weights_symmetric():
                 assert topo.path((u, v)).sum_sq_dist == topo.path((v, u)).sum_sq_dist
 
 
+def squared_distances_reference(xy):
+    """dx*dx + dy*dy over whole matrices, the rule every weight follows."""
+    dx = xy[..., :, None, 0] - xy[..., None, :, 0]
+    dy = xy[..., :, None, 1] - xy[..., None, :, 1]
+    return dx * dx + dy * dy
+
+
 @pytest.mark.parametrize("n, p_edge", [(3, None), (40, None), (602, None), (40, 0.2), (602, 0.05)])
 def test_weight_matrix_exactly_symmetric(n, p_edge):
-    # the routing sweep reads row i of the matrix in place of column i
+    # the routing sweep reads row i of the matrix in place of column i; 40
+    # and 602 nodes span 3 and 38 blocks of _ROWS rows, the last one partial
+    assert n % _ROWS
     rng = np.random.default_rng(n)
     xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
     nodes = [Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
@@ -160,8 +169,14 @@ def test_weight_matrix_exactly_symmetric(n, p_edge):
         edges = list(zip(iu[pick].tolist(), ju[pick].tolist()))
     w = build_topology(nodes, edges).weight_matrix()
     assert np.array_equal(w, w.T)
+    edge = w < np.inf  # every off-diagonal entry of a full mesh
+    assert np.array_equal(w[edge], squared_distances_reference(xy)[edge])
     if edges is None:  # table-one's stacked build gives the same matrix
+        assert edge.sum() == n * (n - 1)
         assert np.array_equal(mesh_weights(xy[None])[0], w)
+        stack = np.stack([xy, xy[::-1], rng.uniform(0.0, 50.0, (n, 2))])
+        ws = mesh_weights(stack)
+        assert np.array_equal(ws[:, edge], squared_distances_reference(stack)[:, edge])
 
 
 def test_mesh_weights_reject_colocated():
@@ -188,7 +203,7 @@ def test_rejected_pair_is_first_in_row_major_order():
 
 def test_mesh_build_memory_bounded():
     # the pair checks read the matrix's extremes and make no (N, N) mask:
-    # the build holds the weight matrix plus O(N * _TRI_ROWS) bytes
+    # the build holds the weight matrix plus O(N * _ROWS) bytes
     n = 1500
     xy = np.random.default_rng(0).uniform(0.0, 50.0, (n, 2))
     nodes = [Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
@@ -199,7 +214,7 @@ def test_mesh_build_memory_bounded():
     finally:
         tracemalloc.stop()
     # an (N, N) bool mask alone would add N^2 bytes (2.25 MB) here
-    assert peak <= 8 * n * (n + 5 * _TRI_ROWS)
+    assert peak <= 8 * n * (n + 5 * _ROWS)
 
 
 def test_path_validation():

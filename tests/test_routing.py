@@ -8,7 +8,7 @@ import pytest
 from secroute import Node, Scenario, build_topology
 from secroute import analytics, montecarlo, routing
 from secroute.experiments import placement, six_node_topology
-from secroute.netmodel import mesh_weights
+from secroute.netmodel import _squared_distances, mesh_weights
 
 import oracles
 
@@ -271,8 +271,7 @@ class TestFixedPointStop:
         topo, src, dest = sweep_case(kind, seed)
         n = len(topo.order)
         v_fix = len(routing.bellman_ford_hop_constrained(topo, src, dest).best)
-        dx, dy = (topo.xy[topo.index[dest]] - topo.xy[topo.index[src]]).tolist()
-        d2 = np.array([math.hypot(dx, dy) ** 2])
+        d2 = _squared_distances(topo.xy[[topo.index[src], topo.index[dest]]])[:1, 1]
         sweep = routing.bellman_ford_hop_constrained
         tables = []
         monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
@@ -287,6 +286,19 @@ class TestFixedPointStop:
                 assert [len(t.best) for t in tables] == [min(v_stop + 1, v_fix)]
                 infeasible += 1
         assert infeasible
+
+    @pytest.mark.parametrize("kind,seed", [("mesh", s) for s in range(6)] + [("large", 0)])
+    def test_route_and_stack_bound_from_one_squared_distance(self, kind, seed, monkeypatch):
+        # on a full mesh, the D^2 that bounds later budgets is the weight
+        # matrix's source-destination entry, bit for bit, in both sweeps
+        topo, src, dest = sweep_case(kind, seed)
+        bounds = routing.later_rate_bounds
+        seen = []
+        monkeypatch.setattr(routing, "later_rate_bounds",
+                            lambda d2, *args: seen.append(d2.tolist()) or bounds(d2, *args))
+        routing.solve_secure_route(topo, src, dest, scen())
+        routing.mesh_secrecy_rates(mesh_weights(topo.xy[None]), scen())  # reads w[:, 0, -1]
+        assert seen == [[topo.weight_matrix()[topo.index[src], topo.index[dest]]]] * 2
 
     def test_infeasible_large_mesh_stops_after_budget_one(self, monkeypatch):
         # 2000 relays on the 50 x 50 square at lambda_e = 1: the bound rules
