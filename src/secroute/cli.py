@@ -24,10 +24,12 @@ whose arrays cannot be allocated, with numpy's message), 3 I/O. When
 S to D` when no path joins them, `infeasible: no path satisfies the outage
 constraint at this eavesdropper density` when some path does but none
 meets the outage constraint. A `route` that finds one prints its
-per-hop-budget candidates; once no later budget's rate bound (a v-hop path
-has weight at least D^2/v, D the straight source-destination distance)
-exceeds the best rate, the sweep ends and the table's last line reads
-`v>=k+1: pruned, no later budget's rate bound exceeds c_s`.
+per-hop-budget candidates; once no later budget's rate bound exceeds the
+best rate, the sweep ends and the table's last line reads `v>=k+1: pruned,
+no later budget's rate bound exceeds c_s`. A v-hop path has weight at
+least D^2/v, D the straight source-destination distance, and one first
+found after budget k at least best_k(u) + d(u, dest)^2 / (v - k), where
+u is its node after k hops and best_k(u) the least k-hop weight to u.
 
 `sop-curve` and `validate` write each estimate's `bias_bound`, the most by
 which the truncated eavesdropper field can bias it low. A `validate` mode

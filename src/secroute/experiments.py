@@ -209,15 +209,16 @@ def run_table_one(cfg: ExperimentConfig):
     routing.mesh_secrecy_rates, which gives each rep the c_s that
     routing.solve_secure_route would. Draws where no feasible route exists
     contribute a secrecy rate of 0 to the average; the infeasible fraction
-    is reported per row. A zero eavesdropper density makes the mean and its
-    stderr `unbounded`; at a positive density, a rate sum that overflows a
-    float raises OverflowError.
+    is reported per row. The mean sums the rates in rep order; its stderr
+    is sqrt(sum (c - mean)^2 / reps) / sqrt(reps), the squares summed by
+    math.fsum in a second pass, so nothing cancels. A zero eavesdropper
+    density makes the mean and its stderr `unbounded`; at a positive
+    density, a rate sum that overflows a float raises OverflowError.
     """
     scenario = cfg.scenario()
     rows = []
     for n_idx, n in enumerate(cfg.n_legit):
-        total = 0.0
-        total_sq = 0.0
+        size_rates = []  # in rep order
         n_infeasible = 0
         chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placement rejects n < 1
         for start in range(0, cfg.reps, chunk):
@@ -225,18 +226,22 @@ def run_table_one(cfg: ExperimentConfig):
                            for rep in range(start, min(start + chunk, cfg.reps))])
             rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
             n_infeasible += int((~feasible).sum())
-            for c in rates.tolist():  # in rep order, as the per-rep sums ran
-                total += c
-                total_sq += c * c
+            size_rates += rates.tolist()
+        total = 0.0
+        for c in size_rates:  # in rep order, as the per-rep sums ran
+            total += c
         if scenario.lambda_e == 0.0:  # no eavesdroppers leave the rate unbounded
             mean = stderr = "unbounded"
-        elif not (math.isfinite(total) and math.isfinite(total_sq)):
-            raise OverflowError(f"alpha = {cfg.alpha:g} overflows a float in "
-                                f"the sum of table-one's secrecy rates")
         else:
             mean = total / cfg.reps
-            var = max(total_sq / cfg.reps - mean * mean, 0.0)
-            stderr = math.sqrt(var / cfg.reps)
+            try:  # a second pass, over the deviations, cancels nothing
+                sq = math.fsum((c - mean) * (c - mean) for c in size_rates)
+            except OverflowError:  # fsum's own, where a partial sum overflows
+                sq = math.inf
+            if not (math.isfinite(total) and math.isfinite(sq)):
+                raise OverflowError(f"alpha = {cfg.alpha:g} overflows a float in "
+                                    f"the sum of table-one's secrecy rates")
+            stderr = math.sqrt(sq / cfg.reps / cfg.reps)
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
     header = ["n_legit", "mean_c_s", "stderr", "infeasible_frac", "reps", "seed"]
     return header, rows

@@ -187,17 +187,20 @@ build_topology = Topology
 _ROWS = 16  # rows per block, so each temporary holds O(N * _ROWS) cells
 
 
-def _squared_distances(xy: np.ndarray) -> np.ndarray:
-    """(..., N, N) squared distances dx*dx + dy*dy between the N points of
-    each (N, 2) placement in xy, _ROWS rows at a time. Exactly symmetric:
-    x_j - x_i is -(x_i - x_j) in floating point, and squaring drops the
-    sign. The routing sweeps rely on that (see routing.relax)."""
+def _squared_distances(xy: np.ndarray, to: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, M) squared distances dx*dx + dy*dy from each of the N points
+    of each (N, 2) placement in xy to each of the M points of `to` (xy
+    itself by default), _ROWS rows at a time. Exactly symmetric: x_j - x_i
+    is -(x_i - x_j) in floating point, and squaring drops the sign. The
+    routing sweeps rely on that (see routing.relax), and one point's row
+    of distances to xy holds the bits of its row of xy's matrix."""
     x, y = xy[..., 0], xy[..., 1]
+    tx, ty = (x, y) if to is None else (to[..., 0], to[..., 1])
     n = xy.shape[-2]
-    d = np.empty(xy.shape[:-1] + (n,))
+    d = np.empty(xy.shape[:-1] + tx.shape[-1:])
     for i in range(0, n, _ROWS):
-        dx = x[..., i:i + _ROWS, None] - x[..., None, :]
-        dy = y[..., i:i + _ROWS, None] - y[..., None, :]
+        dx = x[..., i:i + _ROWS, None] - tx[..., None, :]
+        dy = y[..., i:i + _ROWS, None] - ty[..., None, :]
         dx *= dx
         dy *= dy
         np.add(dx, dy, out=d[..., i:i + _ROWS, :])
@@ -212,7 +215,7 @@ def mesh_weights(xy: np.ndarray) -> np.ndarray:
     """
     w = _squared_distances(xy)
     n = xy.shape[-2]
-    w[..., range(n), range(n)] = np.inf
+    w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf  # the diagonal, as a view
     _reject_pair(w, w.argmin(), 0.0, range(n), "are co-located")
     return w
 

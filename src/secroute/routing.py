@@ -10,6 +10,15 @@ improves, since elsewhere it is the previous budget's path. Both sweeps
 also stop once no later budget's rate bound (`later_rate_bounds`) exceeds
 the best rate found, 0 while none is feasible, since no later path could
 then win. A feasible rate is positive, so a best rate of 0 means none.
+That bound sees only the straight source-destination distance D: a path
+of v' hops weighs at least D^2/v'. Once a candidate is feasible, both
+sweeps also bound each later budget's path by the weights already swept
+(`later_paths_may_win`): a path first found at budget v' > v sits at some
+node u after v hops, so it weighs at least best_v[u] + d(u, dest)^2 /
+(v' - v), and at least D^2/v'. They stop after budget v once no budget up
+to the last one later_rate_bounds leaves open can beat the best rate by
+that bound. On table-one's meshes this ends most sweeps at the winning
+budget, one or more budgets before the D^2/v' bound would.
 
 Both sweeps here, one topology's (`bellman_ford_hop_constrained`) and a
 stack of full meshes' (`mesh_secrecy_rates`), take each budget's step with
@@ -133,7 +142,6 @@ def relax(w: np.ndarray, best: np.ndarray):
     the edge lists on which one could.
     """
     stack = w.ndim == 3  # reduced over the predecessor axis
-    b = np.broadcast_to(best[..., :, None] if stack else best[..., None, :], w.shape)
     axis = -2 if stack else -1
     step = min(len(w), max(1, _RELAX_CELLS // w[0].size))
     buf = np.empty((step,) + w.shape[1:])
@@ -141,7 +149,8 @@ def relax(w: np.ndarray, best: np.ndarray):
     with np.errstate(over="ignore"):
         for i in range(0, len(w), step):
             j = min(i + step, len(w))
-            cand = np.add(w[i:j], b[i:j], out=buf[:j - i])
+            cand = np.add(w[i:j], best[i:j, :, None] if stack else best[None, :],
+                          out=buf[:j - i])
             np.minimum.reduce(cand, axis=axis, out=out[i:j])
     return out
 
@@ -259,6 +268,72 @@ def _approx_rates(weight: np.ndarray, v: int, scenario) -> np.ndarray:
     return c
 
 
+def later_paths_may_win(best, to_dst, d2, v, vmax, rate, scenario) -> np.ndarray:
+    """Whether a path first found after budget v could still decide a rate.
+
+    best is the (R, N) row of budget v of R sweeps, each toward its own
+    destination; to_dst[r, u] is node u's squared straight distance to
+    sweep r's destination (inf at the destination itself), d2[r] the
+    source's, rate[r] the best rate so far and vmax[r] the last budget
+    later_rate_bounds leaves open, the count of leading entries of its
+    row above rate[r] (that row's entry v bounds only budgets after v).
+    Returns (R,) bools: True where some budget v' in (v, vmax] could hold
+    a path that rates above rate, or whose rs_star is at or near overflow
+    and must be scored to raise. So False where vmax <= v, the stop rule
+    of later_rate_bounds alone; where rate is 0, no path is feasible yet
+    and that rule is the only one asked. A positive rate with vmax > v
+    comes at a positive density, since at a zero one every rate is inf.
+
+    Such a path has exactly v' hops. Its first v end at some node u, with
+    weight at least best[u]; its last v' - v join u to the destination,
+    with weight at least to_dst[u] / (v' - v) (Cauchy-Schwarz, then the
+    triangle inequality, which hold on edge lists too: hops are straight
+    segments). So its weight is at least max(d2 / v', min_u best[u] +
+    to_dst[u] / (v' - v)), never less than later_rate_bounds' d2 / v', and
+    its rate is bounded as there, with the same margin. Budget v + 1 is
+    tried first, in O(N) a sweep: its minimum is the destination's next
+    relax, and it leaves most early sweeps open. Only the sweeps it closes
+    try budgets v + 2 to vmax, as (sweep, budget) pairs, at most
+    _RELAX_CELLS candidate cells at a time.
+    """
+    may = vmax > v
+    pos = rate > 0.0
+    if not (may & pos).any():
+        return may
+    log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = _later_weights(best, to_dst, d2, v, v + 1)
+        may &= ~pos | _exceeds(weight, v + 1, rate, log_b, scenario.alpha)
+        todo = np.flatnonzero(~may & (vmax > v + 1))
+        if not len(todo):
+            return may
+        count = vmax[todo] - (v + 1)  # budgets v + 2 to vmax
+        rows = np.repeat(todo, count)
+        vp = np.arange(v + 2, v + 2 + len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        step = max(1, _RELAX_CELLS // best.shape[1])
+        for i in range(0, len(rows), step):
+            r, p = rows[i:i + step], vp[i:i + step]
+            weight = _later_weights(best[r], to_dst[r], d2[r], v, p)
+            may[r[_exceeds(weight, p, rate[r], log_b, scenario.alpha)]] = True
+    return may
+
+
+def _later_weights(best, to_dst, d2, v, vp) -> np.ndarray:
+    """(R,) lower bounds on the weight of a path first found at budget vp
+    (one budget, or one a row) by the sweep whose budget-v row is best[r],
+    as later_paths_may_win derives them; at vp = v + 1 each sum is the one
+    relax takes for the destination."""
+    k = np.reshape(vp - v, (-1, 1))
+    return np.maximum((best + to_dst / k).min(axis=1), d2 / vp)
+
+
+def _exceeds(weight, vp, rate, log_b: float, alpha: float) -> np.ndarray:
+    """Whether a vp-hop path of weight `weight` or more could rate above
+    `rate` or near overflow its rs_star, by later_rate_bounds' formula."""
+    u = (alpha / 2.0) * (log_b + _BOUND_MARGIN - np.log2(weight)) / vp
+    return ~(u <= np.minimum(rate, _RS_NEAR_MAX / vp))
+
+
 def mesh_secrecy_rates(w: np.ndarray, scenario):
     """Best secrecy rate from the first node to the last of each mesh in a stack.
 
@@ -271,16 +346,21 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
 
     The sweep scores these candidates with np.log2 (_approx_rates). A mesh
     leaves the stack at its fixed point, or once no later budget's bound
-    (later_rate_bounds) exceeds its approximate best rate less the margin:
-    never before solve_secure_route's sweep would stop, and no budget swept
-    after that point beats the rate it found. Then secrecy_rate rescores,
-    in the sweep's (budget, mesh) order, only the candidates within the
-    margin of their mesh's approximate best, which hold its exact best,
-    and those whose rs_star is at or near overflow or not a number, so
-    that a raise is the one solve_secure_route's scoring would meet first.
+    exceeds its approximate best rate less the margin: neither the
+    straight-line bound (later_rate_bounds) nor, once that rate is
+    positive, the bound from the weights swept so far (later_paths_may_win,
+    which reads the destination's column, carried and compacted with the
+    stack). So it never leaves before solve_secure_route's sweep would
+    stop, and no budget swept after that point beats the rate it found.
+    Then secrecy_rate rescores, in the sweep's (budget, mesh) order, only
+    the candidates within the margin of their mesh's approximate best,
+    which hold its exact best, and those whose rs_star is at or near
+    overflow or not a number, so that a raise is the one
+    solve_secure_route's scoring would meet first.
     """
     r, n, _ = w.shape
-    later = later_rate_bounds(w[:, 0, -1], n, scenario)
+    to_dst = w[:, :, -1].copy()  # carried with w; inf at the destination
+    later = later_rate_bounds(to_dst[:, 0], n, scenario)
     approx = np.zeros(r)
     found = []  # (meshes, budgets, weights, approximate rates) of each budget
     live = np.arange(r)
@@ -289,7 +369,7 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     keep = later[:, 0] > 0.0
     for v in range(1, n):
         if not keep.all():
-            live, w, best, later = live[keep], w[keep], best[keep], later[keep]
+            live, w, to_dst, best, later = (x[keep] for x in (live, w, to_dst, best, later))
             if not len(live):
                 break
         cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
@@ -300,7 +380,10 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
             approx[meshes] = np.maximum(approx[meshes], c)  # an infeasible c_s is 0
             found.append((meshes, np.full(len(k), v), cw[k, -1], c))
         np.minimum(cw, best, out=best)
-        keep = improve.any(axis=1) & (later[:, v] > approx[live] * (1.0 - _SCORE_MARGIN))
+        rate = approx[live] * (1.0 - _SCORE_MARGIN)
+        vmax = (later > rate[:, None]).sum(axis=1)
+        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, vmax,
+                                                         rate, scenario)
     rates = np.zeros(r)
     if found:
         meshes, budgets, weights, c = map(np.concatenate, zip(*found))
@@ -322,23 +405,29 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     Where the destination's weight strictly drops at budget v, its path has
     exactly v hops (see HopConstrainedTable) and is scored once, as
     secrecy_rate(weight, v), which is path_metric of that path. The sweep
-    stops once no later budget's bound (later_rate_bounds, from the
-    straight source-destination distance) exceeds the best rate, 0 while
-    no candidate is feasible. The audit trail then holds only the budgets
-    swept, fewer than N-1; after a fixed-point stop the later budgets
-    repeat the last entry.
+    stops once no later budget's bound exceeds the best rate, 0 while no
+    candidate is feasible: the bound from the straight source-destination
+    distance (later_rate_bounds) and, once a candidate is feasible, the one
+    from the weights swept so far and each node's straight distance to the
+    destination (later_paths_may_win), which hold on edge lists too. The
+    audit trail then holds only the budgets swept, fewer than N-1; after a
+    fixed-point stop, and only then, the later budgets repeat the last
+    entry.
     """
     _check_endpoints(topology, source, dest)
     n = len(topology.order)
     src, dst = topology.index[source], topology.index[dest]
-    d2 = _squared_distances(topology.xy[[src, dst]])[0, 1]
-    later = later_rate_bounds(np.array([d2]), n, scenario)[0]
+    to_dst = _squared_distances(topology.xy[[dst]], topology.xy)  # (1, N)
+    d2 = to_dst[:, src]
+    to_dst[0, dst] = np.inf  # as a mesh's weight column holds it
+    later = later_rate_bounds(d2, n, scenario)
     metrics = {}  # budget -> metric, at the budgets where the path changes
     best_metric, best_v = 0.0, None
     last_w = math.inf
+    pruned = False  # whether a rate bound, not the fixed point, ended the sweep
 
     def stop(v, row):
-        nonlocal best_metric, best_v, last_w
+        nonlocal best_metric, best_v, last_w, pruned
         w = float(row[dst])
         if w < last_w:
             res = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
@@ -346,7 +435,10 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
             if res.c_s > best_metric:  # an infeasible c_s is 0
                 best_metric, best_v = res.c_s, v
         last_w = w
-        return later[v] <= best_metric
+        pruned = not later_paths_may_win(row[None], to_dst, d2, v,
+                                         np.count_nonzero(later > best_metric, axis=1),
+                                         np.array([best_metric]), scenario)[0]
+        return pruned
 
     table = bellman_ford_hop_constrained(topology, source, dest, stop)
     if best_v is None:
@@ -357,7 +449,7 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
         if v in metrics:
             seq, metric = table.path_to(dest, v), metrics[v]
         audit.append((v, seq, metric))
-    if later[len(table.best) - 1] > best_metric:
+    if not pruned:
         # the sweep reached its fixed point: later budgets repeat its last entry
         audit += [(v, seq, metric) for v in range(len(table.best), n)]
     # the weight is summed from 0.0 along path_to's chain, as Topology.path sums it

@@ -116,7 +116,7 @@ def table_one_reference(cfg):
     rows = []
     for n_idx, n in enumerate(cfg.n_legit):
         total = 0.0
-        total_sq = 0.0
+        rates = []
         n_infeasible = 0
         for rep in range(cfg.reps):
             rng = montecarlo.block_rng(cfg.seed, n_idx, rep)
@@ -126,10 +126,10 @@ def table_one_reference(cfg):
             if sol is None:
                 n_infeasible += 1
             total += c
-            total_sq += c * c
+            rates.append(c)
         mean = total / cfg.reps
-        var = max(total_sq / cfg.reps - mean * mean, 0.0)
-        stderr = math.sqrt(var / cfg.reps)
+        # the variance from a second pass, over the deviations from the mean
+        stderr = math.sqrt(math.fsum((c - mean) * (c - mean) for c in rates) / cfg.reps / cfg.reps)
         if mean == math.inf:
             mean = stderr = "unbounded"
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))

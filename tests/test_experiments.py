@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -169,6 +170,15 @@ class TestStackedTableOne:
         stacked = run_table_one(cfg)
         monkeypatch.setattr(experiments, "SWEEP_CELLS", 1)
         assert run_table_one(cfg) == stacked
+
+    def test_stderr_from_deviations(self, monkeypatch):
+        # rates near 1e8 that differ by less than 1: the one-pass
+        # E[c^2] - mean^2 cancels all of its 16 digits, a second pass over
+        # the deviations none
+        rates = 1e8 + np.random.default_rng(5).uniform(0.0, 1.0, 7)
+        monkeypatch.setattr(routing, "mesh_secrecy_rates", lambda w, sc: (rates, rates > 0.0))
+        row = run_table_one(ExperimentConfig(n_legit=(10,), reps=7))[1][0]
+        assert row[2] == pytest.approx(statistics.pstdev(rates.tolist()) / math.sqrt(7), rel=1e-6)
 
     def test_bad_n_legit(self):
         for n in (0, -2, -5):

@@ -32,6 +32,15 @@ line `v>=2: pruned, no later budget's rate bound exceeds c_s` in place of
 the budgets 2 to 5. The `route-edges` sweep reaches its fixed point
 (v = 7) before the bound can end it, so its digest did not move.
 
+Re-recorded when both sweeps also bounded a later budget's path by the
+weights the sweep had already found (routing.later_paths_may_win): the
+`route-edges` stdout. Its audit now ends with the line `v>=6: pruned, no
+later budget's rate bound exceeds c_s` in place of the budgets 6 to 14,
+and its path, rs_star and c_s are unchanged. No other digest moved. The
+two-pass `table-one` stderr (the sum of squared deviations from the mean,
+by math.fsum) moved none either: in these cases it rounds to the same 12
+significant digits as the one-pass formula.
+
 Each run works in its own directory with a relative `--out`, so the
 `# out = ...` header line of the CSV does not depend on where tests run.
 """
@@ -43,7 +52,8 @@ import pytest
 from secroute.cli import main
 
 # a ring of relays 0..11 with chords, and three nodes 12..14 on no edge; from
-# 0 to 7 the hop-budget sweep stops at v = 7 of the 14 budgets printed
+# 0 to 7 the prefix rate bound ends the hop-budget sweep after v = 5, where
+# the D^2/v bound alone leaves it to its fixed point at v = 7
 NODES_CSV = """id,x,y
 # relays
 0,0,0
@@ -109,7 +119,7 @@ CASES = {
          "--source", "0", "--dest", "7"],
         {"nodes.csv": NODES_CSV, "edges.csv": EDGES_CSV}, 0,
         None,
-        "73f9a2d0c32b46162f4b8f2f833582294f5dad655d3635ee3a92352e07a61849"),
+        "5754a254c490c237088764d5ba58bf60a6c7d9ced75985e3c61dd2a2784701a4"),
     "validate-weak": (
         ["validate", "--trials", "5000", "--config", "run.cfg"],
         {"run.cfg": "alpha = 2.5\nlambda_e = 1e-4\n"}, 1,

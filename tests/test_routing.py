@@ -7,7 +7,7 @@ import pytest
 
 from secroute import Node, Scenario, build_topology
 from secroute import analytics, montecarlo, routing
-from secroute.experiments import placement, six_node_topology
+from secroute.experiments import ExperimentConfig, placement, run_table_one, six_node_topology
 from secroute.netmodel import _squared_distances, mesh_weights
 
 import oracles
@@ -338,6 +338,100 @@ class TestFixedPointStop:
         assert sol.per_v_candidates == [(1, None, None), (2, [0, 1, 2], sol.c_s)]
 
 
+def prefix_case(kind, seed):
+    """(topology, source, dest) of the prefix-bound checks: a full mesh, an
+    edge-list graph, or an edge-list graph with two relays on the
+    destination's point, joined to it by no edge (d(u, dest) = 0)."""
+    rng = np.random.default_rng(1700 + seed)
+    n = int(rng.integers(4, 60))
+    if kind == "mesh":
+        return random_mesh(n, rng), 0, n - 1
+    if kind == "graph":
+        return random_graph(n, rng, p_edge=float(rng.uniform(0.1, 0.5))), 0, n - 1
+    xy = rng.uniform(0.0, 40.0, (n + 2, 2))
+    xy[n:] = xy[n - 1]
+    p_edge = float(rng.uniform(0.1, 0.5))
+    edges = [(i, j) for i in range(n + 2) for j in range(i + 1, n + 2)
+             if rng.random() < p_edge and not (i >= n - 1 and j >= n - 1)]
+    return build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())], edges), 0, n - 1
+
+
+PREFIX_CASES = [(kind, s) for kind in ("mesh", "graph", "colocated") for s in range(6)]
+
+
+def no_prefix_bound(best, to_dst, d2, v, vmax, rate, scenario):
+    """later_paths_may_win with only the stop rule of later_rate_bounds."""
+    return vmax > v
+
+
+class TestPrefixBound:
+    @pytest.mark.parametrize("kind,seed", PREFIX_CASES)
+    def test_bound_under_every_later_weight(self, kind, seed):
+        # a sweep that ends only at its fixed point: at every budget v, each
+        # destination weight first reached at a budget v' > v is at least
+        # the bound from row v, and where the bound closes a rate, no later
+        # candidate rates above it
+        topo, src, dest = prefix_case(kind, seed)
+        i, n = topo.index[dest], len(topo.order)
+        table = routing.bellman_ford_hop_constrained(topo, src, dest)
+        col = table.best[:, i]
+        to_dst = _squared_distances(topo.xy[[i]], topo.xy)
+        d2 = to_dst[:, topo.index[src]]
+        to_dst[0, i] = math.inf
+        first = [vp for vp in range(1, len(col)) if col[vp] < col[vp - 1]]
+        checked = tighter = closed = 0
+        for v in range(1, len(col)):
+            for vp in (vp for vp in first if vp > v):
+                bound = routing._later_weights(table.best[v][None], to_dst, d2, v, vp)[0]
+                assert col[vp] >= bound * (1.0 - 1e-12)
+                checked += 1
+                tighter += bound > d2[0] / vp
+            for lam in (1e-6, 1e-5, 1e-4):
+                sc = scen(lam=lam)
+                rate = max([analytics.secrecy_rate(float(col[vp]), vp, sc).c_s
+                            for vp in first if vp <= v], default=0.0)
+                vmax = np.count_nonzero(routing.later_rate_bounds(d2, n, sc) > rate, axis=1)
+                if rate > 0.0 and not routing.later_paths_may_win(
+                        table.best[v][None], to_dst, d2, v, vmax, np.array([rate]), sc)[0]:
+                    closed += 1
+                    for vp in (vp for vp in first if vp > v):
+                        assert analytics.secrecy_rate(float(col[vp]), vp, sc).c_s <= rate
+        assert checked and tighter or len(first) < 2
+        if kind == "mesh":
+            assert closed
+
+    def test_large_mesh_ends_at_winner(self, monkeypatch):
+        # 600 relays on the 50 x 50 square: the best path has 6 hops, and the
+        # sweep ends there; the D^2/v' bound alone sweeps one budget more
+        xy = placement(600, montecarlo.block_rng(1, 0, 0))
+        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        sweep = routing.bellman_ford_hop_constrained
+        tables = []
+        monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
+                            lambda *args: tables.append(sweep(*args)) or tables[-1])
+        sol = routing.solve_secure_route(topo, 0, 601, scen())
+        assert (sol.hop_budget_used, len(sol.per_v_candidates)) == (6, 6)
+        monkeypatch.setattr(routing, "later_paths_may_win", no_prefix_bound)
+        ref = routing.solve_secure_route(topo, 0, 601, scen())
+        assert (ref.path, ref.hop_budget_used, ref.c_s) == (sol.path, 6, sol.c_s)
+        assert ref.per_v_candidates[:6] == sol.per_v_candidates
+        assert [len(t.best) - 1 for t in tables] == [6, 7]
+
+    def test_table_one_relaxes_fewer_cells(self, monkeypatch):
+        # the same rows from fewer relaxed cells than with the D^2/v' bound alone
+        cfg = ExperimentConfig(n_legit=(10, 40, 100), reps=20, seed=7)
+        cells = []
+        relax = routing.relax
+        monkeypatch.setattr(routing, "relax",
+                            lambda w, best: cells.append(w.size) or relax(w, best))
+        rows = run_table_one(cfg)
+        with_bound = sum(cells)
+        cells.clear()
+        monkeypatch.setattr(routing, "later_paths_may_win", no_prefix_bound)
+        assert run_table_one(cfg) == rows
+        assert (with_bound, sum(cells)) == (1322028, 2094696)
+
+
 class TestOracle:
     def test_three_node_counts(self):
         topo = colinear3()
@@ -479,10 +573,18 @@ class TestSolveSecureRoute:
         assert c2 >= c1
 
 
+DENSE_SEEDS = range(8, 12)
+
+
 def stacked_case(seed):
     """(xy, scenario): a stack of random full-mesh placements, the last one
-    collinear with equal gaps, where the N-1 hop path weighs D^2/(N-1)."""
+    collinear with equal gaps, where the N-1 hop path weighs D^2/(N-1); or,
+    for a seed in DENSE_SEEDS, five of table-one's 102-node placements at
+    lambda_e = 1e-5, where the prefix rate bound ends most sweeps."""
     rng = np.random.default_rng(900 + seed)
+    if seed in DENSE_SEEDS:
+        xy = np.stack([placement(100, montecarlo.block_rng(seed, 0, rep)) for rep in range(5)])
+        return xy, Scenario(float(rng.uniform(3.5, 4.5)), 1e-5, 0.1)
     n = int(rng.integers(3, 40))
     box = float(rng.uniform(1.0, 200.0))
     xy = rng.uniform(0.0, box, (5, n, 2))
@@ -542,7 +644,7 @@ class TestMeshSecrecyRates:
                     scored += res.feasible
         assert scored
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), *DENSE_SEEDS])
     @pytest.mark.parametrize("lam", [None, 0.0, 1.0, "edge", "tie", "log2"])
     def test_rates_match_solve_secure_route(self, seed, lam):
         xy, sc = stacked_case(seed)
