@@ -33,7 +33,11 @@ r^2, their gains and the trials' legitimate gains h. Estimates depend only
 on the seed and parameters, never on how blocks are scheduled. A block
 holds BLOCK trials, fewer where a hop's disk would expect more than
 BLOCK_POINTS points in the block; a disk expecting more in one trial is an
-input error. `_blocks` yields a block's hop draws as a list. Under
+input error. Philox is counter-based, so every draw is read at its offset
+in the stream: `_block_draws` draws and sums a block's points one run of
+whole trials (about RUN_POINTS points) at a time, reading the gains from a
+second generator positioned at them, and its memory is per run, not per
+block. `_blocks` yields a block's hop draws as a list. Under
 randomize-and-forward the path estimator ORs the per-hop outage events of a
 trial, and the memoryless hop estimator is its one-hop case.
 
@@ -59,6 +63,7 @@ from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
+RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized run
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -105,23 +110,46 @@ class _ZeroSeed(ISeedSequence):
 _ZERO_SEED = _ZeroSeed()
 
 
+def _philox(key: np.ndarray, word: int) -> np.random.Generator:
+    """Generator on the Philox stream under `key` (two uint64 words), about
+    to read the stream's 64-bit word number `word`.
+
+    Philox is counter-based: counter c yields words 4c - 4 .. 4c - 1, so
+    any word is reached by setting the documented `state` to the counter
+    before its group and skipping the group's first word % 4 words.
+    """
+    group, skip = divmod(word, 4)
+    bits = np.random.Philox(_ZERO_SEED)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([(group >> s) & _MASK64 for s in (0, 64, 128, 192)],
+                                      np.uint64),
+                  "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if skip:
+        bits.random_raw(skip)
+    return np.random.Generator(bits)
+
+
+def _words_read(state: dict) -> int:
+    """64-bit words a Philox generator in `state` has read: its counter c
+    has produced 4c words, of which the last 4 - buffer_pos are unread."""
+    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
+    return 4 * counter - 4 + state["buffer_pos"]
+
+
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """Counter-based generator for one (stream, block) cell of a seed.
 
     Its stream is np.random.Philox(key=k)'s, a zero counter under the
     128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
     and block masked to 64, 16 and 48 bits. It is built through Philox's
-    documented `state` instead: given a key, that constructor still draws
-    OS entropy for a seed that it then discards, about half its time.
+    documented `state` instead (`_philox` at word 0): given a key, that
+    constructor still draws OS entropy for a seed that it then discards,
+    about half its time.
     """
-    bits = np.random.Philox(_ZERO_SEED)
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([((stream & 0xFFFF) << 48) | (block & _MASK48),
-                                   seed & _MASK64], np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bits)
+    key = np.array([((stream & 0xFFFF) << 48) | (block & _MASK48), seed & _MASK64], np.uint64)
+    return _philox(key, 0)
 
 
 def _exponential(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -184,23 +212,57 @@ def _hop_fields(rs: float, dists, scenario: Scenario, p: float, trials: int):
     return thetas, radii, bias_bound
 
 
+def _runs(counts: np.ndarray, total: int) -> list:
+    """(first trial, end trial, points) of each run of whole trials: runs
+    hold at most RUN_POINTS points, save a trial holding more, which is a
+    run alone with the zero-point trials after it."""
+    n = len(counts)
+    if total <= RUN_POINTS:
+        return [(0, n, total)]
+    ends = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=ends[1:])
+    runs, t0 = [], 0
+    while t0 < n:
+        cap = max(int(ends[t0]) + RUN_POINTS, int(ends[t0 + 1]))
+        t1 = int(np.searchsorted(ends, cap, "right")) - 1
+        runs.append((t0, t1, int(ends[t1] - ends[t0])))
+        t0 = t1
+    return runs
+
+
 def _block_draws(rng, scenario: Scenario, radius: float, n):
     """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H,
     for eavesdroppers on the disk of `radius` around the transmitter.
 
     Draw order (counts, r^2, gains, H) is part of the reproducibility
     contract; both conditioning modes and all power levels consume the
-    identical stream. The r^2 buffer then holds each point's contribution.
+    identical stream. Each r^2 and each gain is one 64-bit word, so after
+    the counts the block's `total` points' r^2 fill the next `total` words,
+    their gains the `total` after those, and H follows. The points are
+    drawn and summed one run of whole trials at a time (`_runs`): r^2 from
+    `rng`, gains from a second generator on the same key positioned at the
+    gain words, so a block holds two run-sized buffers whatever its size.
+    A one-run block reads its gains from `rng` itself, which then stands
+    at them. Every trial's sum runs in point order, as in one pass.
     """
     counts = rng.poisson(scenario.lambda_e * math.pi * radius * radius, n)
     total = int(counts.sum())
-    contrib = rng.uniform(0.0, radius * radius, total)
-    gains = _exponential(rng, np.empty(total))
-    h = _exponential(rng, np.empty(n))
-    np.power(contrib, -scenario.alpha / 2.0, out=contrib)
-    contrib *= gains
-    idx = np.repeat(np.arange(n), counts)
-    interference = np.bincount(idx, weights=contrib, minlength=n)
+    runs = _runs(counts, total)
+    gain_rng = rng
+    if len(runs) > 1:
+        state = rng.bit_generator.state
+        gain_rng = _philox(state["state"]["key"], _words_read(state) + total)
+    size = max(m for _, _, m in runs)
+    r2_buf, gain_buf = np.empty(size), np.empty(size)
+    interference = np.empty(n)
+    for t0, t1, m in runs:
+        contrib = rng.random(out=r2_buf[:m])
+        contrib *= radius * radius
+        np.power(contrib, -scenario.alpha / 2.0, out=contrib)
+        contrib *= _exponential(gain_rng, gain_buf[:m])
+        idx = np.repeat(np.arange(t1 - t0), counts[t0:t1])
+        interference[t0:t1] = np.bincount(idx, weights=contrib, minlength=t1 - t0)
+    h = _exponential(gain_rng, np.empty(n))
     return interference, h
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,17 @@ def hop_radius(rs, dist, scenario, trials):
 
 
 class TestBlockDrawsInPlace:
-    """The in-place `_block_draws` returns exactly the reference's draws."""
+    """The run-by-run `_block_draws` returns exactly the reference's draws,
+    at the default RUN_POINTS and in runs of 1 and 7 points. Those end runs
+    mid-block, leave zero-point trials at run ends, put a trial holding
+    more points than a run in a run alone, and leave the last run short."""
+
+    @staticmethod
+    def assert_matches(key, sc, radius, n):
+        got = _block_draws(block_rng(*key), sc, radius, n)
+        want = block_draws_reference(block_rng(*key), sc, radius, n)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-4])
@@ -87,10 +98,7 @@ class TestBlockDrawsInPlace:
     def test_matches_reference(self, alpha, lam, n):
         sc = scen(lam=lam, alpha=alpha)
         for radius in (37.5, 1000.0):
-            got = _block_draws(block_rng(3, 1, 2), sc, radius, n)
-            want = block_draws_reference(block_rng(3, 1, 2), sc, radius, n)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            self.assert_matches((3, 1, 2), sc, radius, n)
 
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
     def test_matches_reference_off_origin_window(self, n):
@@ -98,10 +106,78 @@ class TestBlockDrawsInPlace:
         sc = Scenario(3.0, 5e-5, 0.1, 80.0, (4000.0, 5500.0, -700.0, 300.0))
         radius = hop_radius(1.0, 10.0, sc, 100000)
         assert radius == window_cap(sc) == 500.0
-        got = _block_draws(block_rng(4, 0, 1), sc, radius, n)
-        want = block_draws_reference(block_rng(4, 0, 1), sc, radius, n)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        self.assert_matches((4, 0, 1), sc, radius, n)
+
+    @pytest.mark.parametrize("run_points", [1, 7])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-4])
+    @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
+    def test_matches_reference_in_short_runs(self, alpha, lam, n, run_points, monkeypatch):
+        monkeypatch.setattr(montecarlo, "RUN_POINTS", run_points)
+        self.test_matches_reference(alpha, lam, n)
+
+    @pytest.mark.parametrize("run_points", [1, 7])
+    @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
+    def test_off_origin_window_in_short_runs(self, n, run_points, monkeypatch):
+        monkeypatch.setattr(montecarlo, "RUN_POINTS", run_points)
+        self.test_matches_reference_off_origin_window(n)
+
+    def test_run_bounds(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "RUN_POINTS", 7)
+        counts = np.array([0, 3, 0, 9, 0, 0, 2, 2, 2, 1, 0, 4])
+        # trial 3 holds more than a run: it runs alone with the empty trials
+        # after it; the last run is short
+        assert montecarlo._runs(counts, int(counts.sum())) == [
+            (0, 3, 3), (3, 6, 9), (6, 11, 7), (11, 12, 4)]
+        assert montecarlo._runs(counts[:3], 3) == [(0, 3, 3)]
+        assert montecarlo._runs(np.zeros(5, np.int64), 0) == [(0, 5, 0)]
+
+    def test_dense_block_memory_bounded(self):
+        # lambda = 1e-2 fills the R = 1000 disk with 31 416 expected points a
+        # trial: 64 trials hold 2.0 M points, 16 MB per point-sized array;
+        # drawn in runs, the block holds a few run-sized buffers
+        sc = scen(lam=1e-2)
+        tracemalloc.start()
+        try:
+            interference, _ = _block_draws(block_rng(6, 0, 0), sc, 1000.0, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(interference > 0.0)
+        assert peak < 4 * 2 ** 20
+
+
+def poisson_states():
+    """Philox states left by a Poisson draw, one at each buffer_pos 1-4."""
+    states, n = {}, 1
+    while len(states) < 4:
+        rng = block_rng(5, 0, n)
+        rng.poisson(3.0, n)
+        state = rng.bit_generator.state
+        states.setdefault(state["buffer_pos"], state)
+        n += 1
+    return [states[pos] for pos in (1, 2, 3, 4)]
+
+
+class TestStreamOffsets:
+    """`_philox` positions a generator at any word of a block's stream."""
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_positioned_matches_skipped(self, k):
+        for state in poisson_states() + [block_rng(9, 2, 4).bit_generator.state]:
+            bits = np.random.Philox(key=0)
+            bits.state = state
+            bits.random_raw(k)
+            got = montecarlo._philox(state["state"]["key"], montecarlo._words_read(state) + k)
+            assert np.array_equal(got.bit_generator.random_raw(12), bits.random_raw(12))
+
+    @pytest.mark.parametrize("word", [0, 1, 7, 4 * 2 ** 64 - 1, 4 * 2 ** 64 + 3, 2 ** 200 + 2])
+    def test_words_read_round_trip(self, word):
+        key = np.array([3, 8], np.uint64)
+        rng = montecarlo._philox(key, word)
+        assert montecarlo._words_read(rng.bit_generator.state) == word
+        rng.bit_generator.random_raw(5)
+        assert montecarlo._words_read(rng.bit_generator.state) == word + 5
 
 
 class TestBlockPoints:
