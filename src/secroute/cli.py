@@ -31,12 +31,18 @@ least D^2/v, D the straight source-destination distance, and one first
 found after budget k at least best_k(u) + d(u, dest)^2 / (v - k), where
 u is its node after k hops and best_k(u) the least k-hop weight to u.
 
-`sop-curve` and `validate` write each estimate's `bias_bound`, the most by
-which the truncated eavesdropper field can bias it low. A `validate` mode
-row passes (`1`, printed `[pass]`) when the closed form lies in
-[mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak` (`[weak]`)
-when it lies there but the bound exceeds the stderr, and `0` (`[FAIL]`)
-otherwise. `validate` exits 0 only when every row is `1`.
+`sop-curve` and `validate` write each estimate's `tail`, the Laplace
+exponent of the eavesdroppers outside the simulated disks, which the
+estimate adds exactly, and its `bias_bound`: the remainder of the series
+that sums `tail`, at its rounding level, plus, for a hop whose disk a
+`window` smaller than (2 theta)^(1/alpha) caps (theta = 2^rs d^alpha),
+the most by which that hop's truncated field can bias the estimate low.
+A `validate` mode row passes (`1`, printed `[pass]`) when the closed form
+lies in [mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak`
+(`[weak]`) when it lies there but the bound exceeds the stderr, which
+takes such a small window or a zero stderr (no outage among the trials),
+and `0` (`[FAIL]`) otherwise. `validate` exits 0 only when every row is
+`1`.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and

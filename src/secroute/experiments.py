@@ -164,9 +164,10 @@ def run_sop_curve(cfg: ExperimentConfig):
         analytic = analytics.path_sop(cfg.rs, path, sc)
         seed = _row_seed(cfg.seed, idx)
         est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc, cfg.trials, seed)
-        rows.append((*key, analytic, est.mean, est.stderr, est.bias_bound, est.trials, seed))
+        rows.append((*key, analytic, est.mean, est.stderr, est.bias_bound, est.tail,
+                     est.trials, seed))
     header = ["path_id", "hops", "lambda_e", "analytic_sop",
-              "mc_mean", "mc_stderr", "bias_bound", "trials", "seed"]
+              "mc_mean", "mc_stderr", "bias_bound", "tail", "trials", "seed"]
     return header, rows
 
 
@@ -292,9 +293,11 @@ def run_validate(cfg: ExperimentConfig):
     the transmit-power invariance check, all from one pass over the draws.
     A mode's row passes (`1`) when the closed form lies in
     [mc - 3 stderr, mc + 3 stderr + bias_bound], and reads `weak` instead
-    when its bias bound exceeds its stderr. The power rows compare
-    estimates on the same draws, whose truncated means are equal, so the
-    bound does not enter them. Returns (ok, header, rows) for CSV output;
+    when its bias bound exceeds its stderr, which takes a window too small
+    for the far-field series or a zero stderr. Each row also writes the
+    far field's exponent `tail`. The power rows compare estimates on the
+    same draws, whose simulated means are equal, so the bound does not
+    enter them. Returns (ok, header, rows) for CSV output;
     ok only when every row passes.
     """
     scenario = cfg.scenario()
@@ -306,13 +309,13 @@ def run_validate(cfg: ExperimentConfig):
         within = est.covers(analytic) or est.stderr == 0.0
         verdict = ("weak" if est.weak else 1) if within else 0
         rows.append((mode, cfg.rs, cfg.dist, analytic, est.mean, est.stderr,
-                     est.bias_bound, est.trials, verdict))
+                     est.bias_bound, est.tail, est.trials, verdict))
     violations = montecarlo.power_invariance_report(cfg.powers, rejection[1:])
     for pdb, est in zip(cfg.powers, rejection[1:]):
         rows.append((f"rejection@{_fmt(pdb)}dB", cfg.rs, cfg.dist, analytic,
-                     est.mean, est.stderr, est.bias_bound, est.trials,
+                     est.mean, est.stderr, est.bias_bound, est.tail, est.trials,
                      int(not violations)))
     ok = all(row[-1] == 1 for row in rows)
     header = ["mode", "rs", "dist", "analytic_sop", "mc_mean", "mc_stderr",
-              "bias_bound", "trials", "pass"]
+              "bias_bound", "tail", "trials", "pass"]
     return ok, header, rows

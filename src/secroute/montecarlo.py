@@ -8,23 +8,38 @@ gains are unit-mean exponentials sampled by inverse CDF so a fixed
 counter-based RNG stream reproduces bit-identical estimates on any
 platform.
 
-Truncating the field can only lower the interference, so an estimate is
-biased low. A hop is in outage when h <= theta * I with theta = 2^rs * d^a
-and h ~ Exp(1), so the outage probability it misses is at most theta times
-the mean interference outside R, which Campbell's theorem gives:
+The field outside a hop's disk is added exactly. It is a PPP on a region
+disjoint from the disk, so it is independent of the simulated points, and
+a hop is in outage when h <= theta * I with theta = 2^rs * d^a and
+h ~ Exp(1). So P(no outage) is the simulated one times exp(-tau(R)), where
+tau is the far field's Laplace exponent, an alternating series for
+x = theta R^-a < 1 (Haenggi, Stochastic Geometry for Wireless Networks):
 
-    b(R) = theta * 2 pi lambda R^(2 - a) / (a - 2).
+    tau(R) = 2 pi lambda R^2 sum_{k>=1} (-1)^(k+1) x^k / (k a - 2).
 
-A path estimate misses at most the sum of its hops' b. Hop k of an H-hop
-estimate gets the smallest R with b(R) <= tol / H, where tol is a tenth of
-the binomial stderr sqrt(p (1 - p) / T) at the closed-form probability p
-over T trials. R is capped at the radius of the disk inscribed in the
-scenario's `sim_window`; near a = 2 the cap is reached, and b, reported as
-the estimate's `bias_bound`, can then exceed the stderr. The closed form
-only sizes R: b bounds the bias whatever p is, so the estimate stays an
-independent check. The rejection estimates carry the same bound: given
-survival of the on-off filter, their outage event is the memoryless one
-with a shifted exponential gain.
+With T the sum of the hops' tau, a simulated mean m maps to
+1 - exp(-T) (1 - m) and its stderr to exp(-T) stderr. The rejection
+estimates map the same way: given survival of the on-off filter, their
+outage event is the memoryless one with a shifted, again Exp(1), gain.
+The series alternates with shrinking terms, so tau is at most its first
+term, and its remainder at most the first term left out; that remainder,
+carried through the map, is the estimate's `bias_bound`.
+
+Hop k's disk has radius R_k = min(cap, max(c_a theta_k^(1/a),
+(2 theta_k)^(1/a))), cap the radius of the disk inscribed in the
+scenario's `sim_window` and
+
+    c_a = (2 / (TAIL_SHARE (a - 2) G(1 + 2/a) G(1 - 2/a)))^(1/(a - 2)),
+
+G the gamma function. The first radius makes tau's first term
+TAIL_SHARE of the hop's closed-form exponent K1 theta^(2/a), so the
+simulation still carries at least 1 - TAIL_SHARE of every hop's outage
+exponent and stays an independent check; the second keeps x <= 1/2, so a
+few dozen terms reach double precision. R depends on neither lambda nor
+the trial count. Only where the cap is below (2 theta)^(1/a) does a hop
+keep its truncated field: its tau is taken as 0, and the estimate, biased
+low, carries Campbell's bound b(R) = theta 2 pi lambda R^(2 - a) / (a - 2)
+on the outage it misses.
 
 Trials are processed in blocks by one loop, `_blocks`; hop k of block b
 owns a Philox stream keyed by (seed, k, b), from which it draws, in this
@@ -58,12 +73,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import analytics
 from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
 RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized run
+TAIL_SHARE = 0.05  # most of a hop's outage exponent left to the exact far field
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -79,15 +94,20 @@ class MonteCarloError(ValueError):
 class SopEstimate:
     """An outage-probability estimate from `trials` simulated trials.
 
-    The truncated eavesdropper field biases `mean` low by at most
-    `bias_bound`, so a closed form p is consistent with the estimate when
-    it lies in [mean - 3 stderr, mean + 3 stderr + bias_bound].
+    `tail` is the summed far-field exponent T added exactly to the
+    simulated disks. `bias_bound` bounds what the estimate misses: the
+    remainder of T's series, at the rounding level of T, plus, for a hop
+    whose disk the window caps below (2 theta)^(1/alpha), Campbell's bound
+    on its truncated field, which biases `mean` low. So a closed form p is
+    consistent with the estimate when it lies in
+    [mean - 3 stderr, mean + 3 stderr + bias_bound].
     """
 
     mean: float
     stderr: float
     trials: int
     bias_bound: float
+    tail: float
 
     def covers(self, p: float) -> bool:
         """Whether p lies in [mean - 3 stderr, mean + 3 stderr + bias_bound]."""
@@ -172,44 +192,56 @@ def _log_theta(rs: float, dist: float, alpha: float) -> float:
     return log_gain + log_path
 
 
-def _disk(log_theta: float, scenario: Scenario, tol: float, cap: float):
-    """Radius R and bias bound b(R) of one hop's field: the smallest R with
-    b(R) <= tol, at most `cap`.
+def _hop_field(log_theta: float, scenario: Scenario, cap: float):
+    """Disk radius R of a hop with outage scale theta = exp(log_theta), its
+    far-field exponent tau(R), the first series term not summed, and, in
+    the fallback (cap below (2 theta)^(1/alpha)), tau = 0 with Campbell's
+    bound b(R), at most 1, in place of a remainder.
 
-    Both are computed in logs, so that alpha near 2 reaches the cap instead
-    of overflowing. R is sized for log b(R) = log tol - 1e-9, a margin that
-    keeps b(R) <= tol through rounding. b is at most 1, since it bounds a
-    gap between two probabilities.
+    R is computed in logs, so that alpha near 2 reaches the cap instead of
+    overflowing; a radius that underflows keeps the least positive float.
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
+    log_half = (_LN2 + log_theta) / alpha  # theta R^-alpha = 1/2
+    # first term 2 pi lambda theta R^(2 - a) / (a - 2) = TAIL_SHARE K1 theta^(2/a)
+    log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0)
+             - math.lgamma(1.0 + 2.0 / alpha) - math.lgamma(1.0 - 2.0 / alpha)) / (alpha - 2.0)
+    log_r = max(log_c + log_theta / alpha, log_half)
+    log_cap = math.log(cap)
+    radius = cap if log_r >= log_cap else max(math.exp(log_r), math.ulp(0.0))
     if lam == 0.0:
-        return cap, 0.0
-    # b(R) = exp(log_c + (2 - alpha) log R)
-    log_c = log_theta + math.log(2.0 * math.pi * lam) - math.log(alpha - 2.0)
-    radius = cap
-    if tol > 0.0:
-        log_r = (log_c - math.log(tol) + 1e-9) / (alpha - 2.0)
-        if log_r < math.log(cap):
-            # a radius that underflows keeps the least positive float
-            radius = max(math.exp(log_r), math.ulp(0.0))
-    return radius, math.exp(min(log_c + (2.0 - alpha) * math.log(radius), 0.0))
+        return radius, 0.0, 0.0, 0.0
+    log_x = log_theta - alpha * math.log(radius)
+    if log_half > log_cap:
+        log_b = (log_x + math.log(2.0 * math.pi * lam) + 2.0 * math.log(radius)
+                 - math.log(alpha - 2.0))
+        return radius, 0.0, 0.0, math.exp(min(log_b, 0.0))
+    x = math.exp(log_x)
+    total, k, x_k = 0.0, 1, x
+    term = x / (alpha - 2.0)
+    while total + term != total:
+        total += term if k % 2 else -term
+        k += 1
+        x_k *= x
+        term = x_k / (k * alpha - 2.0)
+    scale = 2.0 * math.pi * lam * radius * radius
+    return radius, scale * total, scale * term, 0.0
 
 
-def _hop_fields(rs: float, dists, scenario: Scenario, p: float, trials: int):
-    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, and the
-    summed bias bound; the hops share a tenth of the binomial stderr at the
-    closed-form probability p as their tolerance."""
-    tol = math.sqrt(p * (1.0 - p) / trials) / (10.0 * len(dists))
+def _hop_fields(rs: float, dists, scenario: Scenario):
+    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, the
+    summed far-field exponent T, and the estimate's bias bound
+    exp(-T) (expm1(summed remainders) + summed Campbell bounds)."""
     xmin, xmax, ymin, ymax = scenario.sim_window
     cap = 0.5 * min(xmax - xmin, ymax - ymin)
-    thetas, radii, bias_bound = [], [], 0.0
+    thetas, radii, tail, remainder, campbell = [], [], 0.0, 0.0, 0.0
     for dist in dists:
         log_theta = _log_theta(rs, dist, scenario.alpha)
-        radius, bias = _disk(log_theta, scenario, tol, cap)
+        radius, tau, rem, b = _hop_field(log_theta, scenario, cap)
         thetas.append(math.exp(log_theta))
         radii.append(radius)
-        bias_bound += bias
-    return thetas, radii, bias_bound
+        tail, remainder, campbell = tail + tau, remainder + rem, campbell + b
+    return thetas, radii, tail, math.exp(-tail) * (math.expm1(remainder) + campbell)
 
 
 def _runs(counts: np.ndarray, total: int) -> list:
@@ -295,13 +327,17 @@ def _outages(thetas, n: int, draws) -> int:
     return int(np.count_nonzero(out))
 
 
-def _estimate(n_outage: int, n_effective: int, bias_bound: float) -> SopEstimate:
+def _estimate(n_outage: int, n_effective: int, tail: float, bias_bound: float) -> SopEstimate:
+    """The simulated fraction m = n_outage / n_effective with the far field
+    added: mean 1 - exp(-tail) (1 - m), stderr exp(-tail) sqrt(m (1 - m) / n)."""
     if n_effective == 0:
         raise MonteCarloError(
             "no trials survived the on-off threshold; increase trials or power")
     mean = n_outage / n_effective
     stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
-    return SopEstimate(mean, stderr, n_effective, bias_bound)
+    keep = math.exp(-tail)
+    return SopEstimate(-math.expm1(-tail) + keep * mean, keep * stderr, n_effective,
+                       bias_bound, tail)
 
 
 def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -327,8 +363,7 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     # only the linear power, so each distinct one is applied once
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
     distinct = list(dict.fromkeys(powers))
-    (theta,), radii, bias_bound = _hop_fields(
-        rs, [dist], scenario, analytics.hop_sop(rs, dist, scenario), trials)
+    (theta,), radii, tail, bias_bound = _hop_fields(rs, [dist], scenario)
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
@@ -348,8 +383,8 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             n_outage[i] += int(np.count_nonzero(shortfall))
             n_effective[i] += int(np.count_nonzero(keep))
-    rejection = [_estimate(o, e, bias_bound) for o, e in zip(n_outage, n_effective)]
-    return (_estimate(n_memoryless, trials, bias_bound),
+    rejection = [_estimate(o, e, tail, bias_bound) for o, e in zip(n_outage, n_effective)]
+    return (_estimate(n_memoryless, trials, tail, bias_bound),
             [rejection[distinct.index(p)] for p in powers])
 
 
@@ -383,11 +418,10 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     # not an edge
     dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
              for u, v in zip(path.nodes, path.nodes[1:])]
-    thetas, radii, bias_bound = _hop_fields(
-        rs, dists, scenario, analytics.path_sop(rs, path, scenario), trials)
+    thetas, radii, tail, bias_bound = _hop_fields(rs, dists, scenario)
     n_outage = sum(_outages(thetas, n, draws)
                    for n, draws in _blocks(scenario, radii, trials, seed))
-    return _estimate(n_outage, trials, bias_bound)
+    return _estimate(n_outage, trials, tail, bias_bound)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
 A brute-force simple-path enumerator, the test oracle for the hop-budget
-decomposition in `secroute.routing`, a scipy quadrature of the plane
-integral behind the closed-form outage exponent in `secroute.analytics`,
+decomposition in `secroute.routing`, scipy quadratures of the plane
+integral behind the closed-form outage exponent in `secroute.analytics`
+and of the far-field exponent `secroute.montecarlo` adds to its disks,
 and the per-topology loop that `secroute.experiments.run_table_one`
 replaced with one stacked sweep.
 scipy is a test-only dependency; the package itself never imports it.
@@ -107,6 +108,18 @@ def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
         val, _ = quad(integrand, 0.0, 1.0, points=[u_knee], epsabs=0.0,
                       epsrel=1e-10, limit=500)
     return scenario.lambda_e * math.pi * val
+
+
+def far_field_integral(theta: float, radius: float, scenario: Scenario) -> float:
+    """The far field's Laplace exponent outside the disk of `radius`,
+    lambda_e * Int_{|x| > R} theta/(theta + |x|^alpha) dx, by radial
+    quadrature: an independent check of montecarlo's alternating series."""
+
+    def integrand(r):
+        return 2.0 * math.pi * r * theta / (theta + r ** scenario.alpha)
+
+    val, _ = quad(integrand, radius, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    return scenario.lambda_e * val
 
 
 def table_one_reference(cfg):

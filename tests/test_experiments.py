@@ -76,9 +76,10 @@ class TestSopCurve:
         cfg = ExperimentConfig(lambdas=(0.0, 1e-6, 1e-5), trials=20000, seed=3)
         header, rows = run_sop_curve(cfg)
         assert len(rows) == 9
-        for pid, hops, lam, analytic, mc, se, bias_bound, trials, seed in rows:
+        assert header[6:] == ["bias_bound", "tail", "trials", "seed"]
+        for pid, hops, lam, analytic, mc, se, bias_bound, tail, trials, seed in rows:
             if lam == 0.0:
-                assert analytic == 0.0 and mc == 0.0
+                assert analytic == 0.0 and mc == 0.0 and tail == 0.0
             else:
                 assert abs(analytic - mc) <= 3 * se
 
@@ -395,26 +396,26 @@ class TestCli:
         rc = main(["sop-curve", "--config", str(f), "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
-    def test_validate_weak_at_small_alpha(self, tmp_path, capsys):
-        # at alpha = 2.5 the truncated field misses up to 0.025 of outage
-        # probability, far more than the stderr: the closed form lies in the
-        # one-sided interval, and the rows say the check is weak
+    def test_validate_passes_at_small_alpha(self, tmp_path, capsys):
+        # at alpha = 2.5 the window caps the disk, and the far field outside
+        # it, 0.025 of outage exponent, is added exactly: the rows pass
         f = tmp_path / "v.cfg"
         f.write_text("alpha = 2.5\nlambda_e = 1e-4\ntrials = 50000\n")
         out = tmp_path / "v.csv"
         rc = main(["validate", "--config", str(f), "--out", str(out)])
-        assert rc == 1
+        assert rc == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("memoryless:") and lines[0].endswith("[weak]")
-        assert lines[1].startswith("rejection:") and lines[1].endswith("[weak]")
+        assert lines[0].startswith("memoryless:") and lines[0].endswith("[pass]")
+        assert lines[1].startswith("rejection:") and lines[1].endswith("[pass]")
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")]
         header, rows = rows[0], rows[1:]
-        assert header[5:] == ["mc_stderr", "bias_bound", "trials", "pass"]
-        assert [r[-1] for r in rows] == ["weak", "weak", "1", "1", "1"]
+        assert header[5:] == ["mc_stderr", "bias_bound", "tail", "trials", "pass"]
+        assert [r[-1] for r in rows] == ["1"] * 5
         for r in rows[:2]:
-            analytic, mc, se, b = (float(x) for x in r[3:7])
-            assert b > se and mc - 3 * se <= analytic <= mc + 3 * se + b
+            analytic, mc, se, b, tail = (float(x) for x in r[3:8])
+            assert tail == pytest.approx(2.5132657e-2, rel=1e-7)
+            assert b < 1e-3 * se and abs(mc - analytic) <= 3 * se
 
     def test_validate_vanishing_hop_is_silent(self, tmp_path, capsys):
         # d^alpha underflows to 0 at dist = 1e-200: the on-off filter sees an
@@ -429,7 +430,7 @@ class TestCli:
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
-        assert [(r[4], r[7], r[8]) for r in rows] == [("0", "2000", "1")] * 5
+        assert [(r[4], r[8], r[9]) for r in rows] == [("0", "2000", "1")] * 5
 
     def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
         # at -200 dB no trial passes the on-off threshold of rs = 30

@@ -1,4 +1,5 @@
 import math
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,10 @@ from secroute.montecarlo import (
     power_invariance_check,
 )
 from secroute.cli import main
-from secroute.experiments import FIG_PATHS, six_node_topology
+from secroute.experiments import FIG_PATHS, placement, six_node_topology
+from secroute.routing import solve_secure_route
+
+import oracles
 
 
 def scen(lam=1e-5, eps=0.1, alpha=4.0, power=80.0, window=2000.0):
@@ -67,16 +71,28 @@ def window_cap(scenario):
 
 
 def bias_formula(rs, dist, scenario, radius):
-    """theta * 2 pi lambda R^(2 - alpha) / (alpha - 2), theta = 2^rs d^alpha."""
+    """theta * 2 pi lambda R^(2 - alpha) / (alpha - 2), theta = 2^rs d^alpha:
+    Campbell's bound on the outage a disk of `radius` misses, and the first
+    term of the far field's series."""
     a = scenario.alpha
     theta = 2.0 ** rs * dist ** a
     return theta * 2.0 * math.pi * scenario.lambda_e * radius ** (2.0 - a) / (a - 2.0)
 
 
-def hop_radius(rs, dist, scenario, trials):
+def hop_exponent(rs, dist, scenario):
+    """The hop's closed-form outage exponent K1 theta^(2/alpha)."""
+    k1 = analytics.k1(scenario.alpha, scenario.lambda_e)
+    return k1 * 2.0 ** (2.0 * rs / scenario.alpha) * dist ** 2
+
+
+def hop_radius(rs, dist, scenario):
     """The disk radius of a one-hop estimate."""
-    p = analytics.hop_sop(rs, dist, scenario)
-    return montecarlo._hop_fields(rs, [dist], scenario, p, trials)[1][0]
+    return montecarlo._hop_fields(rs, [dist], scenario)[1][0]
+
+
+def mapped(m, tail):
+    """A simulated fraction m with the far field's exponent `tail` added."""
+    return -math.expm1(-tail) + math.exp(-tail) * m
 
 
 class TestBlockDrawsInPlace:
@@ -102,11 +118,10 @@ class TestBlockDrawsInPlace:
 
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
     def test_matches_reference_off_origin_window(self, n):
-        # a window off the origin caps the disk by its shorter side alone
+        # a window off the origin: its inscribed disk, of the shorter side
         sc = Scenario(3.0, 5e-5, 0.1, 80.0, (4000.0, 5500.0, -700.0, 300.0))
-        radius = hop_radius(1.0, 10.0, sc, 100000)
-        assert radius == window_cap(sc) == 500.0
-        self.assert_matches((4, 0, 1), sc, radius, n)
+        assert window_cap(sc) == 500.0
+        self.assert_matches((4, 0, 1), sc, 500.0, n)
 
     @pytest.mark.parametrize("run_points", [1, 7])
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
@@ -196,87 +211,170 @@ class TestBlockPoints:
         return calls
 
     def test_dense_field_splits_blocks(self, monkeypatch):
-        # lambda = 1e-2 puts the disk at the R = 1000 cap: 31 416 expected
-        # points per trial, 5.1e8 in a block of BLOCK trials
+        # lambda = 1 puts 5 649 expected points on the R = 42.4 disk of a
+        # 10 m hop at alpha = 4 each trial, 9.3e7 in a block of BLOCK trials
         calls = self.record_draws(monkeypatch)
-        sc = scen(lam=1e-2)
+        sc = scen(lam=1.0)
+        radius = hop_radius(1.0, 10.0, sc)
+        assert radius == pytest.approx(42.43, abs=0.01)
         hop_sop_estimates(1.0, 10.0, sc, 100000, 1, [])
         assert sum(n for n, _ in calls) == 100000
-        for n, radius in calls:
-            assert radius == 1000.0
-            assert n * sc.lambda_e * math.pi * radius ** 2 <= montecarlo.BLOCK_POINTS
+        assert len(calls) > 100000 // montecarlo.BLOCK + 1
+        for n, r in calls:
+            assert r == radius
+            assert n * sc.lambda_e * math.pi * r ** 2 <= montecarlo.BLOCK_POINTS
 
     def test_one_trial_over_the_cap_exits_2(self, monkeypatch, tmp_path, capsys):
-        # 3.1e7 expected points on one trial's disk: no block size fits
+        # 5.6e7 expected points on one trial's disk: no block size fits
         calls = self.record_draws(monkeypatch)
         f = tmp_path / "v.cfg"
-        f.write_text("lambda_e = 10\ntrials = 100\n")
+        f.write_text("lambda_e = 1e4\ntrials = 100\n")
         assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 2
         err = capsys.readouterr().err
-        assert not calls and "lambda_e = 10" in err and "window" in err
+        assert not calls and "lambda_e = 10000" in err and "window" in err
 
 
 class TestDiskSizing:
-    """Each hop's disk is the smallest meeting its share of the tolerance."""
+    """Each hop's disk is the smallest, within the cap, on which the far
+    field's first term is at most TAIL_SHARE of the hop's closed-form
+    exponent and theta R^-alpha <= 1/2."""
 
     @pytest.mark.parametrize("alpha,lam,trials", [
         (4.0, 1e-6, 8192), (4.0, 1e-4, 100000), (3.0, 1e-5, 1000),
-        (3.0, 1e-4, 100000), (2.5, 1e-4, 100000), (2.05, 1e-6, 500), (6.0, 5e-5, 20000)])
+        (3.0, 1e-4, 100000), (2.5, 1e-4, 100000), (2.05, 1e-6, 500), (6.0, 5e-5, 20000),
+        # c_alpha < 2^(1/alpha): theta R^-alpha <= 1/2 sets the radius
+        (30.0, 1e-4, 1000)])
     @pytest.mark.parametrize("seq", FIG_PATHS)
     def test_smallest_radius_within_cap(self, alpha, lam, trials, seq):
         topo = six_node_topology()
         sc = scen(lam=lam, alpha=alpha)
-        path = topo.path(seq)
-        p = analytics.path_sop(1.0, path, sc)
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip(seq, seq[1:])]
-        _, radii, bias_bound = montecarlo._hop_fields(1.0, dists, sc, p, trials)
-        share = math.sqrt(p * (1.0 - p) / trials) / 10.0 / len(dists)
+        _, radii, tail, _ = montecarlo._hop_fields(1.0, dists, sc)
+        # the radii depend on the density in no way, and the rule takes no
+        # trial count
+        assert montecarlo._hop_fields(1.0, dists, scen(lam=0.3, alpha=alpha))[1] == radii
         cap = window_cap(sc)
-        total = 0.0
+
+        def within(d, radius):  # the rule's two conditions
+            share = montecarlo.TAIL_SHARE * hop_exponent(1.0, d, sc)
+            x = 2.0 * d ** alpha * radius ** -alpha
+            return bias_formula(1.0, d, sc, radius) <= share and x <= 0.5
+
+        terms = 0.0
         for d, radius in zip(dists, radii):
-            b = bias_formula(1.0, d, sc, radius)
+            first = bias_formula(1.0, d, sc, radius)
             assert 0.0 < radius <= cap
+            assert 2.0 * d ** alpha * radius ** -alpha <= 0.5 * (1.0 + 1e-12)
             if radius < cap:
-                assert b <= share
-                assert bias_formula(1.0, d, sc, radius * (1.0 - 1e-6)) > share
+                assert within(d, radius * (1.0 + 1e-9))
+                assert not within(d, radius * (1.0 - 1e-6))
+                if 2.0 * d ** alpha * radius ** -alpha < 0.5 * (1.0 - 1e-9):
+                    assert first == pytest.approx(
+                        montecarlo.TAIL_SHARE * hop_exponent(1.0, d, sc), rel=1e-9)
             else:
-                assert bias_formula(1.0, d, sc, cap * (1.0 - 1e-9)) > share
-            total += b
-        assert bias_bound == pytest.approx(total, rel=1e-9)
+                assert not within(d, cap * (1.0 - 1e-9))
+            terms += first
+        # an alternating series with shrinking terms stays below its first
+        assert 0.0 < tail <= terms
 
     def test_path_estimate_carries_bound(self):
         topo = six_node_topology()
         sc = scen(lam=1e-4)
         path = topo.path((1, 2, 3, 5))
-        p = analytics.path_sop(1.0, path, sc)
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip((1, 2, 3), (2, 3, 5))]
-        _, _, bias_bound = montecarlo._hop_fields(1.0, dists, sc, p, 8192)
+        _, _, tail, bias_bound = montecarlo._hop_fields(1.0, dists, sc)
         est = estimate_path_sop(1.0, path, topo, sc, 8192, seed=1)
-        assert est.bias_bound == bias_bound <= math.sqrt(p * (1.0 - p) / 8192) / 10.0
+        assert est.tail == tail > 0.0
+        # the series runs until its next term no longer moves the sum
+        assert est.bias_bound == bias_bound <= 1e-15 * tail
+        assert not est.weak
 
     def test_zero_density_has_no_bias(self):
         topo = six_node_topology()
         sc = scen(lam=0.0)
         est = estimate_path_sop(1.0, topo.path((1, 2, 3, 5)), topo, sc, 100, seed=1)
-        assert est.bias_bound == 0.0 and est.mean == 0.0
+        assert est.bias_bound == est.tail == 0.0 and est.mean == 0.0
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 100, 1, [80.0])
         assert memoryless.bias_bound == rejection[0].bias_bound == 0.0
-        assert hop_radius(1.0, 10.0, sc, 100) == window_cap(sc)
+        assert memoryless.tail == rejection[0].tail == 0.0
+        assert hop_radius(1.0, 10.0, sc) == hop_radius(1.0, 10.0, scen(lam=1e-4)) < window_cap(sc)
 
     def test_alpha_near_two_reaches_cap(self):
-        # (theta 2 pi lambda / tol)^(1/(alpha - 2)) overflows a float; the
-        # radius, computed in logs, stops at the cap
+        # c_alpha^(alpha - 2) = 2 / (TAIL_SHARE (alpha - 2) G) overflows a
+        # float; the radius, computed in logs, stops at the cap, and the far
+        # field then carries the certain outage the closed form gives
         sc = scen(lam=1e-4, alpha=2.0 + 1e-9)
-        assert hop_radius(1.0, 10.0, sc, 1000) == window_cap(sc)
+        assert hop_radius(1.0, 10.0, sc) == window_cap(sc)
         est = estimate_hop_sop(1.0, 10.0, sc, 1000, seed=2)
-        assert est.bias_bound == 1.0 and est.weak
+        assert est.tail > 1e6 and est.mean == 1.0 and est.stderr == 0.0
+        assert est.bias_bound == 0.0 and not est.weak
+        assert est.covers(analytics.hop_sop(1.0, 10.0, sc))
 
     def test_bias_bound_shared_by_every_mode(self):
         sc = scen(lam=5e-5, alpha=3.0)
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 3000, 5, (60.0, 80.0))
-        b = bias_formula(1.0, 10.0, sc, hop_radius(1.0, 10.0, sc, 3000))
-        assert memoryless.bias_bound == pytest.approx(b, rel=1e-9)
-        assert all(est.bias_bound == memoryless.bias_bound for est in rejection)
+        _, _, tail, bias_bound = montecarlo._hop_fields(1.0, [10.0], sc)
+        assert (memoryless.tail, memoryless.bias_bound) == (tail, bias_bound)
+        assert all((est.tail, est.bias_bound) == (tail, bias_bound) for est in rejection)
+
+
+class TestFarField:
+    """The far field's exponent, the map it puts on an estimate, and the
+    fallback where the window is too small for its series."""
+
+    @pytest.mark.parametrize("alpha,lam,dist,window,want", [
+        # the two values checked against quadrature when the bias was found
+        (2.5, 1e-4, 10.0, 2000.0, 2.5132657e-2), (2.5, 1e-4, 10.0, 400.0, 5.6188052e-2),
+        (3.0, 1e-4, 10.0, 2000.0, None), (3.0, 1e-5, 30.0, 2000.0, None),
+        (4.0, 1e-4, 20.0, 2000.0, None), (4.0, 1e-4, 10.0, 60.0, None),
+        (8.0, 1e-4, 10.0, 2000.0, None), (30.0, 1e-4, 10.0, 2000.0, None)])
+    def test_tail_matches_quadrature(self, alpha, lam, dist, window, want):
+        sc = scen(lam=lam, alpha=alpha, window=window)
+        log_theta = montecarlo._log_theta(1.0, dist, alpha)
+        radius, tau, remainder, campbell = montecarlo._hop_field(log_theta, sc, window_cap(sc))
+        got = oracles.far_field_integral(math.exp(log_theta), radius, sc)
+        assert tau == pytest.approx(got, rel=1e-10)
+        assert campbell == 0.0 and 0.0 <= remainder <= 1e-15 * tau
+        if want is not None:
+            assert radius == window_cap(sc)
+            assert tau == pytest.approx(want, rel=1e-7)
+
+    def test_map_on_hand_counts(self, monkeypatch):
+        # stubbed draws of three kinds: 5 trials with no interference and a
+        # huge gain (no outage, kept by the on-off filter), 3 with a huge
+        # interference (outage, kept) and 2 with h = I = 0 (a memoryless
+        # outage, h <= theta I, that the filter drops)
+        interference = np.array([0.0] * 5 + [1e9] * 3 + [0.0] * 2)
+        h = np.array([1e9] * 5 + [1e3] * 3 + [0.0] * 2)
+        monkeypatch.setattr(montecarlo, "_block_draws",
+                            lambda rng, scenario, radius, n: (interference[:n], h[:n]))
+        sc = scen(lam=1e-4)
+        _, _, tail, bias_bound = montecarlo._hop_fields(1.0, [10.0], sc)
+        memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 10, 3, [80.0])
+        keep = math.exp(-tail)
+        assert 0.0 < tail < 0.05
+        assert memoryless == montecarlo.SopEstimate(
+            mapped(5 / 10, tail), keep * math.sqrt(0.5 * 0.5 / 10), 10, bias_bound, tail)
+        assert rejection == montecarlo.SopEstimate(
+            mapped(3 / 8, tail), keep * math.sqrt(3 / 8 * 5 / 8 / 8), 8, bias_bound, tail)
+        assert mapped(5 / 10, tail) == pytest.approx(1.0 - keep * 0.5, rel=1e-15)
+
+    def test_fallback_keeps_campbell_bound(self, tmp_path, capsys):
+        # a window of side 10 caps the disk at R = 5, below (2 theta)^(1/4)
+        # = 14.1 of a 10 m hop: no tail is added, the truncated field biases
+        # the estimate low by at most b(5), and the check reads weak
+        sc = scen(lam=1e-5, window=10.0)
+        _, radii, tail, bias_bound = montecarlo._hop_fields(1.0, [10.0], sc)
+        assert radii == [5.0] and tail == 0.0
+        assert bias_bound == pytest.approx(bias_formula(1.0, 10.0, sc, 5.0), rel=1e-12)
+        est = estimate_hop_sop(1.0, 10.0, sc, 5000, seed=4)
+        assert est.weak and est.covers(analytics.hop_sop(1.0, 10.0, sc))
+        f = tmp_path / "v.cfg"
+        f.write_text("window = 10\ntrials = 5000\n")
+        out = tmp_path / "v.csv"
+        assert main(["validate", "--config", str(f), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("[weak]") and lines[1].endswith("[weak]")
 
 
 class TestTruncationBias:
@@ -308,26 +406,28 @@ class TestTruncationBias:
 
 
 class TestSmallAlpha:
-    """Monte Carlo against the closed form away from alpha = 4 and the origin,
-    on the one-sided interval [mc - 3 stderr, mc + 3 stderr + bias_bound]."""
+    """Monte Carlo against the closed form away from alpha = 4 and the origin:
+    the far field added exactly leaves a bias bound far below the stderr."""
 
     @staticmethod
-    def check(est, p, weak):
+    def check(est, p):
         assert est.mean - 3.0 * est.stderr <= p <= est.mean + 3.0 * est.stderr + est.bias_bound
         assert est.covers(p)
-        assert (est.bias_bound > est.stderr) is weak and est.weak is weak
+        assert est.tail > 0.0 and est.bias_bound < 1e-3 * est.stderr and not est.weak
 
-    @pytest.mark.parametrize("alpha,lam,weak", [
-        # the disk reaches the cap, and the bound exceeds the stderr
+    @pytest.mark.parametrize("alpha,lam,at_cap", [
+        # the disk reaches the cap, so the tail carries more than TAIL_SHARE
+        # of the hop's exponent (11 %)
         (2.5, 1e-4, True),
-        # the disk reaches the cap, but the bound stays below the stderr
+        # the disk stops at TAIL_SHARE, R = 208, well inside the cap
         (3.0, 1e-4, False), (3.0, 1e-5, False)])
-    def test_hop_estimate(self, alpha, lam, weak):
+    def test_hop_estimate(self, alpha, lam, at_cap):
         sc = scen(lam=lam, alpha=alpha)
+        assert (hop_radius(1.0, 10.0, sc) == window_cap(sc)) is at_cap
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 50000, 61, [80.0])
         p = analytics.hop_sop(1.0, 10.0, sc)
         for est in (memoryless, rejection):
-            self.check(est, p, weak)
+            self.check(est, p)
 
     def test_off_origin_path(self):
         topo = build_topology([Node(0, 3000.0, -4000.0), Node(1, 3006.0, -3992.0),
@@ -335,7 +435,59 @@ class TestSmallAlpha:
         sc = scen(lam=3e-5, alpha=3.0)
         path = topo.path((0, 1, 2))
         est = estimate_path_sop(1.0, path, topo, sc, 50000, seed=62)
-        self.check(est, analytics.path_sop(1.0, path, sc), weak=False)
+        self.check(est, analytics.path_sop(1.0, path, sc))
+
+
+class TestUnbiased:
+    """With the far field added exactly, no truncation bias is left: over K
+    independent seeds the z-scores against the closed form average to 0
+    within 3 / sqrt(K). K and the seeds were fixed before any z was seen."""
+
+    K = 20
+    SEEDS = range(7000, 7020)
+
+    @pytest.mark.parametrize("alpha,lam,dist", [
+        # the disk reaches the cap; the old rule's bound read 0.08 here
+        (2.5, 1e-5, 40.0),
+        (3.0, 1e-5, 40.0), (4.0, 1e-4, 20.0)])
+    def test_mean_z_near_zero(self, alpha, lam, dist):
+        sc = scen(lam=lam, alpha=alpha)
+        p = analytics.hop_sop(1.0, dist, sc)
+        z = {"memoryless": [], "rejection": []}
+        for seed in self.SEEDS:
+            memoryless, (rejection,) = hop_sop_estimates(1.0, dist, sc, 2000, seed, [80.0])
+            z["memoryless"].append((memoryless.mean - p) / memoryless.stderr)
+            z["rejection"].append((rejection.mean - p) / rejection.stderr)
+        assert len(self.SEEDS) == self.K
+        for mode, zs in z.items():
+            assert abs(statistics.fmean(zs)) * math.sqrt(self.K) <= 3.0, (mode, zs)
+
+
+class TestRoutedPathSop:
+    """The router's own answer, simulated: on K seeded 50-relay placements,
+    the path solve_secure_route picks, at its rate rs*, has outage
+    probability epsilon. Placement rep i is placement(50, block_rng(505,
+    alpha index, i)) and its estimate uses seed 6000 + i; K and the seeds
+    were fixed before any z was seen."""
+
+    K = 20
+
+    @pytest.mark.parametrize("a_idx,alpha", [(0, 3.0), (1, 4.0)])
+    def test_routed_path_meets_epsilon(self, a_idx, alpha):
+        sc = scen(lam=1e-5, alpha=alpha)
+        # Bonferroni over both alphas' 2K estimates, a 1 % family-wise level
+        z_max = statistics.NormalDist().inv_cdf(1.0 - 0.01 / (2 * 2 * self.K))
+        zs = []
+        for rep in range(self.K):
+            xy = placement(50, block_rng(505, a_idx, rep))
+            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+            sol = solve_secure_route(topo, 0, 51, sc)
+            assert analytics.path_sop(sol.rs_star, sol.path, sc) == pytest.approx(sc.epsilon)
+            est = estimate_path_sop(sol.rs_star, sol.path, topo, sc, 20000, seed=6000 + rep)
+            assert est.covers(sc.epsilon) and not est.weak
+            zs.append((est.mean - sc.epsilon) / est.stderr)
+        assert max(abs(z) for z in zs) <= z_max, zs
+        assert abs(statistics.fmean(zs)) * math.sqrt(self.K) <= 3.0, zs
 
 
 class TestEstimateHopSop:
@@ -403,10 +555,11 @@ class TestHopSopEstimates:
     """One pass over the draws gives exactly the separate estimates."""
 
     def rejection_reference(self, rs, dist, scenario, trials, seed):
-        # the literal on-off rule, one block at a time, on its own draws
+        # the literal on-off rule, one block at a time, on its own draws,
+        # with the far field's exponent added to the survivors' fraction
         d_alpha = dist ** scenario.alpha
         p = scenario.power_linear
-        radius = hop_radius(rs, dist, scenario, trials)
+        _, (radius,), tail, _ = montecarlo._hop_fields(rs, [dist], scenario)
         n_outage = n_effective = 0
         for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
             n = min(montecarlo.BLOCK, trials - done)
@@ -417,7 +570,7 @@ class TestHopSopEstimates:
             rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep]))
             n_outage += int(np.count_nonzero(rate < rs))
             n_effective += int(np.count_nonzero(keep))
-        return n_outage / n_effective, n_effective
+        return mapped(n_outage / n_effective, tail), n_effective
 
     def test_one_pass_equals_separate_estimates(self):
         sc = scen(lam=5e-5)
