@@ -40,9 +40,9 @@ the most by which that hop's truncated field can bias the estimate low.
 A `validate` mode row passes (`1`, printed `[pass]`) when the closed form
 lies in [mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak`
 (`[weak]`) when it lies there but the bound exceeds the stderr, which
-takes such a small window or a zero stderr (no outage among the trials),
-and `0` (`[FAIL]`) otherwise. `validate` exits 0 only when every row is
-`1`.
+takes such a small window, and `0` (`[FAIL]`) otherwise; a zero stderr
+reads as the binomial one at the closed form, sqrt(p (1 - p) / trials).
+`validate` exits 0 only when every row is `1`.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and

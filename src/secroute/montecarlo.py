@@ -100,7 +100,8 @@ class SopEstimate:
     whose disk the window caps below (2 theta)^(1/alpha), Campbell's bound
     on its truncated field, which biases `mean` low. So a closed form p is
     consistent with the estimate when it lies in
-    [mean - 3 stderr, mean + 3 stderr + bias_bound].
+    [mean - 3 stderr, mean + 3 stderr + bias_bound], where a stderr of 0 (no
+    trial, or every trial, in outage) reads as sqrt(p (1 - p) / trials).
     """
 
     mean: float
@@ -109,15 +110,17 @@ class SopEstimate:
     bias_bound: float
     tail: float
 
+    def _stderr_at(self, p: float) -> float:
+        return self.stderr or math.sqrt(p * (1.0 - p) / self.trials)
+
     def covers(self, p: float) -> bool:
         """Whether p lies in [mean - 3 stderr, mean + 3 stderr + bias_bound]."""
-        spread = 3.0 * self.stderr
+        spread = 3.0 * self._stderr_at(p)
         return self.mean - spread <= p <= self.mean + spread + self.bias_bound
 
-    @property
-    def weak(self) -> bool:
+    def weak(self, p: float) -> bool:
         """The bias bound exceeds the stderr, so covering p checks it only weakly."""
-        return self.bias_bound > self.stderr
+        return self.bias_bound > self._stderr_at(p)
 
 
 class _ZeroSeed(ISeedSequence):

@@ -30,9 +30,9 @@ same reason neither sweep relaxes budget 1, whose previous row is inf
 except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
 reads the source's own row.
 
-The stacked sweep scores its candidates in numpy and rescores with the
-scalar `secrecy_rate` only those that can decide a mesh's rate or raise,
-so its rates and errors are the single-topology solver's.
+The stacked sweep scores each budget's candidates at once with
+`secrecy_rates`, which gives `secrecy_rate`'s bits and errors, so its rates
+and errors are the single-topology solver's.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import Path, Topology, _squared_distances
-from .analytics import optimal_rs, secrecy_rate, weight_density_bound
+from .analytics import optimal_rs, secrecy_rate, secrecy_rates, weight_density_bound
 # the benchmark's tracer (perfbench/spans.py) times path_metric under this name
 from .analytics import path_metric  # noqa: F401
 
@@ -216,6 +216,7 @@ def reachable(topology: Topology, source: int, dest: int) -> bool:
 
 # log2 slack added to the rate bound's argument, far above its rounding error
 _BOUND_MARGIN = 1e-9
+_RS_NEAR_MAX = (1.0 - _BOUND_MARGIN) * sys.float_info.max  # an rs_star bound past it may overflow
 
 
 def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
@@ -249,40 +250,22 @@ def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
     return later
 
 
-# relative slack between a rate scored with np.log2 and with math.log2, far
-# above their difference (at most about an ulp of the rate)
-_SCORE_MARGIN = 1e-9
-_RS_NEAR_MAX = (1.0 - _SCORE_MARGIN) * sys.float_info.max
-
-
-def _approx_rates(weight: np.ndarray, v: int, scenario) -> np.ndarray:
-    """secrecy_rate(weight, v, scenario).c_s of each of the weights, by the
-    same operations but with np.log2 in place of math.log2, so within a
-    relative _SCORE_MARGIN of it. It reads inf or nan at lambda_e = 0, where
-    secrecy_rate returns inf, and where the ratio or rs_star overflows or
-    the density bound divides by zero, where secrecy_rate raises."""
-    with np.errstate(all="ignore"):
-        ratio = weight_density_bound(weight, scenario) / scenario.lambda_e
-        c = (scenario.alpha / 2.0) * np.log2(ratio) / v
-    c[ratio <= 1.0] = 0.0
-    return c
-
-
-def later_paths_may_win(best, to_dst, d2, v, vmax, rate, scenario) -> np.ndarray:
+def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarray:
     """Whether a path first found after budget v could still decide a rate.
 
     best is the (R, N) row of budget v of R sweeps, each toward its own
     destination; to_dst[r, u] is node u's squared straight distance to
     sweep r's destination (inf at the destination itself), d2[r] the
-    source's, rate[r] the best rate so far and vmax[r] the last budget
-    later_rate_bounds leaves open, the count of leading entries of its
-    row above rate[r] (that row's entry v bounds only budgets after v).
-    Returns (R,) bools: True where some budget v' in (v, vmax] could hold
-    a path that rates above rate, or whose rs_star is at or near overflow
-    and must be scored to raise. So False where vmax <= v, the stop rule
-    of later_rate_bounds alone; where rate is 0, no path is feasible yet
-    and that rule is the only one asked. A positive rate with vmax > v
-    comes at a positive density, since at a zero one every rate is inf.
+    source's, rate[r] the best rate so far and later[r] the sweep's row of
+    later_rate_bounds. The last budget that row leaves open, vmax[r], is
+    the count of its leading entries above rate[r] (its entry v bounds
+    only budgets after v). Returns (R,) bools: True where some budget v'
+    in (v, vmax] could hold a path that rates above rate, or whose rs_star
+    is at or near overflow and must be scored to raise. So False where
+    vmax <= v, the stop rule of later_rate_bounds alone; where rate is 0,
+    no path is feasible yet and that rule is the only one asked. A
+    positive rate with vmax > v comes at a positive density, since at a
+    zero one every rate is inf.
 
     Such a path has exactly v' hops. Its first v end at some node u, with
     weight at least best[u]; its last v' - v join u to the destination,
@@ -296,6 +279,7 @@ def later_paths_may_win(best, to_dst, d2, v, vmax, rate, scenario) -> np.ndarray
     try budgets v + 2 to vmax, as (sweep, budget) pairs, at most
     _RELAX_CELLS candidate cells at a time.
     """
+    vmax = (later > rate[:, None]).sum(axis=1)
     may = vmax > v
     pos = rate > 0.0
     if not (may & pos).any():
@@ -344,25 +328,20 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     budget v, its path has exactly v hops (see HopConstrainedTable) and
     scores secrecy_rate(weight, v); the first maximum wins.
 
-    The sweep scores these candidates with np.log2 (_approx_rates). A mesh
-    leaves the stack at its fixed point, or once no later budget's bound
-    exceeds its approximate best rate less the margin: neither the
-    straight-line bound (later_rate_bounds) nor, once that rate is
-    positive, the bound from the weights swept so far (later_paths_may_win,
-    which reads the destination's column, carried and compacted with the
-    stack). So it never leaves before solve_secure_route's sweep would
-    stop, and no budget swept after that point beats the rate it found.
-    Then secrecy_rate rescores, in the sweep's (budget, mesh) order, only
-    the candidates within the margin of their mesh's approximate best,
-    which hold its exact best, and those whose rs_star is at or near
-    overflow or not a number, so that a raise is the one
-    solve_secure_route's scoring would meet first.
+    Each budget's candidates are scored at once by secrecy_rates, with
+    secrecy_rate's bits, in mesh order, so a raise is the one
+    solve_secure_route's scoring would meet first. A mesh leaves the stack
+    at its fixed point, or once no later budget's bound exceeds its best
+    rate: neither the straight-line bound (later_rate_bounds) nor, once
+    that rate is positive, the bound from the weights swept so far
+    (later_paths_may_win, which reads the destination's column, carried
+    and compacted with the stack). That is the rule solve_secure_route's
+    sweep stops by, on the same rates.
     """
     r, n, _ = w.shape
     to_dst = w[:, :, -1].copy()  # carried with w; inf at the destination
     later = later_rate_bounds(to_dst[:, 0], n, scenario)
-    approx = np.zeros(r)
-    found = []  # (meshes, budgets, weights, approximate rates) of each budget
+    rates = np.zeros(r)
     live = np.arange(r)
     best = np.full((r, n), np.inf)
     best[:, 0] = 0.0
@@ -375,22 +354,11 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
         cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
         improve = cw < best
         k = np.flatnonzero(improve[:, -1])
-        if len(k):
-            meshes, c = live[k], _approx_rates(cw[k, -1], v, scenario)
-            approx[meshes] = np.maximum(approx[meshes], c)  # an infeasible c_s is 0
-            found.append((meshes, np.full(len(k), v), cw[k, -1], c))
+        if len(k):  # an infeasible c_s is 0
+            rates[live[k]] = np.maximum(rates[live[k]], secrecy_rates(cw[k, -1], v, scenario))
         np.minimum(cw, best, out=best)
-        rate = approx[live] * (1.0 - _SCORE_MARGIN)
-        vmax = (later > rate[:, None]).sum(axis=1)
-        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, vmax,
-                                                         rate, scenario)
-    rates = np.zeros(r)
-    if found:
-        meshes, budgets, weights, c = map(np.concatenate, zip(*found))
-        rescore = (((c > 0.0) & (c >= approx[meshes] * (1.0 - _SCORE_MARGIN)))
-                   | ~(c * budgets < _RS_NEAR_MAX))
-        for i, v, weight in zip(*(x[rescore].tolist() for x in (meshes, budgets, weights))):
-            rates[i] = max(rates[i], secrecy_rate(weight, v, scenario).c_s)
+        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, later,
+                                                         rates[live], scenario)
     return rates, rates > 0.0
 
 
@@ -435,8 +403,7 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
             if res.c_s > best_metric:  # an infeasible c_s is 0
                 best_metric, best_v = res.c_s, v
         last_w = w
-        pruned = not later_paths_may_win(row[None], to_dst, d2, v,
-                                         np.count_nonzero(later > best_metric, axis=1),
+        pruned = not later_paths_may_win(row[None], to_dst, d2, v, later,
                                          np.array([best_metric]), scenario)[0]
         return pruned
 

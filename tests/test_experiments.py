@@ -40,6 +40,7 @@ class TestConfig:
             "lambda_e = 2e-5  # overridden per sweep point\n"
             "epsilon = 0.2\n"
             "lambdas = 1e-6, 1e-5\n"
+            "\n"
             "trials = 500\n"
             "seed = 77\n"
             "out = x.csv\n")
@@ -284,9 +285,12 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.cfg"
-        f.write_text("nonsense = 1\n")
-        rc = main(["sop-curve", "--config", str(f)])
-        assert rc == 2
+        for line, err in [("nonsense = 1", "1: unknown key 'nonsense'"),
+                          ("experiment = bogus", "unknown experiment 'bogus'")]:
+            f.write_text(line + "\n")
+            rc = main(["sop-curve", "--config", str(f)])
+            assert rc == 2
+            assert capsys.readouterr().err.endswith(err + "\n")
 
     def test_undecodable_config_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bin.cfg"
@@ -298,6 +302,12 @@ class TestCli:
     def test_missing_config_io_exit_code(self, capsys):
         rc = main(["sop-curve", "--config", "/does/not/exist.cfg"])
         assert rc == 3
+
+    @pytest.mark.parametrize("flag", ["--trials", "--reps"])
+    def test_zero_trials_or_reps_exit_code(self, tmp_path, capsys, flag):
+        rc = main(["table-one", flag, "0", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: trials and reps must be >= 1\n"
 
     def test_rate_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -356,6 +366,8 @@ class TestCli:
           for command, line, named in [
               ("sop-curve", "rs = nan", "rs"),
               ("sop-curve", "rs = 2000", "rs = 2000 overflows a float"),
+              # the closed form's 2^(2 rs / alpha) overflows before the draws' 2^rs
+              ("sop-curve", "rs = 3000", "rs = 3000 overflows a float in 2^(2 rs / alpha)"),
               ("sop-curve", "alpha = 400", "alpha = 400 overflows a float"),
               ("validate", "rs = nan", "rs"),
               ("validate", "rs = inf", "rs"),
@@ -364,6 +376,7 @@ class TestCli:
               ("validate", "powers = 60, 4000", "power_db = 4000 overflows a float"),
               ("validate", "rs = 2000", "rs = 2000 overflows a float"),
               ("validate", "alpha = 400", "alpha = 400 overflows a float"),
+              ("validate", "powers =", "need at least one power level"),
               # a secrecy rate that overflows at a positive density
               ("route", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
               ("rate-vs-lambda", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
@@ -431,6 +444,60 @@ class TestCli:
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
         assert [(r[4], r[8], r[9]) for r in rows] == [("0", "2000", "1")] * 5
+
+    @staticmethod
+    def stub_validate(monkeypatch, analytic, memoryless, rejection):
+        """run_validate on stubbed estimates against a stubbed closed form."""
+        monkeypatch.setattr(analytics, "hop_sop", lambda rs, dist, scenario: analytic)
+        monkeypatch.setattr(montecarlo, "hop_sop_estimates",
+                            lambda rs, dist, scenario, trials, seed, powers_db:
+                            (memoryless, rejection))
+
+    def validate_rows(self, tmp_path, capsys):
+        """(exit code, stdout lines, pass column) of a validate run."""
+        out = tmp_path / "v.csv"
+        rc = main(["validate", "--trials", "100", "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        return rc, capsys.readouterr().out.splitlines(), [r[-1] for r in rows]
+
+    def test_validate_power_violation_fails(self, tmp_path, capsys, monkeypatch):
+        # the 80 dB estimate lies 10 combined stderrs from the others
+        est = montecarlo.SopEstimate(0.1, 0.01, 1000, 0.0, 0.0)
+        far = montecarlo.SopEstimate(0.25, 0.01, 1000, 0.0, 0.0)
+        self.stub_validate(monkeypatch, 0.1, est, [est, est, far, est])
+        rc, lines, verdicts = self.validate_rows(tmp_path, capsys)
+        assert rc == 1
+        assert verdicts == ["1", "1", "0", "0", "0"]
+        assert [line.rsplit(" ", 1)[1] for line in lines[:5]] == ["[pass]"] * 2 + ["[FAIL]"] * 3
+
+    def test_validate_zero_stderr_passes(self, tmp_path, capsys):
+        # at lambda_e = 1e-9 no trial of 100 is in outage: the stderr is 0,
+        # and the rows are judged by the binomial stderr at the closed form,
+        # above the series remainder in bias_bound
+        f = tmp_path / "v.cfg"
+        f.write_text("lambda_e = 1e-9\ntrials = 100\n")
+        out = tmp_path / "v.csv"
+        rc = main(["validate", "--config", str(f), "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("memoryless:") and lines[0].endswith("[pass]")
+        assert lines[1].startswith("rejection:") and lines[1].endswith("[pass]")
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        for r in rows[:2]:
+            assert float(r[5]) == 0.0 < float(r[6]) and r[-1] == "1"
+
+    def test_validate_zero_count_far_from_closed_form_fails(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # no outage in 100 trials against a closed form of 0.5: 10 binomial
+        # stderrs (0.05 each) away
+        zero = montecarlo.SopEstimate(0.0, 0.0, 100, 0.0, 0.0)
+        self.stub_validate(monkeypatch, 0.5, zero, [zero] * 4)
+        rc, lines, verdicts = self.validate_rows(tmp_path, capsys)
+        assert rc == 1
+        assert verdicts == ["0", "0", "1", "1", "1"]
+        assert lines[0].endswith("[FAIL]") and lines[1].endswith("[FAIL]")
 
     def test_validate_without_survivors_exit_code(self, tmp_path, capsys):
         # at -200 dB no trial passes the on-off threshold of rs = 30

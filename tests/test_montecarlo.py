@@ -287,7 +287,7 @@ class TestDiskSizing:
         assert est.tail == tail > 0.0
         # the series runs until its next term no longer moves the sum
         assert est.bias_bound == bias_bound <= 1e-15 * tail
-        assert not est.weak
+        assert not est.weak(analytics.path_sop(1.0, path, sc))
 
     def test_zero_density_has_no_bias(self):
         topo = six_node_topology()
@@ -307,8 +307,8 @@ class TestDiskSizing:
         assert hop_radius(1.0, 10.0, sc) == window_cap(sc)
         est = estimate_hop_sop(1.0, 10.0, sc, 1000, seed=2)
         assert est.tail > 1e6 and est.mean == 1.0 and est.stderr == 0.0
-        assert est.bias_bound == 0.0 and not est.weak
-        assert est.covers(analytics.hop_sop(1.0, 10.0, sc))
+        p = analytics.hop_sop(1.0, 10.0, sc)
+        assert est.bias_bound == 0.0 and not est.weak(p) and est.covers(p)
 
     def test_bias_bound_shared_by_every_mode(self):
         sc = scen(lam=5e-5, alpha=3.0)
@@ -316,6 +316,24 @@ class TestDiskSizing:
         _, _, tail, bias_bound = montecarlo._hop_fields(1.0, [10.0], sc)
         assert (memoryless.tail, memoryless.bias_bound) == (tail, bias_bound)
         assert all((est.tail, est.bias_bound) == (tail, bias_bound) for est in rejection)
+
+
+class TestZeroStderr:
+    """A stderr of 0 (no trial, or every trial, in outage) is read as the
+    binomial stderr at the closed form p, sqrt(p (1 - p) / trials)."""
+
+    def test_binomial_stderr_stands_in(self):
+        # no outage in 100 trials: p = 1e-4 lies 1e-4 / 1e-3 = 0.1 binomial
+        # stderrs above, p = 0.5 lies 10 above
+        est = montecarlo.SopEstimate(0.0, 0.0, 100, 1e-25, 1e-9)
+        assert est.covers(1e-4) and not est.weak(1e-4)
+        assert not est.covers(0.5) and not est.weak(0.5)
+        # where the closed form is certain, the binomial stderr is 0 too
+        assert not est.covers(1.0) and est.weak(0.0) and est.covers(0.0)
+
+    def test_positive_stderr_kept(self):
+        est = montecarlo.SopEstimate(0.1, 0.01, 100, 0.02, 0.0)
+        assert est.covers(0.14) and not est.covers(0.16) and est.weak(0.5)
 
 
 class TestFarField:
@@ -368,7 +386,8 @@ class TestFarField:
         assert radii == [5.0] and tail == 0.0
         assert bias_bound == pytest.approx(bias_formula(1.0, 10.0, sc, 5.0), rel=1e-12)
         est = estimate_hop_sop(1.0, 10.0, sc, 5000, seed=4)
-        assert est.weak and est.covers(analytics.hop_sop(1.0, 10.0, sc))
+        p = analytics.hop_sop(1.0, 10.0, sc)
+        assert est.weak(p) and est.covers(p)
         f = tmp_path / "v.cfg"
         f.write_text("window = 10\ntrials = 5000\n")
         out = tmp_path / "v.csv"
@@ -413,7 +432,7 @@ class TestSmallAlpha:
     def check(est, p):
         assert est.mean - 3.0 * est.stderr <= p <= est.mean + 3.0 * est.stderr + est.bias_bound
         assert est.covers(p)
-        assert est.tail > 0.0 and est.bias_bound < 1e-3 * est.stderr and not est.weak
+        assert est.tail > 0.0 and est.bias_bound < 1e-3 * est.stderr and not est.weak(p)
 
     @pytest.mark.parametrize("alpha,lam,at_cap", [
         # the disk reaches the cap, so the tail carries more than TAIL_SHARE
@@ -484,7 +503,7 @@ class TestRoutedPathSop:
             sol = solve_secure_route(topo, 0, 51, sc)
             assert analytics.path_sop(sol.rs_star, sol.path, sc) == pytest.approx(sc.epsilon)
             est = estimate_path_sop(sol.rs_star, sol.path, topo, sc, 20000, seed=6000 + rep)
-            assert est.covers(sc.epsilon) and not est.weak
+            assert est.covers(sc.epsilon) and not est.weak(sc.epsilon)
             zs.append((est.mean - sc.epsilon) / est.stderr)
         assert max(abs(z) for z in zs) <= z_max, zs
         assert abs(statistics.fmean(zs)) * math.sqrt(self.K) <= 3.0, zs
@@ -666,6 +685,13 @@ class TestEstimatePathSop:
         a = estimate_path_sop(1.0, p, topo, sc, 30000, seed=5)
         b = estimate_path_sop(1.0, p, topo, sc, 30000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("rs,trials,message", [
+        (1.0, 0, "trials must be >= 1"), (0.0, 10, "rs must be positive and finite")])
+    def test_input_validation(self, rs, trials, message):
+        topo = self.topo()
+        with pytest.raises(ValueError, match=message):
+            estimate_path_sop(rs, topo.path((0, 1)), topo, scen(), trials, seed=1)
 
 
 class TestWindowSufficiency:

@@ -226,6 +226,8 @@ def test_path_validation():
         topo.path((0,))
     with pytest.raises(NetModelError):
         topo.path((0, 1, 0))  # revisit
+    with pytest.raises(NetModelError, match="node 9 not in topology"):
+        topo.path((0, 9, 2))
 
 
 def test_explicit_edge_list():

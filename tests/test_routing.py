@@ -359,9 +359,9 @@ def prefix_case(kind, seed):
 PREFIX_CASES = [(kind, s) for kind in ("mesh", "graph", "colocated") for s in range(6)]
 
 
-def no_prefix_bound(best, to_dst, d2, v, vmax, rate, scenario):
+def no_prefix_bound(best, to_dst, d2, v, later, rate, scenario):
     """later_paths_may_win with only the stop rule of later_rate_bounds."""
-    return vmax > v
+    return (later > rate[:, None]).sum(axis=1) > v
 
 
 class TestPrefixBound:
@@ -390,9 +390,9 @@ class TestPrefixBound:
                 sc = scen(lam=lam)
                 rate = max([analytics.secrecy_rate(float(col[vp]), vp, sc).c_s
                             for vp in first if vp <= v], default=0.0)
-                vmax = np.count_nonzero(routing.later_rate_bounds(d2, n, sc) > rate, axis=1)
+                later = routing.later_rate_bounds(d2, n, sc)
                 if rate > 0.0 and not routing.later_paths_may_win(
-                        table.best[v][None], to_dst, d2, v, vmax, np.array([rate]), sc)[0]:
+                        table.best[v][None], to_dst, d2, v, later, np.array([rate]), sc)[0]:
                     closed += 1
                     for vp in (vp for vp in first if vp > v):
                         assert analytics.secrecy_rate(float(col[vp]), vp, sc).c_s <= rate
@@ -612,19 +612,6 @@ def tie_layout(n):
     return xy
 
 
-def log2_disagreeing_scenario(weight, hops, sc):
-    """A copy of sc at a slightly lower density at which secrecy_rate(weight,
-    hops), scored with np.log2 in place of math.log2, differs; sc itself
-    if none of the densities searched has one."""
-    lams = sc.lambda_e * (1.0 - np.arange(1, 1 << 15) * 2.0**-40)
-    ratios = analytics.weight_density_bound(weight, sc) / lams  # as secrecy_rate divides
-    for lam, approx in zip(lams.tolist(), ((sc.alpha / 2.0) * np.log2(ratios) / hops).tolist()):
-        s = Scenario(sc.alpha, lam, sc.epsilon)
-        if approx != analytics.secrecy_rate(weight, hops, s).c_s:
-            return s
-    return sc
-
-
 class TestMeshSecrecyRates:
     @pytest.mark.parametrize("seed", range(8))
     def test_bound_covers_every_scored_candidate(self, seed):
@@ -668,7 +655,7 @@ class TestMeshSecrecyRates:
             # the best path of the last mesh, which is feasible, scores
             # differently with np.log2 and with math.log2
             sol = routing.solve_secure_route(topos[-1], 0, n - 1, sc)
-            sc = log2_disagreeing_scenario(sol.path.sum_sq_dist, sol.path.hop_count, sc)
+            sc = oracles.log2_disagreeing_scenario(sol.path.sum_sq_dist, sol.path.hop_count, sc)
             lam = None
         if lam is not None:
             sc = Scenario(sc.alpha, lam, sc.epsilon)
