@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .netmodel import Path, Scenario
 
 
@@ -105,31 +103,6 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
         raise OverflowError(f"alpha = {scenario.alpha:g} overflows a float in the "
                             f"secrecy rate of a path of weight {weight:g}")
     return SecrecyResult(rs_star, rs_star / hops, True)
-
-
-def secrecy_rates(weights: np.ndarray, hops: int, scenario: Scenario) -> np.ndarray:
-    """secrecy_rate(w, hops, scenario).c_s of each of the weights, bit for bit.
-
-    secrecy_rate's operations, elementwise. Each but the logarithm is one
-    correctly rounded IEEE-754 operation, in numpy as in Python; np.log2 can
-    differ from math.log2 in the last bit, so math.log2 is mapped over the
-    ratios. Where secrecy_rate raises, it is called on the first such weight.
-    """
-    raises = weights == 0.0  # the density bound divides by zero
-    if scenario.lambda_e == 0.0:
-        c_s = np.full(weights.shape, math.inf)
-    else:
-        with np.errstate(all="ignore"):
-            ratio = weight_density_bound(weights, scenario) / scenario.lambda_e
-            feasible = ~(ratio <= 1.0)
-            rs_star = np.zeros(weights.shape)
-            rs_star[feasible] = (scenario.alpha / 2.0) * np.array(
-                [math.log2(x) for x in ratio[feasible].tolist()])
-        raises |= (ratio == math.inf) | (rs_star == math.inf)
-        c_s = rs_star / hops
-    if raises.any():
-        secrecy_rate(float(weights[raises][0]), hops, scenario)
-    return c_s
 
 
 def path_metric(path: Path, scenario: Scenario):

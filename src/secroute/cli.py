@@ -41,7 +41,8 @@ A `validate` mode row passes (`1`, printed `[pass]`) when the closed form
 lies in [mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak`
 (`[weak]`) when it lies there but the bound exceeds the stderr, which
 takes such a small window, and `0` (`[FAIL]`) otherwise; a zero stderr
-reads as the binomial one at the closed form, sqrt(p (1 - p) / trials).
+reads as the simulated disks' binomial one at the closed form, mapped by
+the far field (see montecarlo.SopEstimate).
 `validate` exits 0 only when every row is `1`.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`

@@ -294,8 +294,8 @@ def run_validate(cfg: ExperimentConfig):
     A mode's row passes (`1`) when the closed form lies in
     [mc - 3 stderr, mc + 3 stderr + bias_bound], and reads `weak` instead
     when its bias bound exceeds its stderr, which takes a window too small
-    for the far-field series (a zero stderr reads as the binomial one at
-    the closed form; see SopEstimate). Each row also writes the far field's
+    for the far-field series (a zero stderr reads as the disks' binomial
+    one at the closed form; see SopEstimate). Each row also writes the far field's
     exponent `tail`. The power rows compare estimates on the same draws,
     whose simulated means are equal, so the bound does not enter them.
     Returns (ok, header, rows) for CSV output; ok only when every row passes.

@@ -100,8 +100,10 @@ class SopEstimate:
     whose disk the window caps below (2 theta)^(1/alpha), Campbell's bound
     on its truncated field, which biases `mean` low. So a closed form p is
     consistent with the estimate when it lies in
-    [mean - 3 stderr, mean + 3 stderr + bias_bound], where a stderr of 0 (no
-    trial, or every trial, in outage) reads as sqrt(p (1 - p) / trials).
+    [mean - 3 stderr, mean + 3 stderr + bias_bound]. A stderr of 0 (no
+    trial, or every trial, in outage) reads as the binomial stderr of the
+    simulated disks at p, mapped as `_estimate` maps it: exp(-tail)
+    sqrt(m (1 - m) / trials), m = 1 - exp(tail) (1 - p) clamped to [0, 1].
     """
 
     mean: float
@@ -111,7 +113,11 @@ class SopEstimate:
     tail: float
 
     def _stderr_at(self, p: float) -> float:
-        return self.stderr or math.sqrt(p * (1.0 - p) / self.trials)
+        if self.stderr:
+            return self.stderr
+        keep = math.exp(-self.tail)
+        m = min(max(1.0 - (1.0 - p) / keep, 0.0), 1.0) if keep else 1.0
+        return keep * math.sqrt(m * (1.0 - m) / self.trials)
 
     def covers(self, p: float) -> bool:
         """Whether p lies in [mean - 3 stderr, mean + 3 stderr + bias_bound]."""

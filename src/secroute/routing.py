@@ -30,9 +30,8 @@ same reason neither sweep relaxes budget 1, whose previous row is inf
 except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
 reads the source's own row.
 
-The stacked sweep scores each budget's candidates at once with
-`secrecy_rates`, which gives `secrecy_rate`'s bits and errors, so its rates
-and errors are the single-topology solver's.
+The stacked sweep scores each candidate with `secrecy_rate`, in mesh
+order, so its rates and errors are the single-topology solver's.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import Path, Topology, _squared_distances
-from .analytics import optimal_rs, secrecy_rate, secrecy_rates, weight_density_bound
+from .analytics import optimal_rs, secrecy_rate, weight_density_bound
 # the benchmark's tracer (perfbench/spans.py) times path_metric under this name
 from .analytics import path_metric  # noqa: F401
 
@@ -328,11 +327,10 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     budget v, its path has exactly v hops (see HopConstrainedTable) and
     scores secrecy_rate(weight, v); the first maximum wins.
 
-    Each budget's candidates are scored at once by secrecy_rates, with
-    secrecy_rate's bits, in mesh order, so a raise is the one
-    solve_secure_route's scoring would meet first. A mesh leaves the stack
-    at its fixed point, or once no later budget's bound exceeds its best
-    rate: neither the straight-line bound (later_rate_bounds) nor, once
+    Each budget's candidates are scored by secrecy_rate in mesh order, so
+    a raise is the one solve_secure_route's scoring would meet first. A
+    mesh leaves the stack at its fixed point, or once no later budget's
+    bound exceeds its best rate: neither the straight-line bound (later_rate_bounds) nor, once
     that rate is positive, the bound from the weights swept so far
     (later_paths_may_win, which reads the destination's column, carried
     and compacted with the stack). That is the rule solve_secure_route's
@@ -355,7 +353,8 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
         improve = cw < best
         k = np.flatnonzero(improve[:, -1])
         if len(k):  # an infeasible c_s is 0
-            rates[live[k]] = np.maximum(rates[live[k]], secrecy_rates(cw[k, -1], v, scenario))
+            c_s = [secrecy_rate(x, v, scenario).c_s for x in cw[k, -1].tolist()]
+            rates[live[k]] = np.maximum(rates[live[k]], c_s)
         np.minimum(cw, best, out=best)
         keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, later,
                                                          rates[live], scenario)

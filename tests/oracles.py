@@ -4,9 +4,8 @@ A brute-force simple-path enumerator, the test oracle for the hop-budget
 decomposition in `secroute.routing`, scipy quadratures of the plane
 integral behind the closed-form outage exponent in `secroute.analytics`
 and of the far-field exponent `secroute.montecarlo` adds to its disks,
-the per-topology loop that `secroute.experiments.run_table_one`
-replaced with one stacked sweep, and a search for a density at which
-np.log2 and math.log2 score a secrecy rate differently.
+and the per-topology loop that `secroute.experiments.run_table_one`
+replaced with one stacked sweep.
 scipy is a test-only dependency; the package itself never imports it.
 """
 
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from secroute import montecarlo
-from secroute.analytics import path_metric, secrecy_rate, weight_density_bound
+from secroute.analytics import path_metric
 from secroute.experiments import random_placement
 from secroute.netmodel import Scenario, Topology
 from secroute.routing import RoutingError, solve_secure_route
@@ -148,16 +147,3 @@ def table_one_reference(cfg):
             mean = stderr = "unbounded"
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
     return rows
-
-
-def log2_disagreeing_scenario(weight, hops, sc):
-    """A copy of sc at a slightly lower density at which secrecy_rate(weight,
-    hops), scored with np.log2 in place of math.log2, differs; sc itself
-    if none of the densities searched has one."""
-    lams = sc.lambda_e * (1.0 - np.arange(1, 1 << 15) * 2.0**-40)
-    ratios = weight_density_bound(weight, sc) / lams  # as secrecy_rate divides
-    for lam, approx in zip(lams.tolist(), ((sc.alpha / 2.0) * np.log2(ratios) / hops).tolist()):
-        s = Scenario(sc.alpha, lam, sc.epsilon)
-        if approx != secrecy_rate(weight, hops, s).c_s:
-            return s
-    return sc

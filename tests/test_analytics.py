@@ -1,7 +1,6 @@
 import math
 import re
 
-import numpy as np
 import pytest
 
 from secroute import Node, Scenario, build_topology
@@ -162,70 +161,6 @@ class TestOptimalRs:
             analytics.secrecy_rate(weight, 1, scen(lam=lam, alpha=alpha))
         # inf, printed `unbounded`, is kept for a zero density
         assert analytics.secrecy_rate(weight, 1, scen(lam=0.0, alpha=alpha)).rs_star == math.inf
-
-
-class TestSecrecyRates:
-    """secrecy_rates is secrecy_rate's c_s bit for bit, and raises its errors."""
-
-    @staticmethod
-    def check(weights, hops, sc):
-        got = analytics.secrecy_rates(np.array(weights), hops, sc)
-        want = [analytics.secrecy_rate(w, hops, sc).c_s for w in weights]
-        assert got.tolist() == want
-        return want
-
-    def test_infeasible_weights(self):
-        sc = scen()
-        cutoff = analytics.weight_density_bound(1.0, sc) / sc.lambda_e
-        assert self.check([cutoff, cutoff * 2.0, 1e9, math.inf], 3, sc) == [0.0] * 4
-
-    def test_ratio_just_above_one(self):
-        sc = scen()
-        cutoff = analytics.weight_density_bound(1.0, sc) / sc.lambda_e
-        weights = [cutoff * (1.0 - k * 2.0**-52) for k in range(1, 6)]
-        assert all(0.0 < c < 1e-12 for c in self.check(weights, 2, sc))
-
-    def test_zero_density_unbounded(self):
-        assert self.check([1e-3, 50.0, 1e9], 4, scen(lam=0.0)) == [math.inf] * 3
-
-    def test_log2_disagreeing_scenario(self):
-        # a density at which np.log2 scores the rate an ulp away from math.log2
-        sc = oracles.log2_disagreeing_scenario(50.0, 2, scen())
-        assert sc != scen()
-        self.check([50.0], 2, sc)
-
-    @pytest.mark.parametrize("alpha", [2.5, 4.0, 8.0])
-    def test_many_weights(self, alpha):
-        sc = scen(alpha=alpha, lam=1e-4)
-        weights = np.logspace(-3, 4, 4001).tolist()
-        for hops in (1, 2, 7):
-            self.check(weights, hops, sc)
-
-    @pytest.mark.parametrize("alpha,weights,lam", [
-        (1e308, [1e9, 50.0, 40.0], 1e-5),
-        (4.0, [50.0, 1e-320, 1e-321], 1e-5),
-        (4.0, [1e-300, 50.0, 1e-301], 1e-300),
-    ], ids=["alpha", "short-path", "small-density"])
-    def test_first_overflow_raises(self, alpha, weights, lam):
-        # two of the weights overflow, each with its own message
-        sc = scen(lam=lam, alpha=alpha)
-        messages = []
-        for w in weights:
-            try:
-                analytics.secrecy_rate(w, 3, sc)
-            except OverflowError as exc:
-                messages.append(str(exc))
-        assert len(messages) == 2 and messages[0] != messages[1]
-        with pytest.raises(OverflowError, match=re.escape(messages[0])):
-            analytics.secrecy_rates(np.array(weights), 3, sc)
-
-    @pytest.mark.parametrize("lam", [0.0, 1e-5])
-    def test_zero_weight_raises(self, lam):
-        # secrecy_rate's density bound divides by the weight
-        with pytest.raises(ZeroDivisionError):
-            analytics.secrecy_rate(0.0, 1, scen(lam=lam))
-        with pytest.raises(ZeroDivisionError):
-            analytics.secrecy_rates(np.array([50.0, 0.0]), 1, scen(lam=lam))
 
 
 class TestDensityBound:

@@ -320,7 +320,8 @@ class TestDiskSizing:
 
 class TestZeroStderr:
     """A stderr of 0 (no trial, or every trial, in outage) is read as the
-    binomial stderr at the closed form p, sqrt(p (1 - p) / trials)."""
+    binomial stderr of the simulated disks at the closed form p, mapped by
+    the far field: exp(-tail) sqrt(m (1 - m) / trials), m = 1 - exp(tail) (1 - p)."""
 
     def test_binomial_stderr_stands_in(self):
         # no outage in 100 trials: p = 1e-4 lies 1e-4 / 1e-3 = 0.1 binomial
@@ -330,6 +331,15 @@ class TestZeroStderr:
         assert not est.covers(0.5) and not est.weak(0.5)
         # where the closed form is certain, the binomial stderr is 0 too
         assert not est.covers(1.0) and est.weak(0.0) and est.covers(0.0)
+
+    def test_large_tail_maps_the_stderr(self):
+        # tail ln 10: no outage in 100 trials reads mean 0.9, and p = 0.95
+        # asks the disks for m = 0.5, whose stderr 0.05 maps to 0.005, so p
+        # lies 10 stderrs above; sqrt(p (1 - p) / trials) = 0.0218 would cover it
+        est = montecarlo.SopEstimate(0.9, 0.0, 100, 0.0, math.log(10.0))
+        assert est.mean + 3.0 * math.sqrt(0.95 * 0.05 / 100) >= 0.95
+        assert not est.covers(0.95)
+        assert est.covers(0.9 + 1e-4) and est.covers(0.9)
 
     def test_positive_stderr_kept(self):
         est = montecarlo.SopEstimate(0.1, 0.01, 100, 0.02, 0.0)

@@ -612,6 +612,19 @@ def tie_layout(n):
     return xy
 
 
+def log2_disagreeing_scenario(weight, hops, sc):
+    """A copy of sc at a slightly lower density at which secrecy_rate(weight,
+    hops), scored with np.log2 in place of math.log2, differs; sc itself
+    if none of the densities searched has one."""
+    lams = sc.lambda_e * (1.0 - np.arange(1, 1 << 15) * 2.0**-40)
+    ratios = analytics.weight_density_bound(weight, sc) / lams  # as secrecy_rate divides
+    for lam, approx in zip(lams.tolist(), ((sc.alpha / 2.0) * np.log2(ratios) / hops).tolist()):
+        s = Scenario(sc.alpha, lam, sc.epsilon)
+        if approx != analytics.secrecy_rate(weight, hops, s).c_s:
+            return s
+    return sc
+
+
 class TestMeshSecrecyRates:
     @pytest.mark.parametrize("seed", range(8))
     def test_bound_covers_every_scored_candidate(self, seed):
@@ -655,7 +668,7 @@ class TestMeshSecrecyRates:
             # the best path of the last mesh, which is feasible, scores
             # differently with np.log2 and with math.log2
             sol = routing.solve_secure_route(topos[-1], 0, n - 1, sc)
-            sc = oracles.log2_disagreeing_scenario(sol.path.sum_sq_dist, sol.path.hop_count, sc)
+            sc = log2_disagreeing_scenario(sol.path.sum_sq_dist, sol.path.hop_count, sc)
             lam = None
         if lam is not None:
             sc = Scenario(sc.alpha, lam, sc.epsilon)
