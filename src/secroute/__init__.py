@@ -10,7 +10,6 @@ from .netmodel import (
     build_topology,
 )
 from .analytics import (
-    SecrecyResult,
     density_bound,
     hop_sop,
     k1,

@@ -4,27 +4,18 @@ All functions are pure and power-independent: under adaptive wiretap
 encoding with on-off transmission, raising the transmit power improves
 the legitimate and eavesdropping channels alike, so none of the outage
 expressions contain the per-hop power.
+
+A rate is a plain float: optimal_rs gives a path's confidential rate
+r_s*, and secrecy_rate its secrecy rate c_s = r_s* / v over v hops. Both
+read 0.0 where no rate meets the outage constraint, and inf where no
+eavesdroppers (lambda_e = 0) leave the rate unbounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .netmodel import Path, Scenario
-
-
-@dataclass(frozen=True)
-class SecrecyResult:
-    """Optimal confidential rate for a path and the resulting secrecy rate.
-
-    c_s = rs_star / hop_count when feasible; infeasible paths carry
-    rs_star = c_s = 0 and feasible = False, never a negative rate.
-    """
-
-    rs_star: float
-    c_s: float
-    feasible: bool
 
 
 def k1(alpha: float, lambda_e: float) -> float:
@@ -72,13 +63,16 @@ def weight_density_bound(weight: float, scenario: Scenario) -> float:
     return math.log(1.0 / (1.0 - scenario.epsilon)) / (k1(scenario.alpha, 1.0) * weight)
 
 
-def optimal_rs(path: Path, scenario: Scenario) -> SecrecyResult:
-    """Confidential rate saturating the outage constraint, and its secrecy rate."""
-    return secrecy_rate(path.sum_sq_dist, path.hop_count, scenario)
+def optimal_rs(path: Path, scenario: Scenario) -> float:
+    """Confidential rate r_s* saturating the path's outage constraint: the
+    secrecy rate of a one-hop path of the same weight."""
+    return secrecy_rate(path.sum_sq_dist, 1, scenario)
 
 
-def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
-    """optimal_rs of any path with `hops` hops whose squared lengths sum to `weight`.
+def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> float:
+    """Secrecy rate c_s = r_s* / hops of any path with `hops` hops whose
+    squared lengths sum to `weight`; 0.0 where no rate meets the outage
+    constraint, and inf at lambda_e = 0.
 
     The outage probability is increasing in rs, so the optimum sits exactly
     at the constraint. Feasibility is decided through the density bound so
@@ -91,10 +85,10 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
     bound = weight_density_bound(weight, scenario)
     if scenario.lambda_e == 0.0:
         # no eavesdroppers: rate unbounded
-        return SecrecyResult(math.inf, math.inf, True)
+        return math.inf
     ratio = bound / scenario.lambda_e
     if ratio <= 1.0:
-        return SecrecyResult(0.0, 0.0, False)
+        return 0.0
     rs_star = (scenario.alpha / 2.0) * math.log2(ratio)
     if ratio == math.inf:  # `unbounded` is kept for lambda_e = 0
         raise OverflowError(f"the density bound of a path of weight {weight:g} over "
@@ -102,10 +96,10 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> SecrecyResult:
     if rs_star == math.inf:
         raise OverflowError(f"alpha = {scenario.alpha:g} overflows a float in the "
                             f"secrecy rate of a path of weight {weight:g}")
-    return SecrecyResult(rs_star, rs_star / hops, True)
+    return rs_star / hops
 
 
 def path_metric(path: Path, scenario: Scenario):
     """Routing objective: achievable secrecy rate of the path, None if infeasible."""
-    res = optimal_rs(path, scenario)
-    return res.c_s if res.feasible else None
+    c_s = secrecy_rate(path.sum_sq_dist, path.hop_count, scenario)
+    return c_s if c_s > 0.0 else None

@@ -69,7 +69,7 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 def parse_config(fname: str) -> ExperimentConfig:
     """Parse a flat `key = value` config file ('#' starts a comment)."""
     cfg = ExperimentConfig()
-    with open(fname) as fh:
+    with open(fname, encoding="utf-8-sig") as fh:  # a byte-order mark is no key
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -225,8 +225,8 @@ def run_table_one(cfg: ExperimentConfig):
         for start in range(0, cfg.reps, chunk):
             xy = np.stack([placement(n, montecarlo.block_rng(cfg.seed, n_idx, rep))
                            for rep in range(start, min(start + chunk, cfg.reps))])
-            rates, feasible = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
-            n_infeasible += int((~feasible).sum())
+            rates = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
+            n_infeasible += int((rates == 0.0).sum())
             size_rates += rates.tolist()
         total = 0.0
         for c in size_rates:  # in rep order, as the per-rep sums ran

@@ -237,7 +237,7 @@ def _csv_rows(fname, kind: str, convert):
     and its first field is not a number; any other row that convert fails
     on is a malformed `kind` row.
     """
-    with open(fname, newline="") as fh:
+    with open(fname, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is no id
         first = True
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):

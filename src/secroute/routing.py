@@ -30,8 +30,9 @@ same reason neither sweep relaxes budget 1, whose previous row is inf
 except a 0 at the source: w[i, src] + 0.0 is w[src, i], so budget 1
 reads the source's own row.
 
-The stacked sweep scores each candidate with `secrecy_rate`, in mesh
-order, so its rates and errors are the single-topology solver's.
+Both sweeps score each candidate as the float `secrecy_rate`, 0.0 where
+infeasible; the stacked sweep does so in mesh order, so its rates and
+errors are the single-topology solver's.
 
 Tie-breaking when two candidate paths share the minimum weight at a
 budget: prefer fewer hops (a tie never displaces an entry found at an
@@ -320,9 +321,9 @@ def _exceeds(weight, vp, rate, log_b: float, alpha: float) -> np.ndarray:
 def mesh_secrecy_rates(w: np.ndarray, scenario):
     """Best secrecy rate from the first node to the last of each mesh in a stack.
 
-    w is an (R, N, N) stack of full-mesh weight matrices. Returns rates and
-    feasible, (R,) arrays: rates[r] is the c_s of solve_secure_route on
-    mesh r, or 0 where that returns None, and feasible is rates > 0. Only
+    w is an (R, N, N) stack of full-mesh weight matrices. Returns rates, an
+    (R,) array: rates[r] is the c_s of solve_secure_route on mesh r, or 0
+    where that returns None, so mesh r is feasible iff rates[r] > 0. Only
     the destination's column is read: where its weight strictly drops at
     budget v, its path has exactly v hops (see HopConstrainedTable) and
     scores secrecy_rate(weight, v); the first maximum wins.
@@ -353,12 +354,12 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
         improve = cw < best
         k = np.flatnonzero(improve[:, -1])
         if len(k):  # an infeasible c_s is 0
-            c_s = [secrecy_rate(x, v, scenario).c_s for x in cw[k, -1].tolist()]
+            c_s = [secrecy_rate(x, v, scenario) for x in cw[k, -1].tolist()]
             rates[live[k]] = np.maximum(rates[live[k]], c_s)
         np.minimum(cw, best, out=best)
         keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, later,
                                                          rates[live], scenario)
-    return rates, rates > 0.0
+    return rates
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
@@ -397,10 +398,10 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
         nonlocal best_metric, best_v, last_w, pruned
         w = float(row[dst])
         if w < last_w:
-            res = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
-            metrics[v] = res.c_s if res.feasible else None
-            if res.c_s > best_metric:  # an infeasible c_s is 0
-                best_metric, best_v = res.c_s, v
+            c_s = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
+            metrics[v] = c_s if c_s > 0.0 else None
+            if c_s > best_metric:  # an infeasible c_s is 0
+                best_metric, best_v = c_s, v
         last_w = w
         pruned = not later_paths_may_win(row[None], to_dst, d2, v, later,
                                          np.array([best_metric]), scenario)[0]
@@ -420,5 +421,5 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
         audit += [(v, seq, metric) for v in range(len(table.best), n)]
     # the weight is summed from 0.0 along path_to's chain, as Topology.path sums it
     p = Path(tuple(audit[best_v - 1][1]), float(table.best[best_v, dst]))
-    res = optimal_rs(p, scenario)
-    return RoutingSolution(p, best_v, res.rs_star, res.c_s, audit)
+    rs_star = optimal_rs(p, scenario)
+    return RoutingSolution(p, best_v, rs_star, rs_star / best_v, audit)

@@ -127,14 +127,14 @@ def test_criterion_6_rate_optimum_round_trip():
         bound = analytics.density_bound(path, Scenario(4.0, 1e-9, eps))
         lam = float(rng.uniform(0.05, 0.95)) * bound
         sc = Scenario(4.0, lam, eps)
-        res = analytics.optimal_rs(path, sc)
-        assert res.feasible
-        err = abs(analytics.path_sop(res.rs_star, path, sc) - eps)
+        rs_star = analytics.optimal_rs(path, sc)
+        assert rs_star > 0.0
+        err = abs(analytics.path_sop(rs_star, path, sc) - eps)
         worst = max(worst, err)
         assert err <= 1e-9, (w, eps, lam, err)
         # feasibility flips exactly at the density bound
-        assert analytics.optimal_rs(path, Scenario(4.0, bound * (1 - 1e-9), eps)).feasible
-        assert not analytics.optimal_rs(path, Scenario(4.0, bound * (1 + 1e-9), eps)).feasible
+        assert analytics.optimal_rs(path, Scenario(4.0, bound * (1 - 1e-9), eps)) > 0.0
+        assert analytics.optimal_rs(path, Scenario(4.0, bound * (1 + 1e-9), eps)) == 0.0
     report(6, True, f"path_sop(rs_star) = epsilon to 1e-9 on 100 paths "
                     f"(worst err={worst:.1e}); flag flips at the bound")
 

@@ -112,40 +112,50 @@ class TestPathSop:
 class TestOptimalRs:
     def test_reference_value(self):
         # frozen: 2*log2(ln(10/9) / (4.9348e-5 * 50))
-        res = analytics.optimal_rs(straight_path(50.0), scen())
-        assert res.feasible
-        assert res.rs_star == pytest.approx(10.832396484850468, rel=1e-12)
-        assert res.c_s == res.rs_star
+        rs_star = analytics.optimal_rs(straight_path(50.0), scen())
+        assert rs_star == pytest.approx(10.832396484850468, rel=1e-12)
+        assert analytics.secrecy_rate(50.0, 1, scen()) == rs_star
 
     def test_round_trip(self):
         topo = six_node_topology()
         for seq in [(1, 5), (1, 3, 5), (1, 2, 3, 5)]:
             p = topo.path(seq)
-            res = analytics.optimal_rs(p, scen())
-            assert abs(analytics.path_sop(res.rs_star, p, scen()) - 0.1) < 1e-9
+            rs_star = analytics.optimal_rs(p, scen())
+            assert abs(analytics.path_sop(rs_star, p, scen()) - 0.1) < 1e-9
 
     def test_boundary_infeasible(self):
         sc = scen()
         cutoff = math.log(1 / 0.9) / analytics.k1(sc.alpha, sc.lambda_e)
-        res = analytics.optimal_rs(straight_path(cutoff), sc)
-        assert not res.feasible
-        assert res.rs_star == 0.0
-        assert res.c_s == 0.0
+        rs_star = analytics.optimal_rs(straight_path(cutoff), sc)
+        assert rs_star == 0.0
+        assert analytics.secrecy_rate(cutoff, 1, sc) == 0.0
 
     def test_halving_weight_adds_half_alpha_bits(self):
-        r1 = analytics.optimal_rs(straight_path(50.0), scen()).rs_star
-        r2 = analytics.optimal_rs(straight_path(25.0), scen()).rs_star
+        r1 = analytics.optimal_rs(straight_path(50.0), scen())
+        r2 = analytics.optimal_rs(straight_path(25.0), scen())
         assert r2 - r1 == pytest.approx(2.0, rel=1e-12)  # alpha/2
 
     def test_monotonicity(self):
-        base = analytics.optimal_rs(straight_path(50.0), scen()).rs_star
-        assert analytics.optimal_rs(straight_path(50.0), scen(lam=2e-5)).rs_star < base
-        assert analytics.optimal_rs(straight_path(60.0), scen()).rs_star < base
-        assert analytics.optimal_rs(straight_path(50.0), scen(eps=0.2)).rs_star > base
+        base = analytics.optimal_rs(straight_path(50.0), scen())
+        assert analytics.optimal_rs(straight_path(50.0), scen(lam=2e-5)) < base
+        assert analytics.optimal_rs(straight_path(60.0), scen()) < base
+        assert analytics.optimal_rs(straight_path(50.0), scen(eps=0.2)) > base
+
+    @pytest.mark.parametrize("factor", [0.5, 0.0, 1 - 1e-9, 1 + 1e-9])
+    def test_secrecy_rate_is_rs_star_over_hops(self, factor):
+        # lambda_e = factor x each path's density bound: 0.0 is infeasible, inf unbounded
+        topo = six_node_topology()
+        for seq in [(1, 5), (1, 3, 5), (1, 2, 3, 5)]:
+            p = topo.path(seq)
+            sc = scen(lam=factor * analytics.density_bound(p, scen()))
+            rs_star = analytics.optimal_rs(p, sc)
+            assert analytics.secrecy_rate(p.sum_sq_dist, p.hop_count, sc) == rs_star / p.hop_count
+            assert (rs_star == 0.0) == (factor > 1.0)
+            assert (rs_star == math.inf) == (factor == 0.0)
 
     def test_zero_density_unbounded(self):
-        res = analytics.optimal_rs(straight_path(50.0), scen(lam=0.0))
-        assert res.feasible and res.rs_star == math.inf
+        rs_star = analytics.optimal_rs(straight_path(50.0), scen(lam=0.0))
+        assert rs_star == math.inf
 
     @pytest.mark.parametrize("alpha,weight,lam,message", [
         (1e308, 50.0, 1e-5, "alpha = 1e+308 overflows a float"),
@@ -159,8 +169,11 @@ class TestOptimalRs:
     def test_overflowing_rate_raises(self, alpha, weight, lam, message):
         with pytest.raises(OverflowError, match=re.escape(message)):
             analytics.secrecy_rate(weight, 1, scen(lam=lam, alpha=alpha))
+        for rate in (analytics.optimal_rs, analytics.path_metric):
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                rate(Path((0, 1, 2), weight), scen(lam=lam, alpha=alpha))
         # inf, printed `unbounded`, is kept for a zero density
-        assert analytics.secrecy_rate(weight, 1, scen(lam=0.0, alpha=alpha)).rs_star == math.inf
+        assert analytics.secrecy_rate(weight, 1, scen(lam=0.0, alpha=alpha)) == math.inf
 
 
 class TestDensityBound:
@@ -181,13 +194,25 @@ class TestDensityBound:
         bound = analytics.density_bound(p, scen())
         for factor in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
             sc = scen(lam=bound * factor)
-            assert analytics.optimal_rs(p, sc).feasible == (sc.lambda_e < bound)
+            assert (analytics.optimal_rs(p, sc) > 0.0) == (sc.lambda_e < bound)
 
 
 class TestPathMetric:
     def test_single_hop_equals_rs_star(self):
         p = straight_path(50.0)
-        assert analytics.path_metric(p, scen()) == analytics.optimal_rs(p, scen()).rs_star
+        assert analytics.path_metric(p, scen()) == analytics.optimal_rs(p, scen())
+
+    @pytest.mark.parametrize("factor", [0.5, 1 - 1e-9, 1 + 1e-9, 2.0])
+    def test_none_exactly_where_rs_star_is_zero(self, factor):
+        topo = six_node_topology()
+        for seq in [(1, 5), (1, 3, 5), (1, 2, 3, 5)]:
+            p = topo.path(seq)
+            sc = scen(lam=factor * analytics.density_bound(p, scen()))
+            rs_star = analytics.optimal_rs(p, sc)
+            metric = analytics.path_metric(p, sc)
+            assert (metric is None) == (rs_star == 0.0) == (factor > 1.0)
+            assert metric is None or metric == rs_star / p.hop_count
+        assert analytics.path_metric(p, scen(lam=0.0)) == math.inf
 
     def test_infeasible_is_none(self):
         assert analytics.path_metric(straight_path(1e9), scen()) is None

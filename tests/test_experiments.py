@@ -51,6 +51,16 @@ class TestConfig:
         assert cfg.seed == 77
         assert cfg.out == "x.csv"
 
+    @pytest.mark.parametrize("first", ["reps = 7\n", "# table one\nreps = 7\n"],
+                             ids=["key", "comment"])
+    def test_byte_order_mark(self, tmp_path, first):
+        # Excel and Notepad start a UTF-8 file with a byte-order mark, which
+        # is no part of the first key (or comment)
+        f = tmp_path / "bom.cfg"
+        f.write_text("\ufeff" + first + "seed = 3\n", encoding="utf-8")
+        cfg = parse_config(f)
+        assert (cfg.reps, cfg.seed) == (7, 3)
+
     def test_unknown_key(self, tmp_path):
         f = tmp_path / "bad.cfg"
         # `scenario` names a method of ExperimentConfig, not a key
@@ -178,7 +188,7 @@ class TestStackedTableOne:
         # E[c^2] - mean^2 cancels all of its 16 digits, a second pass over
         # the deviations none
         rates = 1e8 + np.random.default_rng(5).uniform(0.0, 1.0, 7)
-        monkeypatch.setattr(routing, "mesh_secrecy_rates", lambda w, sc: (rates, rates > 0.0))
+        monkeypatch.setattr(routing, "mesh_secrecy_rates", lambda w, sc: rates)
         row = run_table_one(ExperimentConfig(n_legit=(10,), reps=7))[1][0]
         assert row[2] == pytest.approx(statistics.pstdev(rates.tolist()) / math.sqrt(7), rel=1e-6)
 
@@ -563,6 +573,10 @@ class TestCli:
         pytest.param("alpha = 1e160\nn_legit = 3\nreps = 3",
                      "alpha = 1e+160 overflows a float in the sum of table-one's secrecy rates",
                      id="alpha = 1e160"),
+        # every squared deviation is finite, but math.fsum's partial sum overflows
+        pytest.param("alpha = 3e154\nn_legit = 10\nreps = 2000",
+                     "alpha = 3e+154 overflows a float in the sum of table-one's secrecy rates",
+                     id="alpha = 3e154"),
         # the rate sum overflows too: its mean would read `unbounded`
         pytest.param("alpha = 1e308\nreps = 100",
                      "alpha = 1e+308 overflows a float in the sum of table-one's secrecy rates",

@@ -257,6 +257,19 @@ def test_csv_round_trip(tmp_path):
         topo.path((0, 2))
 
 
+@pytest.mark.parametrize("header", [False, True])
+def test_csv_byte_order_mark(tmp_path, header):
+    # Excel and Notepad start a UTF-8 file with a byte-order mark: it is no
+    # part of the first row, so a first data row loads and a header is skipped
+    nodes_file = tmp_path / "nodes.csv"
+    nodes_file.write_text("\ufeff" + "id,x,y\n" * header + "2,18.87,0\n1,0,0\n3,37.74,0\n",
+                          encoding="utf-8")
+    assert [n.id for n in load_nodes_csv(nodes_file)] == [2, 1, 3]
+    edges_file = tmp_path / "edges.csv"
+    edges_file.write_text("\ufeff" + "from,to\n" * header + "1,2\n2,3\n", encoding="utf-8")
+    assert load_edges_csv(edges_file) == [(1, 2), (2, 3)]
+
+
 def test_one_column_edge_row_rejected(tmp_path):
     edges_file = tmp_path / "edges.csv"
     # a first row whose id is a number is data, not a header to skip; a

@@ -182,3 +182,52 @@ def test_output_digests(name, tmp_path, monkeypatch, capsys):
         assert not out.exists()
     else:
         assert _sha256(out.read_bytes()) == csv_sha
+
+
+# The byte-identity matrices: one combined SHA-256 over the exit code,
+# stdout, stderr and CSV (or its absence) of each of a grid of runs, in
+# grid order. Both digests were recorded with numpy 2.4.6 before the
+# secrecy rate became one float in place of a result object; they cover the
+# corners where a rate is unbounded (lambda_e = 0), infeasible (epsilon =
+# 1e-17, lambda_e = 1e-2 or 1), subnormal or overflowing.
+TABLE_ONE_GRID = (
+    [(a, lam, eps) for a in (2.5, 3.0, 4.0, 8.0, 1e300)
+     for lam in (0.0, 1e-5, 3e-4, 1e-2) for eps in (0.1, 1e-17)]
+    + [(a, lam, 0.1) for a in (1e308, 1.7e308) for lam in (1e-5, 1e-320, 5e-324)])
+RATE_GRID = [(cmd, a, lam, eps) for cmd in ("route", "rate-vs-lambda", "rate-vs-epsilon")
+             for a in (2.5, 4.0, 8.0, 1e300, 1e308)
+             for lam in (0.0, 1e-5, 3e-4, 1.0, 1e-320) for eps in (0.1, 1e-17)]
+MATRIX_DIGESTS = {
+    "table-one": "28efa1469b37d96b5d4a391b5f73bcfe6bacd30f930aea528cf5f1604f2f48ae",
+    "rates": "56848ef95ca8c0e44a88c8e5fef9f3f276c0241d02dbff2fcc4ad65c3c1b7e8c",
+}
+
+
+def _matrix_digest(runs, tmp_path, monkeypatch, capsys) -> str:
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for cmd, cfg in runs:
+        (tmp_path / "run.cfg").write_text(cfg)
+        code = main([cmd, "--config", "run.cfg", "--out", "out.csv"])
+        captured = capsys.readouterr()
+        out = tmp_path / "out.csv"
+        csv = out.read_bytes() if out.exists() else b"(no csv)"
+        out.unlink(missing_ok=True)
+        for part in (str(code).encode(), captured.out.encode(), captured.err.encode(), csv):
+            digest.update(b"%d:" % len(part) + part)
+    return digest.hexdigest()
+
+
+def test_table_one_matrix_digest(tmp_path, monkeypatch, capsys):
+    runs = [("table-one", f"alpha = {a!r}\nlambda_e = {lam!r}\nepsilon = {eps!r}\n"
+                          "n_legit = 1, 10, 60, 100\nreps = 150\n")
+            for a, lam, eps in TABLE_ONE_GRID]
+    assert len(runs) == 46
+    assert _matrix_digest(runs, tmp_path, monkeypatch, capsys) == MATRIX_DIGESTS["table-one"]
+
+
+def test_rate_matrix_digest(tmp_path, monkeypatch, capsys):
+    runs = [(cmd, f"alpha = {a!r}\nlambda_e = {lam!r}\nepsilon = {eps!r}\n")
+            for cmd, a, lam, eps in RATE_GRID]
+    assert len(runs) == 150
+    assert _matrix_digest(runs, tmp_path, monkeypatch, capsys) == MATRIX_DIGESTS["rates"]
