@@ -13,6 +13,7 @@ eavesdroppers (lambda_e = 0) leave the rate unbounded.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .netmodel import Path, Scenario
@@ -60,7 +61,16 @@ def density_bound(path: Path, scenario: Scenario) -> float:
 
 def weight_density_bound(weight: float, scenario: Scenario) -> float:
     """density_bound of any path whose squared hop lengths sum to `weight`."""
-    return math.log(1.0 / (1.0 - scenario.epsilon)) / (k1(scenario.alpha, 1.0) * weight)
+    log_outage, k1_unit = _bound_constants(scenario.alpha, scenario.epsilon)
+    return log_outage / (k1_unit * weight)
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_constants(alpha: float, epsilon: float) -> tuple[float, float]:
+    """(ln(1/(1 - epsilon)), k1(alpha, 1)), the density bound's factors that
+    are fixed per scenario, computed in that order; the routing sweeps ask
+    for them once per scored candidate."""
+    return math.log(1.0 / (1.0 - epsilon)), k1(alpha, 1.0)
 
 
 def optimal_rs(path: Path, scenario: Scenario) -> float:

@@ -183,14 +183,26 @@ def placement(n_legit: int, rng) -> np.ndarray:
     """(n_legit + 2, 2) node coordinates: a source at the central square's
     lower-left corner (0, 0), n_legit relays i.i.d. uniform on the square,
     and a destination at its upper-right corner (50, 50)."""
+    return placements(n_legit, 1, [rng])[0]
+
+
+def placements(n_legit: int, count: int, rngs) -> np.ndarray:
+    """(count, n_legit + 2, 2) stack of placement(n_legit, rng) for the
+    first `count` generators of the iterable `rngs`, each read in full
+    before the next is taken, so `rngs` may re-key one generator
+    (montecarlo.block_rngs). Raises ConfigError before any draw when
+    n_legit < 1."""
     if n_legit < 1:
         raise ConfigError("n_legit must be >= 1")
-    xy = np.empty((n_legit + 2, 2))
-    xy[0] = 0.0
-    # one draw of (x, y) rows yields the same doubles, in the same order,
-    # as 2 * n_legit scalar draws alternating x and y
-    xy[1:-1] = rng.uniform(0.0, PLACEMENT_BOX, (n_legit, 2))
-    xy[-1] = PLACEMENT_BOX
+    xy = np.empty((count, n_legit + 2, 2))
+    xy[:, 0] = 0.0
+    # each (x, y) row is two consecutive doubles of the stream, and
+    # PLACEMENT_BOX * u is the double rng.uniform(0.0, PLACEMENT_BOX) returns
+    # for u, since it computes 0.0 + PLACEMENT_BOX * u
+    for relays, rng in zip(xy[:, 1:-1], rngs):
+        rng.random(out=relays)
+    xy[:, 1:-1] *= PLACEMENT_BOX
+    xy[:, -1] = PLACEMENT_BOX
     return xy
 
 
@@ -205,7 +217,9 @@ def run_table_one(cfg: ExperimentConfig):
     """Average best secrecy rate over random topologies, per network size.
 
     Rep `rep` of size index n_idx is placement(n, block_rng(seed, n_idx,
-    rep)) routed from its source to its destination. A size's reps are
+    rep)) routed from its source to its destination; a size's reps draw
+    their placements from one generator re-keyed per rep
+    (montecarlo.block_rngs), the same streams. A size's reps are
     swept SWEEP_CELLS weight cells at a time, as one stack, by
     routing.mesh_secrecy_rates, which gives each rep the c_s that
     routing.solve_secure_route would. Draws where no feasible route exists
@@ -221,10 +235,10 @@ def run_table_one(cfg: ExperimentConfig):
     for n_idx, n in enumerate(cfg.n_legit):
         size_rates = []  # in rep order
         n_infeasible = 0
-        chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placement rejects n < 1
+        chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placements rejects n < 1
+        rngs = montecarlo.block_rngs(cfg.seed, n_idx, range(cfg.reps))
         for start in range(0, cfg.reps, chunk):
-            xy = np.stack([placement(n, montecarlo.block_rng(cfg.seed, n_idx, rep))
-                           for rep in range(start, min(start + chunk, cfg.reps))])
+            xy = placements(n, min(chunk, cfg.reps - start), rngs)
             rates = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
             n_infeasible += int((rates == 0.0).sum())
             size_rates += rates.tolist()

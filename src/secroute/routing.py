@@ -259,11 +259,12 @@ def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarra
     source's, rate[r] the best rate so far and later[r] the sweep's row of
     later_rate_bounds. The last budget that row leaves open, vmax[r], is
     the count of its leading entries above rate[r] (its entry v bounds
-    only budgets after v). Returns (R,) bools: True where some budget v'
-    in (v, vmax] could hold a path that rates above rate, or whose rs_star
-    is at or near overflow and must be scored to raise. So False where
-    vmax <= v, the stop rule of later_rate_bounds alone; where rate is 0,
-    no path is feasible yet and that rule is the only one asked. A
+    only budgets after v); the row never increases, so vmax[r] > v exactly
+    where later[r, v] > rate[r]. Returns (R,) bools: True where some budget
+    v' in (v, vmax] could hold a path that rates above rate, or whose
+    rs_star is at or near overflow and must be scored to raise. So False
+    where vmax <= v, the stop rule of later_rate_bounds alone; where rate
+    is 0, no path is feasible yet and that rule is the only one asked. A
     positive rate with vmax > v comes at a positive density, since at a
     zero one every rate is inf.
 
@@ -279,21 +280,22 @@ def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarra
     try budgets v + 2 to vmax, as (sweep, budget) pairs, at most
     _RELAX_CELLS candidate cells at a time.
     """
-    vmax = (later > rate[:, None]).sum(axis=1)
-    may = vmax > v
+    may = later[:, v] > rate
     pos = rate > 0.0
+    # always so at v = n - 1, where later is -inf, so column v + 1 exists below
     if not (may & pos).any():
         return may
     log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
     with np.errstate(divide="ignore", over="ignore"):
         weight = _later_weights(best, to_dst, d2, v, v + 1)
         may &= ~pos | _exceeds(weight, v + 1, rate, log_b, scenario.alpha)
-        todo = np.flatnonzero(~may & (vmax > v + 1))
+        todo = (~may & (later[:, v + 1] > rate)).nonzero()[0]
         if not len(todo):
             return may
-        count = vmax[todo] - (v + 1)  # budgets v + 2 to vmax
-        rows = np.repeat(todo, count)
-        vp = np.arange(v + 2, v + 2 + len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        # (sweep, budget) pairs, sweep by sweep: budget v' > v + 1 is open
+        # where v' <= vmax, that is where later[:, v' - 1] > rate
+        rows, col = (later[todo, v + 1:-1] > rate[todo, None]).nonzero()
+        rows, vp = todo[rows], col + (v + 2)
         step = max(1, _RELAX_CELLS // best.shape[1])
         for i in range(0, len(rows), step):
             r, p = rows[i:i + step], vp[i:i + step]
@@ -321,12 +323,14 @@ def _exceeds(weight, vp, rate, log_b: float, alpha: float) -> np.ndarray:
 def mesh_secrecy_rates(w: np.ndarray, scenario):
     """Best secrecy rate from the first node to the last of each mesh in a stack.
 
-    w is an (R, N, N) stack of full-mesh weight matrices. Returns rates, an
-    (R,) array: rates[r] is the c_s of solve_secure_route on mesh r, or 0
-    where that returns None, so mesh r is feasible iff rates[r] > 0. Only
-    the destination's column is read: where its weight strictly drops at
-    budget v, its path has exactly v hops (see HopConstrainedTable) and
-    scores secrecy_rate(weight, v); the first maximum wins.
+    w is an (R, N, N) stack of full-mesh weight matrices, which the sweep
+    overwrites: it moves the meshes still swept to the front in place.
+    Returns rates, an (R,) array: rates[r] is the c_s of solve_secure_route
+    on mesh r, or 0 where that returns None, so mesh r is feasible iff
+    rates[r] > 0. Only the destination's column is read: where its weight
+    strictly drops at budget v, its path has exactly v hops (see
+    HopConstrainedTable) and scores secrecy_rate(weight, v); the first
+    maximum wins.
 
     Each budget's candidates are scored by secrecy_rate in mesh order, so
     a raise is the one solve_secure_route's scoring would meet first. A
@@ -347,12 +351,13 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     keep = later[:, 0] > 0.0
     for v in range(1, n):
         if not keep.all():
-            live, w, to_dst, best, later = (x[keep] for x in (live, w, to_dst, best, later))
+            live, to_dst, best, later = (x[keep] for x in (live, to_dst, best, later))
             if not len(live):
                 break
+            w = _compact(w, keep)
         cw = relax(w, best) if v > 1 else w[:, 0]  # see the module docstring
         improve = cw < best
-        k = np.flatnonzero(improve[:, -1])
+        k = improve[:, -1].nonzero()[0]
         if len(k):  # an infeasible c_s is 0
             c_s = [secrecy_rate(x, v, scenario) for x in cw[k, -1].tolist()]
             rates[live[k]] = np.maximum(rates[live[k]], c_s)
@@ -360,6 +365,15 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
         keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, later,
                                                          rates[live], scenario)
     return rates
+
+
+def _compact(w: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """w[keep], written over w's leading meshes in place: only the meshes
+    after the first one dropped move, so no whole stack is copied."""
+    idx = keep.nonzero()[0]
+    first = int(np.argmin(keep))
+    w[first:len(idx)] = w[idx[first:]]
+    return w[:len(idx)]
 
 
 def solve_secure_route(topology: Topology, source: int, dest: int, scenario):

@@ -4,8 +4,9 @@ A brute-force simple-path enumerator, the test oracle for the hop-budget
 decomposition in `secroute.routing`, scipy quadratures of the plane
 integral behind the closed-form outage exponent in `secroute.analytics`
 and of the far-field exponent `secroute.montecarlo` adds to its disks,
-and the per-topology loop that `secroute.experiments.run_table_one`
-replaced with one stacked sweep.
+the per-topology loop that `secroute.experiments.run_table_one`
+replaced with one stacked sweep, and the per-call form of
+`secroute.routing.later_paths_may_win`.
 scipy is a test-only dependency; the package itself never imports it.
 """
 
@@ -18,10 +19,11 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from secroute import montecarlo
-from secroute.analytics import path_metric
+from secroute.analytics import path_metric, weight_density_bound
 from secroute.experiments import random_placement
 from secroute.netmodel import Scenario, Topology
-from secroute.routing import RoutingError, solve_secure_route
+from secroute.routing import (_BOUND_MARGIN, _RELAX_CELLS, _RS_NEAR_MAX, RoutingError,
+                              solve_secure_route)
 
 ORACLE_NODE_LIMIT = 9
 
@@ -147,3 +149,41 @@ def table_one_reference(cfg):
             mean = stderr = "unbounded"
         rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
     return rows
+
+
+def later_paths_may_win_reference(best, to_dst, d2, v, later, rate, scenario):
+    """routing.later_paths_may_win as each call worked it out whole: vmax
+    counted over every row of `later`, the scenario's log bound from the
+    density bound, budget v + 1 through the general weight bound, and the
+    (sweep, budget) pairs of the budgets after it by repeats and cumsums."""
+    vmax = (later > rate[:, None]).sum(axis=1)
+    may = vmax > v
+    pos = rate > 0.0
+    if not (may & pos).any():
+        return may
+    log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = _later_weights_reference(best, to_dst, d2, v, v + 1)
+        may &= ~pos | _exceeds_reference(weight, v + 1, rate, log_b, scenario.alpha)
+        todo = np.flatnonzero(~may & (vmax > v + 1))
+        if not len(todo):
+            return may
+        count = vmax[todo] - (v + 1)  # budgets v + 2 to vmax
+        rows = np.repeat(todo, count)
+        vp = np.arange(v + 2, v + 2 + len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        step = max(1, _RELAX_CELLS // best.shape[1])
+        for i in range(0, len(rows), step):
+            r, p = rows[i:i + step], vp[i:i + step]
+            weight = _later_weights_reference(best[r], to_dst[r], d2[r], v, p)
+            may[r[_exceeds_reference(weight, p, rate[r], log_b, scenario.alpha)]] = True
+    return may
+
+
+def _later_weights_reference(best, to_dst, d2, v, vp):
+    k = np.reshape(vp - v, (-1, 1))
+    return np.maximum((best + to_dst / k).min(axis=1), d2 / vp)
+
+
+def _exceeds_reference(weight, vp, rate, log_b, alpha):
+    u = (alpha / 2.0) * (log_b + _BOUND_MARGIN - np.log2(weight)) / vp
+    return ~(u <= np.minimum(rate, _RS_NEAR_MAX / vp))

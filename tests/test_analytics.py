@@ -1,10 +1,12 @@
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 
 from secroute import Node, Scenario, build_topology
-from secroute import analytics
+from secroute import analytics, routing
 from secroute.netmodel import Path
 from secroute.experiments import six_node_topology
 
@@ -232,3 +234,74 @@ class TestPgflIntegral:
             target = analytics.k1(sc.alpha, sc.lambda_e) * 2 ** (2 * rs / alpha) * dist ** 2
             got = oracles.pgfl_integral(rs, dist, sc)
             assert got == pytest.approx(target, rel=1e-6)
+
+
+# the scenarios whose density-bound constants are cached, by (alpha, epsilon)
+HOIST_GRID = [(a, eps) for eps in (1e-17, 0.1, 0.5, 1.0 - 2.0**-53)
+              for a in (2.0 + 1e-12, 2.5, 4.0, 1e300)]
+
+
+def bound_written_out(weight, sc):
+    """weight_density_bound with every factor computed in the call."""
+    return math.log(1.0 / (1.0 - sc.epsilon)) / (
+        math.pi * 1.0 * math.gamma(1.0 + 2.0 / sc.alpha) * math.gamma(1.0 - 2.0 / sc.alpha)
+        * weight)
+
+
+def rate_written_out(weight, hops, sc):
+    """secrecy_rate on bound_written_out; OverflowError where it raises."""
+    bound = bound_written_out(weight, sc)
+    if sc.lambda_e == 0.0:
+        return math.inf
+    ratio = bound / sc.lambda_e
+    if ratio <= 1.0:
+        return 0.0
+    rs_star = (sc.alpha / 2.0) * math.log2(ratio)
+    if ratio == math.inf or rs_star == math.inf:
+        return OverflowError
+    return rs_star / hops
+
+
+def later_written_out(d2, n, sc):
+    """later_rate_bounds on bound_written_out."""
+    v = np.arange(1, n)
+    b1 = bound_written_out(1.0, sc)
+    if sc.lambda_e == 0.0:
+        u = np.full((len(d2), n - 1), np.inf)
+    elif b1 == 0.0:
+        u = np.full((len(d2), n - 1), -np.inf)
+    else:
+        log_b = math.log2(b1) - math.log2(sc.lambda_e)
+        with np.errstate(divide="ignore", over="ignore"):
+            log_arg = log_b + routing._BOUND_MARGIN - np.log2(d2)[:, None] + np.log2(v)
+            u = (sc.alpha / 2.0) * log_arg / v
+    later = np.full((len(d2), n), -np.inf)
+    later[:, :-1] = np.maximum.accumulate(u[:, ::-1], axis=1)[:, ::-1]
+    return later
+
+
+class TestHoistedConstants:
+    def test_bit_identical_to_per_call_formula(self):
+        # scenarios interleaved in one process, twice over, so that constants
+        # cached for one (alpha, epsilon) and read for another would differ
+        scenarios = [scen(a, lam, eps) for a, eps in HOIST_GRID for lam in (0.0, 1e-5, 3e-3)]
+        random.Random(22).shuffle(scenarios)
+        weights = (1e-305, 1e-3, 1.0, 123.456, 5000.0, 2.5e6)
+        d2 = np.array([1e-3, 17.0, 5000.0, 0.0])
+        checked = raised = 0
+        for sc in scenarios * 2:
+            for weight in weights:
+                assert analytics.weight_density_bound(weight, sc) == bound_written_out(weight, sc)
+                for hops in (1, 3):
+                    want = rate_written_out(weight, hops, sc)
+                    if want is OverflowError:
+                        with pytest.raises(OverflowError):
+                            analytics.secrecy_rate(weight, hops, sc)
+                        raised += 1
+                    else:
+                        got = analytics.secrecy_rate(weight, hops, sc)
+                        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+                        checked += want > 0.0
+            assert np.array_equal(routing.later_rate_bounds(d2, 7, sc),
+                                  later_written_out(d2, 7, sc))
+        assert checked and raised

@@ -16,7 +16,10 @@ from secroute.experiments import (
     ConfigError,
     ExperimentConfig,
     FIG_PATHS,
+    PLACEMENT_BOX,
     parse_config,
+    placement,
+    placements,
     random_placement,
     run_rate_sweeps,
     run_route,
@@ -206,6 +209,51 @@ class TestRandomPlacement:
         assert topo.xy[0].tolist() == [0.0, 0.0]
         assert topo.xy[11].tolist() == [50.0, 50.0]
         assert ((0.0 <= topo.xy[1:11]) & (topo.xy[1:11] <= 50.0)).all()
+
+
+class TestPlacements:
+    # seeds at and past 2^64 and negative, a stream past 2^16 and blocks
+    # past 2^48, each masked into the Philox key as block_rng masks it
+    @pytest.mark.parametrize("seed,n_idx,rep0", [
+        (1, 0, 0), (2**64 + 7, 3, 5), (-9, 1, 0), (4, 2**16 + 3, 2), (5, 2, 2**48 - 3)])
+    def test_rekeyed_equal_placement(self, seed, n_idx, rep0):
+        reps = range(rep0, rep0 + 7)
+        got = placements(9, len(reps), montecarlo.block_rngs(seed, n_idx, reps))
+        want = np.stack([placement(9, block_rng(seed, n_idx, rep)) for rep in reps])
+        assert got.tobytes() == want.tobytes()
+
+    def test_relays_are_uniform_draws(self):
+        # the relays are rng.uniform(0, PLACEMENT_BOX) doubles, x then y
+        xy = placement(6, block_rng(3, 1, 4))
+        assert xy[1:-1].tobytes() == block_rng(3, 1, 4).uniform(0.0, PLACEMENT_BOX,
+                                                                 (6, 2)).tobytes()
+        assert xy[0].tolist() == [0.0, 0.0] and xy[-1].tolist() == [PLACEMENT_BOX] * 2
+
+    @pytest.mark.parametrize("cells", [1, 40, 400, 4000])
+    def test_table_one_chunks_draw_each_rep_once(self, monkeypatch, cells):
+        # a size's reps cross SWEEP_CELLS chunks on one re-keyed generator;
+        # the stacks swept are placement(n, block_rng(seed, n_idx, rep)) in rep order
+        monkeypatch.setattr(experiments, "SWEEP_CELLS", cells)
+        stacks = []
+        real = experiments.mesh_weights
+        monkeypatch.setattr(experiments, "mesh_weights",
+                            lambda xy: stacks.append(xy.copy()) or real(xy))
+        cfg = ExperimentConfig(n_legit=(1, 7, 30), reps=13, seed=-(2**64) - 3)
+        run_table_one(cfg)
+        for n_idx, n in enumerate(cfg.n_legit):
+            mine = [xy for xy in stacks if xy.shape[1] == n + 2]
+            chunk = max(1, cells // (n + 2) ** 2)
+            assert [len(xy) for xy in mine] == [min(chunk, 13 - s) for s in range(0, 13, chunk)]
+            want = np.stack([placement(n, block_rng(cfg.seed, n_idx, rep)) for rep in range(13)])
+            assert np.concatenate(mine).tobytes() == want.tobytes()
+
+    def test_bad_n_legit_draws_nothing(self):
+        rngs = montecarlo.block_rngs(1, 0, range(3))
+        for n in (0, -2):
+            with pytest.raises(ConfigError, match="n_legit"):
+                placements(n, 3, rngs)
+        # no generator was taken: the first is still rep 0's
+        assert next(rngs).random() == block_rng(1, 0, 0).random()
 
 
 class TestCsvDeterminism:

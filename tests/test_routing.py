@@ -417,6 +417,39 @@ class TestPrefixBound:
         assert ref.per_v_candidates[:6] == sol.per_v_candidates
         assert [len(t.best) - 1 for t in tables] == [6, 7]
 
+    def test_matches_per_call_reference_on_recorded_inputs(self, monkeypatch):
+        # the inputs both sweeps pass it: a benchmark table-one operation
+        # (200 topologies), the benchmark's 602-node route-large mesh, and
+        # table-one at alpha = 1e308, where rates sit near overflow and the
+        # run raises; each call's arrays equal the per-call reference's
+        calls = []
+        real = routing.later_paths_may_win
+
+        def spy(*args):
+            calls.append([a.copy() if isinstance(a, np.ndarray) else a for a in args])
+            return real(*args)
+
+        monkeypatch.setattr(routing, "later_paths_may_win", spy)
+        run_table_one(ExperimentConfig(reps=20, seed=1441))
+        xy = placement(600, np.random.default_rng([1, 1]))  # perfbench's route-large, seed 1
+        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        routing.solve_secure_route(topo, 0, 601, scen())
+        with pytest.raises(OverflowError):
+            run_table_one(ExperimentConfig(n_legit=(1,), reps=30, seed=3, alpha=1e308,
+                                           lambda_e=1e-6))
+        zero_rate = closed = near_max = 0
+        for best, to_dst, d2, v, later, rate, sc in calls:
+            got = real(best, to_dst, d2, v, later, rate, sc)
+            want = oracles.later_paths_may_win_reference(best, to_dst, d2, v, later, rate, sc)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            vmax = (later > rate[:, None]).sum(axis=1)
+            zero_rate += int((rate == 0.0).sum())
+            closed += int((vmax <= v).sum())
+            # the budgets at which the overflow guard, not the rate, bounds
+            near_max += sum(int((routing._RS_NEAR_MAX / np.arange(v + 1, m + 1) < c).sum())
+                            for c, m in zip(rate.tolist(), vmax.tolist()) if c > 0.0)
+        assert zero_rate and closed and near_max
+
     def test_table_one_relaxes_fewer_cells(self, monkeypatch):
         # the same rows from fewer relaxed cells than with the D^2/v' bound alone
         cfg = ExperimentConfig(n_legit=(10, 40, 100), reps=20, seed=7)
