@@ -42,19 +42,18 @@ low, carries Campbell's bound b(R) = theta 2 pi lambda R^(2 - a) / (a - 2)
 on the outage it misses.
 
 Trials are processed in blocks by one loop, `_blocks`; hop k of block b
-owns a Philox stream keyed by (seed, k, b), from which it draws, in this
-order, the per-trial point counts ~ Poisson(lambda pi R^2), the points'
-r^2, their gains and the trials' legitimate gains h. Estimates depend only
-on the seed and parameters, never on how blocks are scheduled. A block
-holds BLOCK trials, fewer where a hop's disk would expect more than
-BLOCK_POINTS points in the block; a disk expecting more in one trial is an
-input error. Philox is counter-based, so every draw is read at its offset
-in the stream: `_block_draws` draws and sums a block's points one run of
-whole trials (about RUN_POINTS points) at a time, reading the gains from a
-second generator positioned at them, and its memory is per run, not per
-block. `_blocks` yields a block's hop draws as a list. Under
-randomize-and-forward the path estimator ORs the per-hop outage events of a
-trial, and the memoryless hop estimator is its one-hop case.
+owns a Philox stream keyed by (seed, k, b), on which `_block_draws` lays
+the block's disks end to end and draws one Poisson total of points on
+them, then each point's trial and r^2, their gains and the trials'
+legitimate gains h. Estimates depend only on the seed and parameters,
+never on how blocks are scheduled. A block holds BLOCK trials, fewer
+where a hop's disk would expect more than BLOCK_POINTS points in the
+block; a disk expecting more in one trial is an input error. Philox is
+counter-based, so every draw is read at its offset in the stream, and
+`_block_draws` sums a block's points RUN_POINTS at a time, with memory per
+chunk, not per block. `_blocks` yields a block's hop draws as a list. Under
+randomize-and-forward the path estimator ORs the per-hop outage events of
+a trial, and the memoryless hop estimator is its one-hop case.
 
 The hop estimators make one pass: each block's (interference, h) pair is
 drawn once, and on it `hop_sop_estimates` counts the memoryless event and
@@ -77,7 +76,7 @@ from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
-RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized run
+RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized chunk
 TAIL_SHARE = 0.05  # most of a hop's outage exponent left to the exact far field
 
 _MASK64 = (1 << 64) - 1
@@ -279,56 +278,51 @@ def _hop_fields(rs: float, dists, scenario: Scenario):
     return thetas, radii, tail, math.exp(-tail) * (math.expm1(remainder) + campbell)
 
 
-def _runs(counts: np.ndarray, total: int) -> list:
-    """(first trial, end trial, points) of each run of whole trials: runs
-    hold at most RUN_POINTS points, save a trial holding more, which is a
-    run alone with the zero-point trials after it."""
-    n = len(counts)
-    if total <= RUN_POINTS:
-        return [(0, n, total)]
-    ends = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=ends[1:])
-    runs, t0 = [], 0
-    while t0 < n:
-        cap = max(int(ends[t0]) + RUN_POINTS, int(ends[t0 + 1]))
-        t1 = int(np.searchsorted(ends, cap, "right")) - 1
-        runs.append((t0, t1, int(ends[t1] - ends[t0])))
-        t0 = t1
-    return runs
-
-
 def _block_draws(rng, scenario: Scenario, radius: float, n):
     """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H,
     for eavesdroppers on the disk of `radius` around the transmitter.
 
-    Draw order (counts, r^2, gains, H) is part of the reproducibility
-    contract; both conditioning modes and all power levels consume the
-    identical stream. Each r^2 and each gain is one 64-bit word, so after
-    the counts the block's `total` points' r^2 fill the next `total` words,
-    their gains the `total` after those, and H follows. The points are
-    drawn and summed one run of whole trials at a time (`_runs`): r^2 from
-    `rng`, gains from a second generator on the same key positioned at the
-    gain words, so a block holds two run-sized buffers whatever its size.
-    A one-run block reads its gains from `rng` itself, which then stands
-    at them. Every trial's sum runs in point order, as in one pass.
+    In r^2 space a disk is the interval [0, R^2) with rate lambda pi, so the
+    block's n disks laid end to end are one interval [0, n R^2), and a PPP
+    on it is a Poisson number of i.i.d. uniform points. The stream layout,
+    part of the reproducibility contract, is: one Poisson total with mean
+    lambda pi R^2 n; `total` uniform words u, one per point, whose s = n u
+    puts the point in trial floor(s) at r^2 = (s - floor(s)) R^2; `total`
+    gain words; the n legitimate gains H. Both conditioning modes and all
+    power levels consume the identical stream.
+
+    The points are drawn and summed RUN_POINTS at a time: u from `rng`,
+    gains from a second generator on the same key positioned at the gain
+    words, so a block holds three chunk-sized buffers whatever its size; a
+    one-chunk block reads its gains from `rng` itself, which then stands at
+    them. Each trial's sum runs in point order (np.add.at), so the outputs
+    are bit-identical whatever RUN_POINTS is.
+
+    u is a multiple of 2^-53 below 1, so floor(s) is uniform over the trials
+    to within n 2^-53 <= 2^-39, and even (1 - 2^-53) n floors to n - 1;
+    r^2 keeps 53 - ceil(log2 n) >= 39 bits and lies in [0, R^2).
     """
-    counts = rng.poisson(scenario.lambda_e * math.pi * radius * radius, n)
-    total = int(counts.sum())
-    runs = _runs(counts, total)
+    r2 = radius * radius
+    total = rng.poisson(scenario.lambda_e * math.pi * r2 * n)
     gain_rng = rng
-    if len(runs) > 1:
+    if total > RUN_POINTS:
         state = rng.bit_generator.state
         gain_rng = _philox(state["state"]["key"], _words_read(state) + total)
-    size = max(m for _, _, m in runs)
-    r2_buf, gain_buf = np.empty(size), np.empty(size)
-    interference = np.empty(n)
-    for t0, t1, m in runs:
-        contrib = rng.random(out=r2_buf[:m])
-        contrib *= radius * radius
-        np.power(contrib, -scenario.alpha / 2.0, out=contrib)
-        contrib *= _exponential(gain_rng, gain_buf[:m])
-        idx = np.repeat(np.arange(t1 - t0), counts[t0:t1])
-        interference[t0:t1] = np.bincount(idx, weights=contrib, minlength=t1 - t0)
+    size = min(total, RUN_POINTS)
+    s_buf, gain_buf, trial_buf = np.empty(size), np.empty(size), np.empty(size, np.intp)
+    interference = np.zeros(n)
+    for start in range(0, total, RUN_POINTS):
+        m = min(RUN_POINTS, total - start)
+        s = rng.random(out=s_buf[:m])
+        s *= n
+        whole = np.floor(s, out=gain_buf[:m])  # until the gains overwrite it
+        s -= whole
+        trial = trial_buf[:m]
+        np.copyto(trial, whole, casting="unsafe")
+        s *= r2
+        np.power(s, -scenario.alpha / 2.0, out=s)
+        s *= _exponential(gain_rng, gain_buf[:m])
+        np.add.at(interference, trial, s)
     h = _exponential(gain_rng, np.empty(n))
     return interference, h
 

@@ -2,9 +2,11 @@ import math
 import statistics
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from secroute import Node, Scenario, build_topology
 from secroute import analytics, montecarlo
@@ -50,18 +52,25 @@ class TestSamplePpp:
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def block_draws_reference(rng, scenario, radius, n):
-    """`_block_draws` as one expression per array, without buffer reuse:
-    points uniform on the disk of `radius`, drawn as r^2 = R^2 * U."""
-    counts = rng.poisson(scenario.lambda_e * math.pi * radius * radius, n)
-    total = int(counts.sum())
-    r2 = radius * radius * rng.random(total)
+def block_points_reference(rng, scenario, radius, n):
+    """The stream layout of `_block_draws`, one expression per array, for
+    the block's n disks laid end to end as [0, n R^2) in r^2 space: each
+    point's trial and r^2, its gain, and the trials' legitimate gains h."""
+    total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
+    s = n * rng.random(total)
+    trial = np.floor(s).astype(np.intp)
+    r2 = (s - trial) * (radius * radius)
+    del s  # 8 bytes a point fewer while the gains are drawn
     gains = -np.log1p(-rng.random(total))
     h = -np.log1p(-rng.random(n))
+    return trial, r2, gains, h
+
+
+def block_draws_reference(rng, scenario, radius, n):
+    """`_block_draws` in one pass, without buffer reuse."""
+    trial, r2, gains, h = block_points_reference(rng, scenario, radius, n)
     contrib = gains * r2 ** (-scenario.alpha / 2.0)
-    idx = np.repeat(np.arange(n), counts)
-    interference = np.bincount(idx, weights=contrib, minlength=n)
-    return interference, h
+    return np.bincount(trial, weights=contrib, minlength=n), h
 
 
 def window_cap(scenario):
@@ -96,10 +105,14 @@ def mapped(m, tail):
 
 
 class TestBlockDrawsInPlace:
-    """The run-by-run `_block_draws` returns exactly the reference's draws,
-    at the default RUN_POINTS and in runs of 1 and 7 points. Those end runs
-    mid-block, leave zero-point trials at run ends, put a trial holding
-    more points than a run in a run alone, and leave the last run short."""
+    """The chunked `_block_draws` returns exactly the reference's draws, at
+    the default RUN_POINTS and in chunks of 1 and 7 points. Short chunks
+    split trials across chunks, read the gains from the positioned
+    generator and leave the last chunk short; they run only on blocks
+    expecting at most SHORT_RUN_POINTS points, as one Python iteration per
+    chunk would take seconds on the denser ones."""
+
+    SHORT_RUN_POINTS = 10_000
 
     @staticmethod
     def assert_matches(key, sc, radius, n):
@@ -111,9 +124,11 @@ class TestBlockDrawsInPlace:
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("lam", [0.0, 1e-5, 1e-4])
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
-    def test_matches_reference(self, alpha, lam, n):
+    def test_matches_reference(self, alpha, lam, n, max_points=math.inf):
         sc = scen(lam=lam, alpha=alpha)
-        for radius in (37.5, 1000.0):
+        radii = [r for r in (37.5, 1000.0) if lam * math.pi * r * r * n <= max_points]
+        assert radii
+        for radius in radii:
             self.assert_matches((3, 1, 2), sc, radius, n)
 
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
@@ -129,28 +144,19 @@ class TestBlockDrawsInPlace:
     @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
     def test_matches_reference_in_short_runs(self, alpha, lam, n, run_points, monkeypatch):
         monkeypatch.setattr(montecarlo, "RUN_POINTS", run_points)
-        self.test_matches_reference(alpha, lam, n)
+        self.test_matches_reference(alpha, lam, n, self.SHORT_RUN_POINTS)
 
     @pytest.mark.parametrize("run_points", [1, 7])
-    @pytest.mark.parametrize("n", [1, montecarlo.BLOCK])
+    @pytest.mark.parametrize("n", [1, 128])
     def test_off_origin_window_in_short_runs(self, n, run_points, monkeypatch):
+        # 128 trials expect 5 027 points on the R = 500 disk
         monkeypatch.setattr(montecarlo, "RUN_POINTS", run_points)
         self.test_matches_reference_off_origin_window(n)
-
-    def test_run_bounds(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "RUN_POINTS", 7)
-        counts = np.array([0, 3, 0, 9, 0, 0, 2, 2, 2, 1, 0, 4])
-        # trial 3 holds more than a run: it runs alone with the empty trials
-        # after it; the last run is short
-        assert montecarlo._runs(counts, int(counts.sum())) == [
-            (0, 3, 3), (3, 6, 9), (6, 11, 7), (11, 12, 4)]
-        assert montecarlo._runs(counts[:3], 3) == [(0, 3, 3)]
-        assert montecarlo._runs(np.zeros(5, np.int64), 0) == [(0, 5, 0)]
 
     def test_dense_block_memory_bounded(self):
         # lambda = 1e-2 fills the R = 1000 disk with 31 416 expected points a
         # trial: 64 trials hold 2.0 M points, 16 MB per point-sized array;
-        # drawn in runs, the block holds a few run-sized buffers
+        # drawn in chunks, the block holds a few chunk-sized buffers
         sc = scen(lam=1e-2)
         tracemalloc.start()
         try:
@@ -160,6 +166,70 @@ class TestBlockDrawsInPlace:
             tracemalloc.stop()
         assert np.all(interference > 0.0)
         assert peak < 4 * 2 ** 20
+
+
+class TestSamplerStatistics:
+    """The block's disks laid end to end give each trial an independent
+    Poisson(mu) count and every point an r^2 in [0, R^2). The seeds were
+    fixed before the first run."""
+
+    @pytest.mark.parametrize("mu,seed", [(0.05, 2301), (1.0, 2302), (12.0, 2303)])
+    def test_trial_counts_are_poisson(self, mu, seed, monkeypatch):
+        # with alpha = 0 and unit gains, each point adds exactly 1 to its
+        # trial's sum, so `_block_draws` returns the per-trial counts
+        def unit_gains(rng, out):
+            out.fill(1.0)
+            return out
+
+        monkeypatch.setattr(montecarlo, "_exponential", unit_gains)
+        n = montecarlo.BLOCK
+        field = SimpleNamespace(lambda_e=mu / math.pi, alpha=0.0)
+        sums, _ = _block_draws(block_rng(seed, 0, 0), field, 1.0, n)
+        counts = sums.astype(np.int64)
+        assert np.array_equal(counts, sums)
+        # chi-square over bins that each expect >= 5 trials, the last open
+        # above, against Poisson(mu) with mu known
+        top = int(mu + 20.0 * math.sqrt(mu) + 20.0)
+        expected = n * stats.poisson.pmf(np.arange(top + 1), mu)
+        observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+        bins_e, bins_o, acc_e, acc_o = [], [], 0.0, 0
+        for e, o in zip(expected, observed):
+            acc_e, acc_o = acc_e + e, acc_o + o
+            if acc_e >= 5.0:
+                bins_e.append(acc_e)
+                bins_o.append(acc_o)
+                acc_e, acc_o = 0.0, 0
+        bins_e[-1] += acc_e + n * stats.poisson.sf(top, mu)
+        bins_o[-1] += acc_o
+        bins_e, bins_o = np.array(bins_e), np.array(bins_o)
+        assert len(bins_e) >= 3 and bins_o.sum() == n
+        chi2 = float(((bins_o - bins_e) ** 2 / bins_e).sum())
+        assert chi2 <= stats.chi2.isf(1e-4, len(bins_e) - 1), (chi2, bins_o, bins_e)
+        # neighbouring trials share the block's total, yet are independent
+        lag1 = float(np.corrcoef(counts[:-1], counts[1:])[0, 1])
+        assert abs(lag1) <= 4.0 / math.sqrt(n), lag1
+
+    def test_last_word_floors_to_last_trial(self):
+        # the largest uniform double, 1 - 2^-53, lands in the block's last
+        # trial for every block size, with r^2 below R^2
+        u = np.nextafter(1.0, 0.0)
+        assert u == 1.0 - 2.0 ** -53
+        n = np.arange(1, montecarlo.BLOCK + 1)
+        s = u * n
+        trial = np.floor(s)
+        assert np.array_equal(trial, n - 1)
+        for radius in (1e-3, 1.0, 37.5, 42.43, 500.0, 1000.0, math.sqrt(2.0) * 1e5):
+            r2 = (s - trial) * (radius * radius)
+            assert np.all(r2 < radius * radius)
+
+    @pytest.mark.parametrize("radius", [37.5, 500.0, 1000.0])
+    def test_every_r2_within_disk(self, radius):
+        sc = scen(lam=1e-5 * (1000.0 / radius) ** 2)
+        trial, r2, _, _ = block_points_reference(block_rng(2304, 0, 0), sc, radius,
+                                                 montecarlo.BLOCK)
+        assert len(r2) > 100_000
+        assert r2.min() >= 0.0 and r2.max() < radius * radius
+        assert trial.min() >= 0 and trial.max() < montecarlo.BLOCK
 
 
 def poisson_states():
