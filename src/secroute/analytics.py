@@ -109,7 +109,6 @@ def secrecy_rate(weight: float, hops: int, scenario: Scenario) -> float:
     return rs_star / hops
 
 
-def path_metric(path: Path, scenario: Scenario):
-    """Routing objective: achievable secrecy rate of the path, None if infeasible."""
-    c_s = secrecy_rate(path.sum_sq_dist, path.hop_count, scenario)
-    return c_s if c_s > 0.0 else None
+def path_metric(path: Path, scenario: Scenario) -> float:
+    """Routing objective: achievable secrecy rate of the path, 0.0 if infeasible."""
+    return secrecy_rate(path.sum_sq_dist, path.hop_count, scenario)

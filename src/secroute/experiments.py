@@ -117,10 +117,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _fmt_rate(x) -> str:
-    """A secrecy rate for output: `infeasible` for None (no rate meets the
-    outage constraint), `unbounded` for inf (no eavesdroppers)."""
-    if x is None:
+def _fmt_rate(x: float) -> str:
+    """A secrecy rate for output: `infeasible` for 0.0 (no rate meets the
+    outage constraint; a feasible rate is positive), `unbounded` for inf
+    (no eavesdroppers)."""
+    if x == 0.0:
         return "infeasible"
     return "unbounded" if x == math.inf else _fmt(x)
 
@@ -132,7 +133,7 @@ def _config_header(cfg: ExperimentConfig) -> list[str]:
 
 
 def write_csv(fname: str, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    with open(fname, "w", newline="\n") as fh:
+    with open(fname, "w", encoding="utf-8", newline="\n") as fh:
         for line in _config_header(cfg):
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")

@@ -41,19 +41,12 @@ keep its truncated field: its tau is taken as 0, and the estimate, biased
 low, carries Campbell's bound b(R) = theta 2 pi lambda R^(2 - a) / (a - 2)
 on the outage it misses.
 
-Trials are processed in blocks by one loop, `_blocks`; hop k of block b
-owns a Philox stream keyed by (seed, k, b), on which `_block_draws` lays
-the block's disks end to end and draws one Poisson total of points on
-them, then each point's trial and r^2, their gains and the trials'
-legitimate gains h. Estimates depend only on the seed and parameters,
-never on how blocks are scheduled. A block holds BLOCK trials, fewer
-where a hop's disk would expect more than BLOCK_POINTS points in the
-block; a disk expecting more in one trial is an input error. Philox is
-counter-based, so every draw is read at its offset in the stream, and
-`_block_draws` sums a block's points RUN_POINTS at a time, with memory per
-chunk, not per block. `_blocks` yields a block's hop draws as a list. Under
-randomize-and-forward the path estimator ORs the per-hop outage events of
-a trial, and the memoryless hop estimator is its one-hop case.
+Trials are processed in blocks by one loop, `_blocks`, which gives the
+block layout; `_block_draws` gives the layout of a hop's stream within a
+block. So estimates depend only on the seed and the parameters, never on
+how blocks are scheduled. Under randomize-and-forward the path estimator
+ORs the per-hop outage events of a trial, and the memoryless hop estimator
+is its one-hop case.
 
 The hop estimators make one pass: each block's (interference, h) pair is
 drawn once, and on it `hop_sop_estimates` counts the memoryless event and
@@ -75,7 +68,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
-BLOCK_POINTS = 1 << 23  # expected eavesdropper points per hop and block
+TRIAL_POINTS = 1 << 23  # most expected eavesdropper points on one trial's disk
 RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized chunk
 TAIL_SHARE = 0.05  # most of a hop's outage exponent left to the exact far field
 
@@ -331,18 +324,19 @@ def _blocks(scenario: Scenario, radii, trials: int, seed: int):
     """Yield each block's size n and the list of its hops' (interference, h),
     hop k drawn on the disk of radius radii[k].
 
-    Hop k of block b draws from block_rng(seed, k, b). Every block but the
-    last holds min(BLOCK, BLOCK_POINTS // ceil(max_k lambda pi R_k^2)) trials.
+    Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1, and
+    its hop k draws from block_rng(seed, k, b), laid out as `_block_draws`
+    says. A disk expecting more than TRIAL_POINTS points in one trial is an
+    input error.
     """
     lam = scenario.lambda_e
     per_trial = max(lam * math.pi * radius * radius for radius in radii)
-    if per_trial > BLOCK_POINTS:
+    if per_trial > TRIAL_POINTS:
         raise ValueError(f"lambda_e = {lam:g} puts {per_trial:.3g} expected eavesdroppers "
                          f"on one hop's disk of radius {max(radii):g}, more than "
-                         f"{BLOCK_POINTS} per trial; lower lambda_e or window")
-    size = min(BLOCK, BLOCK_POINTS // max(math.ceil(per_trial), 1))
-    for block, done in enumerate(range(0, trials, size)):
-        n = min(size, trials - done)
+                         f"{TRIAL_POINTS} per trial; lower lambda_e or window")
+    for block, done in enumerate(range(0, trials, BLOCK)):
+        n = min(BLOCK, trials - done)
         yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, n)
                   for k, radius in enumerate(radii)]
 

@@ -15,7 +15,7 @@ of v' hops weighs at least D^2/v'. Once a candidate is feasible, both
 sweeps also bound each later budget's path by the weights already swept
 (`later_paths_may_win`): a path first found at budget v' > v sits at some
 node u after v hops, so it weighs at least best_v[u] + d(u, dest)^2 /
-(v' - v), and at least D^2/v'. They stop after budget v once no budget up
+(v' - v), never less than D^2/v'. They stop after budget v once no budget up
 to the last one later_rate_bounds leaves open can beat the best rate by
 that bound. On table-one's meshes this ends most sweeps at the winning
 budget, one or more budgets before the D^2/v' bound would.
@@ -109,7 +109,7 @@ class RoutingSolution:
     hop_budget_used: int
     rs_star: float
     c_s: float
-    # audit trail: (v, node sequence or None, metric or None) for each budget
+    # audit trail per budget: (v, node sequence or None, metric; 0.0 where infeasible)
     per_v_candidates: list
 
 
@@ -250,21 +250,21 @@ def later_rate_bounds(d2: np.ndarray, n: int, scenario) -> np.ndarray:
     return later
 
 
-def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarray:
+def later_paths_may_win(best, to_dst, v, later, rate, scenario) -> np.ndarray:
     """Whether a path first found after budget v could still decide a rate.
 
     best is the (R, N) row of budget v of R sweeps, each toward its own
     destination; to_dst[r, u] is node u's squared straight distance to
-    sweep r's destination (inf at the destination itself), d2[r] the
-    source's, rate[r] the best rate so far and later[r] the sweep's row of
-    later_rate_bounds. The last budget that row leaves open, vmax[r], is
-    the count of its leading entries above rate[r] (its entry v bounds
-    only budgets after v); the row never increases, so vmax[r] > v exactly
-    where later[r, v] > rate[r]. Returns (R,) bools: True where some budget
-    v' in (v, vmax] could hold a path that rates above rate, or whose
-    rs_star is at or near overflow and must be scored to raise. So False
-    where vmax <= v, the stop rule of later_rate_bounds alone; where rate
-    is 0, no path is feasible yet and that rule is the only one asked. A
+    sweep r's destination (inf at the destination itself), rate[r] the
+    best rate so far and later[r] the sweep's row of later_rate_bounds.
+    The last budget that row leaves open, vmax[r], is the count of its
+    leading entries above rate[r] (its entry v bounds only budgets after
+    v); the row never increases, so vmax[r] > v exactly where
+    later[r, v] > rate[r]. Returns (R,) bools: True where some budget v' in
+    (v, vmax] could hold a path that rates above rate, or whose rs_star is
+    at or near overflow and must be scored to raise. So False where
+    vmax <= v, the stop rule of later_rate_bounds alone; where rate is 0,
+    no path is feasible yet and that rule is the only one asked. A
     positive rate with vmax > v comes at a positive density, since at a
     zero one every rate is inf.
 
@@ -272,13 +272,18 @@ def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarra
     weight at least best[u]; its last v' - v join u to the destination,
     with weight at least to_dst[u] / (v' - v) (Cauchy-Schwarz, then the
     triangle inequality, which hold on edge lists too: hops are straight
-    segments). So its weight is at least max(d2 / v', min_u best[u] +
-    to_dst[u] / (v' - v)), never less than later_rate_bounds' d2 / v', and
-    its rate is bounded as there, with the same margin. Budget v + 1 is
-    tried first, in O(N) a sweep: its minimum is the destination's next
-    relax, and it leaves most early sweeps open. Only the sweeps it closes
-    try budgets v + 2 to vmax, as (sweep, budget) pairs, at most
-    _RELAX_CELLS candidate cells at a time.
+    segments). So its weight is at least min_u best[u] + to_dst[u] /
+    (v' - v), and its rate is bounded as in later_rate_bounds, with the
+    same margin. That weight bound is never below later_rate_bounds'
+    D^2 / v', D the source's straight distance to the destination: by the
+    same two steps best[u] >= d(s, u)^2 / v, and d(s, u)^2 / v +
+    d(u, t)^2 / (v' - v) >= (d(s, u) + d(u, t))^2 / v' >= D^2 / v'
+    (Cauchy-Schwarz in Engel form, then the triangle inequality).
+
+    Budget v + 1 is tried first, in O(N) a sweep: its minimum is the
+    destination's next relax, and it leaves most early sweeps open. Only
+    the sweeps it closes try budgets v + 2 to vmax, as (sweep, budget)
+    pairs, at most _RELAX_CELLS candidate cells at a time.
     """
     may = later[:, v] > rate
     pos = rate > 0.0
@@ -287,7 +292,7 @@ def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarra
         return may
     log_b = math.log2(weight_density_bound(1.0, scenario)) - math.log2(scenario.lambda_e)
     with np.errstate(divide="ignore", over="ignore"):
-        weight = _later_weights(best, to_dst, d2, v, v + 1)
+        weight = _later_weights(best, to_dst, v, v + 1)
         may &= ~pos | _exceeds(weight, v + 1, rate, log_b, scenario.alpha)
         todo = (~may & (later[:, v + 1] > rate)).nonzero()[0]
         if not len(todo):
@@ -299,18 +304,18 @@ def later_paths_may_win(best, to_dst, d2, v, later, rate, scenario) -> np.ndarra
         step = max(1, _RELAX_CELLS // best.shape[1])
         for i in range(0, len(rows), step):
             r, p = rows[i:i + step], vp[i:i + step]
-            weight = _later_weights(best[r], to_dst[r], d2[r], v, p)
+            weight = _later_weights(best[r], to_dst[r], v, p)
             may[r[_exceeds(weight, p, rate[r], log_b, scenario.alpha)]] = True
     return may
 
 
-def _later_weights(best, to_dst, d2, v, vp) -> np.ndarray:
+def _later_weights(best, to_dst, v, vp) -> np.ndarray:
     """(R,) lower bounds on the weight of a path first found at budget vp
     (one budget, or one a row) by the sweep whose budget-v row is best[r],
     as later_paths_may_win derives them; at vp = v + 1 each sum is the one
     relax takes for the destination."""
     k = np.reshape(vp - v, (-1, 1))
-    return np.maximum((best + to_dst / k).min(axis=1), d2 / vp)
+    return (best + to_dst / k).min(axis=1)
 
 
 def _exceeds(weight, vp, rate, log_b: float, alpha: float) -> np.ndarray:
@@ -362,8 +367,8 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
             c_s = [secrecy_rate(x, v, scenario) for x in cw[k, -1].tolist()]
             rates[live[k]] = np.maximum(rates[live[k]], c_s)
         np.minimum(cw, best, out=best)
-        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, to_dst[:, 0], v, later,
-                                                         rates[live], scenario)
+        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, v, later, rates[live],
+                                                         scenario)
     return rates
 
 
@@ -412,12 +417,11 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
         nonlocal best_metric, best_v, last_w, pruned
         w = float(row[dst])
         if w < last_w:
-            c_s = secrecy_rate(w, v, scenario)  # infeasible over the weight cutoff
-            metrics[v] = c_s if c_s > 0.0 else None
+            c_s = metrics[v] = secrecy_rate(w, v, scenario)  # 0.0 over the weight cutoff
             if c_s > best_metric:  # an infeasible c_s is 0
                 best_metric, best_v = c_s, v
         last_w = w
-        pruned = not later_paths_may_win(row[None], to_dst, d2, v, later,
+        pruned = not later_paths_may_win(row[None], to_dst, v, later,
                                          np.array([best_metric]), scenario)[0]
         return pruned
 
@@ -425,7 +429,7 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     if best_v is None:
         return None
     audit = []
-    seq = metric = None
+    seq, metric = None, 0.0
     for v in range(1, len(table.best)):
         if v in metrics:
             seq, metric = table.path_to(dest, v), metrics[v]

@@ -78,7 +78,7 @@ def best_route_oracle(topology: Topology, source: int, dest: int, scenario):
     best_metric = None
     for p in paths:
         m = path_metric(p, scenario)
-        if m is not None and (best_metric is None or m > best_metric):
+        if m > 0.0 and (best_metric is None or m > best_metric):
             best, best_metric = p, m
     if best is None:
         return None, None

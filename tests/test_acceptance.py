@@ -166,17 +166,17 @@ def test_criterion_8_rate_sweep_trends():
             sc = Scenario(4.0, float(lam), 0.1)
             m = analytics.path_metric(path, sc)
             # infeasibility onset coincides with the density bound exactly
-            assert (m is not None) == (sc.lambda_e < analytics.density_bound(path, sc))
-            if m is not None and prev is not None:
+            assert (m > 0.0) == (sc.lambda_e < analytics.density_bound(path, sc))
+            if m > 0.0 and prev is not None:
                 assert m < prev
-            prev = m if m is not None else prev
+            prev = m if m > 0.0 else prev
         prev = None
         for eps in eps_grid:
             sc = Scenario(4.0, 1e-5, float(eps))
             m = analytics.path_metric(path, sc)
-            if m is not None and prev is not None:
+            if m > 0.0 and prev is not None:
                 assert m > prev
-            prev = m if m is not None else prev
+            prev = m if m > 0.0 else prev
     report(8, True, "secrecy rate strictly decreasing in density, "
                     "strictly increasing in the outage budget; onset at the bound")
 

@@ -212,12 +212,12 @@ class TestPathMetric:
             sc = scen(lam=factor * analytics.density_bound(p, scen()))
             rs_star = analytics.optimal_rs(p, sc)
             metric = analytics.path_metric(p, sc)
-            assert (metric is None) == (rs_star == 0.0) == (factor > 1.0)
-            assert metric is None or metric == rs_star / p.hop_count
+            assert (metric == 0.0) == (rs_star == 0.0) == (factor > 1.0)
+            assert metric == rs_star / p.hop_count
         assert analytics.path_metric(p, scen(lam=0.0)) == math.inf
 
     def test_infeasible_is_none(self):
-        assert analytics.path_metric(straight_path(1e9), scen()) is None
+        assert analytics.path_metric(straight_path(1e9), scen()) == 0.0
 
     def test_hop_count_scaling(self):
         # same total weight, hop counts 2 and 3: metrics in ratio 3:2

@@ -273,6 +273,26 @@ class TestCsvDeterminism:
         assert "# seed = 99" in text
         assert "# trials = 10" in text
 
+    @pytest.mark.parametrize("command", ["sop-curve", "rate-vs-lambda", "rate-vs-epsilon",
+                                         "table-one", "validate"])
+    def test_written_as_utf8_whatever_the_locale(self, command, tmp_path):
+        # every CSV-writing subcommand, with Python warning on any open()
+        # that falls back to the locale's encoding; the header embeds the
+        # non-ASCII output path as UTF-8
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("trials = 100\nreps = 2\nn_legit = 10\nlambdas = 1e-5\n"
+                       "epsilons = 0.1\npowers = 80\n", encoding="utf-8")
+        out = tmp_path / "sortie-é.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "secroute.cli", command, "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert f"# out = {out}\n" in out.read_bytes().decode("utf-8")
+
 
 class TestCli:
     def test_route_default_topology(self, capsys):

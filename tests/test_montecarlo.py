@@ -266,8 +266,9 @@ class TestStreamOffsets:
 
 
 class TestBlockPoints:
-    """A block holds at most BLOCK_POINTS expected points on each hop. The
-    draws are stubbed, so no case allocates a point."""
+    """Every block holds BLOCK trials, however dense the field, and a disk
+    expecting more than TRIAL_POINTS points in one trial is an input error.
+    The draws are stubbed, so no case allocates a point."""
 
     @staticmethod
     def record_draws(monkeypatch):
@@ -280,19 +281,17 @@ class TestBlockPoints:
         monkeypatch.setattr(montecarlo, "_block_draws", draws)
         return calls
 
-    def test_dense_field_splits_blocks(self, monkeypatch):
+    def test_dense_field_keeps_full_blocks(self, monkeypatch):
         # lambda = 1 puts 5 649 expected points on the R = 42.4 disk of a
         # 10 m hop at alpha = 4 each trial, 9.3e7 in a block of BLOCK trials
         calls = self.record_draws(monkeypatch)
         sc = scen(lam=1.0)
         radius = hop_radius(1.0, 10.0, sc)
         assert radius == pytest.approx(42.43, abs=0.01)
+        assert sc.lambda_e * math.pi * radius ** 2 <= montecarlo.TRIAL_POINTS
         hop_sop_estimates(1.0, 10.0, sc, 100000, 1, [])
-        assert sum(n for n, _ in calls) == 100000
-        assert len(calls) > 100000 // montecarlo.BLOCK + 1
-        for n, r in calls:
-            assert r == radius
-            assert n * sc.lambda_e * math.pi * r ** 2 <= montecarlo.BLOCK_POINTS
+        full, last = divmod(100000, montecarlo.BLOCK)
+        assert calls == [(montecarlo.BLOCK, radius)] * full + [(last, radius)]
 
     def test_one_trial_over_the_cap_exits_2(self, monkeypatch, tmp_path, capsys):
         # 5.6e7 expected points on one trial's disk: no block size fits
@@ -772,40 +771,6 @@ class TestEstimatePathSop:
         topo = self.topo()
         with pytest.raises(ValueError, match=message):
             estimate_path_sop(rs, topo.path((0, 1)), topo, scen(), trials, seed=1)
-
-
-class TestWindowSufficiency:
-    def test_truncation_negligible(self):
-        # couple a default-window field with an independent annulus field:
-        # the extra far-away points must flip fewer outage indicators than
-        # one standard error of the estimate
-        sc = scen(lam=1e-5)
-        big = scen(lam=1e-5, window=4000.0)
-        rs, d = 1.0, 10.0
-        gain, d_a = 2.0 ** rs, d ** sc.alpha
-        n = 200000
-        rng = np.random.default_rng(314)
-        inner = np.zeros(n)
-        outer = np.zeros(n)
-        for which, target in ((sc, inner), (big, outer)):
-            counts = rng.poisson(which.lambda_e * which.window_area, n)
-            total = counts.sum()
-            half = which.sim_window[1]
-            xs = rng.uniform(-half, half, total)
-            ys = rng.uniform(-half, half, total)
-            if which is big:  # keep only the annulus outside the default window
-                mask = (np.abs(xs) > 1000.0) | (np.abs(ys) > 1000.0)
-            else:
-                mask = np.ones(total, dtype=bool)
-            g = -np.log1p(-rng.random(total))
-            contrib = np.where(mask, g * (xs ** 2 + ys ** 2) ** (-sc.alpha / 2), 0.0)
-            np.add.at(target, np.repeat(np.arange(n), counts), contrib)
-        h = -np.log1p(-rng.random(n))
-        base = h <= gain * d_a * inner
-        wide = h <= gain * d_a * (inner + outer)
-        p_base = base.mean()
-        stderr = math.sqrt(p_base * (1 - p_base) / n)
-        assert abs(wide.mean() - p_base) < stderr
 
 
 class TestPowerInvariance:

@@ -73,7 +73,7 @@ def score_every_budget_reference(topology, source, dest, scenario):
     audit = []
     for v in range(1, len(topology.order)):
         seq = table.path_to(dest, v)
-        metric = None if seq is None else analytics.path_metric(topology.path(seq), scenario)
+        metric = 0.0 if seq is None else analytics.path_metric(topology.path(seq), scenario)
         audit.append((v, seq, metric))
     return audit
 
@@ -224,7 +224,7 @@ class TestFixedPointStop:
             sc = scen(lam=lam)
             sol = routing.solve_secure_route(topo, src, dest, sc)
             ref = score_every_budget_reference(topo, src, dest, sc)
-            metrics = [m for _, _, m in ref if m is not None]
+            metrics = [m for _, _, m in ref if m > 0.0]
             if not metrics:
                 assert sol is None
                 continue
@@ -236,7 +236,7 @@ class TestFixedPointStop:
             k = len(sol.per_v_candidates)
             assert sol.per_v_candidates == ref[:k]
             for v, _, m in ref[k:]:
-                assert m is None or m <= sol.c_s
+                assert m <= sol.c_s
                 if m == sol.c_s:
                     assert v > v_star
             if kind == "large" and lam == 1e-5:
@@ -323,7 +323,7 @@ class TestFixedPointStop:
         sc = scen(lam=analytics.weight_density_bound(1.0, scen()) / 6000.0)
         sol = routing.solve_secure_route(topo, 0, 5, sc)
         ref = score_every_budget_reference(topo, 0, 5, sc)
-        assert ref[1][2] is not None  # the 2-hop detour is feasible, and loses
+        assert ref[1][2] > 0.0  # the 2-hop detour is feasible, and loses
         assert sol.path.nodes == (0, 2, 3, 4, 5)
         assert sol.per_v_candidates == ref[:4]
 
@@ -335,7 +335,7 @@ class TestFixedPointStop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = routing.solve_secure_route(topo, 0, 2, scen())
-        assert sol.per_v_candidates == [(1, None, None), (2, [0, 1, 2], sol.c_s)]
+        assert sol.per_v_candidates == [(1, None, 0.0), (2, [0, 1, 2], sol.c_s)]
 
 
 def prefix_case(kind, seed):
@@ -359,7 +359,7 @@ def prefix_case(kind, seed):
 PREFIX_CASES = [(kind, s) for kind in ("mesh", "graph", "colocated") for s in range(6)]
 
 
-def no_prefix_bound(best, to_dst, d2, v, later, rate, scenario):
+def no_prefix_bound(best, to_dst, v, later, rate, scenario):
     """later_paths_may_win with only the stop rule of later_rate_bounds."""
     return (later > rate[:, None]).sum(axis=1) > v
 
@@ -382,7 +382,7 @@ class TestPrefixBound:
         checked = tighter = closed = 0
         for v in range(1, len(col)):
             for vp in (vp for vp in first if vp > v):
-                bound = routing._later_weights(table.best[v][None], to_dst, d2, v, vp)[0]
+                bound = routing._later_weights(table.best[v][None], to_dst, v, vp)[0]
                 assert col[vp] >= bound * (1.0 - 1e-12)
                 checked += 1
                 tighter += bound > d2[0] / vp
@@ -392,7 +392,7 @@ class TestPrefixBound:
                             for vp in first if vp <= v], default=0.0)
                 later = routing.later_rate_bounds(d2, n, sc)
                 if rate > 0.0 and not routing.later_paths_may_win(
-                        table.best[v][None], to_dst, d2, v, later, np.array([rate]), sc)[0]:
+                        table.best[v][None], to_dst, v, later, np.array([rate]), sc)[0]:
                     closed += 1
                     for vp in (vp for vp in first if vp > v):
                         assert analytics.secrecy_rate(float(col[vp]), vp, sc) <= rate
@@ -438,10 +438,17 @@ class TestPrefixBound:
             run_table_one(ExperimentConfig(n_legit=(1,), reps=30, seed=3, alpha=1e308,
                                            lambda_e=1e-6))
         zero_rate = closed = near_max = 0
-        for best, to_dst, d2, v, later, rate, sc in calls:
-            got = real(best, to_dst, d2, v, later, rate, sc)
+        for best, to_dst, v, later, rate, sc in calls:
+            d2 = to_dst[:, 0]  # node 0 is every recorded sweep's source
+            got = real(best, to_dst, v, later, rate, sc)
             want = oracles.later_paths_may_win_reference(best, to_dst, d2, v, later, rate, sc)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            # why the bound needs no D^2/v' floor, which the reference keeps:
+            # at every later budget, each sweep's prefix bound is already at
+            # least d2 / v'
+            vp = np.arange(v + 1, later.shape[1])[:, None]
+            prefix = (best[None] + to_dst[None] / (vp - v)[:, :, None]).min(axis=2)
+            assert np.all(prefix >= d2 / vp * (1.0 - 1e-12))
             vmax = (later > rate[:, None]).sum(axis=1)
             zero_rate += int((rate == 0.0).sum())
             closed += int((vmax <= v).sum())
@@ -535,7 +542,7 @@ class TestSolveSecureRoute:
         # the direct hop's rate exceeds the rate bound of every longer path
         # over D = 20, so the sweep ends after budget 1
         assert sol.per_v_candidates == ref[:1]
-        assert sol.c_s == max(m for _, _, m in ref if m is not None)
+        assert sol.c_s == max(m for _, _, m in ref)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_topologies_match_oracle(self, seed):
