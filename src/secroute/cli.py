@@ -11,25 +11,26 @@ node/edge CSV row, named in the message, a non-finite density or power, a
 `window` whose area is not a finite float, a `route` source or destination
 that is not in the topology or that are the same node, a Monte Carlo run
 that cannot produce an estimate because no trial survives the on-off
-threshold, a `lambda_e` that expects more than 2^23 eavesdroppers on one
-hop's disk in a single trial, two nodes whose squared distance overflows a
-float, or an edge list in which N-1 times its largest edge weight
-overflows, named by id, and parameters whose arithmetic overflows a float,
-such as a huge power, rate or path-loss exponent, a `table-one` alpha
-whose secrecy-rate sums overflow, or a secrecy rate that overflows at a
-positive density; the message names the parameter, or the path's weight
-where the path is so short that its density bound overflows; and an input
-whose arrays cannot be allocated, with numpy's message), 3 I/O. When
-`route` finds no route it exits 1 and says why: `unreachable: no path from
-S to D` when no path joins them, `infeasible: no path satisfies the outage
-constraint at this eavesdropper density` when some path does but none
-meets the outage constraint. A `route` that finds one prints its
+threshold, a `validate` run with an empty `powers` list (`error: need at
+least one power level`), a `lambda_e` that expects more than 2^23
+eavesdroppers on one hop's disk in a single trial, two nodes whose squared
+distance overflows a float, or an edge list in which N-1 times its largest
+edge weight overflows, named by id, and parameters whose arithmetic
+overflows a float, such as a huge power, rate or path-loss exponent, a
+`table-one` alpha whose secrecy-rate sums overflow, or a secrecy rate that
+overflows at a positive density; the message names the parameter, or the
+path's weight where the path is so short that its density bound overflows;
+and an input whose arrays cannot be allocated, with numpy's message), 3
+I/O. When `route` finds no route it exits 1 and says why: `unreachable: no
+path from S to D` when no path joins them, `infeasible: no path satisfies
+the outage constraint at this eavesdropper density` when some path does
+but none meets the outage constraint. A `route` that finds one prints its
 per-hop-budget candidates; once no later budget's rate bound exceeds the
 best rate, the sweep ends and the table's last line reads `v>=k+1: pruned,
 no later budget's rate bound exceeds c_s`. A v-hop path has weight at
 least D^2/v, D the straight source-destination distance, and one first
-found after budget k at least best_k(u) + d(u, dest)^2 / (v - k), where
-u is its node after k hops and best_k(u) the least k-hop weight to u.
+found after budget k at least best_k(u) + d(u, dest)^2 / (v - k), where u
+is its node after k hops and best_k(u) the least k-hop weight to u.
 
 `sop-curve` and `validate` write each estimate's `tail`, the Laplace
 exponent of the eavesdroppers outside the simulated disks, which the

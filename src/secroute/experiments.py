@@ -180,19 +180,14 @@ def run_rate_sweeps(cfg: ExperimentConfig, param: str):
     return ["path_id", "hops", param, "c_s"], rows
 
 
-def placement(n_legit: int, rng) -> np.ndarray:
-    """(n_legit + 2, 2) node coordinates: a source at the central square's
-    lower-left corner (0, 0), n_legit relays i.i.d. uniform on the square,
-    and a destination at its upper-right corner (50, 50)."""
-    return placements(n_legit, 1, [rng])[0]
-
-
 def placements(n_legit: int, count: int, rngs) -> np.ndarray:
-    """(count, n_legit + 2, 2) stack of placement(n_legit, rng) for the
-    first `count` generators of the iterable `rngs`, each read in full
-    before the next is taken, so `rngs` may re-key one generator
-    (montecarlo.block_rngs). Raises ConfigError before any draw when
-    n_legit < 1."""
+    """(count, n_legit + 2, 2) node coordinates, one placement for each of
+    the first `count` generators of the iterable `rngs`: a source at the
+    central square's lower-left corner (0, 0), n_legit relays i.i.d.
+    uniform on the square, and a destination at its upper-right corner
+    (50, 50). Each generator is read in full before the next is taken, so
+    `rngs` may re-key one generator (montecarlo.block_rngs). Raises
+    ConfigError before any draw when n_legit < 1."""
     if n_legit < 1:
         raise ConfigError("n_legit must be >= 1")
     xy = np.empty((count, n_legit + 2, 2))
@@ -208,18 +203,18 @@ def placements(n_legit: int, count: int, rngs) -> np.ndarray:
 
 
 def random_placement(n_legit: int, rng) -> Topology:
-    """A full mesh on placement(n_legit, rng), node i at row i: the source
-    is id 0 and the destination id n_legit + 1."""
-    return build_topology([Node(i, x, y)
-                           for i, (x, y) in enumerate(placement(n_legit, rng).tolist())])
+    """A full mesh on placements(n_legit, 1, [rng])[0], node i at row i:
+    the source is id 0 and the destination id n_legit + 1."""
+    xy = placements(n_legit, 1, [rng])[0]
+    return build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
 
 
 def run_table_one(cfg: ExperimentConfig):
     """Average best secrecy rate over random topologies, per network size.
 
-    Rep `rep` of size index n_idx is placement(n, block_rng(seed, n_idx,
-    rep)) routed from its source to its destination; a size's reps draw
-    their placements from one generator re-keyed per rep
+    Rep `rep` of size index n_idx is placements(n, 1, [block_rng(seed,
+    n_idx, rep)])[0] routed from its source to its destination; a size's
+    reps draw their placements from one generator re-keyed per rep
     (montecarlo.block_rngs), the same streams. A size's reps are
     swept SWEEP_CELLS weight cells at a time, as one stack, by
     routing.mesh_secrecy_rates, which gives each rep the c_s that
@@ -235,14 +230,11 @@ def run_table_one(cfg: ExperimentConfig):
     rows = []
     for n_idx, n in enumerate(cfg.n_legit):
         size_rates = []  # in rep order
-        n_infeasible = 0
         chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placements rejects n < 1
         rngs = montecarlo.block_rngs(cfg.seed, n_idx, range(cfg.reps))
         for start in range(0, cfg.reps, chunk):
             xy = placements(n, min(chunk, cfg.reps - start), rngs)
-            rates = routing.mesh_secrecy_rates(mesh_weights(xy), scenario)
-            n_infeasible += int((rates == 0.0).sum())
-            size_rates += rates.tolist()
+            size_rates += routing.mesh_secrecy_rates(mesh_weights(xy), scenario).tolist()
         total = 0.0
         for c in size_rates:  # in rep order, as the per-rep sums ran
             total += c
@@ -258,7 +250,8 @@ def run_table_one(cfg: ExperimentConfig):
                 raise OverflowError(f"alpha = {cfg.alpha:g} overflows a float in "
                                     f"the sum of table-one's secrecy rates")
             stderr = math.sqrt(sq / cfg.reps / cfg.reps)
-        rows.append((n, mean, stderr, n_infeasible / cfg.reps, cfg.reps, cfg.seed))
+        # an infeasible rep's rate is 0.0; a feasible one is positive (inf at lambda_e = 0)
+        rows.append((n, mean, stderr, size_rates.count(0.0) / cfg.reps, cfg.reps, cfg.seed))
     header = ["n_legit", "mean_c_s", "stderr", "infeasible_frac", "reps", "seed"]
     return header, rows
 

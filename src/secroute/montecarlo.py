@@ -383,20 +383,19 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     if not (0.0 < rs < math.inf and 0.0 < dist < math.inf):
         raise ValueError("rs and dist must be positive and finite")
     # replace() validates each power as a Scenario would; the filter reads
-    # only the linear power, so each distinct one is applied once
+    # only the linear power, so each distinct one is applied once, its
+    # [outages, survivors] tallied under it
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
-    distinct = list(dict.fromkeys(powers))
+    counts = {p: [0, 0] for p in powers}
     (theta,), radii, tail, bias_bound = _hop_fields(rs, [dist], scenario)
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
     n_memoryless = 0
-    n_outage = [0] * len(distinct)
-    n_effective = [0] * len(distinct)
     for n, draws in _blocks(scenario, radii, trials, seed):
         (interference, h), = draws
         n_memoryless += _outages([theta], n, draws)
-        for i, p in enumerate(distinct):
+        for p, tally in counts.items():
             # h / 0.0 is the infinite-SNR limit of a vanishing hop: every
             # trial survives the filter and none falls short
             with np.errstate(divide="ignore"):
@@ -404,11 +403,10 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             keep = snr > beta_t
             snr_sum = p * interference[keep]
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
-            n_outage[i] += int(np.count_nonzero(shortfall))
-            n_effective[i] += int(np.count_nonzero(keep))
-    rejection = [_estimate(o, e, tail, bias_bound) for o, e in zip(n_outage, n_effective)]
+            tally[0] += int(np.count_nonzero(shortfall))
+            tally[1] += int(np.count_nonzero(keep))
     return (_estimate(n_memoryless, trials, tail, bias_bound),
-            [rejection[distinct.index(p)] for p in powers])
+            [_estimate(*counts[p], tail, bias_bound) for p in powers])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,

@@ -342,13 +342,13 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     mesh leaves the stack at its fixed point, or once no later budget's
     bound exceeds its best rate: neither the straight-line bound (later_rate_bounds) nor, once
     that rate is positive, the bound from the weights swept so far
-    (later_paths_may_win, which reads the destination's column, carried
-    and compacted with the stack). That is the rule solve_secure_route's
-    sweep stops by, on the same rates.
+    (later_paths_may_win, which reads the destination's row of the stack:
+    its column, as w is symmetric, inf at the destination; the row is
+    contiguous in each mesh). That is the rule solve_secure_route's sweep
+    stops by, on the same rates.
     """
     r, n, _ = w.shape
-    to_dst = w[:, :, -1].copy()  # carried with w; inf at the destination
-    later = later_rate_bounds(to_dst[:, 0], n, scenario)
+    later = later_rate_bounds(w[:, 0, -1], n, scenario)
     rates = np.zeros(r)
     live = np.arange(r)
     best = np.full((r, n), np.inf)
@@ -356,7 +356,7 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
     keep = later[:, 0] > 0.0
     for v in range(1, n):
         if not keep.all():
-            live, to_dst, best, later = (x[keep] for x in (live, to_dst, best, later))
+            live, best, later = (x[keep] for x in (live, best, later))
             if not len(live):
                 break
             w = _compact(w, keep)
@@ -367,7 +367,7 @@ def mesh_secrecy_rates(w: np.ndarray, scenario):
             c_s = [secrecy_rate(x, v, scenario) for x in cw[k, -1].tolist()]
             rates[live[k]] = np.maximum(rates[live[k]], c_s)
         np.minimum(cw, best, out=best)
-        keep = improve.any(axis=1) & later_paths_may_win(best, to_dst, v, later, rates[live],
+        keep = improve.any(axis=1) & later_paths_may_win(best, w[:, -1], v, later, rates[live],
                                                          scenario)
     return rates
 

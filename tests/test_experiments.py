@@ -18,7 +18,6 @@ from secroute.experiments import (
     FIG_PATHS,
     PLACEMENT_BOX,
     parse_config,
-    placement,
     placements,
     random_placement,
     run_rate_sweeps,
@@ -219,12 +218,12 @@ class TestPlacements:
     def test_rekeyed_equal_placement(self, seed, n_idx, rep0):
         reps = range(rep0, rep0 + 7)
         got = placements(9, len(reps), montecarlo.block_rngs(seed, n_idx, reps))
-        want = np.stack([placement(9, block_rng(seed, n_idx, rep)) for rep in reps])
+        want = np.stack([placements(9, 1, [block_rng(seed, n_idx, rep)])[0] for rep in reps])
         assert got.tobytes() == want.tobytes()
 
     def test_relays_are_uniform_draws(self):
         # the relays are rng.uniform(0, PLACEMENT_BOX) doubles, x then y
-        xy = placement(6, block_rng(3, 1, 4))
+        xy = placements(6, 1, [block_rng(3, 1, 4)])[0]
         assert xy[1:-1].tobytes() == block_rng(3, 1, 4).uniform(0.0, PLACEMENT_BOX,
                                                                  (6, 2)).tobytes()
         assert xy[0].tolist() == [0.0, 0.0] and xy[-1].tolist() == [PLACEMENT_BOX] * 2
@@ -232,7 +231,7 @@ class TestPlacements:
     @pytest.mark.parametrize("cells", [1, 40, 400, 4000])
     def test_table_one_chunks_draw_each_rep_once(self, monkeypatch, cells):
         # a size's reps cross SWEEP_CELLS chunks on one re-keyed generator;
-        # the stacks swept are placement(n, block_rng(seed, n_idx, rep)) in rep order
+        # the stacks swept are placements(n, 1, [block_rng(seed, n_idx, rep)])[0] in rep order
         monkeypatch.setattr(experiments, "SWEEP_CELLS", cells)
         stacks = []
         real = experiments.mesh_weights
@@ -244,7 +243,8 @@ class TestPlacements:
             mine = [xy for xy in stacks if xy.shape[1] == n + 2]
             chunk = max(1, cells // (n + 2) ** 2)
             assert [len(xy) for xy in mine] == [min(chunk, 13 - s) for s in range(0, 13, chunk)]
-            want = np.stack([placement(n, block_rng(cfg.seed, n_idx, rep)) for rep in range(13)])
+            want = np.stack([placements(n, 1, [block_rng(cfg.seed, n_idx, rep)])[0]
+                             for rep in range(13)])
             assert np.concatenate(mine).tobytes() == want.tobytes()
 
     def test_bad_n_legit_draws_nothing(self):

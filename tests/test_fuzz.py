@@ -19,7 +19,7 @@ import pytest
 from secroute.cli import main
 from secroute.experiments import EXPERIMENTS
 
-CASES = 40
+CASES = 100
 
 # per key: values a run accepts, at ordinary and boundary points, and
 # values it must reject (or that leave no valid result, such as a density

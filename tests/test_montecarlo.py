@@ -20,7 +20,7 @@ from secroute.montecarlo import (
     power_invariance_check,
 )
 from secroute.cli import main
-from secroute.experiments import FIG_PATHS, placement, six_node_topology
+from secroute.experiments import FIG_PATHS, placements, six_node_topology
 from secroute.routing import solve_secure_route
 
 import oracles
@@ -564,9 +564,9 @@ class TestUnbiased:
 class TestRoutedPathSop:
     """The router's own answer, simulated: on K seeded 50-relay placements,
     the path solve_secure_route picks, at its rate rs*, has outage
-    probability epsilon. Placement rep i is placement(50, block_rng(505,
-    alpha index, i)) and its estimate uses seed 6000 + i; K and the seeds
-    were fixed before any z was seen."""
+    probability epsilon. Placement rep i is placements(50, 1,
+    [block_rng(505, alpha index, i)])[0] and its estimate uses seed 6000 + i;
+    K and the seeds were fixed before any z was seen."""
 
     K = 20
 
@@ -577,7 +577,7 @@ class TestRoutedPathSop:
         z_max = statistics.NormalDist().inv_cdf(1.0 - 0.01 / (2 * 2 * self.K))
         zs = []
         for rep in range(self.K):
-            xy = placement(50, block_rng(505, a_idx, rep))
+            xy = placements(50, 1, [block_rng(505, a_idx, rep)])[0]
             topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
             sol = solve_secure_route(topo, 0, 51, sc)
             assert analytics.path_sop(sol.rs_star, sol.path, sc) == pytest.approx(sc.epsilon)

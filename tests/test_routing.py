@@ -7,7 +7,7 @@ import pytest
 
 from secroute import Node, Scenario, build_topology
 from secroute import analytics, montecarlo, routing
-from secroute.experiments import ExperimentConfig, placement, run_table_one, six_node_topology
+from secroute.experiments import ExperimentConfig, placements, run_table_one, six_node_topology
 from secroute.netmodel import _squared_distances, mesh_weights
 
 import oracles
@@ -303,7 +303,7 @@ class TestFixedPointStop:
     def test_infeasible_large_mesh_stops_after_budget_one(self, monkeypatch):
         # 2000 relays on the 50 x 50 square at lambda_e = 1: the bound rules
         # out every budget after the first, so the sweep keeps rows 0 and 1
-        xy = placement(2000, np.random.default_rng([1, 1]))
+        xy = placements(2000, 1, [np.random.default_rng([1, 1])])[0]
         topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
         sweep = routing.bellman_ford_hop_constrained
         tables = []
@@ -403,7 +403,7 @@ class TestPrefixBound:
     def test_large_mesh_ends_at_winner(self, monkeypatch):
         # 600 relays on the 50 x 50 square: the best path has 6 hops, and the
         # sweep ends there; the D^2/v' bound alone sweeps one budget more
-        xy = placement(600, montecarlo.block_rng(1, 0, 0))
+        xy = placements(600, 1, [montecarlo.block_rng(1, 0, 0)])[0]
         topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
         sweep = routing.bellman_ford_hop_constrained
         tables = []
@@ -431,7 +431,8 @@ class TestPrefixBound:
 
         monkeypatch.setattr(routing, "later_paths_may_win", spy)
         run_table_one(ExperimentConfig(reps=20, seed=1441))
-        xy = placement(600, np.random.default_rng([1, 1]))  # perfbench's route-large, seed 1
+        # perfbench's route-large, seed 1
+        xy = placements(600, 1, [np.random.default_rng([1, 1])])[0]
         topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
         routing.solve_secure_route(topo, 0, 601, scen())
         with pytest.raises(OverflowError):
@@ -623,7 +624,7 @@ def stacked_case(seed):
     lambda_e = 1e-5, where the prefix rate bound ends most sweeps."""
     rng = np.random.default_rng(900 + seed)
     if seed in DENSE_SEEDS:
-        xy = np.stack([placement(100, montecarlo.block_rng(seed, 0, rep)) for rep in range(5)])
+        xy = placements(100, 5, montecarlo.block_rngs(seed, 0, range(5)))
         return xy, Scenario(float(rng.uniform(3.5, 4.5)), 1e-5, 0.1)
     n = int(rng.integers(3, 40))
     box = float(rng.uniform(1.0, 200.0))
@@ -722,8 +723,40 @@ class TestMeshSecrecyRates:
         if edge:
             assert 0.0 < rates[0] < 1e-9
 
+    @pytest.mark.parametrize("seed", [31, 36, 37, 136])
+    def test_meshes_leave_at_different_budgets(self, seed, monkeypatch):
+        # 10 meshes of 16 nodes, endpoints included, i.i.d. uniform on
+        # squares that shrink along the stack: the first, largest meshes
+        # are infeasible and leave before budget 1, so every later mesh
+        # sits at a smaller index of the compacted stack than of the one
+        # passed in, and the others leave at budgets of their own
+        rng = np.random.default_rng(seed)
+        scales = np.sort(rng.uniform(0.5, 3.0, 10))[::-1]
+        xy = rng.uniform(0.0, 10.0, (10, 16, 2)) * scales[:, None, None]
+        sc = scen(lam=float(10 ** rng.uniform(-5, -2)))
+        d2 = mesh_weights(xy)[:, 0, -1]
+        swept = []  # each relax's meshes, by their source-destination entry
+        relax = routing.relax
+        monkeypatch.setattr(routing, "relax",
+                            lambda w, best: swept.append(w[:, 0, -1].tolist()) or relax(w, best))
+        rates = routing.mesh_secrecy_rates(mesh_weights(xy), sc)
+        monkeypatch.undo()
+        first = routing.later_rate_bounds(d2, 16, sc)[:, 0] <= 0.0
+        assert first.any() and not first.all()
+        left = {}  # budget after which a mesh left -> by fixed point or by bound
+        for k, pts in enumerate(xy.tolist()):
+            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+            sol = routing.solve_secure_route(topo, 0, 15, sc)
+            assert rates[k] == (sol.c_s if sol is not None else 0.0)
+            if not first[k]:
+                v = 1 + sum(d2[k] in s for s in swept)  # relax runs from budget 2
+                v_fix = len(routing.bellman_ford_hop_constrained(topo, 0, 15).best) - 1
+                left.setdefault(v, set()).add(v > v_fix)
+        assert len(left) > 2
+        assert set.union(*left.values()) == {True, False}
+
     def test_stop_ends_before_fixed_point(self, monkeypatch):
-        xy = placement(100, montecarlo.block_rng(3, 0, 0))
+        xy = placements(100, 1, [montecarlo.block_rng(3, 0, 0)])[0]
         topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
         v_fix = len(routing.bellman_ford_hop_constrained(topo, 0, 101).best) - 1
         c_s = routing.solve_secure_route(topo, 0, 101, scen()).c_s
@@ -798,7 +831,7 @@ class TestRelax:
 
     def test_blocks_change_no_route(self, monkeypatch):
         n = 1500
-        xy = placement(n - 2, montecarlo.block_rng(5, 0, 0))
+        xy = placements(n - 2, 1, [montecarlo.block_rng(5, 0, 0)])[0]
         topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
         sol = routing.solve_secure_route(topo, 0, n - 1, scen())
         tab = routing.bellman_ford_hop_constrained(topo, 0, n - 1)
