@@ -5,8 +5,8 @@
 
 Every flag overrides its config key; only `route` reads the last four.
 
-Exit codes: 0 success, 1 infeasible/unreachable or a `validate` row that
-is not a plain pass, 2 invalid config or input (including a malformed
+Exit codes: 0 success, 1 infeasible/unreachable or a failed `validate`
+row, 2 invalid config or input (including a malformed
 node/edge CSV row, named in the message, a non-finite density or power, a
 `window` whose area is not a finite float, a `route` source or destination
 that is not in the topology or that are the same node, a Monte Carlo run
@@ -34,17 +34,12 @@ is its node after k hops and best_k(u) the least k-hop weight to u.
 
 `sop-curve` and `validate` write each estimate's `tail`, the Laplace
 exponent of the eavesdroppers outside the simulated disks, which the
-estimate adds exactly, and its `bias_bound`: the remainder of the series
-that sums `tail`, at its rounding level, plus, for a hop whose disk a
-`window` smaller than (2 theta)^(1/alpha) caps (theta = 2^rs d^alpha),
-the most by which that hop's truncated field can bias the estimate low.
-A `validate` mode row passes (`1`, printed `[pass]`) when the closed form
-lies in [mc - 3 stderr, mc + 3 stderr + bias_bound]; it reads `weak`
-(`[weak]`) when it lies there but the bound exceeds the stderr, which
-takes such a small window, and `0` (`[FAIL]`) otherwise; a zero stderr
-reads as the simulated disks' binomial one at the closed form, mapped by
-the far field (see montecarlo.SopEstimate).
-`validate` exits 0 only when every row is `1`.
+estimate adds exactly at any `window`. A `validate` mode row passes (`1`,
+printed `[pass]`) when the closed form lies in [mc - 3 stderr,
+mc + 3 stderr], and fails (`0`, `[FAIL]`) otherwise; a zero stderr reads
+as the simulated disks' binomial one at the closed form, mapped by the far
+field (see montecarlo.SopEstimate). `validate` exits 0 only when every row
+is `1`.
 
 A zero eavesdropper density leaves the secrecy rate unbounded: `route`
 prints `unbounded` for rs_star, c_s and each budget's metric, and
@@ -129,9 +124,8 @@ def _route(cfg, out):
 
 def _validate(cfg, out):
     ok, header, rows = experiments.run_validate(cfg)
-    verdicts = {1: "pass", "weak": "weak", 0: "FAIL"}
-    lines = [f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} [{verdicts[row[-1]]}]"
-             for row in rows]
+    lines = [f"{row[0]}: mc={row[4]:.6g} analytic={row[3]:.6g} "
+             f"[{'pass' if row[-1] else 'FAIL'}]" for row in rows]
     return (EXIT_OK if ok else EXIT_INFEASIBLE), (header, rows), lines + [f"wrote {out}"]
 
 

@@ -165,10 +165,9 @@ def run_sop_curve(cfg: ExperimentConfig):
         analytic = analytics.path_sop(cfg.rs, path, sc)
         seed = _row_seed(cfg.seed, idx)
         est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc, cfg.trials, seed)
-        rows.append((*key, analytic, est.mean, est.stderr, est.bias_bound, est.tail,
-                     est.trials, seed))
+        rows.append((*key, analytic, est.mean, est.stderr, est.tail, est.trials, seed))
     header = ["path_id", "hops", "lambda_e", "analytic_sop",
-              "mc_mean", "mc_stderr", "bias_bound", "tail", "trials", "seed"]
+              "mc_mean", "mc_stderr", "tail", "trials", "seed"]
     return header, rows
 
 
@@ -300,29 +299,28 @@ def run_validate(cfg: ExperimentConfig):
     Compares both conditioning modes against the analytic value and runs
     the transmit-power invariance check, all from one pass over the draws.
     A mode's row passes (`1`) when the closed form lies in
-    [mc - 3 stderr, mc + 3 stderr + bias_bound], and reads `weak` instead
-    when its bias bound exceeds its stderr, which takes a window too small
-    for the far-field series (a zero stderr reads as the disks' binomial
-    one at the closed form; see SopEstimate). Each row also writes the far field's
-    exponent `tail`. The power rows compare estimates on the same draws,
-    whose simulated means are equal, so the bound does not enter them.
-    Returns (ok, header, rows) for CSV output; ok only when every row passes.
+    [mc - 3 stderr, mc + 3 stderr] (a zero stderr reads as the disks'
+    binomial one at the closed form; see SopEstimate), and fails (`0`)
+    otherwise. Each row also writes the far field's exponent `tail`, added
+    exactly at any window. Returns (ok, header, rows) for CSV output; ok
+    only when every row passes. An empty `powers` list raises ConfigError
+    before any draw.
     """
+    if not cfg.powers:
+        raise ConfigError("need at least one power level")
     scenario = cfg.scenario()
     analytic = analytics.hop_sop(cfg.rs, cfg.dist, scenario)
     memoryless, rejection = montecarlo.hop_sop_estimates(
         cfg.rs, cfg.dist, scenario, cfg.trials, cfg.seed, [cfg.power_db, *cfg.powers])
     rows = []
     for mode, est in (("memoryless", memoryless), ("rejection", rejection[0])):
-        verdict = ("weak" if est.weak(analytic) else 1) if est.covers(analytic) else 0
         rows.append((mode, cfg.rs, cfg.dist, analytic, est.mean, est.stderr,
-                     est.bias_bound, est.tail, est.trials, verdict))
+                     est.tail, est.trials, int(est.covers(analytic))))
     violations = montecarlo.power_invariance_report(cfg.powers, rejection[1:])
     for pdb, est in zip(cfg.powers, rejection[1:]):
         rows.append((f"rejection@{_fmt(pdb)}dB", cfg.rs, cfg.dist, analytic,
-                     est.mean, est.stderr, est.bias_bound, est.tail, est.trials,
-                     int(not violations)))
+                     est.mean, est.stderr, est.tail, est.trials, int(not violations)))
     ok = all(row[-1] == 1 for row in rows)
     header = ["mode", "rs", "dist", "analytic_sop", "mc_mean", "mc_stderr",
-              "bias_bound", "tail", "trials", "pass"]
+              "tail", "trials", "pass"]
     return ok, header, rows

@@ -12,34 +12,32 @@ The field outside a hop's disk is added exactly. It is a PPP on a region
 disjoint from the disk, so it is independent of the simulated points, and
 a hop is in outage when h <= theta * I with theta = 2^rs * d^a and
 h ~ Exp(1). So P(no outage) is the simulated one times exp(-tau(R)), where
-tau is the far field's Laplace exponent, an alternating series for
-x = theta R^-a < 1 (Haenggi, Stochastic Geometry for Wireless Networks):
+tau is the far field's Laplace exponent 2 pi lambda Int_R^inf theta r /
+(r^a + theta) dr. The substitution t = r^a / theta gives it for every R
+(Haenggi, Stochastic Geometry for Wireless Networks; DLMF 8.17):
 
-    tau(R) = 2 pi lambda R^2 sum_{k>=1} (-1)^(k+1) x^k / (k a - 2).
+    tau(R) = K1 theta^(2/a) I_{x/(1+x)}(1 - 2/a, 2/a),   x = theta R^-a,
 
-With T the sum of the hops' tau, a simulated mean m maps to
+K1 = pi lambda G(1 + 2/a) G(1 - 2/a), G the gamma function, and I the
+regularized incomplete beta function, summed by `_beta_share`. So I is
+the share of the hop's closed-form exponent K1 theta^(2/a) that lies
+beyond R. With T the sum of the hops' tau, a simulated mean m maps to
 1 - exp(-T) (1 - m) and its stderr to exp(-T) stderr. The rejection
 estimates map the same way: given survival of the on-off filter, their
 outage event is the memoryless one with a shifted, again Exp(1), gain.
-The series alternates with shrinking terms, so tau is at most its first
-term, and its remainder at most the first term left out; that remainder,
-carried through the map, is the estimate's `bias_bound`.
 
-Hop k's disk has radius R_k = min(cap, max(c_a theta_k^(1/a),
-(2 theta_k)^(1/a))), cap the radius of the disk inscribed in the
-scenario's `sim_window` and
+Hop k's disk has radius R_k = min(cap, c_a theta_k^(1/a)), cap the
+radius of the disk inscribed in the scenario's `sim_window` and
 
-    c_a = (2 / (TAIL_SHARE (a - 2) G(1 + 2/a) G(1 - 2/a)))^(1/(a - 2)),
+    c_a = (2 / (TAIL_SHARE (a - 2) G(1 + 2/a) G(1 - 2/a)))^(1/(a - 2)).
 
-G the gamma function. The first radius makes tau's first term
-TAIL_SHARE of the hop's closed-form exponent K1 theta^(2/a), so the
-simulation still carries at least 1 - TAIL_SHARE of every hop's outage
-exponent and stays an independent check; the second keeps x <= 1/2, so a
-few dozen terms reach double precision. R depends on neither lambda nor
-the trial count. Only where the cap is below (2 theta)^(1/a) does a hop
-keep its truncated field: its tau is taken as 0, and the estimate, biased
-low, carries Campbell's bound b(R) = theta 2 pi lambda R^(2 - a) / (a - 2)
-on the outage it misses.
+Since theta / (r^a + theta) < theta r^-a, tau(R) is below
+2 pi lambda theta R^(2 - a) / (a - 2), and c_a makes that bound
+TAIL_SHARE of K1 theta^(2/a). So where the cap does not bind, the
+simulation carries at least 1 - TAIL_SHARE of the hop's outage exponent
+and stays an independent check; where it binds, the far field carries
+more, and an estimate's share of it is tail / -ln(1 - p) at a closed
+form p. R depends on neither lambda nor the trial count.
 
 Trials are processed in blocks by one loop, `_blocks`, which gives the
 block layout; `_block_draws` gives the layout of a hop's stream within a
@@ -87,12 +85,8 @@ class SopEstimate:
     """An outage-probability estimate from `trials` simulated trials.
 
     `tail` is the summed far-field exponent T added exactly to the
-    simulated disks. `bias_bound` bounds what the estimate misses: the
-    remainder of T's series, at the rounding level of T, plus, for a hop
-    whose disk the window caps below (2 theta)^(1/alpha), Campbell's bound
-    on its truncated field, which biases `mean` low. So a closed form p is
-    consistent with the estimate when it lies in
-    [mean - 3 stderr, mean + 3 stderr + bias_bound]. A stderr of 0 (no
+    simulated disks. A closed form p is consistent with the estimate when
+    it lies in [mean - 3 stderr, mean + 3 stderr]. A stderr of 0 (no
     trial, or every trial, in outage) reads as the binomial stderr of the
     simulated disks at p, mapped as `_estimate` maps it: exp(-tail)
     sqrt(m (1 - m) / trials), m = 1 - exp(tail) (1 - p) clamped to [0, 1].
@@ -101,7 +95,6 @@ class SopEstimate:
     mean: float
     stderr: float
     trials: int
-    bias_bound: float
     tail: float
 
     def _stderr_at(self, p: float) -> float:
@@ -112,13 +105,9 @@ class SopEstimate:
         return keep * math.sqrt(m * (1.0 - m) / self.trials)
 
     def covers(self, p: float) -> bool:
-        """Whether p lies in [mean - 3 stderr, mean + 3 stderr + bias_bound]."""
+        """Whether p lies in [mean - 3 stderr, mean + 3 stderr]."""
         spread = 3.0 * self._stderr_at(p)
-        return self.mean - spread <= p <= self.mean + spread + self.bias_bound
-
-    def weak(self, p: float) -> bool:
-        """The bias bound exceeds the stderr, so covering p checks it only weakly."""
-        return self.bias_bound > self._stderr_at(p)
+        return self.mean - spread <= p <= self.mean + spread
 
 
 class _ZeroSeed(ISeedSequence):
@@ -219,56 +208,69 @@ def _log_theta(rs: float, dist: float, alpha: float) -> float:
     return log_gain + log_path
 
 
+def _beta_share(log_x: float, p: float, q: float) -> float:
+    """The regularized incomplete beta function I_z(p, q) at z = x / (1 + x),
+    x = exp(log_x), for p + q = 1 (DLMF 8.17(ii)).
+
+    Where x <= 1, so z <= 1/2, it sums the series
+
+        I_z(p, q) = z^p sum_{n>=0} (p)_n z^n / (n! (p + n)) / (G(p) G(q)),
+
+    whose terms fall at least as fast as 2^-n, so a few dozen reach double
+    precision; where x > 1 it reflects, I_z(p, q) = 1 - I_{1-z}(q, p), and
+    1 - z = x' / (1 + x') with log x' = -log_x. log z is taken as
+    log x - log1p(x), so a z that underflows reads 0.
+    """
+    if log_x > 0.0:
+        return 1.0 - _beta_share(-log_x, q, p)
+    log_z = log_x - math.log1p(math.exp(log_x))
+    z = math.exp(log_z)
+    total, n, coef, term = 0.0, 0, 1.0, 1.0 / p  # coef = (p)_n z^n / n!
+    while total + term > total:
+        total += term
+        coef *= (p + n) * z / (n + 1)
+        n += 1
+        term = coef / (p + n)
+    return math.exp(p * log_z) * total / (math.gamma(p) * math.gamma(q))
+
+
 def _hop_field(log_theta: float, scenario: Scenario, cap: float):
-    """Disk radius R of a hop with outage scale theta = exp(log_theta), its
-    far-field exponent tau(R), the first series term not summed, and, in
-    the fallback (cap below (2 theta)^(1/alpha)), tau = 0 with Campbell's
-    bound b(R), at most 1, in place of a remainder.
+    """Disk radius R of a hop with outage scale theta = exp(log_theta), and
+    its far-field exponent tau(R) = K1 theta^(2/a) I_{x/(1+x)}(1 - 2/a, 2/a),
+    x = theta R^-alpha.
 
     R is computed in logs, so that alpha near 2 reaches the cap instead of
     overflowing; a radius that underflows keeps the least positive float.
+    A log theta of -inf, theta = 0 exactly, puts no hop in outage, so its
+    tau is 0.
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
-    log_half = (_LN2 + log_theta) / alpha  # theta R^-alpha = 1/2
-    # first term 2 pi lambda theta R^(2 - a) / (a - 2) = TAIL_SHARE K1 theta^(2/a)
-    log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0)
-             - math.lgamma(1.0 + 2.0 / alpha) - math.lgamma(1.0 - 2.0 / alpha)) / (alpha - 2.0)
-    log_r = max(log_c + log_theta / alpha, log_half)
-    log_cap = math.log(cap)
-    radius = cap if log_r >= log_cap else max(math.exp(log_r), math.ulp(0.0))
-    if lam == 0.0:
-        return radius, 0.0, 0.0, 0.0
+    log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
+    # tau's bound 2 pi lambda theta R^(2 - a) / (a - 2) = TAIL_SHARE K1 theta^(2/a)
+    log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0) - log_gammas) / (alpha - 2.0)
+    log_r = log_c + log_theta / alpha
+    radius = cap if log_r >= math.log(cap) else max(math.exp(log_r), math.ulp(0.0))
+    if lam == 0.0 or log_theta == -math.inf:
+        return radius, 0.0
+    # K1 theta^(2/a), each factor finite, so an overflow reads inf
+    exponent = math.pi * lam * math.exp(log_gammas) * math.exp(2.0 * log_theta / alpha)
     log_x = log_theta - alpha * math.log(radius)
-    if log_half > log_cap:
-        log_b = (log_x + math.log(2.0 * math.pi * lam) + 2.0 * math.log(radius)
-                 - math.log(alpha - 2.0))
-        return radius, 0.0, 0.0, math.exp(min(log_b, 0.0))
-    x = math.exp(log_x)
-    total, k, x_k = 0.0, 1, x
-    term = x / (alpha - 2.0)
-    while total + term != total:
-        total += term if k % 2 else -term
-        k += 1
-        x_k *= x
-        term = x_k / (k * alpha - 2.0)
-    scale = 2.0 * math.pi * lam * radius * radius
-    return radius, scale * total, scale * term, 0.0
+    return radius, exponent * _beta_share(log_x, (alpha - 2.0) / alpha, 2.0 / alpha)
 
 
 def _hop_fields(rs: float, dists, scenario: Scenario):
-    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, the
-    summed far-field exponent T, and the estimate's bias bound
-    exp(-T) (expm1(summed remainders) + summed Campbell bounds)."""
+    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, and
+    the summed far-field exponent T."""
     xmin, xmax, ymin, ymax = scenario.sim_window
     cap = 0.5 * min(xmax - xmin, ymax - ymin)
-    thetas, radii, tail, remainder, campbell = [], [], 0.0, 0.0, 0.0
+    thetas, radii, tail = [], [], 0.0
     for dist in dists:
         log_theta = _log_theta(rs, dist, scenario.alpha)
-        radius, tau, rem, b = _hop_field(log_theta, scenario, cap)
+        radius, tau = _hop_field(log_theta, scenario, cap)
         thetas.append(math.exp(log_theta))
         radii.append(radius)
-        tail, remainder, campbell = tail + tau, remainder + rem, campbell + b
-    return thetas, radii, tail, math.exp(-tail) * (math.expm1(remainder) + campbell)
+        tail += tau
+    return thetas, radii, tail
 
 
 def _block_draws(rng, scenario: Scenario, radius: float, n):
@@ -350,7 +352,7 @@ def _outages(thetas, n: int, draws) -> int:
     return int(np.count_nonzero(out))
 
 
-def _estimate(n_outage: int, n_effective: int, tail: float, bias_bound: float) -> SopEstimate:
+def _estimate(n_outage: int, n_effective: int, tail: float) -> SopEstimate:
     """The simulated fraction m = n_outage / n_effective with the far field
     added: mean 1 - exp(-tail) (1 - m), stderr exp(-tail) sqrt(m (1 - m) / n)."""
     if n_effective == 0:
@@ -359,8 +361,7 @@ def _estimate(n_outage: int, n_effective: int, tail: float, bias_bound: float) -
     mean = n_outage / n_effective
     stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
     keep = math.exp(-tail)
-    return SopEstimate(-math.expm1(-tail) + keep * mean, keep * stderr, n_effective,
-                       bias_bound, tail)
+    return SopEstimate(-math.expm1(-tail) + keep * mean, keep * stderr, n_effective, tail)
 
 
 def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -387,7 +388,7 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     # [outages, survivors] tallied under it
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
     counts = {p: [0, 0] for p in powers}
-    (theta,), radii, tail, bias_bound = _hop_fields(rs, [dist], scenario)
+    (theta,), radii, tail = _hop_fields(rs, [dist], scenario)
 
     d_alpha = dist ** scenario.alpha
     beta_t = 2.0 ** rs - 1.0
@@ -405,8 +406,8 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
             tally[0] += int(np.count_nonzero(shortfall))
             tally[1] += int(np.count_nonzero(keep))
-    return (_estimate(n_memoryless, trials, tail, bias_bound),
-            [_estimate(*counts[p], tail, bias_bound) for p in powers])
+    return (_estimate(n_memoryless, trials, tail),
+            [_estimate(*counts[p], tail) for p in powers])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -439,10 +440,10 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     # not an edge
     dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
              for u, v in zip(path.nodes, path.nodes[1:])]
-    thetas, radii, tail, bias_bound = _hop_fields(rs, dists, scenario)
+    thetas, radii, tail = _hop_fields(rs, dists, scenario)
     n_outage = sum(_outages(thetas, n, draws)
                    for n, draws in _blocks(scenario, radii, trials, seed))
-    return _estimate(n_outage, trials, tail, bias_bound)
+    return _estimate(n_outage, trials, tail)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,
@@ -452,9 +453,12 @@ def power_invariance_check(rs: float, dist: float, scenario: Scenario,
     The closed form carries no power dependence; this check exercises the
     one code path where power enters (the on-off survival filter) and
     returns the pairs of estimates further apart than 3 combined standard
-    errors (see power_invariance_report); [] means consistent.
+    errors (see power_invariance_report); [] means consistent. An empty
+    `powers_db` raises ValueError before any draw.
     """
     powers_db = list(powers_db)
+    if not powers_db:
+        raise ValueError("need at least one power level")
     _, estimates = hop_sop_estimates(rs, dist, scenario, trials, seed, powers_db)
     return power_invariance_report(powers_db, estimates)
 
@@ -462,8 +466,6 @@ def power_invariance_check(rs: float, dist: float, scenario: Scenario,
 def power_invariance_report(powers_db, estimates) -> list:
     """The pairs power_invariance_check returns, each (p_i, p_j, mean_i, mean_j, tol)."""
     powers_db = list(powers_db)
-    if len(powers_db) < 1:
-        raise ValueError("need at least one power level")
     violations = []
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):

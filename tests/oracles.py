@@ -115,7 +115,8 @@ def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
 def far_field_integral(theta: float, radius: float, scenario: Scenario) -> float:
     """The far field's Laplace exponent outside the disk of `radius`,
     lambda_e * Int_{|x| > R} theta/(theta + |x|^alpha) dx, by radial
-    quadrature: an independent check of montecarlo's alternating series."""
+    quadrature: an independent check of montecarlo's incomplete-beta closed
+    form, at any disk radius."""
 
     def integrand(r):
         return 2.0 * math.pi * r * theta / (theta + r ** scenario.alpha)

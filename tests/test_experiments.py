@@ -89,8 +89,8 @@ class TestSopCurve:
         cfg = ExperimentConfig(lambdas=(0.0, 1e-6, 1e-5), trials=20000, seed=3)
         header, rows = run_sop_curve(cfg)
         assert len(rows) == 9
-        assert header[6:] == ["bias_bound", "tail", "trials", "seed"]
-        for pid, hops, lam, analytic, mc, se, bias_bound, tail, trials, seed in rows:
+        assert header[6:] == ["tail", "trials", "seed"]
+        for pid, hops, lam, analytic, mc, se, tail, trials, seed in rows:
             if lam == 0.0:
                 assert analytic == 0.0 and mc == 0.0 and tail == 0.0
             else:
@@ -501,12 +501,12 @@ class TestCli:
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")]
         header, rows = rows[0], rows[1:]
-        assert header[5:] == ["mc_stderr", "bias_bound", "tail", "trials", "pass"]
+        assert header[5:] == ["mc_stderr", "tail", "trials", "pass"]
         assert [r[-1] for r in rows] == ["1"] * 5
         for r in rows[:2]:
-            analytic, mc, se, b, tail = (float(x) for x in r[3:8])
+            analytic, mc, se, tail = (float(x) for x in r[3:7])
             assert tail == pytest.approx(2.5132657e-2, rel=1e-7)
-            assert b < 1e-3 * se and abs(mc - analytic) <= 3 * se
+            assert abs(mc - analytic) <= 3 * se
 
     def test_validate_vanishing_hop_is_silent(self, tmp_path, capsys):
         # d^alpha underflows to 0 at dist = 1e-200: the on-off filter sees an
@@ -521,7 +521,7 @@ class TestCli:
         assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
-        assert [(r[4], r[8], r[9]) for r in rows] == [("0", "2000", "1")] * 5
+        assert [(r[4], r[7], r[8]) for r in rows] == [("0", "2000", "1")] * 5
 
     @staticmethod
     def stub_validate(monkeypatch, analytic, memoryless, rejection):
@@ -541,8 +541,8 @@ class TestCli:
 
     def test_validate_power_violation_fails(self, tmp_path, capsys, monkeypatch):
         # the 80 dB estimate lies 10 combined stderrs from the others
-        est = montecarlo.SopEstimate(0.1, 0.01, 1000, 0.0, 0.0)
-        far = montecarlo.SopEstimate(0.25, 0.01, 1000, 0.0, 0.0)
+        est = montecarlo.SopEstimate(0.1, 0.01, 1000, 0.0)
+        far = montecarlo.SopEstimate(0.25, 0.01, 1000, 0.0)
         self.stub_validate(monkeypatch, 0.1, est, [est, est, far, est])
         rc, lines, verdicts = self.validate_rows(tmp_path, capsys)
         assert rc == 1
@@ -551,8 +551,7 @@ class TestCli:
 
     def test_validate_zero_stderr_passes(self, tmp_path, capsys):
         # at lambda_e = 1e-9 no trial of 100 is in outage: the stderr is 0,
-        # and the rows are judged by the binomial stderr at the closed form,
-        # above the series remainder in bias_bound
+        # and the rows are judged by the binomial stderr at the closed form
         f = tmp_path / "v.cfg"
         f.write_text("lambda_e = 1e-9\ntrials = 100\n")
         out = tmp_path / "v.csv"
@@ -570,7 +569,7 @@ class TestCli:
                                                             monkeypatch):
         # no outage in 100 trials against a closed form of 0.5: 10 binomial
         # stderrs (0.05 each) away
-        zero = montecarlo.SopEstimate(0.0, 0.0, 100, 0.0, 0.0)
+        zero = montecarlo.SopEstimate(0.0, 0.0, 100, 0.0)
         self.stub_validate(monkeypatch, 0.5, zero, [zero] * 4)
         rc, lines, verdicts = self.validate_rows(tmp_path, capsys)
         assert rc == 1
