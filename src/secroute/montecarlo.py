@@ -3,15 +3,17 @@
 Each hop's eavesdroppers are a homogeneous PPP on a disk of radius R
 centred on its transmitter (the process is stationary, so the placement
 does not matter). Only a point's distance enters the colluding SNR sum, so
-a point is drawn as its squared distance r^2, uniform on [0, R^2). Fading
-gains are unit-mean exponentials sampled by inverse CDF so a fixed
-counter-based RNG stream reproduces bit-identical estimates on any
-platform.
+a point is drawn as its squared distance in units of the hop's length d,
+(r/d)^2 uniform on [0, (R/d)^2), and each hop sums I' = I d^a, its
+interference in units of d^-a. Fading gains are unit-mean exponentials
+sampled by inverse CDF, each point's read next to its distance, so a
+fixed counter-based RNG stream, read strictly in order, reproduces
+bit-identical estimates on any platform.
 
 The field outside a hop's disk is added exactly. It is a PPP on a region
 disjoint from the disk, so it is independent of the simulated points, and
-a hop is in outage when h <= theta * I with theta = 2^rs * d^a and
-h ~ Exp(1). So P(no outage) is the simulated one times exp(-tau(R)), where
+a hop is in outage when h <= theta * I = 2^rs I' with theta = 2^rs * d^a
+and h ~ Exp(1). So P(no outage) is the simulated one times exp(-tau(R)), where
 tau is the far field's Laplace exponent 2 pi lambda Int_R^inf theta r /
 (r^a + theta) dr. The substitution t = r^a / theta gives it for every R
 (Haenggi, Stochastic Geometry for Wireless Networks; DLMF 8.17):
@@ -67,8 +69,11 @@ from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 TRIAL_POINTS = 1 << 23  # most expected eavesdropper points on one trial's disk
-RUN_POINTS = 1 << 14  # points drawn and summed at once, an L2-sized chunk
+RUN_POINTS = 1 << 13  # points drawn and summed at once, an L2-sized chunk
 TAIL_SHARE = 0.05  # most of a hop's outage exponent left to the exact far field
+# rounding of a mapped mean against the closed form, relative to the tail:
+# measured at most 4.8e-15 over 3654 hops against 60-digit values
+TAIL_RTOL = 1e-13
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -86,10 +91,13 @@ class SopEstimate:
 
     `tail` is the summed far-field exponent T added exactly to the
     simulated disks. A closed form p is consistent with the estimate when
-    it lies in [mean - 3 stderr, mean + 3 stderr]. A stderr of 0 (no
-    trial, or every trial, in outage) reads as the binomial stderr of the
-    simulated disks at p, mapped as `_estimate` maps it: exp(-tail)
-    sqrt(m (1 - m) / trials), m = 1 - exp(tail) (1 - p) clamped to [0, 1].
+    it lies within 3 stderr, widened by the far-field map's rounding
+    TAIL_RTOL T, of the mean. A stderr of 0 (no trial, or every trial, in
+    outage) reads as the binomial stderr of the simulated disks at p,
+    mapped as `_estimate` maps it: exp(-tail) sqrt(m (1 - m) / trials),
+    m = 1 - exp(tail) (1 - p) clamped to [0, 1]. Where the disks hold
+    next to none of the exponent, m rounds to 0 and only the rounding
+    term is left.
     """
 
     mean: float
@@ -105,8 +113,9 @@ class SopEstimate:
         return keep * math.sqrt(m * (1.0 - m) / self.trials)
 
     def covers(self, p: float) -> bool:
-        """Whether p lies in [mean - 3 stderr, mean + 3 stderr]."""
-        spread = 3.0 * self._stderr_at(p)
+        """Whether p lies in [mean - spread, mean + spread], spread =
+        3 stderr + TAIL_RTOL tail."""
+        spread = 3.0 * self._stderr_at(p) + TAIL_RTOL * self.tail
         return self.mean - spread <= p <= self.mean + spread
 
 
@@ -120,63 +129,31 @@ class _ZeroSeed(ISeedSequence):
 _ZERO_SEED = _ZeroSeed()
 
 
-def _philox(key, word: int) -> np.random.Generator:
-    """Generator on the Philox stream under `key` (two 64-bit words), about
-    to read the stream's 64-bit word number `word`.
-
-    Philox is counter-based: counter c yields words 4c - 4 .. 4c - 1, so
-    any word is reached by setting the documented `state` to the counter
-    before its group and skipping the group's first word % 4 words.
-    """
-    group, skip = divmod(word, 4)
-    bits = np.random.Philox(_ZERO_SEED)
-    bits.state = _philox_state(key, group)
-    if skip:
-        bits.random_raw(skip)
-    return np.random.Generator(bits)
-
-
-def _philox_state(key, group: int) -> dict:
-    """Philox's documented `state` at counter `group` under `key`, with an
-    empty buffer, so the next word read is the group's first."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": [(group >> s) & _MASK64 for s in (0, 64, 128, 192)],
-                      "key": key},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _words_read(state: dict) -> int:
-    """64-bit words a Philox generator in `state` has read: its counter c
-    has produced 4c words, of which the last 4 - buffer_pos are unread."""
-    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
-    return 4 * counter - 4 + state["buffer_pos"]
-
-
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """Counter-based generator for one (stream, block) cell of a seed.
 
     Its stream is np.random.Philox(key=k)'s, a zero counter under the
     128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
-    and block masked to 64, 16 and 48 bits (`_block_key`). It is built
-    through Philox's documented `state` instead (`_philox` at word 0):
-    given a key, that constructor still draws OS entropy for a seed that
-    it then discards, about half its time.
+    and block masked to 64, 16 and 48 bits (`_block_key`). It is the
+    one-block case of `block_rngs`: given a key, Philox's constructor still
+    draws OS entropy for a seed that it then discards, about half its time.
     """
-    return _philox(_block_key(seed, stream, block), 0)
+    return next(block_rngs(seed, stream, (block,)))
 
 
 def block_rngs(seed: int, stream: int, blocks):
     """Yield, for each block of `blocks` in turn, a generator on the stream
     of block_rng(seed, stream, block).
 
-    It is one generator, re-keyed through Philox's documented `state`
-    before each yield, so each is valid only until the next is taken.
-    A re-key takes about 1.2 us, where block_rng takes 7.7 us (x86-64,
-    numpy 2.4).
+    It is one generator, re-keyed before each yield by setting Philox's
+    documented `state` to a zero counter and an empty buffer under the
+    block's key, so each is valid only until the next is taken. A re-key
+    takes about 1.2 us, where Philox(key=k) takes 7.7 us (x86-64, numpy 2.4).
     """
     bits = np.random.Philox(_ZERO_SEED)
     rng = np.random.Generator(bits)
-    state = _philox_state(None, 0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for block in blocks:
         state["state"]["key"] = _block_key(seed, stream, block)
         bits.state = state
@@ -188,13 +165,12 @@ def _block_key(seed: int, stream: int, block: int) -> tuple[int, int]:
     return ((stream & 0xFFFF) << 48) | (block & _MASK48), seed & _MASK64
 
 
-def _exponential(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Unit-mean exponential draws written into `out`, by inverse CDF, which
-    keeps the draw reproducible across numpy versions."""
-    u = rng.random(out=out)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    return np.negative(u, out=u)
+def _exponential(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unit-mean exponentials -log(1 - u) of uniform words u, written into
+    `out`: the inverse CDF keeps the draw reproducible across numpy versions."""
+    np.negative(words, out=out)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
 
 
 def _log_theta(rs: float, dist: float, alpha: float) -> float:
@@ -259,72 +235,70 @@ def _hop_field(log_theta: float, scenario: Scenario, cap: float):
 
 
 def _hop_fields(rs: float, dists, scenario: Scenario):
-    """Each hop's outage scale theta = 2^rs * d^alpha and disk radius, and
-    the summed far-field exponent T."""
+    """Each hop's disk radius, and the summed far-field exponent T."""
     xmin, xmax, ymin, ymax = scenario.sim_window
     cap = 0.5 * min(xmax - xmin, ymax - ymin)
-    thetas, radii, tail = [], [], 0.0
+    radii, tail = [], 0.0
     for dist in dists:
-        log_theta = _log_theta(rs, dist, scenario.alpha)
-        radius, tau = _hop_field(log_theta, scenario, cap)
-        thetas.append(math.exp(log_theta))
+        radius, tau = _hop_field(_log_theta(rs, dist, scenario.alpha), scenario, cap)
         radii.append(radius)
         tail += tau
-    return thetas, radii, tail
+    return radii, tail
 
 
-def _block_draws(rng, scenario: Scenario, radius: float, n):
-    """Per-trial interference sums I = sum S_e/|X_e|^alpha and legit gains H,
-    for eavesdroppers on the disk of `radius` around the transmitter.
+def _block_draws(rng, scenario: Scenario, radius: float, dist: float, n):
+    """Per-trial interference sums I' = sum S_e (r_e / d)^-alpha and legit
+    gains h, for eavesdroppers on the disk of `radius` around the
+    transmitter of a hop of length d = `dist`.
 
-    In r^2 space a disk is the interval [0, R^2) with rate lambda pi, so the
-    block's n disks laid end to end are one interval [0, n R^2), and a PPP
-    on it is a Poisson number of i.i.d. uniform points. The stream layout,
-    part of the reproducibility contract, is: one Poisson total with mean
-    lambda pi R^2 n; `total` uniform words u, one per point, whose s = n u
-    puts the point in trial floor(s) at r^2 = (s - floor(s)) R^2; `total`
-    gain words; the n legitimate gains H. Both conditioning modes and all
-    power levels consume the identical stream.
+    I' is the interference in units of the hop's own length, so the outage
+    tests that read it, h <= 2^rs I' and the on-off filter, never divide by
+    d^alpha, which underflows to 0 at a large alpha. In (r/d)^2 space a
+    disk is the interval [0, (R/d)^2), so the block's n disks laid end to
+    end are one interval, and a PPP on it is a Poisson number of i.i.d.
+    uniform points. The stream layout, part of the reproducibility
+    contract, is: one Poisson total with mean lambda pi R^2 n; one word pair
+    (u, w) per point, in point order, where s = n u puts the point in trial
+    floor(s) at (r/d)^2 = (s - floor(s)) (R/d)^2 and w gives its gain
+    -log(1 - w); the n words of the legitimate gains h. Both conditioning
+    modes and all power levels consume the identical stream.
 
-    The points are drawn and summed RUN_POINTS at a time: u from `rng`,
-    gains from a second generator on the same key positioned at the gain
-    words, so a block holds three chunk-sized buffers whatever its size; a
-    one-chunk block reads its gains from `rng` itself, which then stands at
-    them. Each trial's sum runs in point order (np.add.at), so the outputs
-    are bit-identical whatever RUN_POINTS is.
+    The pairs are read in order and summed RUN_POINTS at a time, so a block
+    holds a few chunk-sized buffers whatever its size. Each trial's sum
+    runs in point order (np.add.at), so the outputs are bit-identical
+    whatever RUN_POINTS is. A point so close that (r/d)^-alpha overflows
+    adds inf, the limit it stands for.
 
     u is a multiple of 2^-53 below 1, so floor(s) is uniform over the trials
     to within n 2^-53 <= 2^-39, and even (1 - 2^-53) n floors to n - 1;
-    r^2 keeps 53 - ceil(log2 n) >= 39 bits and lies in [0, R^2).
+    (r/d)^2 keeps 53 - ceil(log2 n) >= 39 bits and lies in [0, (R/d)^2).
     """
-    r2 = radius * radius
-    total = rng.poisson(scenario.lambda_e * math.pi * r2 * n)
-    gain_rng = rng
-    if total > RUN_POINTS:
-        state = rng.bit_generator.state
-        gain_rng = _philox(state["state"]["key"], _words_read(state) + total)
+    reach = radius / dist
+    reach2 = reach * reach  # a float product, which overflows to inf, not an error
+    total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
     size = min(total, RUN_POINTS)
-    s_buf, gain_buf, trial_buf = np.empty(size), np.empty(size), np.empty(size, np.intp)
+    words, s_buf, gain_buf = np.empty((size, 2)), np.empty(size), np.empty(size)
+    trial_buf = np.empty(size, np.intp)
     interference = np.zeros(n)
-    for start in range(0, total, RUN_POINTS):
-        m = min(RUN_POINTS, total - start)
-        s = rng.random(out=s_buf[:m])
-        s *= n
-        whole = np.floor(s, out=gain_buf[:m])  # until the gains overwrite it
-        s -= whole
-        trial = trial_buf[:m]
-        np.copyto(trial, whole, casting="unsafe")
-        s *= r2
-        np.power(s, -scenario.alpha / 2.0, out=s)
-        s *= _exponential(gain_rng, gain_buf[:m])
-        np.add.at(interference, trial, s)
-    h = _exponential(gain_rng, np.empty(n))
-    return interference, h
+    with np.errstate(over="ignore", divide="ignore"):
+        for start in range(0, total, RUN_POINTS):
+            m = min(RUN_POINTS, total - start)
+            pairs = rng.random(out=words[:m])
+            # each column is read once, into a contiguous buffer
+            s = np.multiply(pairs[:, 0], n, out=s_buf[:m])
+            trial = np.floor(s, out=trial_buf[:m], casting="unsafe")
+            s -= trial
+            s *= reach2
+            np.power(s, -scenario.alpha / 2.0, out=s)
+            s *= _exponential(pairs[:, 1], gain_buf[:m])
+            np.add.at(interference, trial, s)
+    h = rng.random(n)
+    return interference, _exponential(h, h)
 
 
-def _blocks(scenario: Scenario, radii, trials: int, seed: int):
+def _blocks(scenario: Scenario, radii, dists, trials: int, seed: int):
     """Yield each block's size n and the list of its hops' (interference, h),
-    hop k drawn on the disk of radius radii[k].
+    hop k, of length dists[k], drawn on the disk of radius radii[k].
 
     Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1, and
     its hop k draws from block_rng(seed, k, b), laid out as `_block_draws`
@@ -339,16 +313,17 @@ def _blocks(scenario: Scenario, radii, trials: int, seed: int):
                          f"{TRIAL_POINTS} per trial; lower lambda_e or window")
     for block, done in enumerate(range(0, trials, BLOCK)):
         n = min(BLOCK, trials - done)
-        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, n)
-                  for k, radius in enumerate(radii)]
+        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, dist, n)
+                  for k, (radius, dist) in enumerate(zip(radii, dists))]
 
 
-def _outages(thetas, n: int, draws) -> int:
+def _outages(rs: float, n: int, draws) -> int:
     """Count a block's trials in which any hop's memoryless secrecy event
-    h <= theta * I, theta = 2^rs * d^alpha, fails."""
+    h <= 2^rs I' fails, I' the hop's interference in units of its length."""
+    gain = 2.0 ** rs
     out = np.zeros(n, dtype=bool)
-    for theta, (interference, h) in zip(thetas, draws):
-        out |= h <= theta * interference
+    for interference, h in draws:
+        out |= h <= gain * interference
     return int(np.count_nonzero(out))
 
 
@@ -388,23 +363,23 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     # [outages, survivors] tallied under it
     powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
     counts = {p: [0, 0] for p in powers}
-    (theta,), radii, tail = _hop_fields(rs, [dist], scenario)
+    radii, tail = _hop_fields(rs, [dist], scenario)
 
-    d_alpha = dist ** scenario.alpha
+    d_alpha = dist ** scenario.alpha  # finite by _log_theta, 0 where it underflows
     beta_t = 2.0 ** rs - 1.0
     n_memoryless = 0
-    for n, draws in _blocks(scenario, radii, trials, seed):
+    for n, draws in _blocks(scenario, radii, [dist], trials, seed):
         (interference, h), = draws
-        n_memoryless += _outages([theta], n, draws)
+        n_memoryless += _outages(rs, n, draws)
         for p, tally in counts.items():
-            # h / 0.0 is the infinite-SNR limit of a vanishing hop: every
-            # trial survives the filter and none falls short
+            # the filter p h / d^a > beta and the shortfall
+            # log2((1 + p h / d^a) / (1 + p I' / d^a)) < rs, each multiplied
+            # through by d^a; where d^a is 0 the ratio may be x/0 or 0
+            signal = p * h
+            keep = signal > beta_t * d_alpha
             with np.errstate(divide="ignore"):
-                snr = p * h / d_alpha
-            keep = snr > beta_t
-            snr_sum = p * interference[keep]
-            shortfall = np.log2((1.0 + snr[keep]) / (1.0 + snr_sum)) < rs
-            tally[0] += int(np.count_nonzero(shortfall))
+                rate = np.log2((d_alpha + signal[keep]) / (d_alpha + p * interference[keep]))
+            tally[0] += int(np.count_nonzero(rate < rs))
             tally[1] += int(np.count_nonzero(keep))
     return (_estimate(n_memoryless, trials, tail),
             [_estimate(*counts[p], tail) for p in powers])
@@ -440,9 +415,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     # not an edge
     dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
              for u, v in zip(path.nodes, path.nodes[1:])]
-    thetas, radii, tail = _hop_fields(rs, dists, scenario)
-    n_outage = sum(_outages(thetas, n, draws)
-                   for n, draws in _blocks(scenario, radii, trials, seed))
+    radii, tail = _hop_fields(rs, dists, scenario)
+    n_outage = sum(_outages(rs, n, draws)
+                   for n, draws in _blocks(scenario, radii, dists, trials, seed))
     return _estimate(n_outage, trials, tail)
 
 

@@ -1,6 +1,7 @@
 import math
 import statistics
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ class TestSamplePpp:
     """The PPP sampler behind every estimate, `_block_draws`."""
 
     def test_zero_density_empty(self):
-        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 1000.0, 5000)
+        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 1000.0, 10.0, 5000)
         assert len(interference) == len(h) == 5000
         assert np.all(interference == 0.0)
 
@@ -46,29 +47,31 @@ class TestSamplePpp:
         sc = scen(lam=1.0 / (math.pi * radius * radius))
         assert sc.lambda_e * math.pi * radius * radius == pytest.approx(1.0, rel=1e-15)
         n = 100000
-        interference, _ = _block_draws(block_rng(1, 0, 0), sc, radius, n)
+        interference, _ = _block_draws(block_rng(1, 0, 0), sc, radius, 10.0, n)
         p = math.exp(-1.0)
         share = np.count_nonzero(interference == 0.0) / n
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def block_points_reference(rng, scenario, radius, n):
+def block_points_reference(rng, scenario, radius, dist, n):
     """The stream layout of `_block_draws`, one expression per array, for
-    the block's n disks laid end to end as [0, n R^2) in r^2 space: each
-    point's trial and r^2, its gain, and the trials' legitimate gains h."""
+    the block's n disks laid end to end in (r/d)^2 space, d = `dist`: each
+    point's u word, trial, (r/d)^2 and gain, and the trials' legitimate
+    gains h."""
     total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
-    s = n * rng.random(total)
+    u, w = rng.random((total, 2)).T
+    s = n * u
     trial = np.floor(s).astype(np.intp)
-    r2 = (s - trial) * (radius * radius)
-    del s  # 8 bytes a point fewer while the gains are drawn
-    gains = -np.log1p(-rng.random(total))
+    reach = radius / dist
+    r2 = (s - trial) * (reach * reach)
+    gains = -np.log1p(-w)
     h = -np.log1p(-rng.random(n))
-    return trial, r2, gains, h
+    return u, trial, r2, gains, h
 
 
-def block_draws_reference(rng, scenario, radius, n):
+def block_draws_reference(rng, scenario, radius, dist, n):
     """`_block_draws` in one pass, without buffer reuse."""
-    trial, r2, gains, h = block_points_reference(rng, scenario, radius, n)
+    _, trial, r2, gains, h = block_points_reference(rng, scenario, radius, dist, n)
     contrib = gains * r2 ** (-scenario.alpha / 2.0)
     return np.bincount(trial, weights=contrib, minlength=n), h
 
@@ -96,7 +99,7 @@ def hop_exponent(rs, dist, scenario):
 
 def hop_radius(rs, dist, scenario):
     """The disk radius of a one-hop estimate."""
-    return montecarlo._hop_fields(rs, [dist], scenario)[1][0]
+    return montecarlo._hop_fields(rs, [dist], scenario)[0][0]
 
 
 def mapped(m, tail):
@@ -107,17 +110,17 @@ def mapped(m, tail):
 class TestBlockDrawsInPlace:
     """The chunked `_block_draws` returns exactly the reference's draws, at
     the default RUN_POINTS and in chunks of 1 and 7 points. Short chunks
-    split trials across chunks, read the gains from the positioned
-    generator and leave the last chunk short; they run only on blocks
-    expecting at most SHORT_RUN_POINTS points, as one Python iteration per
-    chunk would take seconds on the denser ones."""
+    split trials across chunks and leave the last chunk short; they run
+    only on blocks expecting at most SHORT_RUN_POINTS points, as one Python
+    iteration per chunk would take seconds on the denser ones."""
 
     SHORT_RUN_POINTS = 10_000
 
     @staticmethod
     def assert_matches(key, sc, radius, n):
-        got = _block_draws(block_rng(*key), sc, radius, n)
-        want = block_draws_reference(block_rng(*key), sc, radius, n)
+        # on a hop of length 10
+        got = _block_draws(block_rng(*key), sc, radius, 10.0, n)
+        want = block_draws_reference(block_rng(*key), sc, radius, 10.0, n)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -160,7 +163,7 @@ class TestBlockDrawsInPlace:
         sc = scen(lam=1e-2)
         tracemalloc.start()
         try:
-            interference, _ = _block_draws(block_rng(6, 0, 0), sc, 1000.0, 64)
+            interference, _ = _block_draws(block_rng(6, 0, 0), sc, 1000.0, 10.0, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -174,19 +177,15 @@ class TestSamplerStatistics:
     fixed before the first run."""
 
     @pytest.mark.parametrize("mu,seed", [(0.05, 2301), (1.0, 2302), (12.0, 2303)])
-    def test_trial_counts_are_poisson(self, mu, seed, monkeypatch):
-        # with alpha = 0 and unit gains, each point adds exactly 1 to its
-        # trial's sum, so `_block_draws` returns the per-trial counts
-        def unit_gains(rng, out):
-            out.fill(1.0)
-            return out
-
-        monkeypatch.setattr(montecarlo, "_exponential", unit_gains)
+    def test_trial_counts_are_poisson(self, mu, seed):
         n = montecarlo.BLOCK
         field = SimpleNamespace(lambda_e=mu / math.pi, alpha=0.0)
-        sums, _ = _block_draws(block_rng(seed, 0, 0), field, 1.0, n)
-        counts = sums.astype(np.int64)
-        assert np.array_equal(counts, sums)
+        _, trial, _, _, _ = block_points_reference(block_rng(seed, 0, 0), field, 1.0, 1.0, n)
+        counts = np.bincount(trial, minlength=n)
+        # at alpha = 0 each point adds its gain to its trial's sum, so the
+        # sampler's empty trials are the reference's
+        sums, _ = _block_draws(block_rng(seed, 0, 0), field, 1.0, 1.0, n)
+        assert np.array_equal(sums == 0.0, counts == 0)
         # chi-square over bins that each expect >= 5 trials, the last open
         # above, against Poisson(mu) with mu known
         top = int(mu + 20.0 * math.sqrt(mu) + 20.0)
@@ -225,44 +224,23 @@ class TestSamplerStatistics:
     @pytest.mark.parametrize("radius", [37.5, 500.0, 1000.0])
     def test_every_r2_within_disk(self, radius):
         sc = scen(lam=1e-5 * (1000.0 / radius) ** 2)
-        trial, r2, _, _ = block_points_reference(block_rng(2304, 0, 0), sc, radius,
-                                                 montecarlo.BLOCK)
+        _, trial, r2, _, _ = block_points_reference(block_rng(2304, 0, 0), sc, radius, 10.0,
+                                                    montecarlo.BLOCK)
         assert len(r2) > 100_000
-        assert r2.min() >= 0.0 and r2.max() < radius * radius
+        assert r2.min() >= 0.0 and r2.max() < (radius / 10.0) ** 2
         assert trial.min() >= 0 and trial.max() < montecarlo.BLOCK
 
-
-def poisson_states():
-    """Philox states left by a Poisson draw, one at each buffer_pos 1-4."""
-    states, n = {}, 1
-    while len(states) < 4:
-        rng = block_rng(5, 0, n)
-        rng.poisson(3.0, n)
-        state = rng.bit_generator.state
-        states.setdefault(state["buffer_pos"], state)
-        n += 1
-    return [states[pos] for pos in (1, 2, 3, 4)]
-
-
-class TestStreamOffsets:
-    """`_philox` positions a generator at any word of a block's stream."""
-
-    @pytest.mark.parametrize("k", range(10))
-    def test_positioned_matches_skipped(self, k):
-        for state in poisson_states() + [block_rng(9, 2, 4).bit_generator.state]:
-            bits = np.random.Philox(key=0)
-            bits.state = state
-            bits.random_raw(k)
-            got = montecarlo._philox(state["state"]["key"], montecarlo._words_read(state) + k)
-            assert np.array_equal(got.bit_generator.random_raw(12), bits.random_raw(12))
-
-    @pytest.mark.parametrize("word", [0, 1, 7, 4 * 2 ** 64 - 1, 4 * 2 ** 64 + 3, 2 ** 200 + 2])
-    def test_words_read_round_trip(self, word):
-        key = np.array([3, 8], np.uint64)
-        rng = montecarlo._philox(key, word)
-        assert montecarlo._words_read(rng.bit_generator.state) == word
-        rng.bit_generator.random_raw(5)
-        assert montecarlo._words_read(rng.bit_generator.state) == word + 5
+    @pytest.mark.parametrize("seed", [2305, 2306])
+    def test_gains_are_exponential_and_apart_from_u(self, seed):
+        # each point reads its gain from the word after its u word: the gains
+        # are Exp(1) by a Kolmogorov-Smirnov test at level 1e-4, and each is
+        # uncorrelated with its own u within 4 / sqrt(points)
+        u, _, _, gains, _ = block_points_reference(block_rng(seed, 0, 0), scen(lam=1e-5),
+                                                   1000.0, 10.0, montecarlo.BLOCK)
+        assert len(gains) > 100_000
+        assert stats.kstest(gains, "expon").pvalue >= 1e-4
+        corr = float(np.corrcoef(u, gains)[0, 1])
+        assert abs(corr) <= 4.0 / math.sqrt(len(gains)), corr
 
 
 class TestBlockPoints:
@@ -274,7 +252,7 @@ class TestBlockPoints:
     def record_draws(monkeypatch):
         calls = []
 
-        def draws(rng, scenario, radius, n):
+        def draws(rng, scenario, radius, dist, n):
             calls.append((n, radius))
             return np.zeros(n), np.zeros(n)
 
@@ -335,10 +313,10 @@ class TestDiskSizing:
         topo = six_node_topology()
         sc = scen(lam=lam, alpha=alpha)
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip(seq, seq[1:])]
-        _, radii, tail = montecarlo._hop_fields(1.0, dists, sc)
+        radii, tail = montecarlo._hop_fields(1.0, dists, sc)
         # the radii depend on the density in no way, and the rule takes no
         # trial count
-        assert montecarlo._hop_fields(1.0, dists, scen(lam=0.3, alpha=alpha))[1] == radii
+        assert montecarlo._hop_fields(1.0, dists, scen(lam=0.3, alpha=alpha))[0] == radii
         cap = window_cap(sc)
 
         def within(d, radius):  # the rule's condition
@@ -369,7 +347,7 @@ class TestDiskSizing:
         sc = scen(lam=1e-4)
         path = topo.path((1, 2, 3, 5))
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip((1, 2, 3), (2, 3, 5))]
-        _, radii, tail = montecarlo._hop_fields(1.0, dists, sc)
+        radii, tail = montecarlo._hop_fields(1.0, dists, sc)
         est = estimate_path_sop(1.0, path, topo, sc, 8192, seed=1)
         assert est.tail == tail > 0.0
         # each hop's tau is at most TAIL_SHARE of its closed-form exponent
@@ -399,7 +377,7 @@ class TestDiskSizing:
     def test_tail_shared_by_every_mode(self):
         sc = scen(lam=5e-5, alpha=3.0)
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 3000, 5, (60.0, 80.0))
-        _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         assert memoryless.tail == tail > 0.0
         assert all(est.tail == tail for est in rejection)
 
@@ -426,6 +404,34 @@ class TestZeroStderr:
         assert est.mean + 3.0 * math.sqrt(0.95 * 0.05 / 100) >= 0.95
         assert not est.covers(0.95)
         assert est.covers(0.9 + 1e-4) and est.covers(0.9)
+
+    @pytest.mark.parametrize("window", [1e-6, 1e-300])
+    def test_rounding_widens_empty_disks(self, window, tmp_path, capsys):
+        # the disks are so small that no trial draws a point and they hold
+        # next to none of the exponent: the mean is the mapped 0, a few ulp
+        # from the closed form, and the binomial stand-in rounds to 0
+        sc = scen(window=window)
+        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        memoryless, _ = hop_sop_estimates(1.0, 10.0, sc, 5000, 1, [])
+        p = analytics.hop_sop(1.0, 10.0, sc)
+        assert memoryless.mean == mapped(0.0, tail) != p
+        assert abs(memoryless.mean - p) <= 8 * math.ulp(p)
+        assert memoryless.stderr == memoryless._stderr_at(p) == 0.0
+        assert memoryless.covers(p)
+        f = tmp_path / "v.cfg"
+        f.write_text(f"window = {window!r}\ntrials = 5000\n")
+        assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "memoryless: mc=0.00695457 analytic=0.00695457 [pass]"
+        assert all(line.endswith("[pass]") for line in lines[:5])
+
+    def test_rounding_term_is_small(self):
+        # below the mapped 0 the stand-in is 0, and the interval is the
+        # rounding term TAIL_RTOL tail alone, 5e-14 at a tail of 0.5
+        mean = mapped(0.0, 0.5)
+        est = montecarlo.SopEstimate(mean, 0.0, 100, 0.5)
+        assert est._stderr_at(mean - 1e-13) == 0.0
+        assert not est.covers(mean - 1e-13) and est.covers(mean - 4e-14)
 
     def test_positive_stderr_kept(self):
         est = montecarlo.SopEstimate(0.1, 0.015, 100, 0.0)
@@ -473,14 +479,14 @@ class TestFarField:
     def test_map_on_hand_counts(self, monkeypatch):
         # stubbed draws of three kinds: 5 trials with no interference and a
         # huge gain (no outage, kept by the on-off filter), 3 with a huge
-        # interference (outage, kept) and 2 with h = I = 0 (a memoryless
-        # outage, h <= theta I, that the filter drops)
+        # interference (outage, kept) and 2 with h = I' = 0 (a memoryless
+        # outage, h <= 2^rs I', that the filter drops)
         interference = np.array([0.0] * 5 + [1e9] * 3 + [0.0] * 2)
         h = np.array([1e9] * 5 + [1e3] * 3 + [0.0] * 2)
         monkeypatch.setattr(montecarlo, "_block_draws",
-                            lambda rng, scenario, radius, n: (interference[:n], h[:n]))
+                            lambda rng, scenario, radius, dist, n: (interference[:n], h[:n]))
         sc = scen(lam=1e-4)
-        _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 10, 3, [80.0])
         keep = math.exp(-tail)
         assert 0.0 < tail < 0.05
@@ -495,7 +501,8 @@ class TestFarField:
         # = 32 for a 10 m hop: the far field, most of the hop's exponent, is
         # added exactly, and validate's rows pass
         sc = scen(lam=1e-5, window=10.0)
-        (theta,), radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        theta = 2.0 * 10.0 ** 4
         assert radii == [5.0] and theta * 5.0 ** -4 == pytest.approx(32.0, rel=1e-14)
         assert tail == pytest.approx(oracles.far_field_integral(theta, 5.0, sc), rel=1e-10)
         assert tail > 0.85 * hop_exponent(1.0, 10.0, sc)
@@ -505,7 +512,21 @@ class TestFarField:
         assert main(["validate", "--config", str(f), "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6 and all(line.endswith("[pass]") for line in lines[:5])
-        assert lines[0] == "memoryless: mc=0.00737489 analytic=0.00695457 [pass]"
+        assert lines[0] == "memoryless: mc=0.00757365 analytic=0.00695457 [pass]"
+
+    def test_huge_alpha_short_hop(self, tmp_path, capsys):
+        # at alpha = 1e300 a hop of length 0.5 has d^alpha = 0, and (r/d)^-alpha
+        # is 0 beyond the hop's length and inf within it: the outage tests
+        # read I' in units of the hop's length, so the estimate is the share
+        # of trials with an eavesdropper closer than d, and no warning is raised
+        f = tmp_path / "v.cfg"
+        f.write_text("alpha = 1e300\ndist = 0.5\nlambda_e = 1e-2\ntrials = 20000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(line.endswith("[pass]") for line in lines[:5])
+        assert lines[0] == "memoryless: mc=0.00895 analytic=0.00782322 [pass]"
 
 
 class TestTruncationBias:
@@ -575,8 +596,8 @@ class TestSmallAlpha:
         # > 1, so the far field carries most of the exponent; lambda_e puts
         # the closed form at 0.3 to 0.5
         sc = scen(lam=3e-4, alpha=alpha, window=10.0)
-        (theta,), radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
-        assert radii == [5.0] and theta * 5.0 ** -alpha > 1.0
+        radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        assert radii == [5.0] and 2.0 * (10.0 / 5.0) ** alpha > 1.0
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 50000, 63, [80.0])
         p = analytics.hop_sop(1.0, 10.0, sc)
         assert 0.2 < p < 0.6 and tail > 0.5 * -math.log1p(-p)
@@ -638,7 +659,7 @@ class TestRoutedPathSop:
             assert analytics.path_sop(sol.rs_star, sol.path, sc) == pytest.approx(sc.epsilon)
             dists = [math.sqrt(topo.path(hop).sum_sq_dist)
                      for hop in zip(sol.path.nodes, sol.path.nodes[1:])]
-            radii = montecarlo._hop_fields(sol.rs_star, dists, sc)[1]
+            radii = montecarlo._hop_fields(sol.rs_star, dists, sc)[0]
             assert (max(radii) == window_cap(sc)) is capped
             est = estimate_path_sop(sol.rs_star, sol.path, topo, sc, 20000, seed=seed + rep)
             assert est.covers(sc.epsilon)
@@ -726,15 +747,16 @@ class TestHopSopEstimates:
         # with the far field's exponent added to the survivors' fraction
         d_alpha = dist ** scenario.alpha
         p = scenario.power_linear
-        _, (radius,), tail = montecarlo._hop_fields(rs, [dist], scenario)
+        (radius,), tail = montecarlo._hop_fields(rs, [dist], scenario)
         n_outage = n_effective = 0
         for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
             n = min(montecarlo.BLOCK, trials - done)
             interference, h = block_draws_reference(block_rng(seed, 0, block), scenario,
-                                                    radius, n)
+                                                    radius, dist, n)
+            # the draws' interference is in units of d^-alpha
             snr = p * h / d_alpha
             keep = snr > 2.0 ** rs - 1.0
-            rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep]))
+            rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep] / d_alpha))
             n_outage += int(np.count_nonzero(rate < rs))
             n_effective += int(np.count_nonzero(keep))
         return mapped(n_outage / n_effective, tail), n_effective
