@@ -6,8 +6,8 @@
 Every flag overrides its config key; only `route` reads the last four.
 
 Exit codes: 0 success, 1 infeasible/unreachable or a failed `validate`
-row, 2 invalid config or input (including a malformed
-node/edge CSV row, named in the message, a non-finite density or power, a
+row, 2 invalid config or input (including a malformed node/edge CSV row,
+named in the message, a non-finite density, power or path-loss exponent, a
 `window` whose area is not a finite float, a `route` source or destination
 that is not in the topology or that are the same node, a Monte Carlo run
 that cannot produce an estimate because no trial survives the on-off
@@ -16,9 +16,10 @@ least one power level`), a `lambda_e` that expects more than 2^23
 eavesdroppers on one hop's disk in a single trial, two nodes whose squared
 distance overflows a float, or an edge list in which N-1 times its largest
 edge weight overflows, named by id, and parameters whose arithmetic
-overflows a float, such as a huge power, rate or path-loss exponent, a
-`table-one` alpha whose secrecy-rate sums overflow, or a secrecy rate that
-overflows at a positive density; the message names the parameter, or the
+overflows a float, such as a huge power, a `validate` rate or alpha at
+which its on-off threshold (2^rs - 1) d^alpha overflows, a `table-one`
+alpha whose secrecy-rate sums overflow, or a secrecy rate that overflows
+at a positive density; the message names the parameter, or the
 path's weight where the path is so short that its density bound overflows;
 and an input whose arrays cannot be allocated, with numpy's message), 3
 I/O. When `route` finds no route it exits 1 and says why: `unreachable: no

@@ -2,44 +2,44 @@
 
 Each hop's eavesdroppers are a homogeneous PPP on a disk of radius R
 centred on its transmitter (the process is stationary, so the placement
-does not matter). Only a point's distance enters the colluding SNR sum, so
-a point is drawn as its squared distance in units of the hop's length d,
-(r/d)^2 uniform on [0, (R/d)^2), and each hop sums I' = I d^a, its
-interference in units of d^-a. Fading gains are unit-mean exponentials
-sampled by inverse CDF, each point's read next to its distance, so a
-fixed counter-based RNG stream, read strictly in order, reproduces
-bit-identical estimates on any platform.
+does not matter). A hop of length d at rate rs, with unit-mean exponential
+gains h and S_e, is in outage when h / d^a <= 2^rs sum S_e / r_e^a, that is
+h <= I = sum S_e (r_e/rho)^-a in units of its outage radius
+rho = 2^(rs/a) d. So a point is drawn as its squared distance in units of
+rho, (r/rho)^2 uniform on [0, (R/rho)^2). Gains are sampled by inverse
+CDF, each point's read next to its distance, so a fixed counter-based RNG
+stream, read strictly in order, reproduces bit-identical estimates on any
+platform.
 
 The field outside a hop's disk is added exactly. It is a PPP on a region
 disjoint from the disk, so it is independent of the simulated points, and
-a hop is in outage when h <= theta * I = 2^rs I' with theta = 2^rs * d^a
-and h ~ Exp(1). So P(no outage) is the simulated one times exp(-tau(R)), where
-tau is the far field's Laplace exponent 2 pi lambda Int_R^inf theta r /
-(r^a + theta) dr. The substitution t = r^a / theta gives it for every R
-(Haenggi, Stochastic Geometry for Wireless Networks; DLMF 8.17):
+P(no outage) is the simulated one times exp(-tau(R)), where tau is the
+far field's Laplace exponent 2 pi lambda Int_R^inf r / (1 + (r/rho)^a) dr.
+The substitution t = (r/rho)^a gives it for every R (Haenggi, Stochastic
+Geometry for Wireless Networks; DLMF 8.17):
 
-    tau(R) = K1 theta^(2/a) I_{x/(1+x)}(1 - 2/a, 2/a),   x = theta R^-a,
+    tau(R) = K1 rho^2 I_{x/(1+x)}(1 - 2/a, 2/a),   x = (R/rho)^-a,
 
 K1 = pi lambda G(1 + 2/a) G(1 - 2/a), G the gamma function, and I the
 regularized incomplete beta function, summed by `_beta_share`. So I is
-the share of the hop's closed-form exponent K1 theta^(2/a) that lies
-beyond R. With T the sum of the hops' tau, a simulated mean m maps to
+the share of the hop's closed-form exponent K1 rho^2 that lies beyond R.
+With T the sum of the hops' tau, a simulated mean m maps to
 1 - exp(-T) (1 - m) and its stderr to exp(-T) stderr. The rejection
 estimates map the same way: given survival of the on-off filter, their
 outage event is the memoryless one with a shifted, again Exp(1), gain.
 
-Hop k's disk has radius R_k = min(cap, c_a theta_k^(1/a)), cap the
-radius of the disk inscribed in the scenario's `sim_window` and
+Hop k's disk has radius R_k = min(cap, c_a rho_k), cap the radius of the
+disk inscribed in the scenario's `sim_window` and
 
     c_a = (2 / (TAIL_SHARE (a - 2) G(1 + 2/a) G(1 - 2/a)))^(1/(a - 2)).
 
-Since theta / (r^a + theta) < theta r^-a, tau(R) is below
-2 pi lambda theta R^(2 - a) / (a - 2), and c_a makes that bound
-TAIL_SHARE of K1 theta^(2/a). So where the cap does not bind, the
-simulation carries at least 1 - TAIL_SHARE of the hop's outage exponent
-and stays an independent check; where it binds, the far field carries
-more, and an estimate's share of it is tail / -ln(1 - p) at a closed
-form p. R depends on neither lambda nor the trial count.
+Since 1 / (1 + (r/rho)^a) < (r/rho)^-a, tau(R) is below
+2 pi lambda rho^2 (R/rho)^(2 - a) / (a - 2), and c_a makes that bound
+TAIL_SHARE of K1 rho^2. So where the cap does not bind, the simulation
+carries at least 1 - TAIL_SHARE of the hop's outage exponent and stays an
+independent check; where it binds, the far field carries more, and an
+estimate's share of it is tail / -ln(1 - p) at a closed form p. R depends
+on neither lambda nor the trial count.
 
 Trials are processed in blocks by one loop, `_blocks`, which gives the
 block layout; `_block_draws` gives the layout of a hop's stream within a
@@ -48,12 +48,13 @@ how blocks are scheduled. Under randomize-and-forward the path estimator
 ORs the per-hop outage events of a trial, and the memoryless hop estimator
 is its one-hop case.
 
-The hop estimators make one pass: each block's (interference, h) pair is
-drawn once, and on it `hop_sop_estimates` counts the memoryless event and
-applies the on-off rejection rule once at each distinct transmit power.
-Power enters only that filter, so the memoryless estimate, the rejection
-estimate and the power-invariance check all read the same draws, which
-are dropped once their block is counted.
+The hop estimators make one pass: each block's (I, h) pair is drawn once,
+and on it `hop_sop_estimates` counts the memoryless event and applies the
+on-off rejection rule once at each distinct transmit power p, as the gain
+threshold h > c = (2^rs - 1) d^a / p. Power enters only that filter, so
+the memoryless estimate, the rejection estimate and the power-invariance
+check all read the same draws, which are dropped once their block is
+counted. c is the one place 2^rs and d^a are formed.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class SopEstimate:
     """An outage-probability estimate from `trials` simulated trials.
 
     `tail` is the summed far-field exponent T added exactly to the
-    simulated disks. A closed form p is consistent with the estimate when
+    simulated disks, inf (and the mean 1) where a hop's outage radius
+    overflows. A closed form p is consistent with the estimate when
     it lies within 3 stderr, widened by the far-field map's rounding
     TAIL_RTOL T, of the mean. A stderr of 0 (no trial, or every trial, in
     outage) reads as the binomial stderr of the simulated disks at p,
@@ -173,15 +175,16 @@ def _exponential(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _log_theta(rs: float, dist: float, alpha: float) -> float:
-    """log(2^rs * d^alpha), checked to leave 2^rs and 2^rs * d^alpha finite
+def _gain_threshold(rs: float, dist: float, alpha: float, power: float) -> float:
+    """The on-off rule p h / d^alpha > 2^rs - 1 as a gain threshold h > c =
+    (2^rs - 1) d^alpha / p, checked to leave 2^rs and 2^rs * d^alpha finite
     floats; an overflow names the larger of the two exponents' terms."""
     log_gain, log_path = rs * _LN2, alpha * math.log(dist)
     if max(log_gain, log_gain + log_path) >= _LOG_MAX:
         name, value = ("rs", rs) if log_gain >= log_path else ("alpha", alpha)
         raise OverflowError(f"{name} = {value:g} overflows a float in 2^rs * d^alpha "
                             f"(hop length {dist:g})")
-    return log_gain + log_path
+    return (2.0 ** rs - 1.0) * dist ** alpha / power
 
 
 def _beta_share(log_x: float, p: float, q: float) -> float:
@@ -210,70 +213,71 @@ def _beta_share(log_x: float, p: float, q: float) -> float:
     return math.exp(p * log_z) * total / (math.gamma(p) * math.gamma(q))
 
 
-def _hop_field(log_theta: float, scenario: Scenario, cap: float):
-    """Disk radius R of a hop with outage scale theta = exp(log_theta), and
-    its far-field exponent tau(R) = K1 theta^(2/a) I_{x/(1+x)}(1 - 2/a, 2/a),
-    x = theta R^-alpha.
+def _hop_field(log_rho: float, scenario: Scenario, cap: float):
+    """Disk radius R and outage radius rho = exp(log_rho), inf where it
+    overflows, of a hop, and its far-field exponent
+    tau(R) = K1 rho^2 I_{x/(1+x)}(1 - 2/a, 2/a), x = (R/rho)^-alpha.
 
-    R is computed in logs, so that alpha near 2 reaches the cap instead of
-    overflowing; a radius that underflows keeps the least positive float.
-    A log theta of -inf, theta = 0 exactly, puts no hop in outage, so its
-    tau is 0.
+    log(R/rho) is min(log c_a, log cap - log rho), taken in logs so that
+    alpha near 2 reaches the cap instead of overflowing, and not as
+    log R - log rho, so that a huge alpha multiplies no rounding error.
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
     log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
-    # tau's bound 2 pi lambda theta R^(2 - a) / (a - 2) = TAIL_SHARE K1 theta^(2/a)
+    # tau's bound 2 pi lambda rho^2 (R/rho)^(2 - a) / (a - 2) = TAIL_SHARE K1 rho^2
     log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0) - log_gammas) / (alpha - 2.0)
-    log_r = log_c + log_theta / alpha
-    radius = cap if log_r >= math.log(cap) else max(math.exp(log_r), math.ulp(0.0))
-    if lam == 0.0 or log_theta == -math.inf:
-        return radius, 0.0
-    # K1 theta^(2/a), each factor finite, so an overflow reads inf
-    exponent = math.pi * lam * math.exp(log_gammas) * math.exp(2.0 * log_theta / alpha)
-    log_x = log_theta - alpha * math.log(radius)
-    return radius, exponent * _beta_share(log_x, (alpha - 2.0) / alpha, 2.0 / alpha)
+    log_reach = min(log_c, math.log(cap) - log_rho)
+    radius = cap if log_reach < log_c else math.exp(log_c + log_rho)
+    rho = math.exp(log_rho) if log_rho < _LOG_MAX else math.inf
+    if lam == 0.0:
+        return radius, rho, 0.0
+    # K1 rho^2, a float product, so an overflow reads inf
+    exponent = math.pi * lam * math.exp(log_gammas) * rho * rho
+    share = _beta_share(-alpha * log_reach, (alpha - 2.0) / alpha, 2.0 / alpha)
+    return radius, rho, exponent * share
 
 
 def _hop_fields(rs: float, dists, scenario: Scenario):
-    """Each hop's disk radius, and the summed far-field exponent T."""
+    """Each hop's disk radius and outage radius rho = 2^(rs/alpha) d, and
+    the summed far-field exponent T."""
     xmin, xmax, ymin, ymax = scenario.sim_window
     cap = 0.5 * min(xmax - xmin, ymax - ymin)
-    radii, tail = [], 0.0
+    radii, units, tail = [], [], 0.0
     for dist in dists:
-        radius, tau = _hop_field(_log_theta(rs, dist, scenario.alpha), scenario, cap)
+        radius, rho, tau = _hop_field(rs * _LN2 / scenario.alpha + math.log(dist), scenario, cap)
         radii.append(radius)
+        units.append(rho)
         tail += tau
-    return radii, tail
+    return radii, units, tail
 
 
-def _block_draws(rng, scenario: Scenario, radius: float, dist: float, n):
-    """Per-trial interference sums I' = sum S_e (r_e / d)^-alpha and legit
+def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n):
+    """Per-trial interference sums I = sum S_e (r_e / rho)^-alpha and legit
     gains h, for eavesdroppers on the disk of `radius` around the
-    transmitter of a hop of length d = `dist`.
+    transmitter of a hop of outage radius rho = `unit`.
 
-    I' is the interference in units of the hop's own length, so the outage
-    tests that read it, h <= 2^rs I' and the on-off filter, never divide by
-    d^alpha, which underflows to 0 at a large alpha. In (r/d)^2 space a
-    disk is the interval [0, (R/d)^2), so the block's n disks laid end to
-    end are one interval, and a PPP on it is a Poisson number of i.i.d.
-    uniform points. The stream layout, part of the reproducibility
-    contract, is: one Poisson total with mean lambda pi R^2 n; one word pair
-    (u, w) per point, in point order, where s = n u puts the point in trial
-    floor(s) at (r/d)^2 = (s - floor(s)) (R/d)^2 and w gives its gain
-    -log(1 - w); the n words of the legitimate gains h. Both conditioning
-    modes and all power levels consume the identical stream.
+    In (r/rho)^2 space a disk is the interval [0, (R/rho)^2), so the
+    block's n disks laid end to end are one interval, and a PPP on it is a
+    Poisson number of i.i.d. uniform points. The stream layout, part of the
+    reproducibility contract, is: one Poisson total with mean
+    lambda pi R^2 n; one word pair (u, w) per point, in point order, where
+    s = n u puts the point in trial floor(s) at
+    (r/rho)^2 = (s - floor(s)) (R/rho)^2 and w gives its gain -log(1 - w);
+    the n words of the legitimate gains h. Both conditioning modes and all
+    power levels consume the identical stream. A point so close that
+    (r/rho)^-alpha overflows, or any where rho is inf, adds inf, the limit
+    it stands for; the Poisson mean reads R alone, finite there.
 
     The pairs are read in order and summed RUN_POINTS at a time, so a block
     holds a few chunk-sized buffers whatever its size. Each trial's sum
     runs in point order (np.add.at), so the outputs are bit-identical
-    whatever RUN_POINTS is. A point so close that (r/d)^-alpha overflows
-    adds inf, the limit it stands for.
+    whatever RUN_POINTS is.
 
     u is a multiple of 2^-53 below 1, so floor(s) is uniform over the trials
     to within n 2^-53 <= 2^-39, and even (1 - 2^-53) n floors to n - 1;
-    (r/d)^2 keeps 53 - ceil(log2 n) >= 39 bits and lies in [0, (R/d)^2).
+    (r/rho)^2 keeps 53 - ceil(log2 n) >= 39 bits and lies in [0, (R/rho)^2).
     """
-    reach = radius / dist
+    reach = radius / unit
     reach2 = reach * reach  # a float product, which overflows to inf, not an error
     total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
     size = min(total, RUN_POINTS)
@@ -296,9 +300,9 @@ def _block_draws(rng, scenario: Scenario, radius: float, dist: float, n):
     return interference, _exponential(h, h)
 
 
-def _blocks(scenario: Scenario, radii, dists, trials: int, seed: int):
-    """Yield each block's size n and the list of its hops' (interference, h),
-    hop k, of length dists[k], drawn on the disk of radius radii[k].
+def _blocks(scenario: Scenario, radii, units, trials: int, seed: int):
+    """Yield each block's size n and the list of its hops' (I, h), hop k,
+    of outage radius units[k], drawn on the disk of radius radii[k].
 
     Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1, and
     its hop k draws from block_rng(seed, k, b), laid out as `_block_draws`
@@ -313,17 +317,16 @@ def _blocks(scenario: Scenario, radii, dists, trials: int, seed: int):
                          f"{TRIAL_POINTS} per trial; lower lambda_e or window")
     for block, done in enumerate(range(0, trials, BLOCK)):
         n = min(BLOCK, trials - done)
-        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, dist, n)
-                  for k, (radius, dist) in enumerate(zip(radii, dists))]
+        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, unit, n)
+                  for k, (radius, unit) in enumerate(zip(radii, units))]
 
 
-def _outages(rs: float, n: int, draws) -> int:
+def _outages(n: int, draws) -> int:
     """Count a block's trials in which any hop's memoryless secrecy event
-    h <= 2^rs I' fails, I' the hop's interference in units of its length."""
-    gain = 2.0 ** rs
+    fails, h <= I."""
     out = np.zeros(n, dtype=bool)
     for interference, h in draws:
-        out |= h <= gain * interference
+        out |= h <= interference
     return int(np.count_nonzero(out))
 
 
@@ -345,44 +348,38 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     the draws: the memoryless estimate and one rejection estimate per
     transmit power in `powers_db`.
 
-    `memoryless` counts the unconditional event H/d^a <= 2^rs * sum S/X^a,
-    exact by the memoryless property of the exponential legitimate gain;
-    it is estimate_path_sop on a one-hop path of length dist, draw for draw.
+    `memoryless` counts the unconditional event h <= I, exact by the
+    memoryless property of the exponential legitimate gain; it is
+    estimate_path_sop on a one-hop path of length dist, draw for draw.
     `rejection` simulates the on-off rule literally: it discards trials
-    whose legitimate SNR falls below the threshold 2^rs - 1 and counts
-    secrecy-capacity shortfalls among the survivors. Power enters only
-    through that filter, so every estimate reads the same block draws, and
-    equal powers share one estimate.
+    whose legitimate SNR p h / d^a is at most 2^rs - 1 and counts
+    secrecy-capacity shortfalls log2((1 + p h / d^a) / (1 + p sum S / r^a))
+    < rs among the survivors; divided through by d^a / p, these read
+    h > c and h < c + I, c = (2^rs - 1) d^a / p. Power enters only through
+    c, so every estimate reads the same block draws, and equal thresholds
+    share one estimate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0.0 < rs < math.inf and 0.0 < dist < math.inf):
         raise ValueError("rs and dist must be positive and finite")
-    # replace() validates each power as a Scenario would; the filter reads
-    # only the linear power, so each distinct one is applied once, its
-    # [outages, survivors] tallied under it
-    powers = [replace(scenario, power_db=pdb).power_linear for pdb in powers_db]
-    counts = {p: [0, 0] for p in powers}
-    radii, tail = _hop_fields(rs, [dist], scenario)
-
-    d_alpha = dist ** scenario.alpha  # finite by _log_theta, 0 where it underflows
-    beta_t = 2.0 ** rs - 1.0
+    # replace() validates each power as a Scenario would; each distinct
+    # threshold is applied once, its [outages, survivors] tallied under it
+    thresholds = [_gain_threshold(rs, dist, scenario.alpha,
+                                  replace(scenario, power_db=pdb).power_linear)
+                  for pdb in powers_db]
+    counts = {c: [0, 0] for c in thresholds}
+    radii, units, tail = _hop_fields(rs, [dist], scenario)
     n_memoryless = 0
-    for n, draws in _blocks(scenario, radii, [dist], trials, seed):
+    for n, draws in _blocks(scenario, radii, units, trials, seed):
         (interference, h), = draws
-        n_memoryless += _outages(rs, n, draws)
-        for p, tally in counts.items():
-            # the filter p h / d^a > beta and the shortfall
-            # log2((1 + p h / d^a) / (1 + p I' / d^a)) < rs, each multiplied
-            # through by d^a; where d^a is 0 the ratio may be x/0 or 0
-            signal = p * h
-            keep = signal > beta_t * d_alpha
-            with np.errstate(divide="ignore"):
-                rate = np.log2((d_alpha + signal[keep]) / (d_alpha + p * interference[keep]))
-            tally[0] += int(np.count_nonzero(rate < rs))
+        n_memoryless += _outages(n, draws)
+        for c, tally in counts.items():
+            keep = h > c
+            tally[0] += int(np.count_nonzero(keep & (h < c + interference)))
             tally[1] += int(np.count_nonzero(keep))
     return (_estimate(n_memoryless, trials, tail),
-            [_estimate(*counts[p], tail) for p in powers])
+            [_estimate(*counts[c], tail) for c in thresholds])
 
 
 def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -415,9 +412,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     # not an edge
     dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
              for u, v in zip(path.nodes, path.nodes[1:])]
-    radii, tail = _hop_fields(rs, dists, scenario)
-    n_outage = sum(_outages(rs, n, draws)
-                   for n, draws in _blocks(scenario, radii, dists, trials, seed))
+    radii, units, tail = _hop_fields(rs, dists, scenario)
+    n_outage = sum(_outages(n, draws)
+                   for n, draws in _blocks(scenario, radii, units, trials, seed))
     return _estimate(n_outage, trials, tail)
 
 

@@ -30,7 +30,7 @@ class NetModelError(ValueError):
 class Scenario:
     """Global physical parameters shared by analytics, simulation and routing.
 
-    alpha     : path-loss exponent, must exceed 2
+    alpha     : path-loss exponent, finite and above 2
     lambda_e  : eavesdropper density (points per unit area)
     epsilon   : maximum tolerable end-to-end secrecy outage probability
     power_db  : per-hop transmit power in dB
@@ -46,8 +46,8 @@ class Scenario:
     sim_window: tuple[float, float, float, float] = DEFAULT_WINDOW
 
     def __post_init__(self):
-        if not self.alpha > 2.0:
-            raise NetModelError(f"path-loss exponent must exceed 2, got {self.alpha}")
+        if not 2.0 < self.alpha < math.inf:
+            raise NetModelError(f"alpha must be finite and exceed 2, got {self.alpha}")
         if not (math.isfinite(self.lambda_e) and self.lambda_e >= 0.0):
             raise NetModelError(
                 f"eavesdropper density must be finite and >= 0, got {self.lambda_e}")

@@ -112,14 +112,15 @@ def pgfl_integral(rs: float, dist: float, scenario: Scenario) -> float:
     return scenario.lambda_e * math.pi * val
 
 
-def far_field_integral(theta: float, radius: float, scenario: Scenario) -> float:
-    """The far field's Laplace exponent outside the disk of `radius`,
-    lambda_e * Int_{|x| > R} theta/(theta + |x|^alpha) dx, by radial
-    quadrature: an independent check of montecarlo's incomplete-beta closed
-    form, at any disk radius."""
+def far_field_integral(rho: float, radius: float, scenario: Scenario) -> float:
+    """The far field's Laplace exponent outside the disk of `radius` for a
+    hop of outage radius rho, lambda_e * Int_{|x| > R} 1/(1 + (|x|/rho)^alpha) dx,
+    by radial quadrature: an independent check of montecarlo's
+    incomplete-beta closed form, at any disk radius."""
 
     def integrand(r):
-        return 2.0 * math.pi * r * theta / (theta + r ** scenario.alpha)
+        t = (rho / r) ** scenario.alpha
+        return 2.0 * math.pi * r * t / (1.0 + t)
 
     val, _ = quad(integrand, radius, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
     return scenario.lambda_e * val

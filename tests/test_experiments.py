@@ -1,4 +1,5 @@
 import ast
+import csv
 import math
 import os
 import statistics
@@ -443,10 +444,8 @@ class TestCli:
         *(pytest.param(command, line, named, id=f"{command}-{line}")
           for command, line, named in [
               ("sop-curve", "rs = nan", "rs"),
-              ("sop-curve", "rs = 2000", "rs = 2000 overflows a float"),
-              # the closed form's 2^(2 rs / alpha) overflows before the draws' 2^rs
+              # the closed form's 2^(2 rs / alpha) overflows
               ("sop-curve", "rs = 3000", "rs = 3000 overflows a float in 2^(2 rs / alpha)"),
-              ("sop-curve", "alpha = 400", "alpha = 400 overflows a float"),
               ("validate", "rs = nan", "rs"),
               ("validate", "rs = inf", "rs"),
               ("validate", "dist = nan", "dist"),
@@ -459,6 +458,11 @@ class TestCli:
               ("route", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
               ("rate-vs-lambda", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
           ]),
+        # a non-finite path-loss exponent, named by every command
+        *(pytest.param(command, "alpha = inf", "alpha must be finite and exceed 2",
+                       id=f"{command}-alpha = inf")
+          for command in ("sop-curve", "rate-vs-lambda", "rate-vs-epsilon", "table-one",
+                          "route", "validate")),
         # a window whose area is not a finite float
         pytest.param("sop-curve", "window = inf\nlambdas = 0, 1e-5", "sim_window",
                      id="sop-curve-window = inf"),
@@ -479,6 +483,33 @@ class TestCli:
         # a bad rate or distance is named, not blamed on the on-off filter
         assert "no trials survived" not in err
         assert named in err
+
+    @staticmethod
+    def sop_curve_rows(tmp_path, *lines):
+        """The data rows of a sop-curve run on config `lines`, which must exit 0."""
+        f = tmp_path / "s.cfg"
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.csv"
+        assert main(["sop-curve", "--config", str(f), "--out", str(out)]) == 0
+        return list(csv.DictReader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#")))
+
+    def test_sop_curve_at_huge_rate(self, tmp_path, capsys):
+        # 2^rs overflows a float at rs = 2000, while each hop's outage radius
+        # 2^(rs/4) d does not: every hop is certain to be in outage, in the
+        # closed form and in the simulation
+        rows = self.sop_curve_rows(tmp_path, "rs = 2000", "trials = 100")
+        assert len(rows) == 15
+        assert all(r["analytic_sop"] == r["mc_mean"] == "1" for r in rows)
+
+    def test_sop_curve_at_alpha_400(self, tmp_path, capsys):
+        # d^alpha overflows a float on every hop longer than 5; every row
+        # lies within 5 binomial stderrs of the closed form, CI's bias gate
+        rows = self.sop_curve_rows(tmp_path, "alpha = 400", "trials = 20000")
+        assert len(rows) == 15
+        for r in rows:
+            p, n = float(r["analytic_sop"]), int(r["trials"])
+            assert abs(float(r["mc_mean"]) - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), r
 
     def test_power_overflow_outside_sop_curve(self, tmp_path, capsys):
         # sop-curve never converts the power to linear scale

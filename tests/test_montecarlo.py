@@ -53,25 +53,25 @@ class TestSamplePpp:
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def block_points_reference(rng, scenario, radius, dist, n):
+def block_points_reference(rng, scenario, radius, unit, n):
     """The stream layout of `_block_draws`, one expression per array, for
-    the block's n disks laid end to end in (r/d)^2 space, d = `dist`: each
-    point's u word, trial, (r/d)^2 and gain, and the trials' legitimate
-    gains h."""
+    the block's n disks laid end to end in (r/rho)^2 space, rho = `unit`:
+    each point's u word, trial, (r/rho)^2 and gain, and the trials'
+    legitimate gains h."""
     total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
     u, w = rng.random((total, 2)).T
     s = n * u
     trial = np.floor(s).astype(np.intp)
-    reach = radius / dist
+    reach = radius / unit
     r2 = (s - trial) * (reach * reach)
     gains = -np.log1p(-w)
     h = -np.log1p(-rng.random(n))
     return u, trial, r2, gains, h
 
 
-def block_draws_reference(rng, scenario, radius, dist, n):
+def block_draws_reference(rng, scenario, radius, unit, n):
     """`_block_draws` in one pass, without buffer reuse."""
-    _, trial, r2, gains, h = block_points_reference(rng, scenario, radius, dist, n)
+    _, trial, r2, gains, h = block_points_reference(rng, scenario, radius, unit, n)
     contrib = gains * r2 ** (-scenario.alpha / 2.0)
     return np.bincount(trial, weights=contrib, minlength=n), h
 
@@ -82,17 +82,21 @@ def window_cap(scenario):
     return min(xmax - xmin, ymax - ymin) / 2.0
 
 
+def outage_radius(rs, dist, scenario):
+    """A hop's outage radius rho = 2^(rs/alpha) d."""
+    return 2.0 ** (rs / scenario.alpha) * dist
+
+
 def first_term(rs, dist, scenario, radius):
-    """theta * 2 pi lambda R^(2 - alpha) / (alpha - 2), theta = 2^rs d^alpha:
-    the far field's exponent beyond `radius` to first order in theta, and a
-    bound on it, since theta / (r^alpha + theta) < theta r^-alpha."""
-    a = scenario.alpha
-    theta = 2.0 ** rs * dist ** a
-    return theta * 2.0 * math.pi * scenario.lambda_e * radius ** (2.0 - a) / (a - 2.0)
+    """2 pi lambda rho^2 (R/rho)^(2 - alpha) / (alpha - 2): the far field's
+    exponent beyond `radius` to first order in (R/rho)^-alpha, and a bound
+    on it, since 1 / (1 + (r/rho)^alpha) < (r/rho)^-alpha."""
+    a, rho = scenario.alpha, outage_radius(rs, dist, scenario)
+    return 2.0 * math.pi * scenario.lambda_e * rho * rho * (radius / rho) ** (2.0 - a) / (a - 2.0)
 
 
 def hop_exponent(rs, dist, scenario):
-    """The hop's closed-form outage exponent K1 theta^(2/alpha)."""
+    """The hop's closed-form outage exponent K1 rho^2."""
     k1 = analytics.k1(scenario.alpha, scenario.lambda_e)
     return k1 * 2.0 ** (2.0 * rs / scenario.alpha) * dist ** 2
 
@@ -118,7 +122,7 @@ class TestBlockDrawsInPlace:
 
     @staticmethod
     def assert_matches(key, sc, radius, n):
-        # on a hop of length 10
+        # in units of an outage radius of 10
         got = _block_draws(block_rng(*key), sc, radius, 10.0, n)
         want = block_draws_reference(block_rng(*key), sc, radius, 10.0, n)
         assert np.array_equal(got[0], want[0])
@@ -252,7 +256,7 @@ class TestBlockPoints:
     def record_draws(monkeypatch):
         calls = []
 
-        def draws(rng, scenario, radius, dist, n):
+        def draws(rng, scenario, radius, unit, n):
             calls.append((n, radius))
             return np.zeros(n), np.zeros(n)
 
@@ -301,19 +305,20 @@ def c_alpha(alpha):
 class TestDiskSizing:
     """Each hop's disk is the smallest, within the cap, on which the far
     field's first term is at most TAIL_SHARE of the hop's closed-form
-    exponent: R = min(cap, c_alpha theta^(1/alpha))."""
+    exponent: R = min(cap, c_alpha rho), rho = 2^(rs/alpha) d."""
 
     @pytest.mark.parametrize("alpha,lam,trials", [
         (4.0, 1e-6, 8192), (4.0, 1e-4, 100000), (3.0, 1e-5, 1000),
         (3.0, 1e-4, 100000), (2.5, 1e-4, 100000), (2.05, 1e-6, 500), (6.0, 5e-5, 20000),
-        # c_alpha < 2^(1/alpha), so theta R^-alpha > 1/2
+        # c_alpha < 2^(1/alpha), so (R/rho)^-alpha > 1/2
         (30.0, 1e-4, 1000)])
     @pytest.mark.parametrize("seq", FIG_PATHS)
     def test_smallest_radius_within_cap(self, alpha, lam, trials, seq):
         topo = six_node_topology()
         sc = scen(lam=lam, alpha=alpha)
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip(seq, seq[1:])]
-        radii, tail = montecarlo._hop_fields(1.0, dists, sc)
+        radii, units, tail = montecarlo._hop_fields(1.0, dists, sc)
+        assert units == pytest.approx([outage_radius(1.0, d, sc) for d in dists], rel=1e-14)
         # the radii depend on the density in no way, and the rule takes no
         # trial count
         assert montecarlo._hop_fields(1.0, dists, scen(lam=0.3, alpha=alpha))[0] == radii
@@ -332,12 +337,12 @@ class TestDiskSizing:
                 assert not within(d, radius * (1.0 - 1e-6))
                 assert first == pytest.approx(
                     montecarlo.TAIL_SHARE * hop_exponent(1.0, d, sc), rel=1e-9)
-                assert radius == pytest.approx(c_alpha(alpha) * (2.0 * d ** alpha) ** (1 / alpha),
+                assert radius == pytest.approx(c_alpha(alpha) * outage_radius(1.0, d, sc),
                                                rel=1e-12)
             else:
                 assert not within(d, cap * (1.0 - 1e-9))
             if alpha == 30.0:
-                assert 2.0 * d ** alpha * radius ** -alpha > 0.5
+                assert (radius / outage_radius(1.0, d, sc)) ** -alpha > 0.5
             terms += first
         # the first term bounds each hop's tau
         assert 0.0 < tail <= terms
@@ -347,7 +352,7 @@ class TestDiskSizing:
         sc = scen(lam=1e-4)
         path = topo.path((1, 2, 3, 5))
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip((1, 2, 3), (2, 3, 5))]
-        radii, tail = montecarlo._hop_fields(1.0, dists, sc)
+        radii, _, tail = montecarlo._hop_fields(1.0, dists, sc)
         est = estimate_path_sop(1.0, path, topo, sc, 8192, seed=1)
         assert est.tail == tail > 0.0
         # each hop's tau is at most TAIL_SHARE of its closed-form exponent
@@ -377,7 +382,7 @@ class TestDiskSizing:
     def test_tail_shared_by_every_mode(self):
         sc = scen(lam=5e-5, alpha=3.0)
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 3000, 5, (60.0, 80.0))
-        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         assert memoryless.tail == tail > 0.0
         assert all(est.tail == tail for est in rejection)
 
@@ -411,7 +416,7 @@ class TestZeroStderr:
         # next to none of the exponent: the mean is the mapped 0, a few ulp
         # from the closed form, and the binomial stand-in rounds to 0
         sc = scen(window=window)
-        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, _ = hop_sop_estimates(1.0, 10.0, sc, 5000, 1, [])
         p = analytics.hop_sop(1.0, 10.0, sc)
         assert memoryless.mean == mapped(0.0, tail) != p
@@ -449,17 +454,18 @@ class TestFarField:
         (3.0, 1e-4, 10.0, 2000.0, None), (3.0, 1e-5, 30.0, 2000.0, None),
         (4.0, 1e-4, 20.0, 2000.0, None), (4.0, 1e-4, 10.0, 60.0, None),
         (8.0, 1e-4, 10.0, 2000.0, None), (30.0, 1e-4, 10.0, 2000.0, None),
-        # windows of side 10 and 20 cap the disk where x = theta R^-alpha > 1
+        # windows of side 10 and 20 cap the disk where x = (R/rho)^-alpha > 1
         (3.0, 1e-5, 10.0, 10.0, None), (4.0, 1e-5, 10.0, 10.0, None),
         (2.05, 1e-4, 10.0, 20.0, None), (50.0, 1e-4, 10.0, 20.0, None)])
     def test_tail_matches_quadrature(self, alpha, lam, dist, window, want):
         sc = scen(lam=lam, alpha=alpha, window=window)
-        log_theta = montecarlo._log_theta(1.0, dist, alpha)
-        radius, tau = montecarlo._hop_field(log_theta, sc, window_cap(sc))
-        got = oracles.far_field_integral(math.exp(log_theta), radius, sc)
+        rho = outage_radius(1.0, dist, sc)
+        radius, unit, tau = montecarlo._hop_field(math.log(rho), sc, window_cap(sc))
+        assert unit == pytest.approx(rho, rel=1e-15)
+        got = oracles.far_field_integral(rho, radius, sc)
         assert tau == pytest.approx(got, rel=1e-10)
         if window <= 20.0:
-            assert radius == window_cap(sc) and math.exp(log_theta) * radius ** -alpha > 1.0
+            assert radius == window_cap(sc) and (radius / rho) ** -alpha > 1.0
         if want is not None:
             assert radius == window_cap(sc)
             assert tau == pytest.approx(want, rel=1e-7)
@@ -467,26 +473,27 @@ class TestFarField:
     @pytest.mark.parametrize("alpha,dist", [(1e300, 0.5), (1e308, 0.01)])
     def test_underflowing_theta_keeps_tail_finite(self, alpha, dist):
         # theta = 2 d^alpha underflows to 0, and at alpha = 1e308 so does its
-        # log: tau stays a finite non-negative float, 0 where log theta is -inf
+        # log, while rho = 2^(1/alpha) d rounds to d: the disk is the ball of
+        # radius rho, inside which an eavesdropper puts the hop in outage,
+        # and tau is a finite share of the exponent no larger than TAIL_SHARE
         sc = scen(lam=1e-5, alpha=alpha)
-        log_theta = montecarlo._log_theta(1.0, dist, alpha)
-        assert math.exp(log_theta) == 0.0
-        radius, tau = montecarlo._hop_field(log_theta, sc, window_cap(sc))
-        assert 0.0 < radius < window_cap(sc) and 0.0 <= tau < math.inf
-        if log_theta == -math.inf:
-            assert tau == 0.0
+        assert 2.0 * dist ** alpha == 0.0
+        (radius,), (rho,), tail = montecarlo._hop_fields(1.0, [dist], sc)
+        assert rho == pytest.approx(dist, rel=1e-15)
+        assert radius == pytest.approx(c_alpha(alpha) * rho, rel=1e-15) == pytest.approx(rho)
+        assert 0.0 <= tail <= montecarlo.TAIL_SHARE * hop_exponent(1.0, dist, sc)
 
     def test_map_on_hand_counts(self, monkeypatch):
         # stubbed draws of three kinds: 5 trials with no interference and a
         # huge gain (no outage, kept by the on-off filter), 3 with a huge
-        # interference (outage, kept) and 2 with h = I' = 0 (a memoryless
-        # outage, h <= 2^rs I', that the filter drops)
+        # interference (outage, kept) and 2 with h = I = 0 (a memoryless
+        # outage, h <= I, that the filter drops)
         interference = np.array([0.0] * 5 + [1e9] * 3 + [0.0] * 2)
         h = np.array([1e9] * 5 + [1e3] * 3 + [0.0] * 2)
         monkeypatch.setattr(montecarlo, "_block_draws",
-                            lambda rng, scenario, radius, dist, n: (interference[:n], h[:n]))
+                            lambda rng, scenario, radius, unit, n: (interference[:n], h[:n]))
         sc = scen(lam=1e-4)
-        _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 10, 3, [80.0])
         keep = math.exp(-tail)
         assert 0.0 < tail < 0.05
@@ -497,14 +504,13 @@ class TestFarField:
         assert mapped(5 / 10, tail) == pytest.approx(1.0 - keep * 0.5, rel=1e-15)
 
     def test_capped_disk_is_exact(self, tmp_path, capsys):
-        # a window of side 10 caps the disk at R = 5, where x = theta R^-4
+        # a window of side 10 caps the disk at R = 5, where x = (R/rho)^-4
         # = 32 for a 10 m hop: the far field, most of the hop's exponent, is
         # added exactly, and validate's rows pass
         sc = scen(lam=1e-5, window=10.0)
-        radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
-        theta = 2.0 * 10.0 ** 4
-        assert radii == [5.0] and theta * 5.0 ** -4 == pytest.approx(32.0, rel=1e-14)
-        assert tail == pytest.approx(oracles.far_field_integral(theta, 5.0, sc), rel=1e-10)
+        radii, (rho,), tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        assert radii == [5.0] and (5.0 / rho) ** -4 == pytest.approx(32.0, rel=1e-14)
+        assert tail == pytest.approx(oracles.far_field_integral(rho, 5.0, sc), rel=1e-10)
         assert tail > 0.85 * hop_exponent(1.0, 10.0, sc)
         f = tmp_path / "v.cfg"
         f.write_text("window = 10\ntrials = 5000\n")
@@ -515,10 +521,11 @@ class TestFarField:
         assert lines[0] == "memoryless: mc=0.00757365 analytic=0.00695457 [pass]"
 
     def test_huge_alpha_short_hop(self, tmp_path, capsys):
-        # at alpha = 1e300 a hop of length 0.5 has d^alpha = 0, and (r/d)^-alpha
-        # is 0 beyond the hop's length and inf within it: the outage tests
-        # read I' in units of the hop's length, so the estimate is the share
-        # of trials with an eavesdropper closer than d, and no warning is raised
+        # at alpha = 1e300 a hop of length 0.5 has d^alpha = 0, and
+        # (r/rho)^-alpha, rho = 2^(1/alpha) d = d, is 0 beyond the hop's length
+        # and inf within it: the outage tests read I in units of rho, so the
+        # estimate is the share of trials with an eavesdropper closer than d,
+        # and no warning is raised
         f = tmp_path / "v.cfg"
         f.write_text("alpha = 1e300\ndist = 0.5\nlambda_e = 1e-2\ntrials = 20000\n")
         with warnings.catch_warnings():
@@ -527,6 +534,22 @@ class TestFarField:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6 and all(line.endswith("[pass]") for line in lines[:5])
         assert lines[0] == "memoryless: mc=0.00895 analytic=0.00782322 [pass]"
+
+
+    def test_disk_holds_rho_at_alpha_1e308(self, tmp_path, capsys):
+        # at alpha = 1e308 a hop of length 0.01 has log(2 d^alpha) = -inf,
+        # while its outage radius rho = 2^(1/alpha) d rounds to d: the disk
+        # holds the ball of radius rho, inside which an eavesdropper puts the
+        # hop in outage, so the estimate is the share of trials with one
+        # there, 1 - exp(-pi lambda rho^2) = 0.0899
+        f = tmp_path / "v.cfg"
+        f.write_text("alpha = 1e308\ndist = 0.01\nlambda_e = 300\ntrials = 20000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(line.endswith("[pass]") for line in lines[:5])
+        assert lines[0] == "memoryless: mc=0.09355 analytic=0.0899428 [pass]"
 
 
 class TestTruncationBias:
@@ -539,30 +562,31 @@ class TestTruncationBias:
         (2.5, 1e-4, 30.0, 300.0), (3.0, 2e-4, 20.0, 200.0), (4.0, 1e-3, 8.0, 80.0)])
     def test_gap_within_bound(self, alpha, lam, inner, outer):
         # the points of the R' run inside R are a PPP on the disk of R, so
-        # both runs share them and the outer run only adds interference
+        # both runs share them and the outer run only adds interference;
+        # squared distances are in units of the outage radius rho
         sc = scen(lam=lam, alpha=alpha)
         rs, d, n = 1.0, 10.0, 50000
-        theta = 2.0 ** rs * d ** alpha
+        rho = outage_radius(rs, d, sc)
         rng = np.random.default_rng(2718)
         counts = rng.poisson(lam * math.pi * outer * outer, n)
-        r2 = outer * outer * rng.random(counts.sum())
+        r2 = (outer / rho) ** 2 * rng.random(counts.sum())
         contrib = -np.log1p(-rng.random(counts.sum())) * r2 ** (-alpha / 2.0)
         idx = np.repeat(np.arange(n), counts)
-        i_inner = np.bincount(idx, weights=np.where(r2 < inner * inner, contrib, 0.0),
+        i_inner = np.bincount(idx, weights=np.where(r2 < (inner / rho) ** 2, contrib, 0.0),
                               minlength=n)
         i_outer = np.bincount(idx, weights=contrib, minlength=n)
         h = -np.log1p(-rng.random(n))
-        flipped = (h <= theta * i_outer) & ~(h <= theta * i_inner)
-        assert not np.any((h <= theta * i_inner) & ~(h <= theta * i_outer))
+        flipped = (h <= i_outer) & ~(h <= i_inner)
+        assert not np.any((h <= i_inner) & ~(h <= i_outer))
         gap = flipped.mean()
         sigma = math.sqrt(gap * (1.0 - gap) / n)
         bound = first_term(rs, d, sc, inner) - first_term(rs, d, sc, outer)
         assert 0.0 < gap <= bound + 3.0 * sigma
         # the annulus law, among the trials with no outage on the inner disk
-        annulus = (oracles.far_field_integral(theta, inner, sc)
-                   - oracles.far_field_integral(theta, outer, sc))
+        annulus = (oracles.far_field_integral(rho, inner, sc)
+                   - oracles.far_field_integral(rho, outer, sc))
         q = -math.expm1(-annulus)
-        survivors = int(np.count_nonzero(~(h <= theta * i_inner)))
+        survivors = int(np.count_nonzero(~(h <= i_inner)))
         share = int(np.count_nonzero(flipped)) / survivors
         assert abs(share - q) <= 3.0 * math.sqrt(q * (1.0 - q) / survivors), (share, q)
 
@@ -592,12 +616,12 @@ class TestSmallAlpha:
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0])
     def test_capped_hop_estimate(self, alpha):
-        # a window of side 10 caps the disk at R = 5, where x = theta R^-alpha
+        # a window of side 10 caps the disk at R = 5, where x = (R/rho)^-alpha
         # > 1, so the far field carries most of the exponent; lambda_e puts
         # the closed form at 0.3 to 0.5
         sc = scen(lam=3e-4, alpha=alpha, window=10.0)
-        radii, tail = montecarlo._hop_fields(1.0, [10.0], sc)
-        assert radii == [5.0] and 2.0 * (10.0 / 5.0) ** alpha > 1.0
+        radii, (rho,), tail = montecarlo._hop_fields(1.0, [10.0], sc)
+        assert radii == [5.0] and (5.0 / rho) ** -alpha > 1.0
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 50000, 63, [80.0])
         p = analytics.hop_sop(1.0, 10.0, sc)
         assert 0.2 < p < 0.6 and tail > 0.5 * -math.log1p(-p)
@@ -747,16 +771,17 @@ class TestHopSopEstimates:
         # with the far field's exponent added to the survivors' fraction
         d_alpha = dist ** scenario.alpha
         p = scenario.power_linear
-        (radius,), tail = montecarlo._hop_fields(rs, [dist], scenario)
+        (radius,), (rho,), tail = montecarlo._hop_fields(rs, [dist], scenario)
         n_outage = n_effective = 0
         for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
             n = min(montecarlo.BLOCK, trials - done)
             interference, h = block_draws_reference(block_rng(seed, 0, block), scenario,
-                                                    radius, dist, n)
-            # the draws' interference is in units of d^-alpha
+                                                    radius, rho, n)
+            # the draws' interference is in units of rho^-alpha = 1 / (2^rs d^alpha)
             snr = p * h / d_alpha
             keep = snr > 2.0 ** rs - 1.0
-            rate = np.log2((1.0 + snr[keep]) / (1.0 + p * interference[keep] / d_alpha))
+            snr_e = p * interference[keep] / (2.0 ** rs * d_alpha)
+            rate = np.log2((1.0 + snr[keep]) / (1.0 + snr_e))
             n_outage += int(np.count_nonzero(rate < rs))
             n_effective += int(np.count_nonzero(keep))
         return mapped(n_outage / n_effective, tail), n_effective
