@@ -55,6 +55,7 @@ infeasible_frac 1, and the rate sweeps write `infeasible`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import experiments
@@ -66,6 +67,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
 
 
+@functools.cache  # built on the first call: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secroute",

@@ -6,10 +6,10 @@ does not matter). A hop of length d at rate rs, with unit-mean exponential
 gains h and S_e, is in outage when h / d^a <= 2^rs sum S_e / r_e^a, that is
 h <= I = sum S_e (r_e/rho)^-a in units of its outage radius
 rho = 2^(rs/a) d. So a point is drawn as its squared distance in units of
-rho, (r/rho)^2 uniform on [0, (R/rho)^2). Gains are sampled by inverse
-CDF, each point's read next to its distance, so a fixed counter-based RNG
-stream, read strictly in order, reproduces bit-identical estimates on any
-platform.
+rho, (r/rho)^2 uniform on [0, (R/rho)^2). Gains, where an estimator
+draws them, are sampled by inverse CDF, each point's read next to its
+distance, so a fixed counter-based RNG stream, read strictly in order,
+reproduces bit-identical estimates on any platform.
 
 The field outside a hop's disk is added exactly. It is a PPP on a region
 disjoint from the disk, so it is independent of the simulated points, and
@@ -42,14 +42,22 @@ estimate's share of it is tail / -ln(1 - p) at a closed form p. R depends
 on neither lambda nor the trial count.
 
 Trials are processed in blocks by one loop, `_blocks`, which gives the
-block layout; `_block_draws` gives the layout of a hop's stream within a
-block. So estimates depend only on the seed and the parameters, never on
-how blocks are scheduled. Under randomize-and-forward the path estimator
-ORs the per-hop outage events of a trial, and the memoryless hop estimator
-is its one-hop case.
+block layout and each hop-block's generator; `_point_sums` gives the
+layout of a hop's stream within a block. So estimates depend only on the
+seed and the parameters, never on how blocks are scheduled.
 
-The hop estimators make one pass: each block's (I, h) pair is drawn once,
-and on it `hop_sop_estimates` counts the memoryless event and applies the
+The path estimator draws no gain. Given a trial's points, hop k survives
+Rayleigh fading with probability exactly prod_e 1 / (1 + x_e),
+x = (r/rho_k)^-a, the Laplace transform the closed form integrates over
+the PPP; under randomize-and-forward the trial's path is in outage with
+probability q = 1 - exp(-L), L = sum_k sum_e log1p(x_e). The estimate is
+q's mean with its sample stderr (Rao-Blackwellization, Casella and Robert,
+Biometrika 1996): the expectation of the drawn outage indicator, at a
+variance two to six times smaller on the `sop-curve` rows.
+
+The hop estimators stay literal and make one pass: each block's (I, h)
+pair is drawn once, on the same points as a one-hop path's, and on it
+`hop_sop_estimates` counts the memoryless event h <= I and applies the
 on-off rejection rule once at each distinct transmit power p, as the gain
 threshold h > c = (2^rs - 1) d^a / p. Power enters only that filter, so
 the memoryless estimate, the rejection estimate and the power-invariance
@@ -95,7 +103,8 @@ class SopEstimate:
     overflows. A closed form p is consistent with the estimate when
     it lies within 3 stderr, widened by the far-field map's rounding
     TAIL_RTOL T, of the mean. A stderr of 0 (no trial, or every trial, in
-    outage) reads as the binomial stderr of the simulated disks at p,
+    outage; for a path, every trial's conditional outage alike) reads as
+    the binomial stderr of the simulated disks at p,
     mapped as `_estimate` maps it: exp(-tail) sqrt(m (1 - m) / trials),
     m = 1 - exp(tail) (1 - p) clamped to [0, 1]. Where the disks hold
     next to none of the exponent, m rounds to 0 and only the rounding
@@ -251,10 +260,13 @@ def _hop_fields(rs: float, dists, scenario: Scenario):
     return radii, units, tail
 
 
-def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n):
-    """Per-trial interference sums I = sum S_e (r_e / rho)^-alpha and legit
-    gains h, for eavesdroppers on the disk of `radius` around the
-    transmitter of a hop of outage radius rho = `unit`.
+def _point_sums(rng, scenario: Scenario, radius: float, unit: float, n: int,
+                gains: bool) -> np.ndarray:
+    """Per-trial sums over the eavesdroppers of a block's n trials on the
+    disk of `radius` around the transmitter of a hop of outage radius
+    rho = `unit`: of S_e x_e with `gains`, the interference I, and of
+    log1p(x_e) without, the conditional outage exponent L, where
+    x = (r/rho)^-alpha.
 
     In (r/rho)^2 space a disk is the interval [0, (R/rho)^2), so the
     block's n disks laid end to end are one interval, and a PPP on it is a
@@ -262,15 +274,16 @@ def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n):
     reproducibility contract, is: one Poisson total with mean
     lambda pi R^2 n; one word pair (u, w) per point, in point order, where
     s = n u puts the point in trial floor(s) at
-    (r/rho)^2 = (s - floor(s)) (R/rho)^2 and w gives its gain -log(1 - w);
-    the n words of the legitimate gains h. Both conditioning modes and all
-    power levels consume the identical stream. A point so close that
-    (r/rho)^-alpha overflows, or any where rho is inf, adds inf, the limit
-    it stands for; the Poisson mean reads R alone, finite there.
+    (r/rho)^2 = (s - floor(s)) (R/rho)^2 and w gives its gain -log(1 - w),
+    read only with `gains`; then the n words of the legitimate gains h,
+    which only `_block_draws` reads. So every estimator sees the same
+    points. A point so close that x overflows, or any where rho is inf,
+    adds inf, the limit it stands for; the Poisson mean reads R alone,
+    finite there.
 
     The pairs are read in order and summed RUN_POINTS at a time, so a block
     holds a few chunk-sized buffers whatever its size. Each trial's sum
-    runs in point order (np.add.at), so the outputs are bit-identical
+    runs in point order (np.add.at), so the sums are bit-identical
     whatever RUN_POINTS is.
 
     u is a multiple of 2^-53 below 1, so floor(s) is uniform over the trials
@@ -281,33 +294,42 @@ def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n):
     reach2 = reach * reach  # a float product, which overflows to inf, not an error
     total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
     size = min(total, RUN_POINTS)
-    words, s_buf, gain_buf = np.empty((size, 2)), np.empty(size), np.empty(size)
+    words, x_buf, gain_buf = np.empty((size, 2)), np.empty(size), np.empty(size)
     trial_buf = np.empty(size, np.intp)
-    interference = np.zeros(n)
+    sums = np.zeros(n)
     with np.errstate(over="ignore", divide="ignore"):
         for start in range(0, total, RUN_POINTS):
             m = min(RUN_POINTS, total - start)
             pairs = rng.random(out=words[:m])
             # each column is read once, into a contiguous buffer
-            s = np.multiply(pairs[:, 0], n, out=s_buf[:m])
-            trial = np.floor(s, out=trial_buf[:m], casting="unsafe")
-            s -= trial
-            s *= reach2
-            np.power(s, -scenario.alpha / 2.0, out=s)
-            s *= _exponential(pairs[:, 1], gain_buf[:m])
-            np.add.at(interference, trial, s)
+            x = np.multiply(pairs[:, 0], n, out=x_buf[:m])
+            trial = np.floor(x, out=trial_buf[:m], casting="unsafe")
+            x -= trial
+            x *= reach2
+            np.power(x, -scenario.alpha / 2.0, out=x)
+            if gains:
+                x *= _exponential(pairs[:, 1], gain_buf[:m])
+            else:
+                np.log1p(x, out=x)
+            np.add.at(sums, trial, x)
+    return sums
+
+
+def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n: int):
+    """Per-trial interference sums I = sum S_e (r_e / rho)^-alpha and legit
+    gains h of a block's n trials, read as `_point_sums` lays them out."""
+    interference = _point_sums(rng, scenario, radius, unit, n, gains=True)
     h = rng.random(n)
     return interference, _exponential(h, h)
 
 
-def _blocks(scenario: Scenario, radii, units, trials: int, seed: int):
-    """Yield each block's size n and the list of its hops' (I, h), hop k,
-    of outage radius units[k], drawn on the disk of radius radii[k].
+def _blocks(scenario: Scenario, radii, trials: int, seed: int):
+    """Yield each block's size n and its hops' generators, hop k's
+    block_rng(seed, k, b) in block b, to draw on the disk of radius radii[k].
 
-    Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1, and
-    its hop k draws from block_rng(seed, k, b), laid out as `_block_draws`
-    says. A disk expecting more than TRIAL_POINTS points in one trial is an
-    input error.
+    Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1. A
+    disk expecting more than TRIAL_POINTS points in one trial is an input
+    error.
     """
     lam = scenario.lambda_e
     per_trial = max(lam * math.pi * radius * radius for radius in radii)
@@ -316,30 +338,50 @@ def _blocks(scenario: Scenario, radii, units, trials: int, seed: int):
                          f"on one hop's disk of radius {max(radii):g}, more than "
                          f"{TRIAL_POINTS} per trial; lower lambda_e or window")
     for block, done in enumerate(range(0, trials, BLOCK)):
-        n = min(BLOCK, trials - done)
-        yield n, [_block_draws(block_rng(seed, k, block), scenario, radius, unit, n)
-                  for k, (radius, unit) in enumerate(zip(radii, units))]
+        yield min(BLOCK, trials - done), [block_rng(seed, k, block) for k in range(len(radii))]
 
 
-def _outages(n: int, draws) -> int:
-    """Count a block's trials in which any hop's memoryless secrecy event
-    fails, h <= I."""
-    out = np.zeros(n, dtype=bool)
-    for interference, h in draws:
-        out |= h <= interference
-    return int(np.count_nonzero(out))
+def _mapped(mean: float, stderr: float, trials: int, tail: float) -> SopEstimate:
+    """A simulated mean m and its stderr with the far field added:
+    mean 1 - exp(-tail) (1 - m), stderr exp(-tail) stderr."""
+    keep = math.exp(-tail)
+    return SopEstimate(-math.expm1(-tail) + keep * mean, keep * stderr, trials, tail)
 
 
 def _estimate(n_outage: int, n_effective: int, tail: float) -> SopEstimate:
-    """The simulated fraction m = n_outage / n_effective with the far field
-    added: mean 1 - exp(-tail) (1 - m), stderr exp(-tail) sqrt(m (1 - m) / n)."""
+    """The simulated fraction m = n_outage / n_effective and its binomial
+    stderr sqrt(m (1 - m) / n), mapped by the far field."""
     if n_effective == 0:
         raise MonteCarloError(
             "no trials survived the on-off threshold; increase trials or power")
     mean = n_outage / n_effective
-    stderr = math.sqrt(mean * (1.0 - mean) / n_effective)
-    keep = math.exp(-tail)
-    return SopEstimate(-math.expm1(-tail) + keep * mean, keep * stderr, n_effective, tail)
+    return _mapped(mean, math.sqrt(mean * (1.0 - mean) / n_effective), n_effective, tail)
+
+
+def _outage_moments(log_survival: np.ndarray) -> tuple[int, float, float, float]:
+    """A block's count n, sum, summed deviations and summed squared
+    deviations of its trials' conditional outages q = 1 - exp(-L),
+    L = `log_survival`, which is overwritten. The deviations are taken
+    from the block's rounded mean m = sum / n, so nothing cancels where q
+    is nearly constant; their sum is what m's rounding leaves over."""
+    neg_q = np.expm1(np.negative(log_survival, out=log_survival), out=log_survival)
+    total = -float(neg_q.sum())
+    neg_q += total / len(neg_q)
+    left = -float(neg_q.sum())
+    neg_q *= neg_q
+    return len(neg_q), total, left, float(neg_q.sum())
+
+
+def _moments_estimate(moments, tail: float) -> SopEstimate:
+    """The mean of the blocks' conditional outages and its sample stderr,
+    mapped by the far field, from each block's `_outage_moments`. The
+    squared deviations split exactly by block into non-negative terms,
+    sum_b dev_b + n_b (mean_b - mean)^2, mean_b = m_b + left_b / n_b."""
+    trials = sum(n for n, _, _, _ in moments)
+    mean = math.fsum(total for _, total, _, _ in moments) / trials
+    dev = math.fsum([dev for _, _, _, dev in moments]
+                    + [n * (total / n - mean + left / n) ** 2 for n, total, left, _ in moments])
+    return _mapped(mean, math.sqrt(dev / max(trials - 1, 1) / trials), trials, tail)
 
 
 def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
@@ -349,15 +391,16 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     transmit power in `powers_db`.
 
     `memoryless` counts the unconditional event h <= I, exact by the
-    memoryless property of the exponential legitimate gain; it is
-    estimate_path_sop on a one-hop path of length dist, draw for draw.
+    memoryless property of the exponential legitimate gain; it reads the
+    eavesdroppers of estimate_path_sop on a one-hop path of length dist.
     `rejection` simulates the on-off rule literally: it discards trials
     whose legitimate SNR p h / d^a is at most 2^rs - 1 and counts
     secrecy-capacity shortfalls log2((1 + p h / d^a) / (1 + p sum S / r^a))
     < rs among the survivors; divided through by d^a / p, these read
     h > c and h < c + I, c = (2^rs - 1) d^a / p. Power enters only through
     c, so every estimate reads the same block draws, and equal thresholds
-    share one estimate.
+    share one estimate. Both modes count drawn fading, so they check the
+    simulated channel itself, where estimate_path_sop averages it out.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -369,11 +412,11 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
                                   replace(scenario, power_db=pdb).power_linear)
                   for pdb in powers_db]
     counts = {c: [0, 0] for c in thresholds}
-    radii, units, tail = _hop_fields(rs, [dist], scenario)
+    (radius,), (unit,), tail = _hop_fields(rs, [dist], scenario)
     n_memoryless = 0
-    for n, draws in _blocks(scenario, radii, units, trials, seed):
-        (interference, h), = draws
-        n_memoryless += _outages(n, draws)
+    for n, (rng,) in _blocks(scenario, [radius], trials, seed):
+        interference, h = _block_draws(rng, scenario, radius, unit, n)
+        n_memoryless += int(np.count_nonzero(h <= interference))
         for c, tally in counts.items():
             keep = h > c
             tally[0] += int(np.count_nonzero(keep & (h < c + interference)))
@@ -396,12 +439,11 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
 
 def estimate_path_sop(rs: float, path: Path, topology: Topology,
                       scenario: Scenario, trials: int, seed: int) -> SopEstimate:
-    """Estimate the end-to-end SOP of a path.
-
-    Every hop of every trial gets a fresh eavesdropper field and fresh
-    fading (randomize-and-forward: observations cannot be combined across
-    hops); the path is in outage when any hop's secrecy event fails. Each
-    hop owns its own RNG stream so hop draws are independent by key.
+    """Estimate the end-to-end SOP of a path: the mean over the trials of
+    q = 1 - exp(-L), L = sum_hops sum_points log1p((r/rho)^-alpha), the
+    exact outage probability given the trial's eavesdroppers, with its
+    sample stderr. Every hop of every trial gets a fresh field from its own
+    RNG stream (randomize-and-forward), and no gain is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -413,9 +455,12 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
              for u, v in zip(path.nodes, path.nodes[1:])]
     radii, units, tail = _hop_fields(rs, dists, scenario)
-    n_outage = sum(_outages(n, draws)
-                   for n, draws in _blocks(scenario, radii, units, trials, seed))
-    return _estimate(n_outage, trials, tail)
+    moments = []
+    for n, rngs in _blocks(scenario, radii, trials, seed):
+        sums = [_point_sums(rng, scenario, radius, unit, n, gains=False)
+                for rng, radius, unit in zip(rngs, radii, units)]
+        moments.append(_outage_moments(sum(sums[1:], sums[0])))
+    return _moments_estimate(moments, tail)
 
 
 def power_invariance_check(rs: float, dist: float, scenario: Scenario,

@@ -863,15 +863,58 @@ class TestEstimatePathSop:
         assert b == a
         assert abs(b.mean - analytics.path_sop(1.0, p, sc)) <= 3 * b.stderr
 
-    def test_hop_sop_is_one_hop_path_case(self):
-        # the memoryless hop estimator and the path estimator share one
-        # block driver; a partial final block runs too
+    def test_matches_point_reference(self):
+        # a 2-hop path over 2 full blocks and a partial one: on
+        # block_points_reference's points, each hop's per-trial sum of
+        # log1p((r/rho)^-alpha) by np.bincount, added over the hops, gives
+        # every trial's conditional outage q = 1 - exp(-L); each block's q
+        # is summed by np.sum and the blocks' sums by math.fsum, as the
+        # estimator sums them, and the stderr is q's two-pass sample stderr
         topo = self.topo()
         sc = scen(lam=5e-5)
+        path = topo.path((0, 1, 2))
+        trials, seed = 2 * montecarlo.BLOCK + 5, 44
+        radii, units, tail = montecarlo._hop_fields(1.0, [10.0, 10.0], sc)
+        qs = []
+        for block, done in enumerate(range(0, trials, montecarlo.BLOCK)):
+            n = min(montecarlo.BLOCK, trials - done)
+            log_survival = 0.0
+            for k, (radius, unit) in enumerate(zip(radii, units)):
+                _, trial, r2, _, _ = block_points_reference(block_rng(seed, k, block), sc,
+                                                            radius, unit, n)
+                log_survival = log_survival + np.bincount(
+                    trial, weights=np.log1p(r2 ** (-sc.alpha / 2.0)), minlength=n)
+            qs.append(-np.expm1(-log_survival))
+        q = np.concatenate(qs).tolist()
+        # some trials draw no point, and no trial is certain outage
+        assert len(q) == trials and min(q) == 0.0 and max(q) < 1.0
+        mean = math.fsum(float(np.sum(b)) for b in qs) / trials
+        two_pass = math.fsum(q) / trials
+        dev = math.fsum((x - two_pass) ** 2 for x in q)
+        est = estimate_path_sop(1.0, path, topo, sc, trials, seed)
+        assert (est.mean, est.trials, est.tail) == (mapped(mean, tail), trials, tail)
+        stderr = math.exp(-tail) * math.sqrt(dev / (trials - 1) / trials)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        assert est.covers(analytics.path_sop(1.0, path, sc))
+
+    @pytest.mark.parametrize("alpha,lam,seeds", [
+        (4.0, 5e-5, (41, 42, 43)), (3.0, 1e-5, (45, 46, 47))])
+    def test_one_hop_path_couples_to_hop_estimate(self, alpha, lam, seeds):
+        # a one-hop path reads the points of the memoryless hop estimate at
+        # its seed and averages out the fading that the hop estimate draws:
+        # the path's mean is the hop's conditional expectation, so their
+        # difference has variance se_hop^2 - se_path^2, and the path's
+        # stderr is the smaller; the seeds were fixed before the first run
+        topo = self.topo()
+        sc = scen(lam=lam, alpha=alpha)
         trials = 2 * montecarlo.BLOCK + 5
-        hop = estimate_hop_sop(1.0, 10.0, sc, trials, seed=41)
-        path = estimate_path_sop(1.0, topo.path((0, 1)), topo, sc, trials, seed=41)
-        assert hop == path
+        for seed in seeds:
+            hop = estimate_hop_sop(1.0, 10.0, sc, trials, seed)
+            path = estimate_path_sop(1.0, topo.path((0, 1)), topo, sc, trials, seed)
+            assert path.trials == hop.trials and path.tail == hop.tail
+            assert path.stderr < hop.stderr
+            spread = math.sqrt(max(hop.stderr ** 2 - path.stderr ** 2, 0.0))
+            assert abs(path.mean - hop.mean) <= 4.0 * spread, (seed, path, hop)
 
     def test_seed_determinism(self):
         topo = self.topo()
@@ -887,6 +930,69 @@ class TestEstimatePathSop:
         topo = self.topo()
         with pytest.raises(ValueError, match=message):
             estimate_path_sop(rs, topo.path((0, 1)), topo, scen(), trials, seed=1)
+
+
+class TestOutageMoments:
+    """The path estimate's mean and sample stderr of the trials' conditional
+    outages q = 1 - exp(-L), summed per block and merged across blocks."""
+
+    @staticmethod
+    def two_pass(q):
+        mean = math.fsum(q) / len(q)
+        dev = math.fsum((x - mean) ** 2 for x in q)
+        return mean, math.sqrt(dev / (len(q) - 1) / len(q))
+
+    @pytest.mark.parametrize("spread", [1e-3, 1e-9])
+    def test_stderr_from_deviations(self, spread):
+        # q = 0.4 + spread u over 2 full blocks and a partial one: the
+        # squared deviations, from each block's mean and merged across
+        # blocks, match a two-pass math.fsum reference to 1e-12, where the
+        # one-pass E[q^2] - mean^2 has lost every digit at spread 1e-9
+        rng = np.random.default_rng(2401)
+        sizes = (montecarlo.BLOCK, montecarlo.BLOCK, 5)
+        blocks = [-np.log1p(-(0.4 + spread * rng.random(n))) for n in sizes]
+        q = (-np.expm1(-np.concatenate(blocks))).tolist()
+        est = montecarlo._moments_estimate(
+            [montecarlo._outage_moments(b.copy()) for b in blocks], 0.0)
+        mean, stderr = self.two_pass(q)
+        assert est.trials == len(q)
+        assert est.mean == pytest.approx(mean, rel=1e-15, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        if spread == 1e-9:
+            variance = stderr ** 2 * (len(q) - 1)  # dev / trials
+            one_pass = math.fsum(x * x for x in q) / len(q) - mean * mean
+            assert abs(one_pass - variance) > variance
+
+    def test_point_at_the_transmitter_is_certain_outage(self):
+        # a stub stream puts one point at r = 0 in each of 64 trials (u = k/64,
+        # so n u = k exactly): x = (r/rho)^-alpha = inf, and q = 1, not NaN
+        n = 64
+
+        def random(out):
+            out[:, 0] = np.arange(len(out)) / n
+            out[:, 1] = 0.5
+            return out
+
+        stub = SimpleNamespace(poisson=lambda mean: n, random=random)
+        log_survival = montecarlo._point_sums(stub, scen(), 40.0, 10.0, n, gains=False)
+        assert np.all(log_survival == math.inf)
+        assert montecarlo._outage_moments(log_survival) == (n, float(n), 0.0, 0.0)
+
+    def test_overflowing_outage_radius_is_certain_outage(self):
+        # at rs = 5000, rho = 2^(rs/4) d overflows: every point lies within
+        # it, so a trial with a point reads q = 1, and the far field's
+        # exponent is inf, so the estimate reads 1 with stderr 0, no NaN
+        topo = build_topology([Node(0, 0, 0), Node(1, 0, 10)])
+        sc = scen(lam=1e-5)
+        (radius,), (rho,), tail = montecarlo._hop_fields(5000.0, [10.0], sc)
+        assert rho == tail == math.inf and radius == window_cap(sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_survival = montecarlo._point_sums(block_rng(3, 0, 0), sc, radius, rho, 256,
+                                                  gains=False)
+            est = estimate_path_sop(5000.0, topo.path((0, 1)), topo, sc, 256, seed=3)
+        assert np.all(log_survival == math.inf)
+        assert (est.mean, est.stderr, est.trials) == (1.0, 0.0, 256)
 
 
 class TestPowerInvariance:
