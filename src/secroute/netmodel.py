@@ -97,9 +97,11 @@ class Path:
 class Topology:
     """Immutable set of legitimate nodes with symmetric squared-distance weights.
 
-    `order` lists the node ids ascending, `index` maps an id to its
-    position in `order`, and `xy` is the read-only (N, 2) array of their
-    coordinates in that order. The weight matrix, indexed by position,
+    Built from a list of Nodes, or by Topology.from_xy from an (N, 2) array
+    of coordinates and their ids; the two give the same topology. `order`
+    lists the node ids ascending, `index` maps an id to its position in
+    `order`, and `xy` is the read-only (N, 2) array of their coordinates
+    in that order. The weight matrix, indexed by position,
     holds the squared length of every edge and inf everywhere else (the
     diagonal included), so it is also the adjacency.
 
@@ -111,26 +113,56 @@ class Topology:
     check: a path whose weight overflows is longer than the direct edge,
     so it never wins (see routing.relax).
 
-    Safe for concurrent read access; all mutation happens in __init__.
+    Safe for concurrent read access; all mutation happens in construction.
     """
 
     def __init__(self, nodes: list[Node], edges=None):
-        if len(nodes) < 2:
+        self._build(np.array([(n.x, n.y) for n in nodes], dtype=float).reshape(-1, 2),
+                    [n.id for n in nodes], edges)
+
+    @classmethod
+    def from_xy(cls, xy, ids=None, edges=None) -> Topology:
+        """The topology of the nodes at the rows of the (N, 2) array xy, with
+        ids[k] the id of row k (k itself by default), as Topology(nodes,
+        edges) builds it from Node(ids[k], *xy[k])."""
+        topo = cls.__new__(cls)
+        topo._build(np.array(xy, dtype=float), ids, edges)
+        return topo
+
+    def _build(self, xy: np.ndarray, ids, edges) -> None:
+        """The constructor's body, on an (N, 2) array of its own."""
+        n = len(xy)
+        if n < 2:
             raise NetModelError("a topology needs at least 2 nodes")
-        nodes = sorted(nodes, key=lambda n: n.id)
-        self.order = [n.id for n in nodes]
+        if xy.shape != (n, 2) or (ids is not None and len(ids) != n):
+            raise NetModelError(f"expected {n} ids and an ({n}, 2) array of coordinates")
+        if ids is None:
+            self.order = list(range(n))
+        else:  # sorted in Python, since an id may exceed int64
+            self.order = sorted(ids)
+            if self.order != list(ids):
+                xy = xy[sorted(range(n), key=ids.__getitem__)]
+        self.xy = xy
         self.index = {nid: i for i, nid in enumerate(self.order)}
-        if len(self.index) != len(nodes):
-            raise NetModelError("duplicate node ids")
-        self.xy = np.array([(n.x, n.y) for n in nodes], dtype=float)
+        if len(self.index) != n:
+            seen = set()
+            for nid in ids:
+                if nid in seen:
+                    raise NetModelError(f"duplicate node id {nid}")
+                seen.add(nid)
         self.xy.flags.writeable = False
         bad = ~np.isfinite(self.xy).all(axis=1)
         if bad.any():
             raise NetModelError(f"non-finite coordinates on node {self.order[bad.argmax()]}")
         with np.errstate(over="ignore"):
             d2 = _squared_distances(self.xy)
-        _reject_pair(d2, d2.argmax(), np.inf, self.order,
-                     "lie so far apart that their squared distance overflows a float")
+            dx, dy = np.ptp(self.xy, axis=0)
+            extent = dx * dx + dy * dy
+        # rounding is monotone, so no pair's dx*dx + dy*dy exceeds the extent's:
+        # only an extent that overflows needs the pairs scanned
+        if not math.isfinite(extent):
+            _reject_pair(d2, d2.argmax(), np.inf, self.order,
+                         "lie so far apart that their squared distance overflows a float")
         if edges is None:
             w = d2
             np.fill_diagonal(w, np.inf)
@@ -193,17 +225,23 @@ def _squared_distances(xy: np.ndarray, to: np.ndarray | None = None) -> np.ndarr
     itself by default), _ROWS rows at a time. Exactly symmetric: x_j - x_i
     is -(x_i - x_j) in floating point, and squaring drops the sign. The
     routing sweeps rely on that (see routing.relax), and one point's row
-    of distances to xy holds the bits of its row of xy's matrix."""
+    of distances to xy holds the bits of its row of xy's matrix. So one
+    (N, 2) placement's matrix is computed from the diagonal rightward
+    only, and each block's transpose is copied below the diagonal."""
     x, y = xy[..., 0], xy[..., 1]
     tx, ty = (x, y) if to is None else (to[..., 0], to[..., 1])
     n = xy.shape[-2]
+    mirror = to is None and xy.ndim == 2
     d = np.empty(xy.shape[:-1] + tx.shape[-1:])
     for i in range(0, n, _ROWS):
-        dx = x[..., i:i + _ROWS, None] - tx[..., None, :]
-        dy = y[..., i:i + _ROWS, None] - ty[..., None, :]
+        j = i if mirror else 0
+        dx = x[..., i:i + _ROWS, None] - tx[..., None, j:]
+        dy = y[..., i:i + _ROWS, None] - ty[..., None, j:]
         dx *= dx
         dy *= dy
-        np.add(dx, dy, out=d[..., i:i + _ROWS, :])
+        np.add(dx, dy, out=d[..., i:i + _ROWS, j:])
+        if mirror:
+            d[i + _ROWS:, i:i + _ROWS] = d[i:i + _ROWS, i + _ROWS:].T
     return d
 
 
@@ -255,14 +293,17 @@ def _csv_rows(fname, kind: str, convert):
             yield item
 
 
-def load_nodes_csv(fname) -> list[Node]:
-    """Read `id,x,y` rows; '#' comments and a header (a first row whose id is
-    not a number) are skipped."""
-    nodes = list(_csv_rows(fname, "node",
-                           lambda row: Node(int(row[0]), float(row[1]), float(row[2]))))
-    if not nodes:
+def load_nodes_csv(fname) -> tuple[list[int], np.ndarray]:
+    """Read `id,x,y` rows into (ids, xy): the ids in file order and the
+    (N, 2) array of their coordinates, as Topology.from_xy takes them;
+    '#' comments and a header (a first row whose id is not a number) are
+    skipped."""
+    rows = list(_csv_rows(fname, "node",
+                          lambda row: (int(row[0]), float(row[1]), float(row[2]))))
+    if not rows:
         raise NetModelError(f"no node rows found in {fname}")
-    return nodes
+    ids, x, y = zip(*rows)
+    return list(ids), np.column_stack((x, y))
 
 
 def load_edges_csv(fname) -> list[tuple[int, int]]:

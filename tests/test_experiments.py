@@ -309,6 +309,13 @@ class TestCli:
         rc = main(["route", "--topology", str(f), "--source", "0", "--dest", "2"])
         assert rc == 0
 
+    def test_route_duplicate_node_id_exit_code(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0,0,0\n1,0,5\n2,0,10\n1,3,4\n")
+        rc = main(["route", "--topology", str(nodes), "--source", "0", "--dest", "2"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: duplicate node id 1\n")
+
     def test_route_infeasible_exit_code(self, tmp_path, capsys):
         f = tmp_path / "exp.cfg"
         f.write_text("lambda_e = 1.0\n")

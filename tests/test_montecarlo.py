@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secroute import Node, Scenario, build_topology
+from secroute import Node, Scenario, Topology, build_topology
 from secroute import analytics, montecarlo
 from secroute.montecarlo import (
     MonteCarloError,
@@ -678,7 +678,7 @@ class TestRoutedPathSop:
         zs = []
         for rep in range(self.K):
             xy = placements(50, 1, [block_rng(505, a_idx, rep)])[0]
-            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+            topo = Topology.from_xy(xy)
             sol = solve_secure_route(topo, 0, 51, sc)
             assert analytics.path_sop(sol.rs_star, sol.path, sc) == pytest.approx(sc.epsilon)
             dists = [math.sqrt(topo.path(hop).sum_sq_dist)

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from secroute import NetModelError, Node, Scenario, build_topology
-from secroute.netmodel import _ROWS, load_edges_csv, load_nodes_csv, mesh_weights
+from secroute import NetModelError, Node, Scenario, Topology, build_topology
+from secroute.netmodel import (_ROWS, _squared_distances, load_edges_csv, load_nodes_csv,
+                               mesh_weights)
 from secroute.experiments import six_node_topology
 
 
@@ -61,9 +62,20 @@ def test_single_node_rejected():
         build_topology([Node(0, 0, 0)])
 
 
+@pytest.mark.parametrize("xy, ids", [([(0, 0, 0), (1, 1, 1)], None),
+                                     ([(0, 0), (1, 1)], [0, 1, 2]),
+                                     ([(0, 0), (1, 1)], [0])])
+def test_from_xy_rejects_mismatched_shapes(xy, ids):
+    with pytest.raises(NetModelError, match=r"expected 2 ids and an \(2, 2\) array"):
+        Topology.from_xy(xy, ids)
+
+
 def test_duplicate_ids_rejected():
-    with pytest.raises(NetModelError):
+    with pytest.raises(NetModelError, match="^duplicate node id 0$"):
         build_topology([Node(0, 0, 0), Node(0, 1, 1)])
+    # the message names the first id, in input order, that repeats an earlier one
+    with pytest.raises(NetModelError, match="^duplicate node id 3$"):
+        Topology.from_xy([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)], [1, 3, 5, 3, 1])
 
 
 def test_nonfinite_coordinates_rejected():
@@ -179,6 +191,85 @@ def test_weight_matrix_exactly_symmetric(n, p_edge):
         assert np.array_equal(ws[:, edge], squared_distances_reference(stack)[:, edge])
 
 
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 602])
+def test_mirrored_squared_distances_match_reference(n):
+    # one placement's matrix is computed above the diagonal and mirrored;
+    # 15, 16, 17 and 33 put the last block of _ROWS rows short, whole and
+    # one row long
+    rng = np.random.default_rng(700 + n)
+    xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    d = _squared_distances(xy)
+    assert d.shape == (n, n)
+    assert d.tobytes() == squared_distances_reference(xy).tobytes()
+
+
+def test_extent_overflow_alone_builds():
+    # the extent's squared diagonal, 2.88e308, overflows, but no pair's
+    # squared distance does (the farthest pairs read 1.44e308)
+    xy = [(0.6e154, 0.0), (-0.6e154, 0.0), (0.0, 0.6e154), (0.0, -0.6e154)]
+    w = Topology.from_xy(xy).weight_matrix()
+    assert np.isfinite(w[~np.eye(4, dtype=bool)]).all()
+    assert w[0, 1] == 1.2e154 * 1.2e154
+
+
+def same_topology(a, b):
+    assert a.order == b.order
+    assert a.index == b.index
+    assert a.xy.tobytes() == b.xy.tobytes()
+    assert a.weight_matrix().tobytes() == b.weight_matrix().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["default", "shuffled", "negative", "above-int64"])
+@pytest.mark.parametrize("p_edge", [None, 0.1])
+def test_from_xy_matches_node_constructor(kind, p_edge):
+    n = 40
+    rng = np.random.default_rng([n, 1 if p_edge is None else 2, len(kind)])
+    xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    ids = list(range(n)) if kind == "default" else rng.permutation(n).tolist()
+    if kind == "negative":
+        ids = [k - 25 for k in ids]
+    elif kind == "above-int64":
+        ids = [2**63 + 3 * k for k in ids]
+    edges = None
+    if p_edge is not None:
+        iu, ju = np.triu_indices(n, 1)
+        pick = rng.random(len(iu)) < p_edge
+        edges = [(ids[i], ids[j]) for i, j in zip(iu[pick].tolist(), ju[pick].tolist())]
+    nodes = [Node(k, x, y) for k, (x, y) in zip(ids, xy.tolist())]
+    topo = Topology.from_xy(xy, None if kind == "default" else ids, edges)
+    same_topology(topo, build_topology(nodes, edges))
+    assert topo.order == sorted(ids)
+    held = topo.xy.tobytes()
+    xy[:] = 0.0  # the topology holds its own copy
+    assert topo.xy.tobytes() == held
+
+
+@pytest.mark.parametrize("xy, edges, message", [
+    ([(0, 0), (math.nan, 1)], None, "non-finite coordinates on node 0"),
+    ([(0, 0), (0, 1e154), (0, -1e154)], None,
+     "nodes 0 and 1 lie so far apart that their squared distance overflows a float"),
+    ([(0, 0), (5, 0), (5, 0)], None, "nodes 0 and 1 are co-located"),
+    ([(0, 0), (0, 5)], [(0, 0)], "self-loop on node 0"),
+    ([(0, 0), (0, 5)], [(0, 7)], "edge (0,7) references unknown node"),
+    ([(0, 0), (1e154, 0), (0, 0.001)], [(2, 1), (1, 0)],
+     "nodes 0 and 1 lie so far apart that 2 times their squared distance "
+     "overflows a float"),
+    ([(0, 0), (0, 5), (0, 9)], None, "duplicate node id 0"),
+], ids=["non-finite", "overflow", "co-located", "self-loop", "unknown-node",
+        "edge-sum-overflow", "duplicate"])
+def test_from_xy_rejects_as_node_constructor(xy, edges, message):
+    # ids run backwards, so a message's ids are read through the sort
+    ids = [len(xy) - 1 - k for k in range(len(xy))]
+    if message.startswith("duplicate"):
+        ids[1] = 0
+    nodes = [Node(k, x, y) for k, (x, y) in zip(ids, xy)]
+    with pytest.raises(NetModelError) as by_xy:
+        Topology.from_xy(xy, ids, edges)
+    with pytest.raises(NetModelError) as by_nodes:
+        build_topology(nodes, edges)
+    assert str(by_xy.value) == str(by_nodes.value) == message
+
+
 def test_mesh_weights_reject_colocated():
     xy = np.arange(16.0).reshape(2, 4, 2)
     xy[1, 3] = xy[1, 1]
@@ -247,11 +338,12 @@ def test_csv_round_trip(tmp_path):
     nodes_file.write_text("# example\nid,x,y\n0,0,0\n1,3,4,relay\n2,0,10\n")
     edges_file = tmp_path / "edges.csv"
     edges_file.write_text("# links\nfrom,to\n0,1\n\n1,2,x\n")
-    nodes = load_nodes_csv(nodes_file)
-    assert [n.id for n in nodes] == [0, 1, 2]
+    ids, xy = load_nodes_csv(nodes_file)
+    assert ids == [0, 1, 2]
+    assert xy.tolist() == [[0.0, 0.0], [3.0, 4.0], [0.0, 10.0]]
     edges = load_edges_csv(edges_file)
     assert edges == [(0, 1), (1, 2)]
-    topo = build_topology(nodes, edges)
+    topo = Topology.from_xy(xy, ids, edges)
     assert topo.path((0, 1)).sum_sq_dist == 25.0
     with pytest.raises(NetModelError):
         topo.path((0, 2))
@@ -264,7 +356,9 @@ def test_csv_byte_order_mark(tmp_path, header):
     nodes_file = tmp_path / "nodes.csv"
     nodes_file.write_text("\ufeff" + "id,x,y\n" * header + "2,18.87,0\n1,0,0\n3,37.74,0\n",
                           encoding="utf-8")
-    assert [n.id for n in load_nodes_csv(nodes_file)] == [2, 1, 3]
+    ids, xy = load_nodes_csv(nodes_file)
+    assert ids == [2, 1, 3]
+    assert xy.tolist() == [[18.87, 0.0], [0.0, 0.0], [37.74, 0.0]]
     edges_file = tmp_path / "edges.csv"
     edges_file.write_text("\ufeff" + "from,to\n" * header + "1,2\n2,3\n", encoding="utf-8")
     assert load_edges_csv(edges_file) == [(1, 2), (2, 3)]

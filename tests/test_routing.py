@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from secroute import Node, Scenario, build_topology
+from secroute import Node, Scenario, Topology, build_topology
 from secroute import analytics, montecarlo, routing
 from secroute.experiments import ExperimentConfig, placements, run_table_one, six_node_topology
 from secroute.netmodel import _squared_distances, mesh_weights
@@ -304,7 +304,7 @@ class TestFixedPointStop:
         # 2000 relays on the 50 x 50 square at lambda_e = 1: the bound rules
         # out every budget after the first, so the sweep keeps rows 0 and 1
         xy = placements(2000, 1, [np.random.default_rng([1, 1])])[0]
-        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        topo = Topology.from_xy(xy)
         sweep = routing.bellman_ford_hop_constrained
         tables = []
         monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
@@ -353,7 +353,7 @@ def prefix_case(kind, seed):
     p_edge = float(rng.uniform(0.1, 0.5))
     edges = [(i, j) for i in range(n + 2) for j in range(i + 1, n + 2)
              if rng.random() < p_edge and not (i >= n - 1 and j >= n - 1)]
-    return build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())], edges), 0, n - 1
+    return Topology.from_xy(xy, edges=edges), 0, n - 1
 
 
 PREFIX_CASES = [(kind, s) for kind in ("mesh", "graph", "colocated") for s in range(6)]
@@ -404,7 +404,7 @@ class TestPrefixBound:
         # 600 relays on the 50 x 50 square: the best path has 6 hops, and the
         # sweep ends there; the D^2/v' bound alone sweeps one budget more
         xy = placements(600, 1, [montecarlo.block_rng(1, 0, 0)])[0]
-        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        topo = Topology.from_xy(xy)
         sweep = routing.bellman_ford_hop_constrained
         tables = []
         monkeypatch.setattr(routing, "bellman_ford_hop_constrained",
@@ -433,7 +433,7 @@ class TestPrefixBound:
         run_table_one(ExperimentConfig(reps=20, seed=1441))
         # perfbench's route-large, seed 1
         xy = placements(600, 1, [np.random.default_rng([1, 1])])[0]
-        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        topo = Topology.from_xy(xy)
         routing.solve_secure_route(topo, 0, 601, scen())
         with pytest.raises(OverflowError):
             run_table_one(ExperimentConfig(n_legit=(1,), reps=30, seed=3, alpha=1e308,
@@ -675,7 +675,7 @@ class TestMeshSecrecyRates:
         later = routing.later_rate_bounds(w[:, 0, -1], n, sc)
         scored = 0
         for k in range(r):
-            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy[k].tolist())])
+            topo = Topology.from_xy(xy[k])
             col = routing.bellman_ford_hop_constrained(topo, 0, n - 1).best[:, -1]
             for v in range(1, len(col)):
                 if col[v] < col[v - 1]:
@@ -757,7 +757,7 @@ class TestMeshSecrecyRates:
 
     def test_stop_ends_before_fixed_point(self, monkeypatch):
         xy = placements(100, 1, [montecarlo.block_rng(3, 0, 0)])[0]
-        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        topo = Topology.from_xy(xy)
         v_fix = len(routing.bellman_ford_hop_constrained(topo, 0, 101).best) - 1
         c_s = routing.solve_secure_route(topo, 0, 101, scen()).c_s
         steps = []
@@ -832,7 +832,7 @@ class TestRelax:
     def test_blocks_change_no_route(self, monkeypatch):
         n = 1500
         xy = placements(n - 2, 1, [montecarlo.block_rng(5, 0, 0)])[0]
-        topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())])
+        topo = Topology.from_xy(xy)
         sol = routing.solve_secure_route(topo, 0, n - 1, scen())
         tab = routing.bellman_ford_hop_constrained(topo, 0, n - 1)
         monkeypatch.setattr(routing, "_RELAX_CELLS", 1 << 62)
