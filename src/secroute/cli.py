@@ -16,7 +16,8 @@ least one power level`), a `lambda_e` that expects more than 2^23
 eavesdroppers on one hop's disk in a single trial, two nodes whose squared
 distance overflows a float, or an edge list in which N-1 times its largest
 edge weight overflows, named by id, and parameters whose arithmetic
-overflows a float, such as a huge power, a `validate` rate or alpha at
+overflows a float, such as a huge power (or a power so low that it
+underflows to 0 as a linear power), a `validate` rate or alpha at
 which its on-off threshold (2^rs - 1) d^alpha overflows, a `table-one`
 alpha whose secrecy-rate sums overflow, or a secrecy rate that overflows
 at a positive density; the message names the parameter, or the

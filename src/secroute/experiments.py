@@ -144,12 +144,12 @@ def _example_sweep(cfg: ExperimentConfig, param: str, values):
     six-node example, path by path, at each of `values` of the scenario's
     `param`; the row key is (path id, hops, value)."""
     topo = six_node_topology()
-    scenario = cfg.scenario()
+    scenarios = [replace(cfg.scenario(), **{param: val}) for val in values]
     for seq in FIG_PATHS:
         path = topo.path(seq)
         pid = "-".join(str(n) for n in seq)
-        for val in values:
-            yield topo, path, (pid, path.hop_count, val), replace(scenario, **{param: val})
+        for val, scenario in zip(values, scenarios):
+            yield topo, path, (pid, path.hop_count, val), scenario
 
 
 def run_sop_curve(cfg: ExperimentConfig):

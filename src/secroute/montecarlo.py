@@ -67,6 +67,7 @@ counted. c is the one place 2^rs and d^a are formed.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -74,7 +75,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .netmodel import Path, Scenario, Topology
+from .netmodel import NetModelError, Path, Scenario, Topology
 
 BLOCK = 1 << 14
 TRIAL_POINTS = 1 << 23  # most expected eavesdropper points on one trial's disk
@@ -130,14 +131,17 @@ class SopEstimate:
         return self.mean - spread <= p <= self.mean + spread
 
 
-class _ZeroSeed(ISeedSequence):
-    """A seed sequence of zeros, for a Philox whose state is then set whole."""
+class _KeySeed(ISeedSequence):
+    """A seed sequence that hands Philox the two 64-bit words of its key as
+    they are, so the generator starts keyed and draws no OS entropy."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple[int, int]):
+        self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
-
-
-_ZERO_SEED = _ZeroSeed()
+        return np.array(self.key, dtype)
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -145,11 +149,11 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
 
     Its stream is np.random.Philox(key=k)'s, a zero counter under the
     128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
-    and block masked to 64, 16 and 48 bits (`_block_key`). It is the
-    one-block case of `block_rngs`: given a key, Philox's constructor still
+    and block masked to 64, 16 and 48 bits (`_block_key`). The key is passed
+    as the seed sequence's state: given key=, Philox's constructor still
     draws OS entropy for a seed that it then discards, about half its time.
     """
-    return next(block_rngs(seed, stream, (block,)))
+    return np.random.Generator(np.random.Philox(_KeySeed(_block_key(seed, stream, block))))
 
 
 def block_rngs(seed: int, stream: int, blocks):
@@ -161,7 +165,7 @@ def block_rngs(seed: int, stream: int, blocks):
     block's key, so each is valid only until the next is taken. A re-key
     takes about 1.2 us, where Philox(key=k) takes 7.7 us (x86-64, numpy 2.4).
     """
-    bits = np.random.Philox(_ZERO_SEED)
+    bits = np.random.Philox(_KeySeed((0, 0)))
     rng = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -196,6 +200,7 @@ def _gain_threshold(rs: float, dist: float, alpha: float, power: float) -> float
     return (2.0 ** rs - 1.0) * dist ** alpha / power
 
 
+@functools.lru_cache(maxsize=256)
 def _beta_share(log_x: float, p: float, q: float) -> float:
     """The regularized incomplete beta function I_z(p, q) at z = x / (1 + x),
     x = exp(log_x), for p + q = 1 (DLMF 8.17(ii)).
@@ -207,7 +212,9 @@ def _beta_share(log_x: float, p: float, q: float) -> float:
     whose terms fall at least as fast as 2^-n, so a few dozen reach double
     precision; where x > 1 it reflects, I_z(p, q) = 1 - I_{1-z}(q, p), and
     1 - z = x' / (1 + x') with log x' = -log_x. log z is taken as
-    log x - log1p(x), so a z that underflows reads 0.
+    log x - log1p(x), so a z that underflows reads 0. It is cached: x
+    depends on neither lambda nor the hop length where the cap does not
+    bind, so a sweep's uncapped hops at one alpha share one sum.
     """
     if log_x > 0.0:
         return 1.0 - _beta_share(-log_x, q, p)
@@ -222,6 +229,16 @@ def _beta_share(log_x: float, p: float, q: float) -> float:
     return math.exp(p * log_z) * total / (math.gamma(p) * math.gamma(q))
 
 
+@functools.lru_cache(maxsize=64)
+def _field_constants(alpha: float) -> tuple[float, float]:
+    """(log c_a, G(1 + 2/a) G(1 - 2/a)), the far field's factors that are
+    fixed per alpha; every hop of every row asks for them."""
+    log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
+    # tau's bound 2 pi lambda rho^2 (R/rho)^(2 - a) / (a - 2) = TAIL_SHARE K1 rho^2
+    log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0) - log_gammas) / (alpha - 2.0)
+    return log_c, math.exp(log_gammas)
+
+
 def _hop_field(log_rho: float, scenario: Scenario, cap: float):
     """Disk radius R and outage radius rho = exp(log_rho), inf where it
     overflows, of a hop, and its far-field exponent
@@ -232,16 +249,14 @@ def _hop_field(log_rho: float, scenario: Scenario, cap: float):
     log R - log rho, so that a huge alpha multiplies no rounding error.
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
-    log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
-    # tau's bound 2 pi lambda rho^2 (R/rho)^(2 - a) / (a - 2) = TAIL_SHARE K1 rho^2
-    log_c = (_LN2 - math.log(TAIL_SHARE) - math.log(alpha - 2.0) - log_gammas) / (alpha - 2.0)
+    log_c, gammas = _field_constants(alpha)
     log_reach = min(log_c, math.log(cap) - log_rho)
     radius = cap if log_reach < log_c else math.exp(log_c + log_rho)
     rho = math.exp(log_rho) if log_rho < _LOG_MAX else math.inf
     if lam == 0.0:
         return radius, rho, 0.0
     # K1 rho^2, a float product, so an overflow reads inf
-    exponent = math.pi * lam * math.exp(log_gammas) * rho * rho
+    exponent = math.pi * lam * gammas * rho * rho
     share = _beta_share(-alpha * log_reach, (alpha - 2.0) / alpha, 2.0 / alpha)
     return radius, rho, exponent * share
 
@@ -437,6 +452,27 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
     return rejection[0] if rejection else memoryless
 
 
+def _hop_lengths(nodes, topology: Topology) -> list[float]:
+    """Each hop's length, the root of its entry of the weight matrix (exact:
+    sqrt inverts a correctly rounded square). The matrix is looked up once
+    per path, and each hop checked as Topology.path checks it: a hop from a
+    node to itself, a node not in the topology, or a hop with no link
+    raises NetModelError."""
+    index, weights = topology.index, topology.weight_matrix()
+    lengths = []
+    for u, v in zip(nodes, nodes[1:]):
+        if u == v:
+            raise NetModelError("path revisits a node")
+        for node in (u, v):
+            if node not in index:
+                raise NetModelError(f"node {node} not in topology")
+        w = weights.item(index[u], index[v])
+        if w == math.inf:
+            raise NetModelError(f"no link between {u} and {v}")
+        lengths.append(math.sqrt(w))
+    return lengths
+
+
 def estimate_path_sop(rs: float, path: Path, topology: Topology,
                       scenario: Scenario, trials: int, seed: int) -> SopEstimate:
     """Estimate the end-to-end SOP of a path: the mean over the trials of
@@ -449,12 +485,7 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         raise ValueError("trials must be >= 1")
     if not 0.0 < rs < math.inf:
         raise ValueError("rs must be positive and finite")
-    # each hop length is the root of its squared-distance entry (exact:
-    # sqrt inverts a correctly rounded square); path() rejects a hop that is
-    # not an edge
-    dists = [math.sqrt(topology.path((u, v)).sum_sq_dist)
-             for u, v in zip(path.nodes, path.nodes[1:])]
-    radii, units, tail = _hop_fields(rs, dists, scenario)
+    radii, units, tail = _hop_fields(rs, _hop_lengths(path.nodes, topology), scenario)
     moments = []
     for n, rngs in _blocks(scenario, radii, trials, seed):
         sums = [_point_sums(rng, scenario, radius, unit, n, gains=False)

@@ -63,11 +63,17 @@ class Scenario:
 
     @property
     def power_linear(self) -> float:
+        """10^(power_db / 10); a power that overflows a float, or underflows
+        to 0 (below about -3234 dB), is named."""
         try:
-            return 10.0 ** (self.power_db / 10.0)
+            power = 10.0 ** (self.power_db / 10.0)
         except OverflowError:
             raise OverflowError(f"power_db = {self.power_db:g} overflows a float "
                                 f"as a linear power") from None
+        if power == 0.0:
+            raise NetModelError(f"power_db = {self.power_db:g} underflows a float "
+                                f"as a linear power")
+        return power
 
     @property
     def window_area(self) -> float:

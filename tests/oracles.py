@@ -5,8 +5,9 @@ decomposition in `secroute.routing`, scipy quadratures of the plane
 integral behind the closed-form outage exponent in `secroute.analytics`
 and of the far-field exponent `secroute.montecarlo` adds to its disks,
 the per-topology loop that `secroute.experiments.run_table_one`
-replaced with one stacked sweep, and the per-call form of
-`secroute.routing.later_paths_may_win`.
+replaced with one stacked sweep, the per-call form of
+`secroute.routing.later_paths_may_win`, and Dijkstra on a mesh's Gabriel
+graph, the fixed point of the hop-budget sweep at any size.
 scipy is a test-only dependency; the package itself never imports it.
 """
 
@@ -17,6 +18,9 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import Delaunay
 
 from secroute import montecarlo
 from secroute.analytics import path_metric, weight_density_bound
@@ -189,3 +193,29 @@ def _later_weights_reference(best, to_dst, d2, v, vp):
 def _exceeds_reference(weight, vp, rate, log_b, alpha):
     u = (alpha / 2.0) * (log_b + _BOUND_MARGIN - np.log2(weight)) / vp
     return ~(u <= np.minimum(rate, _RS_NEAR_MAX / vp))
+
+
+def gabriel_dijkstra(topology: Topology, source: int):
+    """(dist, pred): the least squared-distance path weight from `source` to
+    each node of a full mesh, and each node's predecessor on it, indexed by
+    position in topology.order, by scipy's Dijkstra on the mesh's Gabriel
+    graph.
+
+    The Gabriel graph keeps a Delaunay edge uv when no node w lies strictly
+    inside the disk with diameter uv, that is, when no w has
+    |uw|^2 + |wv|^2 < |uv|^2 (Gabriel and Sokal, Systematic Zoology, 1969).
+    An edge it drops has a strictly lighter two-hop detour, so no
+    minimum-weight path with unlimited hops uses it. Edge weights are the
+    mesh's own weight-matrix entries.
+    """
+    w = topology.weight_matrix()
+    tri = Delaunay(topology.xy).simplices
+    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
+    u, v = np.unique(np.sort(pairs, axis=1), axis=0).T
+    # the diagonal is inf, so u and v themselves never lie inside
+    inside = (w[u] + w[v] < w[u, v][:, None]).any(axis=1)
+    u, v = u[~inside], v[~inside]
+    n = len(w)
+    graph = csr_matrix((w[u, v], (u, v)), shape=(n, n))
+    return dijkstra(graph, directed=False, indices=topology.index[source],
+                    return_predecessors=True)

@@ -458,6 +458,9 @@ class TestCli:
               ("validate", "dist = nan", "dist"),
               ("validate", "power_db = 4000", "power_db = 4000 overflows a float"),
               ("validate", "powers = 60, 4000", "power_db = 4000 overflows a float"),
+              # a linear power that underflows to 0, which the gain threshold divides by
+              ("validate", "power_db = -3300", "power_db = -3300 underflows a float"),
+              ("validate", "powers = 80, -1e300", "power_db = -1e+300 underflows a float"),
               ("validate", "rs = 2000", "rs = 2000 overflows a float"),
               ("validate", "alpha = 400", "alpha = 400 overflows a float"),
               ("validate", "powers =", "need at least one power level"),
@@ -519,11 +522,13 @@ class TestCli:
             assert abs(float(r["mc_mean"]) - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), r
 
     def test_power_overflow_outside_sop_curve(self, tmp_path, capsys):
-        # sop-curve never converts the power to linear scale
+        # sop-curve never converts the power to linear scale, so neither an
+        # overflowing nor an underflowing linear power stops it
         f = tmp_path / "exp.cfg"
-        f.write_text("power_db = 4000\ntrials = 100\n")
-        rc = main(["sop-curve", "--config", str(f), "--out", str(tmp_path / "o.csv")])
-        assert rc == 0
+        for power_db in ("4000", "-3300"):
+            f.write_text(f"power_db = {power_db}\ntrials = 100\n")
+            rc = main(["sop-curve", "--config", str(f), "--out", str(tmp_path / "o.csv")])
+            assert rc == 0, power_db
 
     def test_validate_passes_at_small_alpha(self, tmp_path, capsys):
         # at alpha = 2.5 the window caps the disk, and the far field outside

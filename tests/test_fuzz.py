@@ -31,7 +31,7 @@ POOLS = {
                  ["1e9", "nan", "inf", "-1e-5"]),
     "epsilon": (["0.1", "0.02", "0.5", "1e-17", "0.9999999999999999"],
                 ["0", "1", "nan", "-0.1"]),
-    "power_db": (["80", "60", "-300"], ["3000", "nan", "inf"]),
+    "power_db": (["80", "60", "-300"], ["3000", "-3300", "nan", "inf"]),
     "window": (["100", "50", "20", "1"], ["0", "-5", "nan", "inf", "1e308"]),
     "rs": (["1", "0.5", "5", "1e3"], ["1e308", "0", "-1", "nan"]),
     "dist": (["10", "1", "25", "1e-300"], ["1e200", "0", "-1", "nan"]),

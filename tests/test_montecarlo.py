@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secroute import Node, Scenario, Topology, build_topology
+from secroute import Node, Path, Scenario, Topology, build_topology
 from secroute import analytics, montecarlo
 from secroute.montecarlo import (
     MonteCarloError,
@@ -22,6 +22,7 @@ from secroute.montecarlo import (
 )
 from secroute.cli import main
 from secroute.experiments import FIG_PATHS, placements, six_node_topology
+from secroute.netmodel import NetModelError
 from secroute.routing import solve_secure_route
 
 import oracles
@@ -552,6 +553,53 @@ class TestFarField:
         assert lines[0] == "memoryless: mc=0.09355 analytic=0.0899428 [pass]"
 
 
+def hop_field_reference(log_rho, scenario, cap):
+    """`montecarlo._hop_field` with every alpha-only term recomputed per hop
+    and the share summed uncached."""
+    lam, alpha = scenario.lambda_e, scenario.alpha
+    log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
+    log_c = (math.log(2.0) - math.log(montecarlo.TAIL_SHARE) - math.log(alpha - 2.0)
+             - log_gammas) / (alpha - 2.0)
+    log_reach = min(log_c, math.log(cap) - log_rho)
+    radius = cap if log_reach < log_c else math.exp(log_c + log_rho)
+    rho = math.exp(log_rho) if log_rho < montecarlo._LOG_MAX else math.inf
+    if lam == 0.0:
+        return radius, rho, 0.0
+    exponent = math.pi * lam * math.exp(log_gammas) * rho * rho
+    share = montecarlo._beta_share.__wrapped__(-alpha * log_reach, (alpha - 2.0) / alpha,
+                                                2.0 / alpha)
+    return radius, rho, exponent * share
+
+
+class TestFieldConstants:
+    """The far field's per-alpha factors and uncapped share are computed
+    once per alpha and cached; every hop's radius, unit and tail keep the
+    bits of the per-hop formula."""
+
+    @pytest.mark.parametrize("window", [2000.0, 10.0])
+    @pytest.mark.parametrize("alpha", [2.0001, 2.5, 3.0, 4.0, 8.0, 400.0, 1e300])
+    def test_bit_identical_to_per_hop_formula(self, alpha, window):
+        dists = [0.5, 3.0, 10.0, 10.0, 37.7, 50.0]
+        for lam in (1e-5, 3e-3):
+            sc = scen(lam=lam, alpha=alpha, window=window)
+            radii, units, tail = [], [], 0.0
+            for dist in dists:
+                log_rho = 1.0 * montecarlo._LN2 / alpha + math.log(dist)
+                radius, rho, tau = hop_field_reference(log_rho, sc, window_cap(sc))
+                radii.append(radius)
+                units.append(rho)
+                tail += tau
+            # the first call fills the caches, the second reads them
+            montecarlo._field_constants.cache_clear()
+            montecarlo._beta_share.cache_clear()
+            for _ in range(2):
+                got = montecarlo._hop_fields(1.0, dists, sc)
+                assert got[0] == radii and got[1] == units
+                assert got[2] == tail
+        if window == 10.0:  # the cap binds on the longer hops
+            assert radii[-1] == 5.0
+
+
 class TestTruncationBias:
     """The far field's exponent against a coupled run on two radii: the
     annulus between them flips a trial with no outage on the inner disk to
@@ -915,6 +963,44 @@ class TestEstimatePathSop:
             assert path.stderr < hop.stderr
             spread = math.sqrt(max(hop.stderr ** 2 - path.stderr ** 2, 0.0))
             assert abs(path.mean - hop.mean) <= 4.0 * spread, (seed, path, hop)
+
+    @pytest.mark.parametrize("nodes,message", [
+        ((0, 2), "no link between 0 and 2"),
+        ((2, 1, 0, 2), "no link between 0 and 2"),
+        ((0, 1, 7), "node 7 not in topology"),
+        ((7, 0, 1), "node 7 not in topology"),
+        # hops are checked in order, each hop's nodes before its link
+        ((1, 0, 2, 7), "no link between 0 and 2"),
+        ((0, 7, 2), "node 7 not in topology"),
+        # a hop from a node to itself, checked before its nodes
+        ((0, 1, 1, 2), "path revisits a node"),
+        ((7, 7), "path revisits a node")])
+    def test_bad_hop_names_it(self, nodes, message):
+        # an edge list 0-1, 1-2: the first bad hop raises what
+        # Topology.path raises on that hop alone
+        topo = Topology.from_xy([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0]], edges=[(0, 1), (1, 2)])
+        with pytest.raises(NetModelError) as want:
+            for hop in zip(nodes, nodes[1:]):
+                topo.path(hop)
+        with pytest.raises(NetModelError) as got:
+            estimate_path_sop(1.0, Path(nodes, 0.0), topo, scen(), 100, seed=1)
+        assert str(got.value) == str(want.value) == message
+
+    def test_draws_each_hop_block_once(self, monkeypatch):
+        # a 3-hop path over 2 blocks takes one generator per (seed, hop,
+        # block) key, hop k's in stream k
+        keys = []
+        real = montecarlo.block_rng
+
+        def counting(seed, stream, block):
+            keys.append((seed, stream, block))
+            return real(seed, stream, block)
+
+        monkeypatch.setattr(montecarlo, "block_rng", counting)
+        topo = Topology.from_xy([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0], [0.0, 30.0]])
+        estimate_path_sop(1.0, topo.path((0, 1, 2, 3)), topo, scen(), montecarlo.BLOCK + 5, 9)
+        assert len(keys) == len(set(keys)) == 6
+        assert sorted(keys) == [(9, k, b) for k in range(3) for b in range(2)]
 
     def test_seed_determinism(self):
         topo = self.topo()

@@ -501,6 +501,37 @@ class TestOracle:
             oracles.enumerate_all_paths_oracle(topo, 0, 9, 9)
 
 
+class TestGabrielOracle:
+    """At hundreds of nodes the sweep's fixed point equals Dijkstra on the
+    mesh's Gabriel graph (oracles.gabriel_dijkstra), bit for bit, and
+    path_to follows every shortest path that is unique."""
+
+    @pytest.mark.parametrize("n_legit,seed", [(200, 1), (400, 2), (600, 3)])
+    def test_fixed_point_is_gabriel_dijkstra(self, n_legit, seed):
+        xy = placements(n_legit, 1, [montecarlo.block_rng(seed, 0, 0)])[0]
+        topo = Topology.from_xy(xy)
+        n = len(xy)
+        tab = routing.bellman_ford_hop_constrained(topo, 0, n - 1)
+        dist, pred = oracles.gabriel_dijkstra(topo, 0)
+        assert tab.best[-1].tolist() == dist.tolist()
+        # every row kept strictly improves an entry: the sweep stops at the
+        # first budget that improves none
+        assert all((tab.best[r] < tab.best[r - 1]).any() for r in range(1, len(tab.best)))
+        # a node's shortest path is unique where each node on it has exactly
+        # one predecessor u over the whole mesh with dist[u] + w[u, i] == dist[i]
+        with np.errstate(over="ignore"):
+            ties = np.count_nonzero(dist[:, None] + topo.weight_matrix() == dist, axis=0)
+        unique = 0
+        for i in range(1, n):
+            seq = [i]
+            while seq[-1] != 0:
+                seq.append(int(pred[seq[-1]]))
+            if all(ties[j] == 1 for j in seq[:-1]):
+                assert tab.path_to(i, n) == seq[::-1]
+                unique += 1
+        assert unique >= n // 2
+
+
 class TestSolveSecureRoute:
     def test_two_node_direct(self):
         topo = build_topology([Node(0, 0, 0), Node(1, 0, 10)])
