@@ -12,16 +12,18 @@ named in the message, a non-finite density, power or path-loss exponent, a
 that is not in the topology or that are the same node, a Monte Carlo run
 that cannot produce an estimate because no trial survives the on-off
 threshold, a `validate` run with an empty `powers` list (`error: need at
-least one power level`), a `lambda_e` that expects more than 2^23
-eavesdroppers on one hop's disk in a single trial, two nodes whose squared
-distance overflows a float, or an edge list in which N-1 times its largest
-edge weight overflows, named by id, and parameters whose arithmetic
-overflows a float, such as a huge power (or a power so low that it
-underflows to 0 as a linear power), a `validate` rate or alpha at
-which its on-off threshold (2^rs - 1) d^alpha overflows, a `table-one`
-alpha whose secrecy-rate sums overflow, or a secrecy rate that overflows
-at a positive density; the message names the parameter, or the
-path's weight where the path is so short that its density bound overflows;
+least one power level`), a sweep with an empty `lambdas`, `epsilons` or
+`n_legit` list (`error: need at least one value in lambdas`, naming the
+key), a `lambda_e` that expects more than 2^23 eavesdroppers on one hop's
+disk in a single trial, two nodes whose squared distance overflows a float,
+or an edge list in which N-1 times its largest edge weight overflows, named
+by id, and parameters whose arithmetic overflows a float, such as a huge
+power (or a power so low that it underflows to 0 as a linear power), a
+`validate` rate or alpha at which its on-off threshold (2^rs - 1) d^alpha
+overflows, a `table-one` alpha whose secrecy-rate sums overflow, or a
+secrecy rate that overflows at a positive density; the message names the
+parameter, or the path's weight where the path is so short that its
+density bound overflows;
 and an input whose arrays cannot be allocated, with numpy's message), 3
 I/O. When `route` finds no route it exits 1 and says why: `unreachable: no
 path from S to D` when no path joins them, `infeasible: no path satisfies

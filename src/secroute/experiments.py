@@ -139,10 +139,14 @@ def _row_seed(master: int, index: int) -> int:
     return master * 1000003 + index
 
 
-def _example_sweep(cfg: ExperimentConfig, param: str, values):
+def _example_sweep(cfg: ExperimentConfig, param: str, key: str):
     """Yield (topology, path, row key, scenario) for each of FIG_PATHS on the
-    six-node example, path by path, at each of `values` of the scenario's
-    `param`; the row key is (path id, hops, value)."""
+    six-node example, path by path, at each value of the config's list `key`
+    of the scenario's `param`; the row key is (path id, hops, value). An
+    empty list raises ConfigError."""
+    values = getattr(cfg, key)
+    if not values:
+        raise ConfigError(f"need at least one value in {key}")
     topo = six_node_topology()
     scenarios = [replace(cfg.scenario(), **{param: val}) for val in values]
     for seq in FIG_PATHS:
@@ -155,7 +159,7 @@ def _example_sweep(cfg: ExperimentConfig, param: str, values):
 def run_sop_curve(cfg: ExperimentConfig):
     """Analytic vs Monte Carlo end-to-end SOP across the eavesdropper-density sweep."""
     rows = []
-    for idx, (topo, path, key, sc) in enumerate(_example_sweep(cfg, "lambda_e", cfg.lambdas)):
+    for idx, (topo, path, key, sc) in enumerate(_example_sweep(cfg, "lambda_e", "lambdas")):
         analytic = analytics.path_sop(cfg.rs, path, sc)
         seed = _row_seed(cfg.seed, idx)
         est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc, cfg.trials, seed)
@@ -167,9 +171,9 @@ def run_sop_curve(cfg: ExperimentConfig):
 
 def run_rate_sweeps(cfg: ExperimentConfig, param: str):
     """Secrecy rate of the fixed example paths across a lambda_e or epsilon sweep."""
-    values = cfg.lambdas if param == "lambda_e" else cfg.epsilons
+    sweep = "lambdas" if param == "lambda_e" else "epsilons"
     rows = [(*key, _fmt_rate(analytics.path_metric(path, sc)))
-            for _, path, key, sc in _example_sweep(cfg, param, values)]
+            for _, path, key, sc in _example_sweep(cfg, param, sweep)]
     return ["path_id", "hops", param, "c_s"], rows
 
 
@@ -217,8 +221,11 @@ def run_table_one(cfg: ExperimentConfig):
     is sqrt(sum (c - mean)^2 / reps) / sqrt(reps), the squares summed by
     math.fsum in a second pass, so nothing cancels. A zero eavesdropper
     density makes the mean and its stderr `unbounded`; at a positive
-    density, a rate sum that overflows a float raises OverflowError.
+    density, a rate sum that overflows a float raises OverflowError. An
+    empty `n_legit` list raises ConfigError before any draw.
     """
+    if not cfg.n_legit:
+        raise ConfigError("need at least one value in n_legit")
     scenario = cfg.scenario()
     rows = []
     for n_idx, n in enumerate(cfg.n_legit):

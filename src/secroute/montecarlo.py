@@ -75,7 +75,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .netmodel import NetModelError, Path, Scenario, Topology
+from .netmodel import Path, Scenario, Topology
 
 BLOCK = 1 << 14
 TRIAL_POINTS = 1 << 23  # most expected eavesdropper points on one trial's disk
@@ -107,9 +107,9 @@ class SopEstimate:
     outage; for a path, every trial's conditional outage alike) reads as
     the binomial stderr of the simulated disks at p,
     mapped as `_estimate` maps it: exp(-tail) sqrt(m (1 - m) / trials),
-    m = 1 - exp(tail) (1 - p) clamped to [0, 1]. Where the disks hold
-    next to none of the exponent, m rounds to 0 and only the rounding
-    term is left.
+    m = (p + expm1(-tail)) exp(tail) clamped to [0, 1], which does not
+    cancel to 0 where 1 - p rounds to 1 (p below about 1e-16); where the
+    disks hold next to none of the exponent, m is a few ulp of p, or 0.
     """
 
     mean: float
@@ -121,7 +121,7 @@ class SopEstimate:
         if self.stderr:
             return self.stderr
         keep = math.exp(-self.tail)
-        m = min(max(1.0 - (1.0 - p) / keep, 0.0), 1.0) if keep else 1.0
+        m = min(max((p + math.expm1(-self.tail)) / keep, 0.0), 1.0) if keep else 1.0
         return keep * math.sqrt(m * (1.0 - m) / self.trials)
 
     def covers(self, p: float) -> bool:
@@ -239,9 +239,9 @@ def _field_constants(alpha: float) -> tuple[float, float]:
     return log_c, math.exp(log_gammas)
 
 
-def _hop_field(log_rho: float, scenario: Scenario, cap: float):
-    """Disk radius R and outage radius rho = exp(log_rho), inf where it
-    overflows, of a hop, and its far-field exponent
+def _hop_fields(rs: float, dists, scenario: Scenario):
+    """Each hop's disk radius R and outage radius rho = 2^(rs/alpha) d, inf
+    where it overflows, and the summed far-field exponent T of the hops'
     tau(R) = K1 rho^2 I_{x/(1+x)}(1 - 2/a, 2/a), x = (R/rho)^-alpha.
 
     log(R/rho) is min(log c_a, log cap - log rho), taken in logs so that
@@ -250,28 +250,18 @@ def _hop_field(log_rho: float, scenario: Scenario, cap: float):
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
     log_c, gammas = _field_constants(alpha)
-    log_reach = min(log_c, math.log(cap) - log_rho)
-    radius = cap if log_reach < log_c else math.exp(log_c + log_rho)
-    rho = math.exp(log_rho) if log_rho < _LOG_MAX else math.inf
-    if lam == 0.0:
-        return radius, rho, 0.0
-    # K1 rho^2, a float product, so an overflow reads inf
-    exponent = math.pi * lam * gammas * rho * rho
-    share = _beta_share(-alpha * log_reach, (alpha - 2.0) / alpha, 2.0 / alpha)
-    return radius, rho, exponent * share
-
-
-def _hop_fields(rs: float, dists, scenario: Scenario):
-    """Each hop's disk radius and outage radius rho = 2^(rs/alpha) d, and
-    the summed far-field exponent T."""
     xmin, xmax, ymin, ymax = scenario.sim_window
     cap = 0.5 * min(xmax - xmin, ymax - ymin)
+    log_cap, p, q = math.log(cap), (alpha - 2.0) / alpha, 2.0 / alpha
     radii, units, tail = [], [], 0.0
     for dist in dists:
-        radius, rho, tau = _hop_field(rs * _LN2 / scenario.alpha + math.log(dist), scenario, cap)
-        radii.append(radius)
+        log_rho = rs * _LN2 / alpha + math.log(dist)
+        log_reach = min(log_c, log_cap - log_rho)
+        radii.append(cap if log_reach < log_c else math.exp(log_c + log_rho))
+        rho = math.exp(log_rho) if log_rho < _LOG_MAX else math.inf
         units.append(rho)
-        tail += tau
+        if lam:  # K1 rho^2 times the share; a float product, so an overflow reads inf
+            tail += math.pi * lam * gammas * rho * rho * _beta_share(-alpha * log_reach, p, q)
     return radii, units, tail
 
 
@@ -452,27 +442,6 @@ def estimate_hop_sop(rs: float, dist: float, scenario: Scenario, trials: int,
     return rejection[0] if rejection else memoryless
 
 
-def _hop_lengths(nodes, topology: Topology) -> list[float]:
-    """Each hop's length, the root of its entry of the weight matrix (exact:
-    sqrt inverts a correctly rounded square). The matrix is looked up once
-    per path, and each hop checked as Topology.path checks it: a hop from a
-    node to itself, a node not in the topology, or a hop with no link
-    raises NetModelError."""
-    index, weights = topology.index, topology.weight_matrix()
-    lengths = []
-    for u, v in zip(nodes, nodes[1:]):
-        if u == v:
-            raise NetModelError("path revisits a node")
-        for node in (u, v):
-            if node not in index:
-                raise NetModelError(f"node {node} not in topology")
-        w = weights.item(index[u], index[v])
-        if w == math.inf:
-            raise NetModelError(f"no link between {u} and {v}")
-        lengths.append(math.sqrt(w))
-    return lengths
-
-
 def estimate_path_sop(rs: float, path: Path, topology: Topology,
                       scenario: Scenario, trials: int, seed: int) -> SopEstimate:
     """Estimate the end-to-end SOP of a path: the mean over the trials of
@@ -485,7 +454,9 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
         raise ValueError("trials must be >= 1")
     if not 0.0 < rs < math.inf:
         raise ValueError("rs must be positive and finite")
-    radii, units, tail = _hop_fields(rs, _hop_lengths(path.nodes, topology), scenario)
+    # each hop's length, exact: sqrt inverts a correctly rounded square
+    lengths = [math.sqrt(w) for w in topology.hop_weights(path.nodes)]
+    radii, units, tail = _hop_fields(rs, lengths, scenario)
     moments = []
     for n, rngs in _blocks(scenario, radii, trials, seed):
         sums = [_point_sums(rng, scenario, radius, unit, n, gains=False)

@@ -195,8 +195,25 @@ class Topology:
         """Read-only squared-distance matrix indexed by self.order, inf off-edges."""
         return self._w
 
+    def hop_weights(self, node_ids) -> list[float]:
+        """Each hop's squared length, one lookup of the weight matrix per hop.
+        The first bad hop in order raises NetModelError, naming a hop from a
+        node to itself, then a node not in the topology, then a missing link."""
+        index, weights = self.index, []
+        for u, v in zip(node_ids, node_ids[1:]):
+            if u == v:
+                raise NetModelError("path revisits a node")
+            for node in (u, v):
+                if node not in index:
+                    raise NetModelError(f"node {node} not in topology")
+            w = self._w.item(index[u], index[v])
+            if w == math.inf:
+                raise NetModelError(f"no link between {u} and {v}")
+            weights.append(w)
+        return weights
+
     def path(self, node_ids) -> Path:
-        """Build a Path from an ordered node-id sequence, validating edges.
+        """Build a Path from an ordered node-id sequence, its hops checked by hop_weights.
 
         The weight is summed hop by hop from 0.0, the order in which the
         routing sweep accumulates it, so the two agree exactly.
@@ -206,14 +223,8 @@ class Topology:
             raise NetModelError("a path needs at least one hop")
         if len(set(seq)) != len(seq):
             raise NetModelError("path revisits a node")
-        try:
-            idx = [self.index[u] for u in seq]
-        except KeyError as exc:
-            raise NetModelError(f"node {exc.args[0]} not in topology") from None
         total = 0.0
-        for k, w in enumerate(self._w[idx[:-1], idx[1:]].tolist()):
-            if w == math.inf:
-                raise NetModelError(f"no link between {seq[k]} and {seq[k + 1]}")
+        for w in self.hop_weights(seq):
             total += w
         return Path(seq, total)
 

@@ -437,7 +437,6 @@ def solve_secure_route(topology: Topology, source: int, dest: int, scenario):
     if not pruned:
         # the sweep reached its fixed point: later budgets repeat its last entry
         audit += [(v, seq, metric) for v in range(len(table.best), n)]
-    # the weight is summed from 0.0 along path_to's chain, as Topology.path sums it
-    p = Path(tuple(audit[best_v - 1][1]), float(table.best[best_v, dst]))
+    p = topology.path(audit[best_v - 1][1])
     rs_star = optimal_rs(p, scenario)
     return RoutingSolution(p, best_v, rs_star, rs_star / best_v, audit)

@@ -464,6 +464,12 @@ class TestCli:
               ("validate", "rs = 2000", "rs = 2000 overflows a float"),
               ("validate", "alpha = 400", "alpha = 400 overflows a float"),
               ("validate", "powers =", "need at least one power level"),
+              # an empty sweep list, named by its key, where it would write
+              # a CSV of a header alone
+              ("sop-curve", "lambdas =", "need at least one value in lambdas"),
+              ("rate-vs-lambda", "lambdas =", "need at least one value in lambdas"),
+              ("rate-vs-epsilon", "epsilons =", "need at least one value in epsilons"),
+              ("table-one", "n_legit =", "need at least one value in n_legit"),
               # a secrecy rate that overflows at a positive density
               ("route", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
               ("rate-vs-lambda", "alpha = 1e308", "alpha = 1e+308 overflows a float"),
@@ -594,19 +600,23 @@ class TestCli:
 
     def test_validate_zero_stderr_passes(self, tmp_path, capsys):
         # at lambda_e = 1e-9 no trial of 100 is in outage: the stderr is 0,
-        # and the rows are judged by the binomial stderr at the closed form
-        f = tmp_path / "v.cfg"
-        f.write_text("lambda_e = 1e-9\ntrials = 100\n")
-        out = tmp_path / "v.csv"
-        rc = main(["validate", "--config", str(f), "--out", str(out)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("memoryless:") and lines[0].endswith("[pass]")
-        assert lines[1].startswith("rejection:") and lines[1].endswith("[pass]")
-        rows = [line.split(",") for line in out.read_text().splitlines()
-                if not line.startswith("#")][1:]
-        for r in rows[:2]:
-            assert float(r[5]) == 0.0 < float(r[6]) and r[-1] == "1"
+        # and the rows are judged by the binomial stderr at the closed form;
+        # below about 1e-16 (1e-17 in a window of side 1) 1 - p rounds to 1,
+        # where the stand-in must not cancel to 0
+        for config in ("lambda_e = 1e-9", "lambda_e = 1e-20", "lambda_e = 1e-100",
+                       "lambda_e = 1e-17\nwindow = 1", "lambda_e = 1e-20\nwindow = 1"):
+            f = tmp_path / "v.cfg"
+            f.write_text(f"{config}\ntrials = 100\n")
+            out = tmp_path / "v.csv"
+            rc = main(["validate", "--config", str(f), "--out", str(out)])
+            assert rc == 0, config
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("memoryless:") and lines[1].startswith("rejection:")
+            assert all(line.endswith("[pass]") for line in lines[:5]), (config, lines)
+            rows = [line.split(",") for line in out.read_text().splitlines()
+                    if not line.startswith("#")][1:]
+            for r in rows[:2]:
+                assert float(r[5]) == 0.0 < float(r[6]) and r[-1] == "1"
 
     def test_validate_zero_count_far_from_closed_form_fails(self, tmp_path, capsys,
                                                             monkeypatch):

@@ -391,7 +391,8 @@ class TestDiskSizing:
 class TestZeroStderr:
     """A stderr of 0 (no trial, or every trial, in outage) is read as the
     binomial stderr of the simulated disks at the closed form p, mapped by
-    the far field: exp(-tail) sqrt(m (1 - m) / trials), m = 1 - exp(tail) (1 - p)."""
+    the far field: exp(-tail) sqrt(m (1 - m) / trials),
+    m = (p - (1 - exp(-tail))) exp(tail)."""
 
     def test_binomial_stderr_stands_in(self):
         # no outage in 100 trials: p = 1e-4 lies 1e-4 / 1e-3 = 0.1 binomial
@@ -415,14 +416,19 @@ class TestZeroStderr:
     def test_rounding_widens_empty_disks(self, window, tmp_path, capsys):
         # the disks are so small that no trial draws a point and they hold
         # next to none of the exponent: the mean is the mapped 0, a few ulp
-        # from the closed form, and the binomial stand-in rounds to 0
+        # from the closed form, and the binomial stand-in is that of
+        # m = (p - (1 - exp(-tail))) exp(tail), what rounding leaves of p:
+        # m is about 3e-18 at window 1e-6, and clamps to 0 at 1e-300, where
+        # p lies below the mapped 0
         sc = scen(window=window)
         _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, _ = hop_sop_estimates(1.0, 10.0, sc, 5000, 1, [])
         p = analytics.hop_sop(1.0, 10.0, sc)
         assert memoryless.mean == mapped(0.0, tail) != p
         assert abs(memoryless.mean - p) <= 8 * math.ulp(p)
-        assert memoryless.stderr == memoryless._stderr_at(p) == 0.0
+        assert memoryless.stderr == 0.0
+        want = {1e-6: 2.934841752779632e-11, 1e-300: 0.0}[window]
+        assert memoryless._stderr_at(p) == pytest.approx(want, rel=1e-9, abs=0.0)
         assert memoryless.covers(p)
         f = tmp_path / "v.cfg"
         f.write_text(f"window = {window!r}\ntrials = 5000\n")
@@ -461,7 +467,7 @@ class TestFarField:
     def test_tail_matches_quadrature(self, alpha, lam, dist, window, want):
         sc = scen(lam=lam, alpha=alpha, window=window)
         rho = outage_radius(1.0, dist, sc)
-        radius, unit, tau = montecarlo._hop_field(math.log(rho), sc, window_cap(sc))
+        (radius,), (unit,), tau = montecarlo._hop_fields(1.0, [dist], sc)
         assert unit == pytest.approx(rho, rel=1e-15)
         got = oracles.far_field_integral(rho, radius, sc)
         assert tau == pytest.approx(got, rel=1e-10)
@@ -554,8 +560,9 @@ class TestFarField:
 
 
 def hop_field_reference(log_rho, scenario, cap):
-    """`montecarlo._hop_field` with every alpha-only term recomputed per hop
-    and the share summed uncached."""
+    """One hop's disk radius, outage radius and far-field exponent as
+    `montecarlo._hop_fields` gives them, with every alpha-only term
+    recomputed per hop and the share summed uncached."""
     lam, alpha = scenario.lambda_e, scenario.alpha
     log_gammas = math.lgamma(1.0 + 2.0 / alpha) + math.lgamma(1.0 - 2.0 / alpha)
     log_c = (math.log(2.0) - math.log(montecarlo.TAIL_SHARE) - math.log(alpha - 2.0)
@@ -977,14 +984,16 @@ class TestEstimatePathSop:
         ((7, 7), "path revisits a node")])
     def test_bad_hop_names_it(self, nodes, message):
         # an edge list 0-1, 1-2: the first bad hop raises what
-        # Topology.path raises on that hop alone
+        # Topology.path raises on that hop alone, through Topology.hop_weights
         topo = Topology.from_xy([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0]], edges=[(0, 1), (1, 2)])
         with pytest.raises(NetModelError) as want:
             for hop in zip(nodes, nodes[1:]):
                 topo.path(hop)
+        with pytest.raises(NetModelError) as weights:
+            topo.hop_weights(nodes)
         with pytest.raises(NetModelError) as got:
             estimate_path_sop(1.0, Path(nodes, 0.0), topo, scen(), 100, seed=1)
-        assert str(got.value) == str(want.value) == message
+        assert str(got.value) == str(weights.value) == str(want.value) == message
 
     def test_draws_each_hop_block_once(self, monkeypatch):
         # a 3-hop path over 2 blocks takes one generator per (seed, hop,

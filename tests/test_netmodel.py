@@ -319,6 +319,12 @@ def test_path_validation():
         topo.path((0, 1, 0))  # revisit
     with pytest.raises(NetModelError, match="node 9 not in topology"):
         topo.path((0, 9, 2))
+    # with two bad hops, the first one is named
+    with pytest.raises(NetModelError, match="no link between 0 and 2"):
+        topo.path((1, 0, 2, 7))
+    with pytest.raises(NetModelError, match="node 7 not in topology"):
+        topo.path((7, 0, 2))
+    assert topo.hop_weights((2, 1, 0)) == [25.0, 25.0]
 
 
 def test_explicit_edge_list():

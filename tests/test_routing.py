@@ -220,6 +220,7 @@ class TestFixedPointStop:
     def test_audit_matches_scoring_every_budget(self, kind, seed):
         topo, src, dest = sweep_case(kind, seed)
         n = len(topo.order)
+        table = routing.bellman_ford_hop_constrained(topo, src, dest)
         for lam in (0.0, 1e-6, 1e-5, 1e-4):
             sc = scen(lam=lam)
             sol = routing.solve_secure_route(topo, src, dest, sc)
@@ -231,6 +232,8 @@ class TestFixedPointStop:
             # strict > keeps the smallest budget reaching the maximum
             v_star = next(v for v, _, m in ref if m == max(metrics))
             assert (sol.hop_budget_used, sol.c_s) == (v_star, max(metrics))
+            # Topology.path sums the weight in the sweep's order, bit for bit
+            assert sol.path.sum_sq_dist == table.best[v_star, topo.index[dest]]
             # the rate bound may end the audit after budget k: what it
             # prunes can only tie c_s at a larger budget, never beat it
             k = len(sol.per_v_candidates)
