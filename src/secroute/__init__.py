@@ -7,7 +7,6 @@ from .netmodel import (
     Path,
     Scenario,
     Topology,
-    build_topology,
 )
 from .analytics import (
     density_bound,
@@ -27,10 +26,8 @@ from .routing import (
 from .montecarlo import (
     MonteCarloError,
     SopEstimate,
-    estimate_hop_sop,
     estimate_path_sop,
     hop_sop_estimates,
-    power_invariance_check,
     power_invariance_report,
 )
 

@@ -14,8 +14,6 @@ import numpy as np
 
 from . import analytics, montecarlo, routing
 from .netmodel import Scenario, Topology, load_edges_csv, load_nodes_csv, mesh_weights
-# the benchmark's tracer (perfbench/spans.py) looks for build_topology under this name
-from .netmodel import build_topology  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -142,8 +140,8 @@ def _row_seed(master: int, index: int) -> int:
 def _example_sweep(cfg: ExperimentConfig, param: str, key: str):
     """Yield (topology, path, row key, scenario) for each of FIG_PATHS on the
     six-node example, path by path, at each value of the config's list `key`
-    of the scenario's `param`; the row key is (path id, hops, value). An
-    empty list raises ConfigError."""
+    of the scenario's `param`; the row key is (path id, hops, value), the
+    value as the built scenario holds it. An empty list raises ConfigError."""
     values = getattr(cfg, key)
     if not values:
         raise ConfigError(f"need at least one value in {key}")
@@ -152,8 +150,8 @@ def _example_sweep(cfg: ExperimentConfig, param: str, key: str):
     for seq in FIG_PATHS:
         path = topo.path(seq)
         pid = "-".join(str(n) for n in seq)
-        for val, scenario in zip(values, scenarios):
-            yield topo, path, (pid, path.hop_count, val), scenario
+        for scenario in scenarios:
+            yield topo, path, (pid, path.hop_count, getattr(scenario, param)), scenario
 
 
 def run_sop_curve(cfg: ExperimentConfig):
@@ -197,13 +195,6 @@ def placements(n_legit: int, count: int, rngs) -> np.ndarray:
     xy[:, 1:-1] *= PLACEMENT_BOX
     xy[:, -1] = PLACEMENT_BOX
     return xy
-
-
-def random_placement(n_legit: int, rng) -> Topology:
-    """A full mesh on placements(n_legit, 1, [rng])[0], node i at row i:
-    the source is id 0 and the destination id n_legit + 1."""
-    xy = placements(n_legit, 1, [rng])[0]
-    return Topology.from_xy(xy)
 
 
 def run_table_one(cfg: ExperimentConfig):

@@ -51,6 +51,9 @@ class Scenario:
         if not (math.isfinite(self.lambda_e) and self.lambda_e >= 0.0):
             raise NetModelError(
                 f"eavesdropper density must be finite and >= 0, got {self.lambda_e}")
+        # -0.0 passes the check above; adding 0.0 makes it +0.0, so no
+        # closed form or CSV cell carries its sign
+        object.__setattr__(self, "lambda_e", self.lambda_e + 0.0)
         if not math.isfinite(self.power_db):
             raise NetModelError(f"power_db must be finite, got {self.power_db}")
         if not 0.0 < self.epsilon < 1.0:
@@ -227,10 +230,6 @@ class Topology:
         for w in self.hop_weights(seq):
             total += w
         return Path(seq, total)
-
-
-# full mesh over the given nodes, or restricted to an explicit edge list
-build_topology = Topology
 
 
 _ROWS = 16  # rows per block, so each temporary holds O(N * _ROWS) cells

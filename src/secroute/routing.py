@@ -51,8 +51,6 @@ import numpy as np
 
 from .netmodel import Path, Topology, _squared_distances
 from .analytics import optimal_rs, secrecy_rate, weight_density_bound
-# the benchmark's tracer (perfbench/spans.py) times path_metric under this name
-from .analytics import path_metric  # noqa: F401
 
 
 class RoutingError(ValueError):

@@ -24,7 +24,7 @@ from scipy.spatial import Delaunay
 
 from secroute import montecarlo
 from secroute.analytics import path_metric, weight_density_bound
-from secroute.experiments import random_placement
+from secroute.experiments import placements
 from secroute.netmodel import Scenario, Topology
 from secroute.routing import (_BOUND_MARGIN, _RELAX_CELLS, _RS_NEAR_MAX, RoutingError,
                               solve_secure_route)
@@ -132,7 +132,7 @@ def far_field_integral(rho: float, radius: float, scenario: Scenario) -> float:
 
 def table_one_reference(cfg):
     """run_table_one, one topology at a time: each rep builds its Topology
-    with random_placement and routes it with solve_secure_route."""
+    from its own placement and routes it with solve_secure_route."""
     scenario = cfg.scenario()
     rows = []
     for n_idx, n in enumerate(cfg.n_legit):
@@ -141,7 +141,7 @@ def table_one_reference(cfg):
         n_infeasible = 0
         for rep in range(cfg.reps):
             rng = montecarlo.block_rng(cfg.seed, n_idx, rep)
-            topo = random_placement(n, rng)
+            topo = Topology.from_xy(placements(n, 1, [rng])[0])
             sol = solve_secure_route(topo, 0, n + 1, scenario)
             c = sol.c_s if sol is not None else 0.0
             if sol is None:

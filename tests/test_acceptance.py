@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from secroute import Node, Scenario, build_topology
+from secroute import Node, Scenario, Topology
 from secroute import analytics, montecarlo, routing
 from secroute.experiments import (
     ExperimentConfig,
@@ -59,10 +59,8 @@ def test_criterion_2_conditioning_equivalence():
         dist = float(rng.uniform(5.0, 15.0))
         lam = float(rng.uniform(1e-5, 1e-4))
         sc = Scenario(4.0, lam, 0.1, power_db=80.0)
-        a = montecarlo.estimate_hop_sop(rs, dist, sc, 50000, seed=200 + i,
-                                        conditioning="rejection")
-        b = montecarlo.estimate_hop_sop(rs, dist, sc, 50000, seed=300 + i,
-                                        conditioning="memoryless")
+        a = montecarlo.hop_sop_estimates(rs, dist, sc, 50000, 200 + i, [sc.power_db])[1][0]
+        b = montecarlo.hop_sop_estimates(rs, dist, sc, 50000, 300 + i, [])[0]
         z = abs(a.mean - b.mean) / math.hypot(a.stderr, b.stderr)
         worst = max(worst, z)
         assert z <= 3.0, (rs, dist, lam, a, b)
@@ -85,8 +83,8 @@ def test_criterion_3_pgfl_quadrature():
 def test_criterion_4_power_invariance():
     sc = Scenario(4.0, 5e-5, 0.1)
     powers = (60.0, 80.0, 100.0)
-    violations = montecarlo.power_invariance_check(1.0, 10.0, sc, powers, 80000, seed=44)
     _, estimates = montecarlo.hop_sop_estimates(1.0, 10.0, sc, 80000, 44, powers)
+    violations = montecarlo.power_invariance_report(powers, estimates)
     report(4, not violations,
            f"SOP estimates at 60/80/100 dB indistinguishable: "
            f"{[f'{e.mean:.5f}' for e in estimates]}")
@@ -99,7 +97,7 @@ def test_criterion_5_routing_matches_oracle():
         n = int(rng.integers(4, 9))
         nodes = [Node(i, float(rng.uniform(0, 40)), float(rng.uniform(0, 40)))
                  for i in range(n)]
-        topo = build_topology(nodes)
+        topo = Topology(nodes)
         # density drawn strictly below the loosest per-path bound, so the
         # scenario always admits at least one feasible route
         paths = oracles.enumerate_all_paths_oracle(topo, 0, n - 1, n - 1)

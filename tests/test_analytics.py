@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from secroute import Node, Scenario, build_topology
+from secroute import Node, Scenario, Topology
 from secroute import analytics, routing
 from secroute.netmodel import Path
 from secroute.experiments import six_node_topology
@@ -81,12 +81,12 @@ class TestHopSop:
 
 class TestPathSop:
     def test_single_hop_matches_hop(self):
-        topo = build_topology([Node(0, 0, 0), Node(1, 0, 10)])
+        topo = Topology([Node(0, 0, 0), Node(1, 0, 10)])
         p = topo.path((0, 1))
         assert analytics.path_sop(1.0, p, scen()) == analytics.hop_sop(1.0, 10.0, scen())
 
     def test_two_identical_hops(self):
-        topo = build_topology([Node(0, 0, 0), Node(1, 0, 7), Node(2, 0, 14)])
+        topo = Topology([Node(0, 0, 0), Node(1, 0, 7), Node(2, 0, 14)])
         p = topo.path((0, 1, 2))
         q = analytics.hop_sop(1.0, 7.0, scen())
         assert analytics.path_sop(1.0, p, scen()) == pytest.approx(

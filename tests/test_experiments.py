@@ -20,7 +20,6 @@ from secroute.experiments import (
     PLACEMENT_BOX,
     parse_config,
     placements,
-    random_placement,
     run_rate_sweeps,
     run_route,
     run_sop_curve,
@@ -203,8 +202,9 @@ class TestStackedTableOne:
 
 class TestRandomPlacement:
     def test_corners_and_relays(self):
+        # a full mesh on one placement, node i at row i
         rng = block_rng(1, 0, 0)
-        topo = random_placement(10, rng)
+        topo = netmodel.Topology.from_xy(placements(10, 1, [rng])[0])
         assert topo.order == list(range(12))
         assert topo.xy[0].tolist() == [0.0, 0.0]
         assert topo.xy[11].tolist() == [50.0, 50.0]
@@ -648,15 +648,25 @@ class TestCli:
         assert "inf" not in out.replace("infeasible", "")
 
     def test_zero_density_rate_sweep_is_unbounded(self, tmp_path, capsys):
+        # a density of -0.0 is the density 0: no data cell reads -0, in the
+        # rate sweep or in the Monte Carlo runs' densities and closed forms
         f = tmp_path / "exp.cfg"
-        f.write_text("lambdas = 0, 1e-5\n")
         out = tmp_path / "rates.csv"
-        rc = main(["rate-vs-lambda", "--config", str(f), "--out", str(out)])
-        assert rc == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()
-                if not line.startswith("#")][1:]
-        assert [r[3] for r in rows if r[2] == "0"] == ["unbounded"] * len(FIG_PATHS)
-        assert all(r[3] not in ("unbounded", "inf") for r in rows if r[2] != "0")
+        for zero in ("0", "-0.0"):
+            f.write_text(f"lambdas = {zero}, 1e-5\n")
+            rc = main(["rate-vs-lambda", "--config", str(f), "--out", str(out)])
+            assert rc == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()
+                    if not line.startswith("#")][1:]
+            assert [r[3] for r in rows if r[2] == "0"] == ["unbounded"] * len(FIG_PATHS)
+            assert all(r[3] not in ("unbounded", "inf") for r in rows if r[2] != "0")
+        for command, config in (("sop-curve", "lambdas = -0.0, 1e-5"),
+                                ("validate", "lambda_e = -0.0")):
+            f.write_text(f"{config}\ntrials = 100\n")
+            assert main([command, "--config", str(f), "--out", str(out)]) == 0
+            cells = [c for line in out.read_text().splitlines() if not line.startswith("#")
+                     for c in line.split(",")]
+            assert "-0" not in cells and "0" in cells, command
 
     def test_zero_density_table_one_is_unbounded(self, tmp_path, capsys):
         f = tmp_path / "exp.cfg"

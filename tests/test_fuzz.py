@@ -4,7 +4,7 @@ Each case writes a random `key = value` config, and for `route` a node CSV
 and sometimes an edge CSV with bad, duplicate or co-located rows, then runs
 `secroute.cli.main` on it. Every case must end in a documented exit code
 (0-3) with no exception escaping, print an `error:` line when it fails on
-its input, and write no `nan` into a CSV data row.
+its input, and write no `nan` and no `-0` into a CSV data row.
 
 The work per case is bounded: trials, reps and network sizes are small, and
 the window that caps each hop's eavesdropper disk is at most 100 wide, so a
@@ -27,7 +27,7 @@ CASES = 100
 # list at rate BAD_RATE per key
 POOLS = {
     "alpha": (["4", "3", "2.5", "8", "2.0000001", "1e300"], ["2", "nan", "inf", "-3", "x"]),
-    "lambda_e": (["1e-5", "1e-3", "0.05", "0", "5e-324", "1e-320"],
+    "lambda_e": (["1e-5", "1e-3", "0.05", "0", "-0.0", "5e-324", "1e-320"],
                  ["1e9", "nan", "inf", "-1e-5"]),
     "epsilon": (["0.1", "0.02", "0.5", "1e-17", "0.9999999999999999"],
                 ["0", "1", "nan", "-0.1"]),
@@ -35,7 +35,8 @@ POOLS = {
     "window": (["100", "50", "20", "1"], ["0", "-5", "nan", "inf", "1e308"]),
     "rs": (["1", "0.5", "5", "1e3"], ["1e308", "0", "-1", "nan"]),
     "dist": (["10", "1", "25", "1e-300"], ["1e200", "0", "-1", "nan"]),
-    "lambdas": (["1e-5", "1e-6,0.05", "0,1e-3", "1e-320,1e-4"], ["nan", "-1", "1e9,1e-5", ""]),
+    "lambdas": (["1e-5", "1e-6,0.05", "0,1e-3", "-0.0", "1e-320,1e-4"],
+                ["nan", "-1", "1e9,1e-5", ""]),
     "epsilons": (["0.1", "0.02,0.5", "1e-17,0.9999999999999999"], ["0", "nan,0.1", ""]),
     "n_legit": (["5", "1,2", "10,30", "3,3"], ["0", "-2,5", ""]),
     "powers": (["60,80", "100", "-50,60"], ["1e308", "nan", ""]),
@@ -108,5 +109,5 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path, capsys):
     if csv.exists():
         data = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
         for row in data[1:]:
-            assert not any(f.strip().lower() in ("nan", "-nan") for f in row.split(",")), (
+            assert not any(f.strip().lower() in ("nan", "-nan", "-0") for f in row.split(",")), (
                 config, row)

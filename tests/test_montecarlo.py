@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from secroute import Node, Path, Scenario, Topology, build_topology
+from secroute import Node, Path, Scenario, Topology
 from secroute import analytics, montecarlo
 from secroute.montecarlo import (
     MonteCarloError,
     _block_draws,
     block_rng,
-    estimate_hop_sop,
     estimate_path_sop,
     hop_sop_estimates,
-    power_invariance_check,
+    power_invariance_report,
 )
 from secroute.cli import main
 from secroute.experiments import FIG_PATHS, placements, six_node_topology
@@ -292,9 +291,6 @@ class TestBlockPoints:
         assert main(["validate", "--config", str(f), "--out", str(tmp_path / "v.csv")]) == 2
         assert not calls
         assert capsys.readouterr().err == "error: need at least one power level\n"
-        with pytest.raises(ValueError, match="need at least one power level"):
-            power_invariance_check(1.0, 10.0, scen(), [], 100, seed=1)
-        assert not calls
 
 
 def c_alpha(alpha):
@@ -376,7 +372,7 @@ class TestDiskSizing:
         # field then carries the certain outage the closed form gives
         sc = scen(lam=1e-4, alpha=2.0 + 1e-9)
         assert hop_radius(1.0, 10.0, sc) == window_cap(sc)
-        est = estimate_hop_sop(1.0, 10.0, sc, 1000, seed=2)
+        est = hop_sop_estimates(1.0, 10.0, sc, 1000, 2, [])[0]
         assert est.tail > 1e6 and est.mean == 1.0 and est.stderr == 0.0
         assert est.covers(analytics.hop_sop(1.0, 10.0, sc))
 
@@ -684,8 +680,8 @@ class TestSmallAlpha:
             self.check(est, p)
 
     def test_off_origin_path(self):
-        topo = build_topology([Node(0, 3000.0, -4000.0), Node(1, 3006.0, -3992.0),
-                               Node(2, 3012.0, -3984.0)])
+        topo = Topology([Node(0, 3000.0, -4000.0), Node(1, 3006.0, -3992.0),
+                         Node(2, 3012.0, -3984.0)])
         sc = scen(lam=3e-5, alpha=3.0)
         path = topo.path((0, 1, 2))
         est = estimate_path_sop(1.0, path, topo, sc, 50000, seed=62)
@@ -759,26 +755,26 @@ class TestRoutedPathSop:
 
 class TestEstimateHopSop:
     def test_zero_density_both_modes(self):
-        for mode in ("memoryless", "rejection"):
-            est = estimate_hop_sop(1.0, 10.0, scen(lam=0.0), 2000, 1, mode)
-            assert est.mean == 0.0
+        sc = scen(lam=0.0)
+        memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 2000, 1, [sc.power_db])
+        assert memoryless.mean == rejection.mean == 0.0
 
     def test_memoryless_matches_analytic(self):
         sc = scen()
-        est = estimate_hop_sop(1.0, 10.0, sc, 100000, seed=12)
+        est = hop_sop_estimates(1.0, 10.0, sc, 100000, 12, [])[0]
         target = analytics.hop_sop(1.0, 10.0, sc)
         assert abs(est.mean - target) <= 3 * est.stderr
 
     def test_rejection_matches_memoryless(self):
         sc = scen(lam=5e-5)
-        a = estimate_hop_sop(1.0, 10.0, sc, 100000, seed=13, conditioning="rejection")
-        b = estimate_hop_sop(1.0, 10.0, sc, 100000, seed=14, conditioning="memoryless")
+        a = hop_sop_estimates(1.0, 10.0, sc, 100000, 13, [sc.power_db])[1][0]
+        b = hop_sop_estimates(1.0, 10.0, sc, 100000, 14, [])[0]
         assert abs(a.mean - b.mean) <= 3 * math.hypot(a.stderr, b.stderr)
 
     def test_seed_determinism(self):
         sc = scen()
-        a = estimate_hop_sop(1.0, 10.0, sc, 50000, seed=7)
-        b = estimate_hop_sop(1.0, 10.0, sc, 50000, seed=7)
+        a = hop_sop_estimates(1.0, 10.0, sc, 50000, 7, [sc.power_db])
+        b = hop_sop_estimates(1.0, 10.0, sc, 50000, 7, [sc.power_db])
         assert a == b
         # distinct seeds and streams key distinct Philox counters
         assert not np.array_equal(block_rng(7, 0, 0).random(4),
@@ -799,23 +795,21 @@ class TestEstimateHopSop:
 
     def test_stderr_scaling(self):
         sc = scen(lam=5e-5)
-        small = estimate_hop_sop(1.0, 10.0, sc, 40000, seed=9)
-        big = estimate_hop_sop(1.0, 10.0, sc, 160000, seed=9)
+        small = hop_sop_estimates(1.0, 10.0, sc, 40000, 9, [])[0]
+        big = hop_sop_estimates(1.0, 10.0, sc, 160000, 9, [])[0]
         assert big.stderr == pytest.approx(small.stderr / 2, rel=0.15)
 
     def test_rejection_no_survivors(self):
         # 0 dB power and a huge threshold starve the on-off filter
         sc = scen(power=0.0)
         with pytest.raises(MonteCarloError):
-            estimate_hop_sop(40.0, 10.0, sc, 500, seed=1, conditioning="rejection")
+            hop_sop_estimates(40.0, 10.0, sc, 500, 1, [sc.power_db])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            estimate_hop_sop(1.0, 10.0, scen(), 0, 1)
+            hop_sop_estimates(1.0, 10.0, scen(), 0, 1, [])
         with pytest.raises(ValueError):
-            estimate_hop_sop(-1.0, 10.0, scen(), 10, 1)
-        with pytest.raises(ValueError):
-            estimate_hop_sop(1.0, 10.0, scen(), 10, 1, conditioning="nope")
+            hop_sop_estimates(-1.0, 10.0, scen(), 10, 1, [])
 
 
 class TestHopSopEstimates:
@@ -846,12 +840,12 @@ class TestHopSopEstimates:
         trials = 2 * montecarlo.BLOCK + 5  # a partial last block
         powers = (40.0, 60.0, 80.0, 60.0, 40.0)  # each distinct power filters once
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, trials, 43, powers)
-        assert memoryless == estimate_hop_sop(1.0, 10.0, sc, trials, 43)
+        assert memoryless == hop_sop_estimates(1.0, 10.0, sc, trials, 43, [])[0]
         assert len(rejection) == len(powers)
         assert rejection[3] == rejection[1] and rejection[4] == rejection[0]
         for pdb, est in zip(powers, rejection):
             sc_p = replace(sc, power_db=pdb)
-            assert est == estimate_hop_sop(1.0, 10.0, sc_p, trials, 43, "rejection")
+            assert est == hop_sop_estimates(1.0, 10.0, sc_p, trials, 43, [sc_p.power_db])[1][0]
             assert (est.mean, est.trials) == self.rejection_reference(1.0, 10.0, sc_p,
                                                                       trials, 43)
             assert 0 < est.trials <= trials
@@ -866,7 +860,7 @@ class TestHopSopEstimates:
 
 class TestEstimatePathSop:
     def topo(self):
-        return build_topology([Node(0, 0, 0), Node(1, 0, 10), Node(2, 0, 20)])
+        return Topology([Node(0, 0, 0), Node(1, 0, 10), Node(2, 0, 20)])
 
     def test_single_hop_matches_analytic(self):
         topo = self.topo()
@@ -890,7 +884,7 @@ class TestEstimatePathSop:
         p = topo.path((0, 1, 2))
         joint = estimate_path_sop(1.0, p, topo, sc, 60000, seed=23)
         for d, seed in ((10.0, 24), (10.0, 25)):
-            hop = estimate_hop_sop(1.0, d, sc, 60000, seed=seed)
+            hop = hop_sop_estimates(1.0, d, sc, 60000, seed, [])[0]
             assert joint.mean >= hop.mean - 3 * math.hypot(joint.stderr, hop.stderr)
 
     def test_hop_independence_product_form(self):
@@ -900,7 +894,7 @@ class TestEstimatePathSop:
         sc = scen(lam=1e-4)
         p = topo.path((0, 1, 2))
         joint = estimate_path_sop(1.0, p, topo, sc, 100000, seed=26)
-        per_hop = [estimate_hop_sop(1.0, 10.0, sc, 100000, seed=s) for s in (27, 28)]
+        per_hop = [hop_sop_estimates(1.0, 10.0, sc, 100000, s, [])[0] for s in (27, 28)]
         product = 1.0 - (1.0 - per_hop[0].mean) * (1.0 - per_hop[1].mean)
         tol = 3 * math.sqrt(sum(e.stderr ** 2 for e in per_hop) + joint.stderr ** 2)
         assert abs(joint.mean - product) <= tol
@@ -909,8 +903,8 @@ class TestEstimatePathSop:
         # each hop's field is centred on its transmitter, so moving the
         # placement far from the window's centre changes no draw
         base = six_node_topology()
-        shifted = build_topology([Node(i, x + 5000.0, y + 5000.0)
-                                  for i, (x, y) in zip(base.order, base.xy.tolist())])
+        shifted = Topology([Node(i, x + 5000.0, y + 5000.0)
+                            for i, (x, y) in zip(base.order, base.xy.tolist())])
         sc = scen(lam=1e-4)
         a = estimate_path_sop(1.0, base.path((1, 3, 5)), base, sc, 20000, seed=31)
         p = shifted.path((1, 3, 5))
@@ -964,7 +958,7 @@ class TestEstimatePathSop:
         sc = scen(lam=lam, alpha=alpha)
         trials = 2 * montecarlo.BLOCK + 5
         for seed in seeds:
-            hop = estimate_hop_sop(1.0, 10.0, sc, trials, seed)
+            hop = hop_sop_estimates(1.0, 10.0, sc, trials, seed, [])[0]
             path = estimate_path_sop(1.0, topo.path((0, 1)), topo, sc, trials, seed)
             assert path.trials == hop.trials and path.tail == hop.tail
             assert path.stderr < hop.stderr
@@ -1077,7 +1071,7 @@ class TestOutageMoments:
         # at rs = 5000, rho = 2^(rs/4) d overflows: every point lies within
         # it, so a trial with a point reads q = 1, and the far field's
         # exponent is inf, so the estimate reads 1 with stderr 0, no NaN
-        topo = build_topology([Node(0, 0, 0), Node(1, 0, 10)])
+        topo = Topology([Node(0, 0, 0), Node(1, 0, 10)])
         sc = scen(lam=1e-5)
         (radius,), (rho,), tail = montecarlo._hop_fields(5000.0, [10.0], sc)
         assert rho == tail == math.inf and radius == window_cap(sc)
@@ -1092,12 +1086,14 @@ class TestOutageMoments:
 
 class TestPowerInvariance:
     def test_three_powers_agree(self):
-        violations = power_invariance_check(1.0, 10.0, scen(lam=5e-5),
-                                            (60.0, 80.0, 100.0), 60000, seed=31)
+        powers = (60.0, 80.0, 100.0)
+        _, estimates = hop_sop_estimates(1.0, 10.0, scen(lam=5e-5), 60000, 31, powers)
+        violations = power_invariance_report(powers, estimates)
         assert not violations, violations
 
     def test_single_power_trivially_passes(self):
-        violations = power_invariance_check(1.0, 10.0, scen(), (80.0,), 2000, seed=1)
+        _, estimates = hop_sop_estimates(1.0, 10.0, scen(), 2000, 1, (80.0,))
+        violations = power_invariance_report((80.0,), estimates)
         assert not violations
 
     def test_zero_density_all_zero(self):

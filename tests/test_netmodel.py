@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from secroute import NetModelError, Node, Scenario, Topology, build_topology
+from secroute import NetModelError, Node, Scenario, Topology
 from secroute.netmodel import (_ROWS, _squared_distances, load_edges_csv, load_nodes_csv,
                                mesh_weights)
 from secroute.experiments import six_node_topology
@@ -35,7 +35,7 @@ def test_power_conversion():
 
 
 def test_three_four_five_link():
-    topo = build_topology([Node(0, 0, 0), Node(1, 3, 4)])
+    topo = Topology([Node(0, 0, 0), Node(1, 3, 4)])
     assert topo.path((0, 1)).sum_sq_dist == 25.0
     assert topo.weight_matrix()[0, 1] == 25.0
 
@@ -49,7 +49,7 @@ def test_six_node_topology_full_mesh():
 
 
 def test_coordinates_held_in_id_order():
-    topo = build_topology([Node(7, 1, 2), Node(3, 5, 6), Node(5, 3, 4)])
+    topo = Topology([Node(7, 1, 2), Node(3, 5, 6), Node(5, 3, 4)])
     assert topo.order == [3, 5, 7]
     assert topo.xy.tolist() == [[5.0, 6.0], [3.0, 4.0], [1.0, 2.0]]
     assert not hasattr(topo, "nodes")
@@ -59,7 +59,7 @@ def test_coordinates_held_in_id_order():
 
 def test_single_node_rejected():
     with pytest.raises(NetModelError):
-        build_topology([Node(0, 0, 0)])
+        Topology([Node(0, 0, 0)])
 
 
 @pytest.mark.parametrize("xy, ids", [([(0, 0, 0), (1, 1, 1)], None),
@@ -72,7 +72,7 @@ def test_from_xy_rejects_mismatched_shapes(xy, ids):
 
 def test_duplicate_ids_rejected():
     with pytest.raises(NetModelError, match="^duplicate node id 0$"):
-        build_topology([Node(0, 0, 0), Node(0, 1, 1)])
+        Topology([Node(0, 0, 0), Node(0, 1, 1)])
     # the message names the first id, in input order, that repeats an earlier one
     with pytest.raises(NetModelError, match="^duplicate node id 3$"):
         Topology.from_xy([(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)], [1, 3, 5, 3, 1])
@@ -80,7 +80,7 @@ def test_duplicate_ids_rejected():
 
 def test_nonfinite_coordinates_rejected():
     with pytest.raises(NetModelError):
-        build_topology([Node(0, 0, 0), Node(1, math.nan, 1)])
+        Topology([Node(0, 0, 0), Node(1, math.nan, 1)])
 
 
 @pytest.mark.parametrize("edges", [None, [], [(0, 2)]])
@@ -88,9 +88,9 @@ def test_overflowing_squared_distance_rejected(edges):
     # every pair is checked, on an edge or not, so the straight distance
     # between any two nodes is finite
     nodes = [Node(0, 0, 0), Node(1, 0, 1e154), Node(2, 0, -1e154)]
-    build_topology(nodes[:2])  # a squared distance of 1e308 fits a float
+    Topology(nodes[:2])  # a squared distance of 1e308 fits a float
     with pytest.raises(NetModelError, match="nodes 1 and 2 lie so far apart"):
-        build_topology(nodes, edges)
+        Topology(nodes, edges)
 
 
 def test_overflowing_path_weight_rejected():
@@ -98,28 +98,28 @@ def test_overflowing_path_weight_rejected():
     # longest edge would, so a sweep's sum could read inf on a joined pair
     nodes = [Node(0, 0, 0), Node(1, 1e154, 0), Node(2, 0, 0.001)]
     with pytest.raises(NetModelError, match="nodes 0 and 1 lie so far apart that 2 times"):
-        build_topology(nodes, [(0, 1), (1, 2)])
-    build_topology(nodes, [(0, 2)])  # the far node joins no edge
-    build_topology(nodes)  # on a full mesh a sum that overflows never wins
+        Topology(nodes, [(0, 1), (1, 2)])
+    Topology(nodes, [(0, 2)])  # the far node joins no edge
+    Topology(nodes)  # on a full mesh a sum that overflows never wins
 
 
 def test_edge_validation():
     nodes = [Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 5)]
     with pytest.raises(NetModelError):
-        build_topology(nodes[:2], edges=[(0, 7)])  # unknown node
+        Topology(nodes[:2], edges=[(0, 7)])  # unknown node
     with pytest.raises(NetModelError):
-        build_topology(nodes[:2], edges=[(0, 0)])  # self-loop
+        Topology(nodes[:2], edges=[(0, 0)])  # self-loop
     with pytest.raises(NetModelError):
-        build_topology(nodes)  # 1 and 2 co-located in the full mesh
+        Topology(nodes)  # 1 and 2 co-located in the full mesh
     with pytest.raises(NetModelError):
-        build_topology(nodes, edges=[(0, 1), (1, 2)])
+        Topology(nodes, edges=[(0, 1), (1, 2)])
     # co-located nodes without an edge between them are allowed
-    topo = build_topology(nodes, edges=[(0, 1), (0, 2)])
+    topo = Topology(nodes, edges=[(0, 1), (0, 2)])
     assert topo.path((1, 0, 2)).sum_sq_dist == 50.0
 
 
 def test_path_sums():
-    topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)])
+    topo = Topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)])
     assert topo.path((0, 2)).sum_sq_dist == 100.0
     assert topo.path((0, 1, 2)).sum_sq_dist == 50.0
 
@@ -144,7 +144,7 @@ def test_path_additive_over_split():
 
 def test_colinear_split_strictly_decreases_weight():
     # a^2 + b^2 < (a+b)^2: the geometric driver of the hop/rate tradeoff
-    topo = build_topology([Node(0, 0, 0), Node(1, 0, 3), Node(2, 0, 10)])
+    topo = Topology([Node(0, 0, 0), Node(1, 0, 3), Node(2, 0, 10)])
     assert topo.path((0, 1, 2)).sum_sq_dist < topo.path((0, 2)).sum_sq_dist
 
 
@@ -179,7 +179,7 @@ def test_weight_matrix_exactly_symmetric(n, p_edge):
         iu, ju = np.triu_indices(n, 1)
         pick = rng.random(len(iu)) < p_edge
         edges = list(zip(iu[pick].tolist(), ju[pick].tolist()))
-    w = build_topology(nodes, edges).weight_matrix()
+    w = Topology(nodes, edges).weight_matrix()
     assert np.array_equal(w, w.T)
     edge = w < np.inf  # every off-diagonal entry of a full mesh
     assert np.array_equal(w[edge], squared_distances_reference(xy)[edge])
@@ -237,7 +237,7 @@ def test_from_xy_matches_node_constructor(kind, p_edge):
         edges = [(ids[i], ids[j]) for i, j in zip(iu[pick].tolist(), ju[pick].tolist())]
     nodes = [Node(k, x, y) for k, (x, y) in zip(ids, xy.tolist())]
     topo = Topology.from_xy(xy, None if kind == "default" else ids, edges)
-    same_topology(topo, build_topology(nodes, edges))
+    same_topology(topo, Topology(nodes, edges))
     assert topo.order == sorted(ids)
     held = topo.xy.tobytes()
     xy[:] = 0.0  # the topology holds its own copy
@@ -266,7 +266,7 @@ def test_from_xy_rejects_as_node_constructor(xy, edges, message):
     with pytest.raises(NetModelError) as by_xy:
         Topology.from_xy(xy, ids, edges)
     with pytest.raises(NetModelError) as by_nodes:
-        build_topology(nodes, edges)
+        Topology(nodes, edges)
     assert str(by_xy.value) == str(by_nodes.value) == message
 
 
@@ -277,19 +277,19 @@ def test_mesh_weights_reject_colocated():
         mesh_weights(xy)
     # a topology names the pair by node id
     with pytest.raises(NetModelError, match="nodes 11 and 13 are co-located"):
-        build_topology([Node(10 + i, x, y) for i, (x, y) in enumerate(xy[1].tolist())])
+        Topology([Node(10 + i, x, y) for i, (x, y) in enumerate(xy[1].tolist())])
 
 
 def test_rejected_pair_is_first_in_row_major_order():
     # several bad pairs: the message names the first, as a mask's argwhere would
     xy = [(0, 0), (5, 0), (0, 0), (5, 0), (9, 9)]
     with pytest.raises(NetModelError, match="nodes 0 and 2 are co-located"):
-        build_topology([Node(i, x, y) for i, (x, y) in enumerate(xy)])
+        Topology([Node(i, x, y) for i, (x, y) in enumerate(xy)])
     with pytest.raises(NetModelError, match="nodes 0 and 2 are co-located"):
         mesh_weights(np.array([[(0, 0), (5, 0), (1, 1), (2, 2), (3, 3)], xy], dtype=float))
     far = [(0, 1e154), (0, 0), (0, -1e154), (1e154, 0)]
     with pytest.raises(NetModelError, match="nodes 0 and 2 lie so far apart"):
-        build_topology([Node(i, x, y) for i, (x, y) in enumerate(far)])
+        Topology([Node(i, x, y) for i, (x, y) in enumerate(far)])
 
 
 def test_mesh_build_memory_bounded():
@@ -300,7 +300,7 @@ def test_mesh_build_memory_bounded():
     nodes = [Node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
     tracemalloc.start()
     try:
-        build_topology(nodes)
+        Topology(nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,8 +309,8 @@ def test_mesh_build_memory_bounded():
 
 
 def test_path_validation():
-    topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
-                          edges=[(0, 1), (1, 2)])
+    topo = Topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
+                    edges=[(0, 1), (1, 2)])
     with pytest.raises(NetModelError):
         topo.path((0, 2))  # edge not in topology
     with pytest.raises(NetModelError):
@@ -328,8 +328,8 @@ def test_path_validation():
 
 
 def test_explicit_edge_list():
-    topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
-                          edges=[(0, 1)])
+    topo = Topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
+                    edges=[(0, 1)])
     w = topo.weight_matrix()
     assert w[0, 1] == w[1, 0] == 25.0
     assert np.isinf(w[1, 2]) and np.isinf(w[2, 1])

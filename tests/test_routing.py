@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from secroute import Node, Scenario, Topology, build_topology
+from secroute import Node, Scenario, Topology
 from secroute import analytics, montecarlo, routing
 from secroute.experiments import ExperimentConfig, placements, run_table_one, six_node_topology
 from secroute.netmodel import _squared_distances, mesh_weights
@@ -18,19 +18,19 @@ def scen(lam=1e-5, eps=0.1, alpha=4.0):
 
 
 def colinear3():
-    return build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)])
+    return Topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)])
 
 
 def random_mesh(n, rng, box=40.0):
     nodes = [Node(i, rng.uniform(0, box), rng.uniform(0, box)) for i in range(n)]
-    return build_topology(nodes)
+    return Topology(nodes)
 
 
 def random_graph(n, rng, p_edge=0.5, box=40.0):
     """Random nodes joined by each possible edge with probability p_edge."""
     nodes = [Node(i, rng.uniform(0, box), rng.uniform(0, box)) for i in range(n)]
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
-    return build_topology(nodes, edges)
+    return Topology(nodes, edges)
 
 
 def full_sweep_reference(topology, source):
@@ -93,10 +93,10 @@ def sweep_case(kind, seed):
         # the destination, the last node, has no edge at all
         edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
                  if rng.random() < 0.3]
-        return build_topology(nodes, edges), 0, n - 1
+        return Topology(nodes, edges), 0, n - 1
     n = 200
     xy = np.vstack([(0.0, 0.0), rng.uniform(0, 50, (n - 2, 2)), (50.0, 50.0)])
-    return build_topology([Node(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]), 0, n - 1
+    return Topology([Node(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]), 0, n - 1
 
 
 SWEEP_CASES = ([("mesh", s) for s in range(6)] + [("graph", s) for s in range(6)]
@@ -116,8 +116,8 @@ class TestBellmanFord:
         # two relays mirrored across the source-destination line give two
         # 2-hop paths of exactly equal weight 34 + 34
         lower = 3 - upper
-        topo = build_topology([Node(0, 0, 0), Node(upper, 5, 3), Node(lower, 5, -3),
-                               Node(3, 10, 0)])
+        topo = Topology([Node(0, 0, 0), Node(upper, 5, 3), Node(lower, 5, -3),
+                         Node(3, 10, 0)])
         tab = routing.bellman_ford_hop_constrained(topo, 0, 3)
         assert tab.best_weight(3, 2) == 68.0
         assert tab.path_to(3, 2) == [0, 1, 3]
@@ -127,8 +127,8 @@ class TestBellmanFord:
         # from node 0 and 1.5e308 from node 2, so a sum through it, in relax
         # and in path_to, overflows: it reads inf, loses, and warns nothing
         h = 1e154
-        topo = build_topology([Node(0, 0, 0), Node(1, h / 2, 0), Node(2, h, 0),
-                               Node(3, h / 4, 0.95 * h)])
+        topo = Topology([Node(0, 0, 0), Node(1, h / 2, 0), Node(2, h, 0),
+                         Node(3, h / 4, 0.95 * h)])
         w = topo.weight_matrix()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -155,7 +155,7 @@ class TestBellmanFord:
             routing.bellman_ford_hop_constrained(colinear3(), 0, 9)
 
     def test_unreachable_marked(self):
-        topo = build_topology(
+        topo = Topology(
             [Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)], edges=[(0, 1)])
         tab = routing.bellman_ford_hop_constrained(topo, 0, 2)
         assert tab.path_to(2, 2) is None
@@ -321,7 +321,7 @@ class TestFixedPointStop:
         # there, so the bound must read the endpoints' coordinates (D^2 = 1600)
         nodes = [Node(0, 0, 0), Node(1, 20, 30), Node(2, 10, 0), Node(3, 20, 0),
                  Node(4, 30, 0), Node(5, 40, 0)]
-        topo = build_topology(nodes, [(0, 1), (1, 5), (0, 2), (2, 3), (3, 4), (4, 5)])
+        topo = Topology(nodes, [(0, 1), (1, 5), (0, 2), (2, 3), (3, 4), (4, 5)])
         assert topo.weight_matrix()[0, 5] == math.inf
         sc = scen(lam=analytics.weight_density_bound(1.0, scen()) / 6000.0)
         sol = routing.solve_secure_route(topo, 0, 5, sc)
@@ -334,7 +334,7 @@ class TestFixedPointStop:
         # an edge list may place the source and destination on one point;
         # d2 = 0 leaves every later budget unbounded, without a warning
         nodes = [Node(0, 0, 0), Node(1, 3, 4), Node(2, 0, 0)]
-        topo = build_topology(nodes, [(0, 1), (1, 2)])
+        topo = Topology(nodes, [(0, 1), (1, 2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = routing.solve_secure_route(topo, 0, 2, scen())
@@ -537,7 +537,7 @@ class TestGabrielOracle:
 
 class TestSolveSecureRoute:
     def test_two_node_direct(self):
-        topo = build_topology([Node(0, 0, 0), Node(1, 0, 10)])
+        topo = Topology([Node(0, 0, 0), Node(1, 0, 10)])
         sol = routing.solve_secure_route(topo, 0, 1, scen())
         assert sol.path.nodes == (0, 1)
         assert sol.c_s == sol.rs_star
@@ -624,8 +624,8 @@ class TestSolveSecureRoute:
         sc = scen()
         sols = []
         for pts in (xy, moved):
-            topo = build_topology([Node(i, float(x), float(y))
-                                   for i, (x, y) in enumerate(pts)])
+            topo = Topology([Node(i, float(x), float(y))
+                             for i, (x, y) in enumerate(pts)])
             sols.append(routing.solve_secure_route(topo, 0, n + 1, sc))
         a, b = sols
         assert a is not None and b is not None
@@ -639,8 +639,8 @@ class TestSolveSecureRoute:
         rng = np.random.default_rng(42)
         nodes = [Node(i, rng.uniform(0, 40), rng.uniform(0, 40)) for i in range(7)]
         sc = scen(lam=5e-5)
-        small = build_topology(nodes[:6])
-        large = build_topology(nodes)
+        small = Topology(nodes[:6])
+        large = Topology(nodes)
         s1 = routing.solve_secure_route(small, 0, 5, sc)
         s2 = routing.solve_secure_route(large, 0, 5, sc)
         c1 = s1.c_s if s1 else 0.0
@@ -731,7 +731,7 @@ class TestMeshSecrecyRates:
             one, two = (analytics.secrecy_rate(float(wt), v, sc)
                         for wt, v in ((w[0, -1], 1), (w[1, -1] + w[0, 1], 2)))
             assert 0.0 < one - two <= 4 * math.ulp(one)
-        topos = [build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+        topos = [Topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
                  for pts in xy.tolist()]
         edge = lam == "edge"
         if edge:
@@ -779,7 +779,7 @@ class TestMeshSecrecyRates:
         assert first.any() and not first.all()
         left = {}  # budget after which a mesh left -> by fixed point or by bound
         for k, pts in enumerate(xy.tolist()):
-            topo = build_topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
+            topo = Topology([Node(i, x, y) for i, (x, y) in enumerate(pts)])
             sol = routing.solve_secure_route(topo, 0, 15, sc)
             assert rates[k] == (sol.c_s if sol is not None else 0.0)
             if not first[k]:
@@ -886,8 +886,8 @@ class TestReachable:
 
     def test_isolated_source(self):
         # budget 1 starts from the source's own row, which holds no edge
-        topo = build_topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
-                              edges=[(1, 2)])
+        topo = Topology([Node(0, 0, 0), Node(1, 0, 5), Node(2, 0, 10)],
+                        edges=[(1, 2)])
         tab = routing.bellman_ford_hop_constrained(topo, 0, 2)
         assert tab.best.shape == (1, 3)
         assert tab.path_to(2, 2) is None
