@@ -138,30 +138,34 @@ def _row_seed(master: int, index: int) -> int:
 
 
 def _example_sweep(cfg: ExperimentConfig, param: str, key: str):
-    """Yield (topology, path, row key, scenario) for each of FIG_PATHS on the
-    six-node example, path by path, at each value of the config's list `key`
-    of the scenario's `param`; the row key is (path id, hops, value), the
+    """The six-node example and, for each of FIG_PATHS, path by path, at
+    each value of the config's list `key` of the scenario's `param`, a row
+    (path, row key, scenario); the row key is (path id, hops, value), the
     value as the built scenario holds it. An empty list raises ConfigError."""
     values = getattr(cfg, key)
     if not values:
         raise ConfigError(f"need at least one value in {key}")
     topo = six_node_topology()
     scenarios = [replace(cfg.scenario(), **{param: val}) for val in values]
+    rows = []
     for seq in FIG_PATHS:
         path = topo.path(seq)
         pid = "-".join(str(n) for n in seq)
-        for scenario in scenarios:
-            yield topo, path, (pid, path.hop_count, getattr(scenario, param)), scenario
+        rows += [(path, (pid, path.hop_count, getattr(sc, param)), sc) for sc in scenarios]
+    return topo, rows
 
 
 def run_sop_curve(cfg: ExperimentConfig):
-    """Analytic vs Monte Carlo end-to-end SOP across the eavesdropper-density sweep."""
-    rows = []
-    for idx, (topo, path, key, sc) in enumerate(_example_sweep(cfg, "lambda_e", "lambdas")):
-        analytic = analytics.path_sop(cfg.rs, path, sc)
-        seed = _row_seed(cfg.seed, idx)
-        est = montecarlo.estimate_path_sop(cfg.rs, path, topo, sc, cfg.trials, seed)
-        rows.append((*key, analytic, est.mean, est.stderr, est.tail, est.trials, seed))
+    """Analytic vs Monte Carlo end-to-end SOP across the eavesdropper-density
+    sweep; row idx draws under seed _row_seed(cfg.seed, idx), and one
+    montecarlo.estimate_path_sops call estimates every row."""
+    topo, sweep = _example_sweep(cfg, "lambda_e", "lambdas")
+    analytic = [analytics.path_sop(cfg.rs, path, sc) for path, _, sc in sweep]
+    seeds = [_row_seed(cfg.seed, idx) for idx in range(len(sweep))]
+    estimates = montecarlo.estimate_path_sops(
+        cfg.rs, topo, cfg.trials, [(path, sc, seed) for (path, _, sc), seed in zip(sweep, seeds)])
+    rows = [(*key, p, est.mean, est.stderr, est.tail, est.trials, seed)
+            for (_, key, _), p, est, seed in zip(sweep, analytic, estimates, seeds)]
     header = ["path_id", "hops", "lambda_e", "analytic_sop",
               "mc_mean", "mc_stderr", "tail", "trials", "seed"]
     return header, rows
@@ -170,9 +174,9 @@ def run_sop_curve(cfg: ExperimentConfig):
 def run_rate_sweeps(cfg: ExperimentConfig, param: str):
     """Secrecy rate of the fixed example paths across a lambda_e or epsilon sweep."""
     sweep = "lambdas" if param == "lambda_e" else "epsilons"
-    rows = [(*key, _fmt_rate(analytics.path_metric(path, sc)))
-            for _, path, key, sc in _example_sweep(cfg, param, sweep)]
-    return ["path_id", "hops", param, "c_s"], rows
+    _, rows = _example_sweep(cfg, param, sweep)
+    return ["path_id", "hops", param, "c_s"], [
+        (*key, _fmt_rate(analytics.path_metric(path, sc))) for path, key, sc in rows]
 
 
 def placements(n_legit: int, count: int, rngs) -> np.ndarray:
@@ -182,16 +186,22 @@ def placements(n_legit: int, count: int, rngs) -> np.ndarray:
     uniform on the square, and a destination at its upper-right corner
     (50, 50). Each generator is read in full before the next is taken, so
     `rngs` may re-key one generator (montecarlo.block_rngs). Raises
-    ConfigError before any draw when n_legit < 1."""
+    ConfigError before any draw when n_legit < 1, and ValueError when
+    `rngs` yields fewer than `count` generators."""
     if n_legit < 1:
         raise ConfigError("n_legit must be >= 1")
     xy = np.empty((count, n_legit + 2, 2))
     xy[:, 0] = 0.0
     # each (x, y) row is two consecutive doubles of the stream, and
     # PLACEMENT_BOX * u is the double rng.uniform(0.0, PLACEMENT_BOX) returns
-    # for u, since it computes 0.0 + PLACEMENT_BOX * u
+    # for u, since it computes 0.0 + PLACEMENT_BOX * u; the rows lead, so the
+    # zip takes no generator past the last placement
+    drawn = 0
     for relays, rng in zip(xy[:, 1:-1], rngs):
         rng.random(out=relays)
+        drawn += 1
+    if drawn < count:
+        raise ValueError(f"placements needs {count} generators, rngs yielded {drawn}")
     xy[:, 1:-1] *= PLACEMENT_BOX
     xy[:, -1] = PLACEMENT_BOX
     return xy
@@ -201,9 +211,10 @@ def run_table_one(cfg: ExperimentConfig):
     """Average best secrecy rate over random topologies, per network size.
 
     Rep `rep` of size index n_idx is placements(n, 1, [block_rng(seed,
-    n_idx, rep)])[0] routed from its source to its destination; a size's
-    reps draw their placements from one generator re-keyed per rep
-    (montecarlo.block_rngs), the same streams. A size's reps are
+    n_idx, rep)])[0] routed from its source to its destination. A size's
+    reps read those streams from one generator, montecarlo.block_rngs
+    re-keyed under each key (seed, n_idx, rep) in rep order, so no rep
+    builds a Philox of its own. A size's reps are
     swept SWEEP_CELLS weight cells at a time, as one stack, by
     routing.mesh_secrecy_rates, which gives each rep the c_s that
     routing.solve_secure_route would. Draws where no feasible route exists
@@ -222,7 +233,7 @@ def run_table_one(cfg: ExperimentConfig):
     for n_idx, n in enumerate(cfg.n_legit):
         size_rates = []  # in rep order
         chunk = max(1, SWEEP_CELLS // max(n + 2, 1) ** 2)  # placements rejects n < 1
-        rngs = montecarlo.block_rngs(cfg.seed, n_idx, range(cfg.reps))
+        rngs = montecarlo.block_rngs((cfg.seed, n_idx, rep) for rep in range(cfg.reps))
         for start in range(0, cfg.reps, chunk):
             xy = placements(n, min(chunk, cfg.reps - start), rngs)
             size_rates += routing.mesh_secrecy_rates(mesh_weights(xy), scenario).tolist()

@@ -42,9 +42,14 @@ estimate's share of it is tail / -ln(1 - p) at a closed form p. R depends
 on neither lambda nor the trial count.
 
 Trials are processed in blocks by one loop, `_blocks`, which gives the
-block layout and each hop-block's generator; `_point_sums` gives the
-layout of a hop's stream within a block. So estimates depend only on the
-seed and the parameters, never on how blocks are scheduled.
+block layout and each hop-block's stream; `_point_sums` gives the
+layout of a hop's stream within a block. Each (seed, hop, block) has its
+own Philox stream, fixed by its key alone (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so one generator re-keyed per
+hop-block (`block_rngs`) reads every stream bit for bit, and one estimator
+call, a whole `sop-curve` sweep included, builds one Philox and one set of
+chunk buffers. So estimates depend only on the seed and the parameters,
+never on how blocks are scheduled or how rows are batched.
 
 The path estimator draws no gain. Given a trial's points, hop k survives
 Rayleigh fading with probability exactly prod_e 1 / (1 + x_e),
@@ -145,7 +150,9 @@ class _KeySeed(ISeedSequence):
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Counter-based generator for one (stream, block) cell of a seed.
+    """A fresh counter-based generator for one (stream, block) cell of a
+    seed, the reference for the streams block_rngs reads; no estimator
+    builds one.
 
     Its stream is np.random.Philox(key=k)'s, a zero counter under the
     128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
@@ -156,22 +163,22 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_KeySeed(_block_key(seed, stream, block))))
 
 
-def block_rngs(seed: int, stream: int, blocks):
-    """Yield, for each block of `blocks` in turn, a generator on the stream
-    of block_rng(seed, stream, block).
+def block_rngs(keys):
+    """Yield, for each (seed, stream, block) key of `keys` in turn, a
+    generator on the stream of block_rng(seed, stream, block).
 
     It is one generator, re-keyed before each yield by setting Philox's
     documented `state` to a zero counter and an empty buffer under the
-    block's key, so each is valid only until the next is taken. A re-key
-    takes about 1 us, where a fresh block_rng takes about 5 us (x86-64,
+    key, so each is valid only until the next is taken. A re-key takes
+    0.8 us, where a fresh block_rng takes 4.8 us (timeit, x86-64,
     numpy 2.4).
     """
     bits = np.random.Philox(_KeySeed((0, 0)))
     rng = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for block in blocks:
-        state["state"]["key"] = _block_key(seed, stream, block)
+    for key in keys:
+        state["state"]["key"] = _block_key(*key)
         bits.state = state
         yield rng
 
@@ -266,8 +273,16 @@ def _hop_fields(rs: float, dists, scenario: Scenario):
     return radii, units, tail
 
 
+def _chunk_buffers():
+    """The buffers `_point_sums` draws and sums RUN_POINTS points in: (u, w)
+    word pairs, x, gains and trial indices. One set serves every hop-block
+    of an estimator call."""
+    return (np.empty((RUN_POINTS, 2)), np.empty(RUN_POINTS), np.empty(RUN_POINTS),
+            np.empty(RUN_POINTS, np.intp))
+
+
 def _point_sums(rng, scenario: Scenario, radius: float, unit: float, n: int,
-                gains: bool) -> np.ndarray:
+                gains: bool, buffers) -> np.ndarray:
     """Per-trial sums over the eavesdroppers of a block's n trials on the
     disk of `radius` around the transmitter of a hop of outage radius
     rho = `unit`: of S_e x_e with `gains`, the interference I, and of
@@ -287,10 +302,12 @@ def _point_sums(rng, scenario: Scenario, radius: float, unit: float, n: int,
     adds inf, the limit it stands for; the Poisson mean reads R alone,
     finite there.
 
-    The pairs are read in order and summed RUN_POINTS at a time, so a block
-    holds a few chunk-sized buffers whatever its size. Each trial's sum
-    runs in point order (np.add.at), so the sums are bit-identical
-    whatever RUN_POINTS is.
+    The pairs are read in order and summed RUN_POINTS at a time, in the
+    caller's `_chunk_buffers`, so a block holds a few chunk-sized buffers
+    whatever its size. Each trial's sum runs in point order (np.add.at), so
+    the sums are bit-identical whatever RUN_POINTS is. The caller ignores
+    overflow and division by zero (np.errstate), once for all its
+    hop-blocks.
 
     u is a multiple of 2^-53 below 1, so floor(s) is uniform over the trials
     to within n 2^-53 <= 2^-39, and even (1 - 2^-53) n floors to n - 1;
@@ -299,52 +316,63 @@ def _point_sums(rng, scenario: Scenario, radius: float, unit: float, n: int,
     reach = radius / unit
     reach2 = reach * reach  # a float product, which overflows to inf, not an error
     total = rng.poisson(scenario.lambda_e * math.pi * (radius * radius) * n)
-    size = min(total, RUN_POINTS)
-    words, x_buf, gain_buf = np.empty((size, 2)), np.empty(size), np.empty(size)
-    trial_buf = np.empty(size, np.intp)
+    words, x_buf, gain_buf, trial_buf = buffers
     sums = np.zeros(n)
-    with np.errstate(over="ignore", divide="ignore"):
-        for start in range(0, total, RUN_POINTS):
-            m = min(RUN_POINTS, total - start)
-            pairs = rng.random(out=words[:m])
-            # each column is read once, into a contiguous buffer
-            x = np.multiply(pairs[:, 0], n, out=x_buf[:m])
-            trial = np.floor(x, out=trial_buf[:m], casting="unsafe")
-            x -= trial
-            x *= reach2
-            np.power(x, -scenario.alpha / 2.0, out=x)
-            if gains:
-                x *= _exponential(pairs[:, 1], gain_buf[:m])
-            else:
-                np.log1p(x, out=x)
-            np.add.at(sums, trial, x)
+    for start in range(0, total, RUN_POINTS):
+        m = min(RUN_POINTS, total - start)
+        pairs = rng.random(out=words[:m])
+        # each column is read once, into a contiguous buffer
+        x = np.multiply(pairs[:, 0], n, out=x_buf[:m])
+        trial = np.floor(x, out=trial_buf[:m], casting="unsafe")
+        x -= trial
+        x *= reach2
+        np.power(x, -scenario.alpha / 2.0, out=x)
+        if gains:
+            x *= _exponential(pairs[:, 1], gain_buf[:m])
+        else:
+            np.log1p(x, out=x)
+        np.add.at(sums, trial, x)
     return sums
 
 
-def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n: int):
+def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n: int, buffers):
     """Per-trial interference sums I = sum S_e (r_e / rho)^-alpha and legit
     gains h of a block's n trials, read as `_point_sums` lays them out."""
-    interference = _point_sums(rng, scenario, radius, unit, n, gains=True)
+    interference = _point_sums(rng, scenario, radius, unit, n, True, buffers)
     h = rng.random(n)
     return interference, _exponential(h, h)
 
 
-def _blocks(scenario: Scenario, radii, trials: int, seed: int):
-    """Yield each block's size n and its hops' generators, hop k's
-    block_rng(seed, k, b) in block b, to draw on the disk of radius radii[k].
-
-    Block b holds trials b * BLOCK to min((b + 1) * BLOCK, trials) - 1. A
-    disk expecting more than TRIAL_POINTS points in one trial is an input
-    error.
-    """
+def _check_density(scenario: Scenario, radii) -> None:
+    """Raise ValueError where a disk expects more than TRIAL_POINTS points
+    in one trial: no block size fits it."""
     lam = scenario.lambda_e
     per_trial = max(lam * math.pi * radius * radius for radius in radii)
     if per_trial > TRIAL_POINTS:
         raise ValueError(f"lambda_e = {lam:g} puts {per_trial:.3g} expected eavesdroppers "
                          f"on one hop's disk of radius {max(radii):g}, more than "
                          f"{TRIAL_POINTS} per trial; lower lambda_e or window")
-    for block, done in enumerate(range(0, trials, BLOCK)):
-        yield min(BLOCK, trials - done), [block_rng(seed, k, block) for k in range(len(radii))]
+
+
+def _blocks(rows, trials: int):
+    """Yield (row index, n, hops) for each block b of each row (seed, radii,
+    units) of `rows` in turn. Block b holds trials b * BLOCK to
+    min((b + 1) * BLOCK, trials) - 1, n of them; `hops` yields (radius,
+    unit, generator) for each hop k in turn, the generator on
+    block_rng(seed, k, b)'s stream, to draw on the disk of radius radii[k].
+
+    Every generator is one Philox, re-keyed per (seed, hop, block) by
+    block_rngs (0.8 us a hop-block, where a fresh block_rng takes 4.8 us),
+    so each is valid only until the next is taken: a block's hops are
+    drawn one after the other, in order, and in full.
+    """
+    blocks = range(0, trials, BLOCK)
+    rngs = block_rngs((seed, k, b) for seed, radii, _ in rows
+                      for b in range(len(blocks)) for k in range(len(radii)))
+    for i, (_, radii, units) in enumerate(rows):
+        for done in blocks:
+            # radii lead, so the zip ends at the block's last hop and takes no key past it
+            yield i, min(BLOCK, trials - done), zip(radii, units, rngs)
 
 
 def _mapped(mean: float, stderr: float, trials: int, tail: float) -> SopEstimate:
@@ -418,15 +446,19 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
                                   replace(scenario, power_db=pdb).power_linear)
                   for pdb in powers_db]
     counts = {c: [0, 0] for c in thresholds}
-    (radius,), (unit,), tail = _hop_fields(rs, [dist], scenario)
+    radii, units, tail = _hop_fields(rs, [dist], scenario)
+    _check_density(scenario, radii)
     n_memoryless = 0
-    for n, (rng,) in _blocks(scenario, [radius], trials, seed):
-        interference, h = _block_draws(rng, scenario, radius, unit, n)
-        n_memoryless += int(np.count_nonzero(h <= interference))
-        for c, tally in counts.items():
-            keep = h > c
-            tally[0] += int(np.count_nonzero(keep & (h < c + interference)))
-            tally[1] += int(np.count_nonzero(keep))
+    buffers = _chunk_buffers()
+    with np.errstate(over="ignore", divide="ignore"):
+        for _, n, hops in _blocks([(seed, radii, units)], trials):
+            ((radius, unit, rng),) = hops
+            interference, h = _block_draws(rng, scenario, radius, unit, n, buffers)
+            n_memoryless += int(np.count_nonzero(h <= interference))
+            for c, tally in counts.items():
+                keep = h > c
+                tally[0] += int(np.count_nonzero(keep & (h < c + interference)))
+                tally[1] += int(np.count_nonzero(keep))
     return (_estimate(n_memoryless, trials, tail),
             [_estimate(*counts[c], tail) for c in thresholds])
 
@@ -437,21 +469,43 @@ def estimate_path_sop(rs: float, path: Path, topology: Topology,
     q = 1 - exp(-L), L = sum_hops sum_points log1p((r/rho)^-alpha), the
     exact outage probability given the trial's eavesdroppers, with its
     sample stderr. Every hop of every trial gets a fresh field from its own
-    RNG stream (randomize-and-forward), and no gain is drawn.
+    RNG stream (randomize-and-forward), and no gain is drawn. It is the
+    one-row estimate_path_sops.
+    """
+    return estimate_path_sops(rs, topology, trials, [(path, scenario, seed)])[0]
+
+
+def estimate_path_sops(rs: float, topology: Topology, trials: int, rows) -> list[SopEstimate]:
+    """estimate_path_sop(rs, path, topology, scenario, trials, seed) for
+    each row (path, scenario, seed) of `rows`, in order, each equal (==) to
+    its one-row call.
+
+    Every row is checked, in order, before any draw; then one pass draws
+    every hop-block of every row from one re-keyed Philox (`_blocks`) into
+    one set of chunk buffers. A row's streams depend only on its seed, so
+    neither the other rows nor their order change its estimate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < rs < math.inf:
         raise ValueError("rs must be positive and finite")
-    # each hop's length, exact: sqrt inverts a correctly rounded square
-    lengths = [math.sqrt(w) for w in topology.hop_weights(path.nodes)]
-    radii, units, tail = _hop_fields(rs, lengths, scenario)
-    moments = []
-    for n, rngs in _blocks(scenario, radii, trials, seed):
-        sums = [_point_sums(rng, scenario, radius, unit, n, gains=False)
-                for rng, radius, unit in zip(rngs, radii, units)]
-        moments.append(_outage_moments(sum(sums[1:], sums[0])))
-    return _moments_estimate(moments, tail)
+    scenarios, fields, tails = [], [], []
+    for path, scenario, seed in rows:
+        # each hop's length, exact: sqrt inverts a correctly rounded square
+        lengths = [math.sqrt(w) for w in topology.hop_weights(path.nodes)]
+        radii, units, tail = _hop_fields(rs, lengths, scenario)
+        _check_density(scenario, radii)
+        scenarios.append(scenario)
+        fields.append((seed, radii, units))
+        tails.append(tail)
+    moments = [[] for _ in fields]
+    buffers = _chunk_buffers()
+    with np.errstate(over="ignore", divide="ignore"):
+        for i, n, hops in _blocks(fields, trials):
+            sums = [_point_sums(rng, scenarios[i], radius, unit, n, False, buffers)
+                    for radius, unit, rng in hops]
+            moments[i].append(_outage_moments(sum(sums[1:], sums[0])))
+    return [_moments_estimate(m, tail) for m, tail in zip(moments, tails)]
 
 
 def power_invariance_report(powers_db, estimates) -> list:

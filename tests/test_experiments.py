@@ -218,7 +218,8 @@ class TestPlacements:
         (1, 0, 0), (2**64 + 7, 3, 5), (-9, 1, 0), (4, 2**16 + 3, 2), (5, 2, 2**48 - 3)])
     def test_rekeyed_equal_placement(self, seed, n_idx, rep0):
         reps = range(rep0, rep0 + 7)
-        got = placements(9, len(reps), montecarlo.block_rngs(seed, n_idx, reps))
+        got = placements(9, len(reps),
+                         montecarlo.block_rngs((seed, n_idx, rep) for rep in reps))
         want = np.stack([placements(9, 1, [block_rng(seed, n_idx, rep)])[0] for rep in reps])
         assert got.tobytes() == want.tobytes()
 
@@ -248,8 +249,16 @@ class TestPlacements:
                              for rep in range(13)])
             assert np.concatenate(mine).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("count,rngs", [(4, 1), (2, 0), (5, 4)])
+    def test_too_few_generators_raise(self, count, rngs):
+        # a short iterable left placements past its last generator as
+        # uninitialised memory
+        with pytest.raises(ValueError,
+                           match=f"placements needs {count} generators, rngs yielded {rngs}"):
+            placements(3, count, [block_rng(1, 0, rep) for rep in range(rngs)])
+
     def test_bad_n_legit_draws_nothing(self):
-        rngs = montecarlo.block_rngs(1, 0, range(3))
+        rngs = montecarlo.block_rngs((1, 0, rep) for rep in range(3))
         for n in (0, -2):
             with pytest.raises(ConfigError, match="n_legit"):
                 placements(n, 3, rngs)
@@ -802,15 +811,11 @@ class TestCli:
 
     def test_validate_draws_each_block_once(self, monkeypatch):
         # all five estimates share one pass: 7 blocks of 100000 trials,
-        # one Philox stream each
+        # one Philox stream each, keyed on the one re-keyed generator
         keys = []
-        real = montecarlo.block_rng
-
-        def counting(seed, stream, block):
-            keys.append((seed, stream, block))
-            return real(seed, stream, block)
-
-        monkeypatch.setattr(montecarlo, "block_rng", counting)
+        real = montecarlo.block_rngs
+        monkeypatch.setattr(montecarlo, "block_rngs",
+                            lambda ks: real(keys.append(k) or k for k in ks))
         ok, _, rows = run_validate(ExperimentConfig(experiment="validate", trials=100000))
         assert len(rows) == 5
         assert len(keys) == len(set(keys)) == 7

@@ -16,11 +16,20 @@ from secroute.montecarlo import (
     _block_draws,
     block_rng,
     estimate_path_sop,
+    estimate_path_sops,
     hop_sop_estimates,
     power_invariance_report,
 )
 from secroute.cli import main
-from secroute.experiments import FIG_PATHS, placements, six_node_topology
+from secroute.experiments import (
+    FIG_PATHS,
+    ExperimentConfig,
+    placements,
+    run_sop_curve,
+    run_table_one,
+    run_validate,
+    six_node_topology,
+)
 from secroute.netmodel import NetModelError
 from secroute.routing import solve_secure_route
 
@@ -36,7 +45,7 @@ class TestSamplePpp:
     """The PPP sampler behind every estimate, `_block_draws`."""
 
     def test_zero_density_empty(self):
-        interference, h = _block_draws(block_rng(0, 0, 0), scen(lam=0.0), 1000.0, 10.0, 5000)
+        interference, h = block_draws(block_rng(0, 0, 0), scen(lam=0.0), 1000.0, 10.0, 5000)
         assert len(interference) == len(h) == 5000
         assert np.all(interference == 0.0)
 
@@ -47,10 +56,25 @@ class TestSamplePpp:
         sc = scen(lam=1.0 / (math.pi * radius * radius))
         assert sc.lambda_e * math.pi * radius * radius == pytest.approx(1.0, rel=1e-15)
         n = 100000
-        interference, _ = _block_draws(block_rng(1, 0, 0), sc, radius, 10.0, n)
+        interference, _ = block_draws(block_rng(1, 0, 0), sc, radius, 10.0, n)
         p = math.exp(-1.0)
         share = np.count_nonzero(interference == 0.0) / n
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def block_draws(rng, scenario, radius, unit, n):
+    """`_block_draws` as `hop_sop_estimates` runs it: into chunk buffers of
+    its own, with overflow and division by zero ignored."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return _block_draws(rng, scenario, radius, unit, n, montecarlo._chunk_buffers())
+
+
+def point_sums(rng, scenario, radius, unit, n, gains):
+    """`_point_sums` as the estimators run it, as `block_draws` runs
+    `_block_draws`."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return montecarlo._point_sums(rng, scenario, radius, unit, n, gains,
+                                      montecarlo._chunk_buffers())
 
 
 def block_points_reference(rng, scenario, radius, unit, n):
@@ -123,7 +147,7 @@ class TestBlockDrawsInPlace:
     @staticmethod
     def assert_matches(key, sc, radius, n):
         # in units of an outage radius of 10
-        got = _block_draws(block_rng(*key), sc, radius, 10.0, n)
+        got = block_draws(block_rng(*key), sc, radius, 10.0, n)
         want = block_draws_reference(block_rng(*key), sc, radius, 10.0, n)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -167,7 +191,7 @@ class TestBlockDrawsInPlace:
         sc = scen(lam=1e-2)
         tracemalloc.start()
         try:
-            interference, _ = _block_draws(block_rng(6, 0, 0), sc, 1000.0, 10.0, 64)
+            interference, _ = block_draws(block_rng(6, 0, 0), sc, 1000.0, 10.0, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,7 +212,7 @@ class TestSamplerStatistics:
         counts = np.bincount(trial, minlength=n)
         # at alpha = 0 each point adds its gain to its trial's sum, so the
         # sampler's empty trials are the reference's
-        sums, _ = _block_draws(block_rng(seed, 0, 0), field, 1.0, 1.0, n)
+        sums, _ = block_draws(block_rng(seed, 0, 0), field, 1.0, 1.0, n)
         assert np.array_equal(sums == 0.0, counts == 0)
         # chi-square over bins that each expect >= 5 trials, the last open
         # above, against Poisson(mu) with mu known
@@ -256,7 +280,7 @@ class TestBlockPoints:
     def record_draws(monkeypatch):
         calls = []
 
-        def draws(rng, scenario, radius, unit, n):
+        def draws(rng, scenario, radius, unit, n, buffers):
             calls.append((n, radius))
             return np.zeros(n), np.zeros(n)
 
@@ -494,7 +518,7 @@ class TestFarField:
         interference = np.array([0.0] * 5 + [1e9] * 3 + [0.0] * 2)
         h = np.array([1e9] * 5 + [1e3] * 3 + [0.0] * 2)
         monkeypatch.setattr(montecarlo, "_block_draws",
-                            lambda rng, scenario, radius, unit, n: (interference[:n], h[:n]))
+                            lambda rng, scenario, radius, unit, n, buffers: (interference[:n], h[:n]))
         sc = scen(lam=1e-4)
         _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 10, 3, [80.0])
@@ -990,16 +1014,12 @@ class TestEstimatePathSop:
         assert str(got.value) == str(weights.value) == str(want.value) == message
 
     def test_draws_each_hop_block_once(self, monkeypatch):
-        # a 3-hop path over 2 blocks takes one generator per (seed, hop,
-        # block) key, hop k's in stream k
+        # a 3-hop path over 2 blocks re-keys its generator once per (seed,
+        # hop, block) key, hop k's in stream k
         keys = []
-        real = montecarlo.block_rng
-
-        def counting(seed, stream, block):
-            keys.append((seed, stream, block))
-            return real(seed, stream, block)
-
-        monkeypatch.setattr(montecarlo, "block_rng", counting)
+        real = montecarlo.block_rngs
+        monkeypatch.setattr(montecarlo, "block_rngs",
+                            lambda ks: real(keys.append(k) or k for k in ks))
         topo = Topology.from_xy([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0], [0.0, 30.0]])
         estimate_path_sop(1.0, topo.path((0, 1, 2, 3)), topo, scen(), montecarlo.BLOCK + 5, 9)
         assert len(keys) == len(set(keys)) == 6
@@ -1019,6 +1039,65 @@ class TestEstimatePathSop:
         topo = self.topo()
         with pytest.raises(ValueError, match=message):
             estimate_path_sop(rs, topo.path((0, 1)), topo, scen(), trials, seed=1)
+
+
+class TestEstimatePathSops:
+    """One estimate_path_sops call over a sweep's rows equals the one-row
+    calls field for field, whatever the rows' order, and shares one
+    generator among all their hop-blocks."""
+
+    @staticmethod
+    def rows():
+        # paths of 1-3 hops, an empty field, a dense field that spans many
+        # RUN_POINTS chunks in every block, another alpha and a capped disk
+        topo = six_node_topology()
+        cases = [((1, 5), scen()), ((1, 3, 5), scen(lam=0.0)),
+                 ((1, 2, 3, 5), scen(lam=1e-3)), ((1, 3, 5), scen(lam=1e-4, alpha=3.0)),
+                 ((1, 2, 3, 5), scen(lam=5e-5, window=10.0)), ((1, 5), scen(lam=0.0))]
+        return topo, [(topo.path(seq), sc, 70 + i) for i, (seq, sc) in enumerate(cases)]
+
+    @pytest.mark.parametrize("trials", [1, 700, montecarlo.BLOCK + 5])
+    def test_equals_one_row_calls(self, trials):
+        topo, rows = self.rows()
+        want = [estimate_path_sop(1.0, path, topo, sc, trials, seed) for path, sc, seed in rows]
+        assert len({w.mean for w in want}) == len(want) - 1  # only the empty fields agree
+        assert estimate_path_sops(1.0, topo, trials, rows) == want
+        assert estimate_path_sops(1.0, topo, trials, rows[::-1]) == want[::-1]
+        # nothing carried from one call to the next
+        assert estimate_path_sops(1.0, topo, trials, rows) == want
+
+    def test_one_generator_per_call(self, monkeypatch):
+        # no estimator builds a generator per hop-block: the sweeps run with
+        # block_rng refusing, and one call builds one Philox for all its
+        # rows, hops and blocks
+        def refuse(seed, stream, block):
+            raise AssertionError("block_rng called")
+
+        monkeypatch.setattr(montecarlo, "block_rng", refuse)
+        assert len(run_sop_curve(ExperimentConfig(trials=500))[1]) == 15
+        assert run_validate(ExperimentConfig(experiment="validate", trials=500))[0]
+        assert len(run_table_one(ExperimentConfig(n_legit=(5, 10), reps=4))[1]) == 2
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *args: built.append(args) or philox(*args))
+        topo, rows = self.rows()
+        estimate_path_sops(1.0, topo, montecarlo.BLOCK + 5, rows)
+        assert len(built) == 1
+
+    def test_checks_rows_before_any_draw(self, monkeypatch):
+        # a bad last row raises what its one-row call raises, and no earlier
+        # row is drawn first
+        calls = []
+        monkeypatch.setattr(montecarlo, "_point_sums", lambda *args: calls.append(args))
+        topo, rows = self.rows()
+        bad = [(topo.path((1, 5)), scen(lam=1e4), 1), (Path((1, 3, 7), 0.0), scen(), 2)]
+        for row in bad:
+            with pytest.raises(ValueError) as want:
+                estimate_path_sop(1.0, row[0], topo, row[1], 100, row[2])
+            with pytest.raises(ValueError) as got:
+                estimate_path_sops(1.0, topo, 100, rows + [row])
+            assert str(got.value) == str(want.value)
+        assert not calls
 
 
 class TestOutageMoments:
@@ -1063,7 +1142,7 @@ class TestOutageMoments:
             return out
 
         stub = SimpleNamespace(poisson=lambda mean: n, random=random)
-        log_survival = montecarlo._point_sums(stub, scen(), 40.0, 10.0, n, gains=False)
+        log_survival = point_sums(stub, scen(), 40.0, 10.0, n, gains=False)
         assert np.all(log_survival == math.inf)
         assert montecarlo._outage_moments(log_survival) == (n, float(n), 0.0, 0.0)
 
@@ -1077,8 +1156,7 @@ class TestOutageMoments:
         assert rho == tail == math.inf and radius == window_cap(sc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_survival = montecarlo._point_sums(block_rng(3, 0, 0), sc, radius, rho, 256,
-                                                  gains=False)
+            log_survival = point_sums(block_rng(3, 0, 0), sc, radius, rho, 256, gains=False)
             est = estimate_path_sop(5000.0, topo.path((0, 1)), topo, sc, 256, seed=3)
         assert np.all(log_survival == math.inf)
         assert (est.mean, est.stderr, est.trials) == (1.0, 0.0, 256)

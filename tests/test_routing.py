@@ -658,7 +658,7 @@ def stacked_case(seed):
     lambda_e = 1e-5, where the prefix rate bound ends most sweeps."""
     rng = np.random.default_rng(900 + seed)
     if seed in DENSE_SEEDS:
-        xy = placements(100, 5, montecarlo.block_rngs(seed, 0, range(5)))
+        xy = placements(100, 5, montecarlo.block_rngs((seed, 0, rep) for rep in range(5)))
         return xy, Scenario(float(rng.uniform(3.5, 4.5)), 1e-5, 0.1)
     n = int(rng.integers(3, 40))
     box = float(rng.uniform(1.0, 200.0))
