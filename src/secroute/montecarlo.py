@@ -254,7 +254,9 @@ def _hop_fields(rs: float, dists, scenario: Scenario):
 
     log(R/rho) is min(log c_a, log cap - log rho), taken in logs so that
     alpha near 2 reaches the cap instead of overflowing, and not as
-    log R - log rho, so that a huge alpha multiplies no rounding error.
+    log R - log rho, so that a huge alpha multiplies no rounding error. A
+    disk expecting more than TRIAL_POINTS points in one trial is an input
+    error: no block size fits it.
     """
     lam, alpha = scenario.lambda_e, scenario.alpha
     log_c, gammas = _field_constants(alpha)
@@ -270,6 +272,11 @@ def _hop_fields(rs: float, dists, scenario: Scenario):
         units.append(rho)
         if lam:  # K1 rho^2 times the share; a float product, so an overflow reads inf
             tail += math.pi * lam * gammas * rho * rho * _beta_share(-alpha * log_reach, p, q)
+    per_trial = max(lam * math.pi * radius * radius for radius in radii)
+    if per_trial > TRIAL_POINTS:
+        raise ValueError(f"lambda_e = {lam:g} puts {per_trial:.3g} expected eavesdroppers "
+                         f"on one hop's disk of radius {max(radii):g}, more than "
+                         f"{TRIAL_POINTS} per trial; lower lambda_e or window")
     return radii, units, tail
 
 
@@ -341,17 +348,6 @@ def _block_draws(rng, scenario: Scenario, radius: float, unit: float, n: int, bu
     interference = _point_sums(rng, scenario, radius, unit, n, True, buffers)
     h = rng.random(n)
     return interference, _exponential(h, h)
-
-
-def _check_density(scenario: Scenario, radii) -> None:
-    """Raise ValueError where a disk expects more than TRIAL_POINTS points
-    in one trial: no block size fits it."""
-    lam = scenario.lambda_e
-    per_trial = max(lam * math.pi * radius * radius for radius in radii)
-    if per_trial > TRIAL_POINTS:
-        raise ValueError(f"lambda_e = {lam:g} puts {per_trial:.3g} expected eavesdroppers "
-                         f"on one hop's disk of radius {max(radii):g}, more than "
-                         f"{TRIAL_POINTS} per trial; lower lambda_e or window")
 
 
 def _blocks(rows, trials: int):
@@ -447,7 +443,6 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
                   for pdb in powers_db]
     counts = {c: [0, 0] for c in thresholds}
     radii, units, tail = _hop_fields(rs, [dist], scenario)
-    _check_density(scenario, radii)
     n_memoryless = 0
     buffers = _chunk_buffers()
     with np.errstate(over="ignore", divide="ignore"):
@@ -494,7 +489,6 @@ def estimate_path_sops(rs: float, topology: Topology, trials: int, rows) -> list
         # each hop's length, exact: sqrt inverts a correctly rounded square
         lengths = [math.sqrt(w) for w in topology.hop_weights(path.nodes)]
         radii, units, tail = _hop_fields(rs, lengths, scenario)
-        _check_density(scenario, radii)
         scenarios.append(scenario)
         fields.append((seed, radii, units))
         tails.append(tail)
