@@ -170,8 +170,8 @@ def block_rngs(keys):
     It is one generator, re-keyed before each yield by setting Philox's
     documented `state` to a zero counter and an empty buffer under the
     key, so each is valid only until the next is taken. A re-key takes
-    0.8 us, where a fresh block_rng takes 4.8 us (timeit, x86-64,
-    numpy 2.4).
+    0.8 us, where a fresh block_rng takes 4.0-4.8 us (timeit, best of
+    runs of 20 000 calls, 2-core x86-64, numpy 2.4).
     """
     bits = np.random.Philox(_KeySeed((0, 0)))
     rng = np.random.Generator(bits)
@@ -355,10 +355,10 @@ def _blocks(rows, trials: int):
     units) of `rows` in turn. Block b holds trials b * BLOCK to
     min((b + 1) * BLOCK, trials) - 1, n of them; `hops` yields (radius,
     unit, generator) for each hop k in turn, the generator on
-    block_rng(seed, k, b)'s stream, to draw on the disk of radius radii[k].
+    block_rng(seed, k, b)'s stream.
 
     Every generator is one Philox, re-keyed per (seed, hop, block) by
-    block_rngs (0.8 us a hop-block, where a fresh block_rng takes 4.8 us),
+    block_rngs (0.8 us a hop-block, where a fresh block_rng takes 4.0-4.8 us),
     so each is valid only until the next is taken: a block's hops are
     drawn one after the other, in order, and in full.
     """

@@ -518,7 +518,7 @@ class TestFarField:
         interference = np.array([0.0] * 5 + [1e9] * 3 + [0.0] * 2)
         h = np.array([1e9] * 5 + [1e3] * 3 + [0.0] * 2)
         monkeypatch.setattr(montecarlo, "_block_draws",
-                            lambda rng, scenario, radius, unit, n, buffers: (interference[:n], h[:n]))
+                            lambda rng, sc, radius, unit, n, buffers: (interference[:n], h[:n]))
         sc = scen(lam=1e-4)
         _, _, tail = montecarlo._hop_fields(1.0, [10.0], sc)
         memoryless, (rejection,) = hop_sop_estimates(1.0, 10.0, sc, 10, 3, [80.0])
