@@ -251,8 +251,8 @@ class TestPlacements:
 
     @pytest.mark.parametrize("count,rngs", [(4, 1), (2, 0), (5, 4)])
     def test_too_few_generators_raise(self, count, rngs):
-        # a short iterable left placements past its last generator as
-        # uninitialised memory
+        # a placement without a generator of its own would be uninitialised
+        # memory, so a short iterable raises, naming both counts
         with pytest.raises(ValueError,
                            match=f"placements needs {count} generators, rngs yielded {rngs}"):
             placements(3, count, [block_rng(1, 0, rep) for rep in range(rngs)])
