@@ -26,7 +26,6 @@ from .routing import (
 from .montecarlo import (
     MonteCarloError,
     SopEstimate,
-    estimate_path_sop,
     estimate_path_sops,
     hop_sop_estimates,
     power_invariance_report,

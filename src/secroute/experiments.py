@@ -212,9 +212,9 @@ def run_table_one(cfg: ExperimentConfig):
 
     Rep `rep` of size index n_idx is placements(n, 1, [block_rng(seed,
     n_idx, rep)])[0] routed from its source to its destination. A size's
-    reps read those streams from one generator, montecarlo.block_rngs
-    re-keyed under each key (seed, n_idx, rep) in rep order, so no rep
-    builds a Philox of its own. A size's reps are
+    reps read those streams from one Philox, montecarlo.block_rngs
+    re-keyed under each key (seed, n_idx, rep) in rep order, built once
+    per size. A size's reps are
     swept SWEEP_CELLS weight cells at a time, as one stack, by
     routing.mesh_secrecy_rates, which gives each rep the c_s that
     routing.solve_secure_route would. Draws where no feasible route exists

@@ -51,14 +51,15 @@ call, a whole `sop-curve` sweep included, builds one Philox and one set of
 chunk buffers. So estimates depend only on the seed and the parameters,
 never on how blocks are scheduled or how rows are batched.
 
-The path estimator draws no gain. Given a trial's points, hop k survives
-Rayleigh fading with probability exactly prod_e 1 / (1 + x_e),
-x = (r/rho_k)^-a, the Laplace transform the closed form integrates over
-the PPP; under randomize-and-forward the trial's path is in outage with
-probability q = 1 - exp(-L), L = sum_k sum_e log1p(x_e). The estimate is
-q's mean with its sample stderr (Rao-Blackwellization, Casella and Robert,
-Biometrika 1996): the expectation of the drawn outage indicator, at a
-variance two to six times smaller on the `sop-curve` rows.
+The path estimator, `estimate_path_sops`, draws no gain. Given a trial's
+points, hop k survives Rayleigh fading with probability exactly
+prod_e 1 / (1 + x_e), x = (r/rho_k)^-a, the Laplace transform the closed
+form integrates over the PPP; under randomize-and-forward the trial's
+path is in outage with probability q = 1 - exp(-L),
+L = sum_k sum_e log1p(x_e). The estimate is q's mean with its sample
+stderr (Rao-Blackwellization, Casella and Robert, Biometrika 1996): the
+expectation of the drawn outage indicator, at a variance two to six times
+smaller on the `sop-curve` rows.
 
 The hop estimators stay literal and make one pass: each block's (I, h)
 pair is drawn once, on the same points as a one-hop path's, and on it
@@ -78,9 +79,8 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-from .netmodel import Path, Scenario, Topology
+from .netmodel import Scenario, Topology
 
 BLOCK = 1 << 14
 TRIAL_POINTS = 1 << 23  # most expected eavesdropper points on one trial's disk
@@ -136,44 +136,31 @@ class SopEstimate:
         return self.mean - spread <= p <= self.mean + spread
 
 
-class _KeySeed(ISeedSequence):
-    """A seed sequence that hands Philox the two 64-bit words of its key as
-    they are, so the generator starts keyed and draws no OS entropy."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple[int, int]):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self.key, dtype)
-
-
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """A fresh counter-based generator for one (stream, block) cell of a
     seed, the reference for the streams block_rngs reads; no estimator
     builds one.
 
-    Its stream is np.random.Philox(key=k)'s, a zero counter under the
-    128-bit key k = seed * 2^64 + stream * 2^48 + block, with seed, stream
-    and block masked to 64, 16 and 48 bits (`_block_key`). The key is passed
-    as the seed sequence's state: given key=, Philox's constructor still
-    draws OS entropy for a seed that it then discards, about half its time.
+    It is np.random.Generator(np.random.Philox(key=k)), a zero counter
+    under the 128-bit key k = seed * 2^64 + stream * 2^48 + block, with
+    seed, stream and block masked to 64, 16 and 48 bits (`_block_key`).
     """
-    return np.random.Generator(np.random.Philox(_KeySeed(_block_key(seed, stream, block))))
+    low, high = _block_key(seed, stream, block)
+    return np.random.Generator(np.random.Philox(key=high << 64 | low))
 
 
 def block_rngs(keys):
     """Yield, for each (seed, stream, block) key of `keys` in turn, a
     generator on the stream of block_rng(seed, stream, block).
 
-    It is one generator, re-keyed before each yield by setting Philox's
+    It is one generator, built on a fixed seed whose state the first
+    re-key overwrites, and re-keyed before each yield by setting Philox's
     documented `state` to a zero counter and an empty buffer under the
     key, so each is valid only until the next is taken. A re-key takes
-    0.8 us, where a fresh block_rng takes 4.0-4.8 us (timeit, best of
+    0.8 us, where a fresh block_rng takes about 11 us (timeit, best of
     runs of 20 000 calls, 2-core x86-64, numpy 2.4).
     """
-    bits = np.random.Philox(_KeySeed((0, 0)))
+    bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -358,9 +345,9 @@ def _blocks(rows, trials: int):
     block_rng(seed, k, b)'s stream.
 
     Every generator is one Philox, re-keyed per (seed, hop, block) by
-    block_rngs (0.8 us a hop-block, where a fresh block_rng takes 4.0-4.8 us),
-    so each is valid only until the next is taken: a block's hops are
-    drawn one after the other, in order, and in full.
+    block_rngs (0.8 us a hop-block, where a fresh block_rng takes about
+    11 us), so each is valid only until the next is taken: a block's hops
+    are drawn one after the other, in order, and in full.
     """
     blocks = range(0, trials, BLOCK)
     rngs = block_rngs((seed, k, b) for seed, radii, _ in rows
@@ -422,7 +409,7 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
 
     `memoryless` counts the unconditional event h <= I, exact by the
     memoryless property of the exponential legitimate gain; it reads the
-    eavesdroppers of estimate_path_sop on a one-hop path of length dist.
+    eavesdroppers of estimate_path_sops on a one-hop path of length dist.
     `rejection` simulates the on-off rule literally: it discards trials
     whose legitimate SNR p h / d^a is at most 2^rs - 1 and counts
     secrecy-capacity shortfalls log2((1 + p h / d^a) / (1 + p sum S / r^a))
@@ -430,7 +417,7 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
     h > c and h < c + I, c = (2^rs - 1) d^a / p. Power enters only through
     c, so every estimate reads the same block draws, and equal thresholds
     share one estimate. Both modes count drawn fading, so they check the
-    simulated channel itself, where estimate_path_sop averages it out.
+    simulated channel itself, where estimate_path_sops averages it out.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -458,22 +445,15 @@ def hop_sop_estimates(rs: float, dist: float, scenario: Scenario, trials: int,
             [_estimate(*counts[c], tail) for c in thresholds])
 
 
-def estimate_path_sop(rs: float, path: Path, topology: Topology,
-                      scenario: Scenario, trials: int, seed: int) -> SopEstimate:
-    """Estimate the end-to-end SOP of a path: the mean over the trials of
-    q = 1 - exp(-L), L = sum_hops sum_points log1p((r/rho)^-alpha), the
-    exact outage probability given the trial's eavesdroppers, with its
-    sample stderr. Every hop of every trial gets a fresh field from its own
-    RNG stream (randomize-and-forward), and no gain is drawn. It is the
-    one-row estimate_path_sops.
-    """
-    return estimate_path_sops(rs, topology, trials, [(path, scenario, seed)])[0]
-
-
 def estimate_path_sops(rs: float, topology: Topology, trials: int, rows) -> list[SopEstimate]:
-    """estimate_path_sop(rs, path, topology, scenario, trials, seed) for
-    each row (path, scenario, seed) of `rows`, in order, each equal (==) to
-    its one-row call.
+    """Estimate the end-to-end SOP at rate rs of each row (path, scenario,
+    seed) of `rows`, in order, a path of `topology` under the scenario's
+    eavesdroppers, from `trials` trials on the seed's streams: the mean
+    over the trials of q = 1 - exp(-L), L = sum_hops sum_points
+    log1p((r/rho)^-alpha), the exact outage probability given the trial's
+    eavesdroppers, with its sample stderr. Every hop of every trial gets a
+    fresh field from its own RNG stream (randomize-and-forward), and no
+    gain is drawn. Each estimate equals (==) its row's one-row call.
 
     Every row is checked, in order, before any draw; then one pass draws
     every hop-block of every row from one re-keyed Philox (`_blocks`) into

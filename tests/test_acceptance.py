@@ -41,8 +41,8 @@ def test_criterion_1_sop_curves_match_monte_carlo():
         for i, lam in enumerate(LAMBDA_GRID):
             sc = Scenario(4.0, lam, 0.1)
             analytic = analytics.path_sop(1.0, path, sc)
-            est = montecarlo.estimate_path_sop(1.0, path, topo, sc, 100000,
-                                               seed=1000 + 10 * len(seq) + i)
+            (est,) = montecarlo.estimate_path_sops(1.0, topo, 100000,
+                                                   [(path, sc, 1000 + 10 * len(seq) + i)])
             z = abs(est.mean - analytic) / est.stderr
             worst = max(worst, z)
             assert z <= 3.0, (seq, lam, analytic, est)

@@ -4,7 +4,7 @@ The tracer wraps functions by name and reads some of their arguments by
 name, so renaming one of them silently zeroes a per-layer metric. These
 tests pin the names it relies on.
 
-Its hook table still names five targets that the package no longer has,
+Its hook table still names six targets that the package no longer has,
 listed in RETIRED: each hook fired on no workload, and the tracer skips an
 absent target and counts it in `trace.hooks_missing`. The benchmark change
 that prunes its hook table empties RETIRED.
@@ -21,6 +21,7 @@ RETIRED = [
     "secroute.experiments.random_placement",
     "secroute.experiments.build_topology",
     "secroute.routing.path_metric",
+    "secroute.montecarlo.estimate_path_sop",
     "secroute.montecarlo.estimate_hop_sop",
     "secroute.montecarlo.power_invariance_check",
 ]
@@ -31,8 +32,6 @@ def params(fn):
 
 
 def test_traced_signatures():
-    assert params(montecarlo.estimate_path_sop) == [
-        "rs", "path", "topology", "scenario", "trials", "seed"]
     assert params(montecarlo.block_rng) == ["seed", "stream", "block"]
     assert params(routing.bellman_ford_hop_constrained)[:3] == ["topology", "source", "dest"]
     assert params(routing.solve_secure_route) == ["topology", "source", "dest", "scenario"]

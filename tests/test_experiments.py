@@ -598,14 +598,23 @@ class TestCli:
         return rc, capsys.readouterr().out.splitlines(), [r[-1] for r in rows]
 
     def test_validate_power_violation_fails(self, tmp_path, capsys, monkeypatch):
-        # the 80 dB estimate lies 10 combined stderrs from the others
+        # the 80 dB estimate lies 10 combined stderrs from the others: every
+        # power row fails, and the two mode rows read as they do where the
+        # powers agree
         est = montecarlo.SopEstimate(0.1, 0.01, 1000, 0.0)
         far = montecarlo.SopEstimate(0.25, 0.01, 1000, 0.0)
+        self.stub_validate(monkeypatch, 0.1, est, [est] * 4)
+        assert self.validate_rows(tmp_path, capsys)[0] == 0
+        agree = (tmp_path / "v.csv").read_text().splitlines()
         self.stub_validate(monkeypatch, 0.1, est, [est, est, far, est])
         rc, lines, verdicts = self.validate_rows(tmp_path, capsys)
         assert rc == 1
         assert verdicts == ["1", "1", "0", "0", "0"]
         assert [line.rsplit(" ", 1)[1] for line in lines[:5]] == ["[pass]"] * 2 + ["[FAIL]"] * 3
+        assert all(line.startswith("rejection@") for line in lines[2:5])
+        disagree = (tmp_path / "v.csv").read_text().splitlines()
+        assert disagree[-5].startswith("memoryless,") and disagree[-4].startswith("rejection,")
+        assert disagree[:-3] == agree[:-3]
 
     def test_validate_zero_stderr_passes(self, tmp_path, capsys):
         # at lambda_e = 1e-9 no trial of 100 is in outage: the stderr is 0,

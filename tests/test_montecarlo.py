@@ -15,7 +15,7 @@ from secroute.montecarlo import (
     MonteCarloError,
     _block_draws,
     block_rng,
-    estimate_path_sop,
+    block_rngs,
     estimate_path_sops,
     hop_sop_estimates,
     power_invariance_report,
@@ -374,7 +374,7 @@ class TestDiskSizing:
         path = topo.path((1, 2, 3, 5))
         dists = [math.sqrt(topo.path(hop).sum_sq_dist) for hop in zip((1, 2, 3), (2, 3, 5))]
         radii, _, tail = montecarlo._hop_fields(1.0, dists, sc)
-        est = estimate_path_sop(1.0, path, topo, sc, 8192, seed=1)
+        est = estimate_path_sops(1.0, topo, 8192, [(path, sc, 1)])[0]
         assert est.tail == tail > 0.0
         # each hop's tau is at most TAIL_SHARE of its closed-form exponent
         assert tail <= sum(first_term(1.0, d, sc, r) for d, r in zip(dists, radii))
@@ -384,7 +384,7 @@ class TestDiskSizing:
     def test_zero_density_has_no_bias(self):
         topo = six_node_topology()
         sc = scen(lam=0.0)
-        est = estimate_path_sop(1.0, topo.path((1, 2, 3, 5)), topo, sc, 100, seed=1)
+        est = estimate_path_sops(1.0, topo, 100, [(topo.path((1, 2, 3, 5)), sc, 1)])[0]
         assert est.tail == 0.0 and est.mean == 0.0
         memoryless, rejection = hop_sop_estimates(1.0, 10.0, sc, 100, 1, [80.0])
         assert memoryless.tail == rejection[0].tail == 0.0
@@ -708,7 +708,7 @@ class TestSmallAlpha:
                          Node(2, 3012.0, -3984.0)])
         sc = scen(lam=3e-5, alpha=3.0)
         path = topo.path((0, 1, 2))
-        est = estimate_path_sop(1.0, path, topo, sc, 50000, seed=62)
+        est = estimate_path_sops(1.0, topo, 50000, [(path, sc, 62)])[0]
         self.check(est, analytics.path_sop(1.0, path, sc))
 
 
@@ -760,7 +760,7 @@ class TestRoutedPathSop:
                      for hop in zip(sol.path.nodes, sol.path.nodes[1:])]
             radii = montecarlo._hop_fields(sol.rs_star, dists, sc)[0]
             assert (max(radii) == window_cap(sc)) is capped
-            est = estimate_path_sop(sol.rs_star, sol.path, topo, sc, 20000, seed=seed + rep)
+            est = estimate_path_sops(sol.rs_star, topo, 20000, [(sol.path, sc, seed + rep)])[0]
             assert est.covers(sc.epsilon)
             zs.append((est.mean - sc.epsilon) / est.stderr)
         # Bonferroni over the family's 2K estimates, a 1 % family-wise level
@@ -816,6 +816,21 @@ class TestEstimateHopSop:
         assert got.random() == want.random()
         assert got.uniform(0.0, 3.0) == want.uniform(0.0, 3.0)
         assert got.poisson(2.5) == want.poisson(2.5)
+
+    @pytest.mark.parametrize("keys", [
+        [(7, 0, 0), (2**64 + 5, 3, 9), (-3, 1, 2), (2**64 - 1, 0x1FFFF, 3 * 2**47 + 11)],
+        # a key again after others, and two keys that mask to one
+        [(5, 2, 3 * 2**47 + 11), (-3, 0x1FFFF, 0), (5, 2, 3 * 2**47 + 11),
+         (2**64 + 5, 1, 2), (5, 1, 2)]])
+    def test_rekey_matches_block_rng(self, keys):
+        # each re-key starts its stream afresh: before it, an odd number of
+        # 32-bit draws leaves half a 64-bit word and part of Philox's
+        # four-word output buffered, and neither may carry over
+        for i, (key, rng) in enumerate(zip(keys, block_rngs(keys))):
+            fresh = block_rng(*key)
+            assert rng.random(2).tolist() == fresh.random(2).tolist()
+            assert np.array_equal(rng.integers(0, 2**32, 2 * i + 1, dtype=np.uint32),
+                                  fresh.integers(0, 2**32, 2 * i + 1, dtype=np.uint32))
 
     def test_stderr_scaling(self):
         sc = scen(lam=5e-5)
@@ -890,7 +905,7 @@ class TestEstimatePathSop:
         topo = self.topo()
         sc = scen(lam=5e-5)
         p = topo.path((0, 1))
-        est = estimate_path_sop(1.0, p, topo, sc, 100000, seed=21)
+        est = estimate_path_sops(1.0, topo, 100000, [(p, sc, 21)])[0]
         target = analytics.path_sop(1.0, p, sc)
         assert abs(est.mean - target) <= 3 * est.stderr
 
@@ -898,7 +913,7 @@ class TestEstimatePathSop:
         topo = self.topo()
         sc = scen(lam=5e-5)
         p = topo.path((0, 1, 2))
-        est = estimate_path_sop(1.0, p, topo, sc, 100000, seed=22)
+        est = estimate_path_sops(1.0, topo, 100000, [(p, sc, 22)])[0]
         target = analytics.path_sop(1.0, p, sc)
         assert abs(est.mean - target) <= 3 * est.stderr
 
@@ -906,7 +921,7 @@ class TestEstimatePathSop:
         topo = self.topo()
         sc = scen(lam=1e-4)
         p = topo.path((0, 1, 2))
-        joint = estimate_path_sop(1.0, p, topo, sc, 60000, seed=23)
+        joint = estimate_path_sops(1.0, topo, 60000, [(p, sc, 23)])[0]
         for d, seed in ((10.0, 24), (10.0, 25)):
             hop = hop_sop_estimates(1.0, d, sc, 60000, seed, [])[0]
             assert joint.mean >= hop.mean - 3 * math.hypot(joint.stderr, hop.stderr)
@@ -917,7 +932,7 @@ class TestEstimatePathSop:
         topo = self.topo()
         sc = scen(lam=1e-4)
         p = topo.path((0, 1, 2))
-        joint = estimate_path_sop(1.0, p, topo, sc, 100000, seed=26)
+        joint = estimate_path_sops(1.0, topo, 100000, [(p, sc, 26)])[0]
         per_hop = [hop_sop_estimates(1.0, 10.0, sc, 100000, s, [])[0] for s in (27, 28)]
         product = 1.0 - (1.0 - per_hop[0].mean) * (1.0 - per_hop[1].mean)
         tol = 3 * math.sqrt(sum(e.stderr ** 2 for e in per_hop) + joint.stderr ** 2)
@@ -930,9 +945,9 @@ class TestEstimatePathSop:
         shifted = Topology([Node(i, x + 5000.0, y + 5000.0)
                             for i, (x, y) in zip(base.order, base.xy.tolist())])
         sc = scen(lam=1e-4)
-        a = estimate_path_sop(1.0, base.path((1, 3, 5)), base, sc, 20000, seed=31)
+        a = estimate_path_sops(1.0, base, 20000, [(base.path((1, 3, 5)), sc, 31)])[0]
         p = shifted.path((1, 3, 5))
-        b = estimate_path_sop(1.0, p, shifted, sc, 20000, seed=31)
+        b = estimate_path_sops(1.0, shifted, 20000, [(p, sc, 31)])[0]
         assert b == a
         assert abs(b.mean - analytics.path_sop(1.0, p, sc)) <= 3 * b.stderr
 
@@ -964,7 +979,7 @@ class TestEstimatePathSop:
         mean = math.fsum(float(np.sum(b)) for b in qs) / trials
         two_pass = math.fsum(q) / trials
         dev = math.fsum((x - two_pass) ** 2 for x in q)
-        est = estimate_path_sop(1.0, path, topo, sc, trials, seed)
+        est = estimate_path_sops(1.0, topo, trials, [(path, sc, seed)])[0]
         assert (est.mean, est.trials, est.tail) == (mapped(mean, tail), trials, tail)
         stderr = math.exp(-tail) * math.sqrt(dev / (trials - 1) / trials)
         assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
@@ -983,7 +998,7 @@ class TestEstimatePathSop:
         trials = 2 * montecarlo.BLOCK + 5
         for seed in seeds:
             hop = hop_sop_estimates(1.0, 10.0, sc, trials, seed, [])[0]
-            path = estimate_path_sop(1.0, topo.path((0, 1)), topo, sc, trials, seed)
+            path = estimate_path_sops(1.0, topo, trials, [(topo.path((0, 1)), sc, seed)])[0]
             assert path.trials == hop.trials and path.tail == hop.tail
             assert path.stderr < hop.stderr
             spread = math.sqrt(max(hop.stderr ** 2 - path.stderr ** 2, 0.0))
@@ -1010,7 +1025,7 @@ class TestEstimatePathSop:
         with pytest.raises(NetModelError) as weights:
             topo.hop_weights(nodes)
         with pytest.raises(NetModelError) as got:
-            estimate_path_sop(1.0, Path(nodes, 0.0), topo, scen(), 100, seed=1)
+            estimate_path_sops(1.0, topo, 100, [(Path(nodes, 0.0), scen(), 1)])
         assert str(got.value) == str(weights.value) == str(want.value) == message
 
     def test_draws_each_hop_block_once(self, monkeypatch):
@@ -1021,7 +1036,7 @@ class TestEstimatePathSop:
         monkeypatch.setattr(montecarlo, "block_rngs",
                             lambda ks: real(keys.append(k) or k for k in ks))
         topo = Topology.from_xy([[0.0, 0.0], [0.0, 10.0], [0.0, 20.0], [0.0, 30.0]])
-        estimate_path_sop(1.0, topo.path((0, 1, 2, 3)), topo, scen(), montecarlo.BLOCK + 5, 9)
+        estimate_path_sops(1.0, topo, montecarlo.BLOCK + 5, [(topo.path((0, 1, 2, 3)), scen(), 9)])
         assert len(keys) == len(set(keys)) == 6
         assert sorted(keys) == [(9, k, b) for k in range(3) for b in range(2)]
 
@@ -1029,8 +1044,8 @@ class TestEstimatePathSop:
         topo = self.topo()
         sc = scen()
         p = topo.path((0, 1, 2))
-        a = estimate_path_sop(1.0, p, topo, sc, 30000, seed=5)
-        b = estimate_path_sop(1.0, p, topo, sc, 30000, seed=5)
+        a = estimate_path_sops(1.0, topo, 30000, [(p, sc, 5)])[0]
+        b = estimate_path_sops(1.0, topo, 30000, [(p, sc, 5)])[0]
         assert a == b
 
     @pytest.mark.parametrize("rs,trials,message", [
@@ -1038,7 +1053,7 @@ class TestEstimatePathSop:
     def test_input_validation(self, rs, trials, message):
         topo = self.topo()
         with pytest.raises(ValueError, match=message):
-            estimate_path_sop(rs, topo.path((0, 1)), topo, scen(), trials, seed=1)
+            estimate_path_sops(rs, topo, trials, [(topo.path((0, 1)), scen(), 1)])
 
 
 class TestEstimatePathSops:
@@ -1059,7 +1074,7 @@ class TestEstimatePathSops:
     @pytest.mark.parametrize("trials", [1, 700, montecarlo.BLOCK + 5])
     def test_equals_one_row_calls(self, trials):
         topo, rows = self.rows()
-        want = [estimate_path_sop(1.0, path, topo, sc, trials, seed) for path, sc, seed in rows]
+        want = [estimate_path_sops(1.0, topo, trials, [row])[0] for row in rows]
         assert len({w.mean for w in want}) == len(want) - 1  # only the empty fields agree
         assert estimate_path_sops(1.0, topo, trials, rows) == want
         assert estimate_path_sops(1.0, topo, trials, rows[::-1]) == want[::-1]
@@ -1093,7 +1108,7 @@ class TestEstimatePathSops:
         bad = [(topo.path((1, 5)), scen(lam=1e4), 1), (Path((1, 3, 7), 0.0), scen(), 2)]
         for row in bad:
             with pytest.raises(ValueError) as want:
-                estimate_path_sop(1.0, row[0], topo, row[1], 100, row[2])
+                estimate_path_sops(1.0, topo, 100, [row])
             with pytest.raises(ValueError) as got:
                 estimate_path_sops(1.0, topo, 100, rows + [row])
             assert str(got.value) == str(want.value)
@@ -1157,7 +1172,7 @@ class TestOutageMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             log_survival = point_sums(block_rng(3, 0, 0), sc, radius, rho, 256, gains=False)
-            est = estimate_path_sop(5000.0, topo.path((0, 1)), topo, sc, 256, seed=3)
+            est = estimate_path_sops(5000.0, topo, 256, [(topo.path((0, 1)), sc, 3)])[0]
         assert np.all(log_survival == math.inf)
         assert (est.mean, est.stderr, est.trials) == (1.0, 0.0, 256)
 
@@ -1173,6 +1188,16 @@ class TestPowerInvariance:
         _, estimates = hop_sop_estimates(1.0, 10.0, scen(), 2000, 1, (80.0,))
         violations = power_invariance_report((80.0,), estimates)
         assert not violations
+
+    @pytest.mark.parametrize("share", [1.0 + 1e-6, 1.0 - 1e-6])
+    def test_verdict_at_three_combined_stderrs(self, share):
+        # two hand-built estimates whose means lie a hair more, or less,
+        # than tol = 3 hypot(stderr_i, stderr_j) apart
+        tol = 3.0 * math.hypot(0.03, 0.04)
+        a = montecarlo.SopEstimate(0.5, 0.03, 1000, 0.0)
+        b = montecarlo.SopEstimate(0.5 - share * tol, 0.04, 900, 0.0)
+        want = [(60.0, 80.0, a.mean, b.mean, tol)] if share > 1.0 else []
+        assert power_invariance_report((60.0, 80.0), [a, b]) == want
 
     def test_zero_density_all_zero(self):
         _, estimates = hop_sop_estimates(1.0, 10.0, scen(lam=0.0), 2000, 1, (60.0, 80.0))
