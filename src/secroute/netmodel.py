@@ -7,7 +7,8 @@ distances, which is the quantity every downstream formula consumes.
 
 One rule, `_squared_distances`, gives every squared distance as
 dx*dx + dy*dy, exactly symmetric since x_i - x_j is -(x_j - x_i) in
-floating point and squaring drops the sign.
+floating point and squaring drops the sign. `mesh_weights` alone finishes
+a full mesh, and an edge list weighs its edges alone.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ class Topology:
     of coordinates and their ids; the two give the same topology. `order`
     lists the node ids ascending, `index` maps an id to its position in
     `order`, and `xy` is the read-only (N, 2) array of their coordinates
-    in that order. The weight matrix, indexed by position,
-    holds the squared length of every edge and inf everywhere else (the
-    diagonal included), so it is also the adjacency.
+    in that order. The weight matrix, indexed by position, holds the
+    squared length of every edge and inf everywhere else (the diagonal
+    included), so it is also the adjacency: mesh_weights' for a full mesh,
+    and for an edge list one inf matrix filled from its edges' ends alone.
 
     A topology is rejected (NetModelError, naming the pair) when two nodes'
     squared distance overflows a float, when an edge joins co-located
@@ -164,33 +166,32 @@ class Topology:
         if bad.any():
             raise NetModelError(f"non-finite coordinates on node {self.order[bad.argmax()]}")
         with np.errstate(over="ignore"):
-            d2 = _squared_distances(self.xy)
             dx, dy = np.ptp(self.xy, axis=0)
-            extent = dx * dx + dy * dy
-        # rounding is monotone, so no pair's dx*dx + dy*dy exceeds the extent's:
-        # only an extent that overflows needs the pairs scanned
-        if not math.isfinite(extent):
-            _reject_pair(d2, d2.argmax(), np.inf, self.order,
-                         "lie so far apart that their squared distance overflows a float")
+            # rounding is monotone, so no pair's dx*dx + dy*dy exceeds the
+            # extent's: only an extent that overflows needs the pairs scanned
+            if not math.isfinite(dx * dx + dy * dy):
+                d2 = _squared_distances(self.xy)
+                _reject_pair(d2, d2.argmax(), np.inf, self.order,
+                             "lie so far apart that their squared distance overflows a float")
         if edges is None:
-            w = d2
-            np.fill_diagonal(w, np.inf)
+            w = mesh_weights(self.xy, self.order)
         else:
-            w = np.full_like(d2, np.inf)
+            ends = []
             for u, v in edges:
                 if u not in self.index or v not in self.index:
                     raise NetModelError(f"edge ({u},{v}) references unknown node")
                 if u == v:
                     raise NetModelError(f"self-loop on node {u}")
-                i, j = self.index[u], self.index[v]
-                w[i, j] = w[j, i] = d2[i, j]
-        _reject_pair(w, w.argmin(), 0.0, self.order, "are co-located")
-        if edges is not None:
-            top = np.max(w, initial=0.0, where=w < np.inf)
-            hops = len(self.order) - 1
-            if float(top) * hops == math.inf:
+                ends.append((self.index[u], self.index[v]))
+            i, j = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+            d = _squared_distances(self.xy[i, None], self.xy[j, None]).reshape(-1)
+            w = np.full((n, n), np.inf)
+            w[i, j] = w[j, i] = d
+            _reject_pair(w, w.argmin(), 0.0, self.order, "are co-located")
+            top = float(d.max(initial=0.0))
+            if top * (n - 1) == math.inf:
                 _reject_pair(w, (w == top).argmax(), top, self.order, f"lie so far apart "
-                             f"that {hops} times their squared distance overflows a float")
+                             f"that {n - 1} times their squared distance overflows a float")
         w.flags.writeable = False
         self._w = w
 
@@ -237,40 +238,38 @@ _ROWS = 16  # rows per block, so each temporary holds O(N * _ROWS) cells
 
 def _squared_distances(xy: np.ndarray, to: np.ndarray | None = None) -> np.ndarray:
     """(..., N, M) squared distances dx*dx + dy*dy from each of the N points
-    of each (N, 2) placement in xy to each of the M points of `to` (xy
-    itself by default), _ROWS rows at a time. Exactly symmetric: x_j - x_i
-    is -(x_i - x_j) in floating point, and squaring drops the sign. The
-    routing sweeps rely on that (see routing.relax), and one point's row
-    of distances to xy holds the bits of its row of xy's matrix. So one
-    (N, 2) placement's matrix is computed from the diagonal rightward
-    only, and each block's transpose is copied below the diagonal."""
+    of each (N, 2) placement in xy to each of the M points of its match in
+    `to` (itself by default), _ROWS rows at a time. Exactly symmetric:
+    x_j - x_i is -(x_i - x_j) in floating point, and squaring drops the
+    sign. The routing sweeps rely on that (see routing.relax), and one
+    point's row of distances to xy holds the bits of its row of xy's
+    matrix. So every self-distance matrix, one placement's or a stack's,
+    is computed from the diagonal rightward only, and each block's
+    transpose is copied below the diagonal."""
     x, y = xy[..., 0], xy[..., 1]
     tx, ty = (x, y) if to is None else (to[..., 0], to[..., 1])
     n = xy.shape[-2]
-    mirror = to is None and xy.ndim == 2
     d = np.empty(xy.shape[:-1] + tx.shape[-1:])
     for i in range(0, n, _ROWS):
-        j = i if mirror else 0
+        j = i if to is None else 0
         dx = x[..., i:i + _ROWS, None] - tx[..., None, j:]
         dy = y[..., i:i + _ROWS, None] - ty[..., None, j:]
         dx *= dx
         dy *= dy
         np.add(dx, dy, out=d[..., i:i + _ROWS, j:])
-        if mirror:
-            d[i + _ROWS:, i:i + _ROWS] = d[i:i + _ROWS, i + _ROWS:].T
+        if to is None:
+            d[..., i + _ROWS:, i:i + _ROWS] = d[..., i:i + _ROWS, i + _ROWS:].swapaxes(-1, -2)
     return d
 
 
-def mesh_weights(xy: np.ndarray) -> np.ndarray:
+def mesh_weights(xy: np.ndarray, labels=None) -> np.ndarray:
     """Full-mesh weight matrices of one placement or a stack of them:
-    squared distances with inf on the diagonal.
-
-    Raises NetModelError naming the first co-located pair by positions.
-    """
+    squared distances with inf on the diagonal. Raises NetModelError naming
+    the first co-located pair by labels[i] for position i (i by default)."""
     w = _squared_distances(xy)
     n = xy.shape[-2]
     w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf  # the diagonal, as a view
-    _reject_pair(w, w.argmin(), 0.0, range(n), "are co-located")
+    _reject_pair(w, w.argmin(), 0.0, range(n) if labels is None else labels, "are co-located")
     return w
 
 

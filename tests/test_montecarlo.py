@@ -1004,6 +1004,21 @@ class TestEstimatePathSop:
             spread = math.sqrt(max(hop.stderr ** 2 - path.stderr ** 2, 0.0))
             assert abs(path.mean - hop.mean) <= 4.0 * spread, (seed, path, hop)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP.md item 8: at small p the few point-bearing trials set both the "
+        "mean and its sample stderr, so a low mean comes with a low stderr "
+        "and covers(p) fails 22 of these 200 seeds, all on the low side"))
+    def test_covers_small_p_at_nominal_rate(self):
+        # one hop of length 10 at alpha = 4 and rs = 1, with lambda_e set so
+        # that the closed form reads p = 1e-4; a 3-stderr check should fail
+        # about 0.5 times in 200, and 3 allows for that
+        topo = self.topo()
+        path = topo.path((0, 1))
+        sc = scen(lam=-math.log1p(-1e-4) / (analytics.k1(4.0, 1.0) * 2.0 ** 0.5 * 100.0))
+        p = analytics.path_sop(1.0, path, sc)
+        ests = estimate_path_sops(1.0, topo, 20000, [(path, sc, seed) for seed in range(200)])
+        assert sum(not est.covers(p) for est in ests) <= 3
+
     @pytest.mark.parametrize("nodes,message", [
         ((0, 2), "no link between 0 and 2"),
         ((2, 1, 0, 2), "no link between 0 and 2"),

@@ -191,16 +191,22 @@ def test_weight_matrix_exactly_symmetric(n, p_edge):
         assert np.array_equal(ws[:, edge], squared_distances_reference(stack)[:, edge])
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 602])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 102, 602])
 def test_mirrored_squared_distances_match_reference(n):
-    # one placement's matrix is computed above the diagonal and mirrored;
-    # 15, 16, 17 and 33 put the last block of _ROWS rows short, whole and
-    # one row long
+    # every self-distance matrix, of one placement or of each in a stack,
+    # is computed above the diagonal and mirrored; 15, 16, 17 and 33 put the
+    # last block of _ROWS rows short, whole and one row long, and 102 is
+    # table-one's largest placement
     rng = np.random.default_rng(700 + n)
     xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
     d = _squared_distances(xy)
     assert d.shape == (n, n)
     assert d.tobytes() == squared_distances_reference(xy).tobytes()
+    for stack in (1, 3, 20) if n <= 102 else ():
+        xys = rng.uniform(-1e3, 1e3, (stack, n, 2)) * 10.0 ** rng.integers(-3, 4, (stack, n, 1))
+        d = _squared_distances(xys)
+        assert d.shape == (stack, n, n)
+        assert d.tobytes() == squared_distances_reference(xys).tobytes()
 
 
 def test_extent_overflow_alone_builds():
@@ -220,8 +226,10 @@ def same_topology(a, b):
 
 
 @pytest.mark.parametrize("kind", ["default", "shuffled", "negative", "above-int64"])
-@pytest.mark.parametrize("p_edge", [None, 0.1])
+@pytest.mark.parametrize("p_edge", [None, 0.1, 0.0, "repeated", "co-located"])
 def test_from_xy_matches_node_constructor(kind, p_edge):
+    # 0.0 is an empty edge list; "repeated" adds edges again, reversed and
+    # as they were; "co-located" puts two nodes at one point, no edge between
     n = 40
     rng = np.random.default_rng([n, 1 if p_edge is None else 2, len(kind)])
     xy = rng.uniform(-1e3, 1e3, (n, 2)) * 10.0 ** rng.integers(-3, 4, (n, 1))
@@ -233,12 +241,24 @@ def test_from_xy_matches_node_constructor(kind, p_edge):
     edges = None
     if p_edge is not None:
         iu, ju = np.triu_indices(n, 1)
-        pick = rng.random(len(iu)) < p_edge
+        pick = rng.random(len(iu)) < (0.1 if isinstance(p_edge, str) else p_edge)
         edges = [(ids[i], ids[j]) for i, j in zip(iu[pick].tolist(), ju[pick].tolist())]
+    if p_edge == "repeated":
+        edges += [(v, u) for u, v in edges[:5]] + edges[:3]
+    elif p_edge == "co-located":
+        xy[2] = xy[1]
+        edges = [e for e in edges if set(e) != {ids[1], ids[2]}]
     nodes = [Node(k, x, y) for k, (x, y) in zip(ids, xy.tolist())]
     topo = Topology.from_xy(xy, None if kind == "default" else ids, edges)
     same_topology(topo, Topology(nodes, edges))
     assert topo.order == sorted(ids)
+    if edges is not None:  # each edge's squared distance both ways, inf elsewhere
+        want = np.full((n, n), np.inf)
+        d2 = squared_distances_reference(topo.xy)
+        for u, v in edges:
+            i, j = topo.index[u], topo.index[v]
+            want[i, j] = want[j, i] = d2[i, j]
+        assert topo.weight_matrix().tobytes() == want.tobytes()
     held = topo.xy.tobytes()
     xy[:] = 0.0  # the topology holds its own copy
     assert topo.xy.tobytes() == held
@@ -255,8 +275,12 @@ def test_from_xy_matches_node_constructor(kind, p_edge):
      "nodes 0 and 1 lie so far apart that 2 times their squared distance "
      "overflows a float"),
     ([(0, 0), (0, 5), (0, 9)], None, "duplicate node id 0"),
+    ([(5, 0), (5, 0), (0, 0)], [(0, 1), (1, 2)], "nodes 1 and 2 are co-located"),
+    # no edge joins the overflowing pair, and the all-pairs scan names it
+    ([(0, 0), (0, 1e154), (0, -1e154)], [(0, 2)],
+     "nodes 0 and 1 lie so far apart that their squared distance overflows a float"),
 ], ids=["non-finite", "overflow", "co-located", "self-loop", "unknown-node",
-        "edge-sum-overflow", "duplicate"])
+        "edge-sum-overflow", "duplicate", "co-located-edge", "overflow-edge-list"])
 def test_from_xy_rejects_as_node_constructor(xy, edges, message):
     # ids run backwards, so a message's ids are read through the sort
     ids = [len(xy) - 1 - k for k in range(len(xy))]
@@ -305,6 +329,22 @@ def test_mesh_build_memory_bounded():
     finally:
         tracemalloc.stop()
     # an (N, N) bool mask alone would add N^2 bytes (2.25 MB) here
+    assert peak <= 8 * n * (n + 5 * _ROWS)
+
+
+def test_edge_list_build_memory_bounded():
+    # an edge list weighs its edges alone, into one inf matrix: it holds no
+    # full-mesh distance matrix and no (N, N) mask, so it stays within the
+    # full mesh's bound; a second (N, N) float matrix would double the peak
+    n = 1500
+    xy = np.random.default_rng(1).uniform(0.0, 50.0, (n, 2))
+    edges = [(i, i + 1) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        Topology.from_xy(xy, edges=edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= 8 * n * (n + 5 * _ROWS)
 
 
